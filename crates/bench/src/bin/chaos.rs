@@ -615,17 +615,16 @@ fn client_timeout_drill() -> Vec<String> {
 }
 
 /// Interleaved A/B: N store appends through `Chaos::off()` vs an armed
-/// handle whose plan never fires. Pins "fault injection costs nothing
-/// when disabled" with the same best-of-3 pattern as the telemetry
-/// overhead smoke; the jitter floor is wider (2ms) because appends are
-/// flush-bound I/O, not pure compute.
+/// handle whose plan never fires, through [`bd_bench::overhead_check`].
+/// Pins "fault injection costs nothing when disabled" with the same
+/// best-of-3 check as the telemetry overhead smoke; the jitter floor is
+/// wider (2ms) because appends are flush-bound I/O, not pure compute.
 fn overhead_check() -> ! {
-    const ITERS: usize = 3;
     const PUTS: u64 = 400;
     let seed = Seed::grow();
     let base = std::env::temp_dir().join(format!("bd-chaos-overhead-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let run = |armed: bool, iter: usize| -> u64 {
+    let passed = bd_bench::overhead_check("chaos: injection-point", 2000, |armed, iter| {
         let dir = base.join(format!("{armed}-{iter}"));
         let chaos = if armed {
             Chaos::from_plan(FaultPlan::quiet(1))
@@ -643,34 +642,16 @@ fn overhead_check() -> ! {
         let micros = t0.elapsed().as_micros() as u64;
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+        if iter > 0 {
+            println!(
+                "iter {iter:>2} chaos={:<8} {PUTS} puts in {micros:>8} us",
+                if armed { "armed" } else { "off" },
+            );
+        }
         micros
-    };
-    // Untimed warm-up (page cache, allocator).
-    let _ = run(false, usize::MAX);
-    let mut best = [u64::MAX; 2];
-    for i in 0..2 * ITERS {
-        let armed = i % 2 == 1;
-        let micros = run(armed, i);
-        best[usize::from(armed)] = best[usize::from(armed)].min(micros);
-        println!(
-            "iter {:>2} chaos={:<8} {PUTS} puts in {micros:>8} us",
-            i + 1,
-            if armed { "armed" } else { "off" },
-        );
-    }
+    });
     let _ = std::fs::remove_dir_all(&base);
-    let [off, armed] = best;
-    let budget = off + off / 20 + 2000;
-    println!(
-        "best off {off} us, best armed-quiet {armed} us, budget {budget} us (overhead {:+.2}%)",
-        100.0 * (armed as f64 - off as f64) / off.max(1) as f64
-    );
-    if armed > budget {
-        eprintln!("chaos: injection-point overhead exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    println!("overhead within budget");
-    std::process::exit(0);
+    std::process::exit(if passed { 0 } else { 1 });
 }
 
 fn main() {

@@ -16,8 +16,9 @@
 //!   otherwise) — the acceptance gate for phase attribution;
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
-//!   side) and assert the enabled minimum stays within 5% of the
-//!   disabled minimum (exit 1 otherwise) — CI's zero-overhead smoke.
+//!   side) and assert the enabled minimum stays within 5% (plus a 500us
+//!   jitter floor) of the disabled minimum (exit 1 otherwise) — CI's
+//!   zero-overhead smoke.
 //!
 //! Usage: `cargo run --release -p bd-bench --bin profile [--quick] [--check] [--overhead-check]`
 
@@ -162,46 +163,27 @@ fn run_profiled(
 }
 
 /// Interleaved A/B overhead smoke: quick Table 1 batch, telemetry
-/// enabled vs disabled, best-of-`ITERS` per side on the summed engine
-/// wall clock. Engine construction samples the flag, so toggling between
-/// batches is race-free.
+/// enabled vs disabled, through [`bd_bench::overhead_check`] on the summed
+/// engine wall clock. Engine construction samples the flag, so toggling
+/// between batches is race-free.
 fn overhead_check() -> ! {
-    const ITERS: usize = 3;
-    // Untimed warm-up batch: the first batch of the process pays one-time
-    // costs (page faults, allocator warm-up) that would otherwise skew
-    // whichever side runs first.
-    let _ = table1_batch(true, 1);
-    let mut best = [u64::MAX; 2];
-    for i in 0..2 * ITERS {
-        let enabled = i % 2 == 1;
+    // The 500us jitter floor keeps sub-millisecond timer noise from
+    // failing the check on very fast machines.
+    let passed = bd_bench::overhead_check("profile: telemetry", 500, |enabled, iter| {
         bd_telemetry::enable_counters(enabled);
-        let rows = table1_batch(true, 1);
+        let (rows, _) = table1_batch(true, 1, None);
         let _ = drain_engine_reports();
         let engine_micros: u64 = rows.iter().flatten().map(|c| c.elapsed_micros).sum();
-        best[usize::from(enabled)] = best[usize::from(enabled)].min(engine_micros);
-        println!(
-            "iter {:>2} telemetry={:<8} quick table1 engine time {:>9} us",
-            i + 1,
-            if enabled { "enabled" } else { "disabled" },
-            engine_micros
-        );
-    }
+        if iter > 0 {
+            println!(
+                "iter {iter:>2} telemetry={:<8} quick table1 engine time {engine_micros:>9} us",
+                if enabled { "enabled" } else { "disabled" },
+            );
+        }
+        engine_micros
+    });
     bd_telemetry::enable_counters(false);
-    let [disabled, enabled] = best;
-    // 5% relative budget plus a 500us jitter floor so sub-millisecond
-    // timer noise cannot fail the gate on very fast machines.
-    let budget = disabled + disabled / 20 + 500;
-    println!(
-        "best disabled {disabled} us, best enabled {enabled} us, budget {budget} us \
-         (overhead {:+.2}%)",
-        100.0 * (enabled as f64 - disabled as f64) / disabled.max(1) as f64
-    );
-    if enabled > budget {
-        eprintln!("profile: telemetry overhead exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    println!("overhead within budget");
-    std::process::exit(0);
+    std::process::exit(if passed { 0 } else { 1 });
 }
 
 fn main() {

@@ -20,8 +20,8 @@
 //! Usage: `cargo run --release -p bd-bench --bin series [--quick] [--store DIR] [--trace-out FILE] > series.jsonl`
 
 use bd_bench::{
-    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells_with,
-    store_from_args, success_rate, sweep_k_with, sweep_n_with, trace_out_from_args, SeriesCoord,
+    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells,
+    store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};
@@ -87,7 +87,7 @@ fn main() {
         } else {
             ns.to_vec()
         };
-        let (cells, stats) = sweep_n_with(algo, &ns, |n| algo.tolerance(n), kind, reps, store);
+        let (cells, stats) = sweep_n(algo, &ns, |n| algo.tolerance(n), kind, reps, store);
         fold(stats);
         let skipped = mean_skipped_rounds(&cells);
         for (n, rounds) in mean_rounds(&cells) {
@@ -151,7 +151,7 @@ fn main() {
             })
         })
         .collect();
-    let (all_b, stats_b) = run_series_cells_with(&coords, store);
+    let (all_b, stats_b) = run_series_cells(&coords, store);
     fold(stats_b);
     // Results come back in coords order: `reps` contiguous cells per f bin,
     // f bins contiguous per algorithm.
@@ -198,7 +198,7 @@ fn main() {
             })
         })
         .collect();
-    let (all_c, stats_c) = run_series_cells_with(&coords, store);
+    let (all_c, stats_c) = run_series_cells(&coords, store);
     fold(stats_c);
     // Results in coords order: `reps` contiguous cells per adversary kind.
     for (i, kind) in kinds.into_iter().enumerate() {
@@ -229,7 +229,7 @@ fn main() {
         (Algorithm::ArbitrarySqrtTh5, AdversaryKind::TokenHijacker),
         (Algorithm::Baseline, AdversaryKind::Squatter),
     ] {
-        let (cells, stats) = sweep_k_with(algo, n, &ks, kind, reps, store);
+        let (cells, stats) = sweep_k(algo, n, &ks, kind, reps, store);
         fold(stats);
         for (k, rounds) in mean_rounds_by_k(&cells) {
             let bin = cells.iter().filter(|c| c.k == k);

@@ -22,7 +22,7 @@
 
 use bd_bench::{
     mean_cost_estimate, mean_elapsed_micros, mean_rounds, store_from_args, success_rate,
-    table1_batch_with, table1_sweeps, trace_out_from_args,
+    table1_batch, table1_sweeps, trace_out_from_args,
 };
 use bd_dispersion::impossibility::replay_experiment;
 use bd_exploration::cost::fit_exponent;
@@ -54,7 +54,7 @@ fn main() {
     );
     // All rows run as one multi-graph batch: the planner shares a session
     // per distinct graph and schedules the most expensive cells first.
-    let (per_row, stats) = table1_batch_with(quick, reps, store.as_ref());
+    let (per_row, stats) = table1_batch(quick, reps, store.as_ref());
     for (serial, (sweep, cells)) in table1_sweeps().iter().zip(&per_row).enumerate() {
         let row = sweep.algo.row();
         let means = mean_rounds(cells);

@@ -2,11 +2,12 @@
 //!
 //! The benchmark harness that regenerates the paper's evaluation:
 //!
-//! * **Table 1** (the paper's only exhibit): per-row Criterion benches under
-//!   `benches/`, and the [`bin/table1`](../../src/bin/table1.rs) binary that
-//!   prints measured-vs-paper columns (running time shape, starting
-//!   configuration, Byzantine tolerance, strong handling) straight from the
-//!   `TableRow` registry;
+//! * **Table 1** (the paper's only exhibit): the
+//!   [`bin/table1`](../../src/bin/table1.rs) binary that prints
+//!   measured-vs-paper columns (running time shape, starting configuration,
+//!   Byzantine tolerance, strong handling) straight from the `TableRow`
+//!   registry; its wall-clock cost is timed by the separate `perfbench`
+//!   crate;
 //! * **Theorem 8**: the impossibility boundary sweep;
 //! * **series** (our additions a systems evaluation would include): rounds
 //!   vs `n` per row with fitted exponents, success rate vs `f` around each
@@ -53,9 +54,8 @@ pub struct Cell {
 
 /// Sweep shape of one Table 1 row: the `n` grid and the adversary the row
 /// is evaluated against. Everything else (tolerance, start, budget) comes
-/// from the row's registry descriptor. Shared by the `table1` printing bin
-/// and the `bench_table1` wall-clock harness so both measure the identical
-/// sweep.
+/// from the row's registry descriptor. Shared by the `table1` printing bin,
+/// the `profile` bin and `perfbench` so all three run the identical sweep.
 pub struct Table1Sweep {
     /// The Table 1 row.
     pub algo: Algorithm,
@@ -254,9 +254,13 @@ impl GraphCache {
     }
 }
 
-/// Queue one sweep cell on `planner`: the spec `run_cell` would build for
-/// these coordinates, on the cache's shared graph. Returns the spec (for
-/// [`cell_of`] after the batch runs).
+/// Queue one sweep cell on `planner`, on the cache's shared graph. Returns
+/// the spec (for [`cell_of`] after the batch runs).
+///
+/// The spec is marked overloaded **only** when `f` exceeds the row's
+/// tolerance: beyond-tolerance probe sweeps run, while in-budget sweeps
+/// keep the session's tolerance guardrail, so a silently mis-sized `f`
+/// panics instead of producing an undefined-behavior cell.
 fn queue_cell(
     planner: &mut AnyPlanner<'_>,
     cache: &mut GraphCache,
@@ -280,34 +284,6 @@ fn queue_cell(
     };
     planner.add(&graph, spec.clone());
     spec
-}
-
-/// Run one cell. Panics on scenario errors (callers pick valid cells);
-/// a round-limit overrun is reported as a failed cell instead.
-///
-/// `allow_overload` is set **only** when `f` exceeds the row's tolerance —
-/// beyond-tolerance probe sweeps run, while in-budget sweeps keep the
-/// session's tolerance guardrail: a silently mis-sized `f` panics instead
-/// of producing an undefined-behavior cell.
-pub fn run_cell(
-    algo: Algorithm,
-    n: usize,
-    f: usize,
-    adversary: AdversaryKind,
-    placement: ByzPlacement,
-    seed: u64,
-) -> Cell {
-    // One-cell batch: the spec construction and the tolerance/overload
-    // guard live in `queue_cell` only, shared with every sweep.
-    run_series_cells(&[SeriesCoord {
-        algo,
-        n,
-        f,
-        adversary,
-        placement,
-        seed,
-    }])
-    .remove(0)
 }
 
 /// Fold one run result into a [`Cell`]. Graph-shape errors (symmetric
@@ -348,20 +324,11 @@ pub fn run_spec_cell(session: &Session, spec: &ScenarioSpec) -> Cell {
 /// Sweep `n` values with `reps` seeds each through the [`BatchPlanner`]:
 /// every cell's graph is a shared handle, and the pool executes cells
 /// largest-first (biggest `n` never straggles at the tail of the sweep).
+///
+/// With a [`ResultStore`], stored cells replay without simulating and
+/// fresh cells write back; the second element is then the batch's
+/// [`CacheStats`]. Without one it is `None`.
 pub fn sweep_n(
-    algo: Algorithm,
-    ns: &[usize],
-    f_of_n: impl Fn(usize) -> usize + Sync,
-    adversary: AdversaryKind,
-    reps: u64,
-) -> Vec<Cell> {
-    sweep_n_with(algo, ns, f_of_n, adversary, reps, None).0
-}
-
-/// [`sweep_n`] with an optional [`ResultStore`]: stored cells replay
-/// without simulating, fresh cells write back. The second element is the
-/// batch's [`CacheStats`] when a store was used.
-pub fn sweep_n_with(
     algo: Algorithm,
     ns: &[usize],
     f_of_n: impl Fn(usize) -> usize + Sync,
@@ -400,15 +367,12 @@ pub fn sweep_n_with(
 /// queued on a single [`BatchPlanner`] (graphs of every size side by side)
 /// and executed largest-cost-first. Returns per-sweep cell vectors in
 /// [`table1_sweeps`] order.
-pub fn table1_batch(quick: bool, reps: u64) -> Vec<Vec<Cell>> {
-    table1_batch_with(quick, reps, None).0
-}
-
-/// [`table1_batch`] with an optional [`ResultStore`]: the opt-in
-/// `table1 --store DIR` path. On a warm store the whole table replays with
-/// **zero rounds simulated** (the stats say so); outcomes are the exact
-/// stored `Outcome`s, so full-mode BASELINES stay byte-identical.
-pub fn table1_batch_with(
+///
+/// The optional [`ResultStore`] is the opt-in `table1 --store DIR` path.
+/// On a warm store the whole table replays with **zero rounds simulated**
+/// (the stats say so); outcomes are the exact stored `Outcome`s, so
+/// full-mode BASELINES stay byte-identical.
+pub fn table1_batch(
     quick: bool,
     reps: u64,
     store: Option<&ResultStore>,
@@ -443,8 +407,8 @@ pub fn table1_batch_with(
     (rows, stats)
 }
 
-/// One sweep coordinate for [`run_series_cells`]: everything `run_cell`
-/// takes, as data, so heterogeneous series can batch through one planner.
+/// One sweep coordinate for [`run_series_cells`], as data, so
+/// heterogeneous series can batch through one planner.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesCoord {
     /// The Table 1 row.
@@ -463,15 +427,9 @@ pub struct SeriesCoord {
 
 /// Run an arbitrary list of sweep coordinates as one [`BatchPlanner`]
 /// batch: graphs are shared per `(n, seed)` coordinate, cells execute
-/// largest-cost-first, and results come back in `coords` order. Equivalent
-/// to mapping [`run_cell`] over `coords`, minus the redundant graph
-/// builds and with deliberate scheduling.
-pub fn run_series_cells(coords: &[SeriesCoord]) -> Vec<Cell> {
-    run_series_cells_with(coords, None).0
-}
-
-/// [`run_series_cells`] with an optional [`ResultStore`].
-pub fn run_series_cells_with(
+/// largest-cost-first, and results come back in `coords` order. The
+/// optional [`ResultStore`] works as in [`sweep_n`].
+pub fn run_series_cells(
     coords: &[SeriesCoord],
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, Option<CacheStats>) {
@@ -503,19 +461,9 @@ pub fn run_series_cells_with(
 /// Sweep robot-count bins on one shared graph: for each `k` in `ks`,
 /// `reps` seeded cells of `algo` at the row's `(n, k)` tolerance, all
 /// batched through one planner on one `Arc<PortGraph>`. The §5 capacity
-/// regime (`k ≠ n`) made measurable.
+/// regime (`k ≠ n`) made measurable. The optional [`ResultStore`] works
+/// as in [`sweep_n`].
 pub fn sweep_k(
-    algo: Algorithm,
-    n: usize,
-    ks: &[usize],
-    adversary: AdversaryKind,
-    reps: u64,
-) -> Vec<Cell> {
-    sweep_k_with(algo, n, ks, adversary, reps, None).0
-}
-
-/// [`sweep_k`] with an optional [`ResultStore`].
-pub fn sweep_k_with(
     algo: Algorithm,
     n: usize,
     ks: &[usize],
@@ -622,6 +570,47 @@ pub fn success_rate(cells: &[Cell]) -> f64 {
     cells.iter().filter(|c| c.dispersed).count() as f64 / cells.len() as f64
 }
 
+/// Interleaved A/B overhead check shared by `profile --overhead-check` and
+/// `chaos --overhead-check`: "an instrumentation point costs nothing when
+/// it is off".
+///
+/// `run(on, iter)` times one pass in microseconds with the instrumentation
+/// on or off. It is called once untimed as a warm-up (`iter == 0`; the
+/// first pass of a process pays page faults and allocator warm-up that
+/// would skew whichever side ran first), then 3 times per side,
+/// alternating off/on, with `iter` counting 1 to 6 — the closure prints
+/// its own per-iteration line. The best time per side is kept, and the
+/// check passes when the best `on` time is within 5% of the best `off`
+/// time plus `floor_micros`, a jitter floor so timer noise cannot fail
+/// the check on fast machines. Prints the summary and the verdict
+/// (`label` prefixes the failure message) and returns whether it passed.
+pub fn overhead_check(
+    label: &str,
+    floor_micros: u64,
+    mut run: impl FnMut(bool, usize) -> u64,
+) -> bool {
+    const ITERS: usize = 3;
+    let _ = run(false, 0);
+    let mut best = [u64::MAX; 2];
+    for i in 1..=2 * ITERS {
+        let on = i % 2 == 0;
+        let micros = run(on, i);
+        best[usize::from(on)] = best[usize::from(on)].min(micros);
+    }
+    let [off, on] = best;
+    let budget = off + off / 20 + floor_micros;
+    println!(
+        "best off {off} us, best on {on} us, budget {budget} us (overhead {:+.2}%)",
+        100.0 * (on as f64 - off as f64) / off.max(1) as f64
+    );
+    if on > budget {
+        eprintln!("{label} overhead exceeds the 5% budget");
+        return false;
+    }
+    println!("overhead within budget");
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,9 +623,31 @@ mod tests {
         assert!(a.is_connected());
     }
 
+    /// One coordinate as a one-cell batch.
+    fn one_cell(
+        algo: Algorithm,
+        n: usize,
+        f: usize,
+        adversary: AdversaryKind,
+        placement: ByzPlacement,
+        seed: u64,
+    ) -> Cell {
+        let coord = SeriesCoord {
+            algo,
+            n,
+            f,
+            adversary,
+            placement,
+            seed,
+        };
+        let (mut cells, stats) = run_series_cells(&[coord], None);
+        assert!(stats.is_none(), "no store, no cache stats");
+        cells.remove(0)
+    }
+
     #[test]
     fn run_cell_smoke() {
-        let c = run_cell(
+        let c = one_cell(
             Algorithm::Baseline,
             8,
             0,
@@ -652,7 +663,7 @@ mod tests {
     #[should_panic(expected = "exceeds the algorithm's tolerance")]
     fn in_budget_sweeps_keep_the_tolerance_guardrail() {
         // f beyond what k robots can possibly contain is a harness bug,
-        // not a probe: run_cell must panic through the session's typed
+        // not a probe: the cell must panic through the session's typed
         // error rather than run it silently overloaded. (Beyond-tolerance
         // probes where f < k still run, now explicitly overloaded.)
         let n = 9;
@@ -661,7 +672,7 @@ mod tests {
             Algorithm::GatheredThirdTh4.tolerance(n) + 1,
             AdversaryKind::Wanderer,
         );
-        // Strip the overload flag run_cell would have added.
+        // Strip the overload flag a sweep would have added.
         assert!(!spec.allow_overload);
         run_spec_cell(&session, &spec);
     }
@@ -670,7 +681,7 @@ mod tests {
     fn beyond_tolerance_probe_is_overloaded_and_runs() {
         let n = 9;
         let f = Algorithm::GatheredThirdTh4.tolerance(n) + 1;
-        let c = run_cell(
+        let c = one_cell(
             Algorithm::GatheredThirdTh4,
             n,
             f,
@@ -683,19 +694,66 @@ mod tests {
 
     #[test]
     fn sweep_k_covers_all_bins_on_one_graph() {
-        let cells = sweep_k(
+        let (cells, stats) = sweep_k(
             Algorithm::Baseline,
             8,
             &[4, 8, 16],
             AdversaryKind::Squatter,
             2,
+            None,
         );
+        assert!(stats.is_none());
         assert_eq!(cells.len(), 6);
         for k in [4usize, 8, 16] {
             let bin: Vec<_> = cells.iter().filter(|c| c.k == k).collect();
             assert_eq!(bin.len(), 2, "k = {k}");
             assert!(bin.iter().all(|c| c.dispersed), "k = {k}");
         }
+    }
+
+    /// Runs [`overhead_check`] on fixed timings: `off` for every off pass,
+    /// `on` for every on pass.
+    fn fixed_overhead(off: u64, on: u64, floor: u64) -> bool {
+        overhead_check("test", floor, |is_on, _| if is_on { on } else { off })
+    }
+
+    #[test]
+    fn overhead_budget_is_five_percent_plus_floor() {
+        let base = 10_000;
+        for floor in [500, 2_000] {
+            let edge = base + base / 20 + floor;
+            assert!(fixed_overhead(base, edge, floor), "exactly at budget");
+            assert!(!fixed_overhead(base, edge + 1, floor), "1 us over");
+        }
+    }
+
+    #[test]
+    fn overhead_check_warms_up_then_alternates_keeping_the_best() {
+        let mut calls = Vec::new();
+        // The warm-up is far over budget and the worst timed pass per side
+        // too: only the best of the three timed passes per side counts.
+        let passed = overhead_check("test", 0, |on, iter| {
+            calls.push((on, iter));
+            match (on, iter) {
+                (_, 0) => 1_000_000,
+                (false, _) => 1_000 + iter as u64,
+                (true, 6) => 1_000_000,
+                (true, _) => 1_050,
+            }
+        });
+        assert!(passed);
+        assert_eq!(
+            calls,
+            [
+                (false, 0),
+                (false, 1),
+                (true, 2),
+                (false, 3),
+                (true, 4),
+                (false, 5),
+                (true, 6)
+            ]
+        );
     }
 
     #[test]

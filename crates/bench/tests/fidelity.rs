@@ -18,12 +18,13 @@ use bd_exploration::cost::fit_exponent;
 fn sqrt_row_fit_exponent_within_target_band() {
     let algo = Algorithm::ArbitrarySqrtTh5;
     let ns = [9usize, 12, 16];
-    let cells = sweep_n(
+    let (cells, _) = sweep_n(
         algo,
         &ns,
         |n| algo.tolerance(n),
         AdversaryKind::TokenHijacker,
         1,
+        None,
     );
     assert!(
         (success_rate(&cells) - 1.0).abs() < f64::EPSILON,
@@ -42,12 +43,13 @@ fn sqrt_row_fit_exponent_within_target_band() {
 fn third_row_fit_exponent_stays_cubic() {
     let algo = Algorithm::GatheredThirdTh4;
     let ns = [9usize, 12, 16];
-    let cells = sweep_n(
+    let (cells, _) = sweep_n(
         algo,
         &ns,
         |n| algo.tolerance(n),
         AdversaryKind::TokenHijacker,
         1,
+        None,
     );
     assert!((success_rate(&cells) - 1.0).abs() < f64::EPSILON);
     let fit = fit_exponent(&mean_rounds(&cells));

@@ -4,7 +4,7 @@
 //! identical table, because cached outcomes are the exact stored
 //! `Outcome`s.
 
-use bd_bench::{sweep_k_with, table1_batch_with};
+use bd_bench::{sweep_k, table1_batch};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_service::ResultStore;
@@ -21,7 +21,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
     let dir = tmpdir("table1");
     let store = ResultStore::open(&dir).unwrap();
 
-    let (cold_rows, cold_stats) = table1_batch_with(true, 1, Some(&store));
+    let (cold_rows, cold_stats) = table1_batch(true, 1, Some(&store));
     let cold_stats = cold_stats.expect("store path reports stats");
     let cells: u64 = cold_rows.iter().map(|r| r.len() as u64).sum();
     assert_eq!(cold_stats.misses, cells, "cold store simulates everything");
@@ -30,7 +30,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 
     // Same invocation again — in the same process here; the daemon restart
     // suite proves the journal serves across processes too.
-    let (warm_rows, warm_stats) = table1_batch_with(true, 1, Some(&store));
+    let (warm_rows, warm_stats) = table1_batch(true, 1, Some(&store));
     let warm_stats = warm_stats.expect("store path reports stats");
     assert_eq!(warm_stats.hits, cells, "warm store serves every cell");
     assert_eq!(warm_stats.misses, 0);
@@ -68,7 +68,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 fn sweep_k_round_trips_through_the_store() {
     let dir = tmpdir("sweepk");
     let store = ResultStore::open(&dir).unwrap();
-    let (cold, s1) = sweep_k_with(
+    let (cold, s1) = sweep_k(
         Algorithm::Baseline,
         8,
         &[4, 8, 16],
@@ -77,7 +77,7 @@ fn sweep_k_round_trips_through_the_store() {
         Some(&store),
     );
     assert_eq!(s1.unwrap().misses, 6);
-    let (warm, s2) = sweep_k_with(
+    let (warm, s2) = sweep_k(
         Algorithm::Baseline,
         8,
         &[4, 8, 16],

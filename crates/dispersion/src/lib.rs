@@ -63,25 +63,11 @@
 //! }
 //! ```
 //!
-//! ### Migrating from the monolithic `run_algorithm`
-//!
-//! The pre-registry entry point survives as a thin shim; new code maps
-//! onto the session layer as follows:
-//!
-//! | Old | New |
-//! |-----|-----|
-//! | `run_algorithm(algo, &g, &spec)` | `Session::new(g).run(&spec)` with `spec.algo` set (constructors now take the algorithm first) |
-//! | `ScenarioSpec::gathered(&g, 0)` | `ScenarioSpec::gathered(algo, &g, 0)` |
-//! | `ScenarioSpec::arbitrary(&g)` | `ScenarioSpec::arbitrary(algo, &g)` |
-//! | `spec.num_robots = k` | `spec.with_robots(k)` |
-//! | `algo.tolerance(n)` | unchanged (delegates to `algo.row().tolerance(n, n)`) |
-//! | loop over `run_algorithm` on one graph | `Session::run_batch(&specs)` |
-//!
-//! Behavior is unchanged at `k = n` (the registry-conformance suite pins
-//! tolerances and exact round budgets); the redesign additionally opens
-//! `k ≠ n` rosters for every DUM-based row — the half/third controllers
-//! now settle through the shared capacity-aware
-//! [`algos::common::SettlePhase`], as sqrt and the baseline already did.
+//! Every DUM-based row accepts `k ≠ n` rosters: the half/third
+//! controllers settle through the shared capacity-aware
+//! [`algos::common::SettlePhase`], as sqrt and the baseline do. At
+//! `k = n` the registry-conformance suite pins tolerances and exact round
+//! budgets.
 //!
 //! Shared building blocks: the [`dum`] state machine
 //! (`Dispersion-Using-Map`, §2.2, capacity-generalized for §5's `⌈k/n⌉`
@@ -142,5 +128,5 @@ pub use canon::{graph_digest, scenario_digest, SpecDigest};
 pub use error::DispersionError;
 pub use msg::{DumState, Msg};
 pub use registry::{Plan, StartColumn, StartRequirement, TableRow};
-pub use runner::{run_algorithm, Algorithm, Outcome, ScenarioSpec, StartConfig};
+pub use runner::{Algorithm, Outcome, ScenarioSpec, StartConfig};
 pub use session::{assemble_outcome, build_roster, BatchPlanner, RosterEntry, Session};

@@ -1,4 +1,4 @@
-//! Scenario vocabulary and the legacy entry point.
+//! Scenario vocabulary.
 //!
 //! The types here describe *what* to run: the [`Algorithm`] selector, the
 //! fully serde-able [`ScenarioSpec`] (robots, faults, starts, seed), and
@@ -6,14 +6,8 @@
 //! [`crate::session`] (the generic plan → engine → verify pipeline) and in
 //! the per-row [`crate::registry::TableRow`] descriptors; this module
 //! contains no per-algorithm dispatch.
-//!
-//! [`run_algorithm`] is kept as the legacy one-shot entry point; new code
-//! should construct a [`crate::session::Session`] (see the crate-level
-//! migration note).
 
 use crate::adversaries::AdversaryKind;
-use crate::error::DispersionError;
-use crate::session::Session;
 use crate::verify::VerifyReport;
 use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::RunMetrics;
@@ -221,22 +215,11 @@ pub struct Outcome {
     pub honest: Vec<bool>,
 }
 
-/// Legacy one-shot entry point: run `algo` on `graph` under `spec`.
-///
-/// Equivalent to `Session::new(graph.clone()).run(&spec.with_algorithm(algo))`;
-/// prefer a [`Session`] when running more than one scenario on a graph (it
-/// shares one `Arc<PortGraph>` across the batch).
-pub fn run_algorithm(
-    algo: Algorithm,
-    graph: &PortGraph,
-    spec: &ScenarioSpec,
-) -> Result<Outcome, DispersionError> {
-    Session::new(graph.clone()).run(&spec.clone().with_algorithm(algo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DispersionError;
+    use crate::session::Session;
     use bd_graphs::generators::erdos_renyi_connected;
 
     #[test]
@@ -274,7 +257,9 @@ mod tests {
         let g = erdos_renyi_connected(9, 0.4, 1).unwrap();
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, 0)
             .with_byzantine(5, AdversaryKind::Squatter);
-        let err = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap_err();
+        let err = Session::new(g.clone())
+            .run(&spec.clone().with_algorithm(Algorithm::GatheredThirdTh4))
+            .unwrap_err();
         assert!(matches!(err, DispersionError::ToleranceExceeded { .. }));
     }
 
@@ -283,12 +268,12 @@ mod tests {
         let g = erdos_renyi_connected(9, 0.4, 1).unwrap();
         let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 0).with_robots(0);
         assert!(matches!(
-            run_algorithm(Algorithm::Baseline, &g, &spec),
+            Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::Baseline)),
             Err(DispersionError::BadScenario(_))
         ));
         let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 42);
         assert!(matches!(
-            run_algorithm(Algorithm::Baseline, &g, &spec),
+            Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::Baseline)),
             Err(DispersionError::BadScenario(_))
         ));
     }

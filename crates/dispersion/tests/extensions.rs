@@ -2,7 +2,7 @@
 //! faults, and beyond-tolerance behavior.
 
 use bd_dispersion::adversaries::AdversaryKind;
-use bd_dispersion::runner::{run_algorithm, Algorithm, ByzPlacement, ScenarioSpec};
+use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
 use bd_dispersion::Session;
 use bd_graphs::generators::{erdos_renyi_connected, oriented_ring, ring};
 use bd_graphs::scramble::scramble_ports;
@@ -96,7 +96,9 @@ fn crash_faults_on_theorem1() {
     let spec = ScenarioSpec::arbitrary(Algorithm::QuotientTh1, &g)
         .with_byzantine(9, AdversaryKind::CrashMidway)
         .with_seed(23);
-    let out = run_algorithm(Algorithm::QuotientTh1, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::QuotientTh1))
+        .unwrap();
     assert!(out.dispersed);
 }
 

@@ -5,7 +5,8 @@
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::algos::sqrt::sqrt_round_budget;
-use bd_dispersion::runner::{run_algorithm, Algorithm, ByzPlacement, ScenarioSpec, StartConfig};
+use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec, StartConfig};
+use bd_dispersion::Session;
 use bd_gathering::route::gather_route;
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree, star};
 use bd_graphs::PortGraph;
@@ -16,7 +17,8 @@ fn asymmetric_graph(n: usize, seed: u64) -> PortGraph {
 }
 
 fn assert_dispersed(g: &PortGraph, spec: &ScenarioSpec, label: &str) {
-    let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, g, spec)
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
     assert!(
         out.dispersed,
@@ -91,7 +93,9 @@ fn small_n_byzantine_refused_fault_free_disperses() {
             let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g)
                 .with_byzantine(1, AdversaryKind::TokenHijacker)
                 .with_seed(seed);
-            let err = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap_err();
+            let err = Session::new(g.clone())
+                .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
+                .unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -139,7 +143,9 @@ fn rounds_equal_phase_budget_exactly() {
     let n = 12;
     let g = asymmetric_graph(n, 31);
     let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(17);
-    let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
+        .unwrap();
     assert!(out.dispersed);
     let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
     let f = Algorithm::ArbitrarySqrtTh5.tolerance(n);
@@ -172,7 +178,9 @@ fn sqrt_capacity_regime_k_twice_n() {
         .with_byzantine(f, AdversaryKind::Squatter)
         .with_seed(19)
         .with_robots(k);
-    let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
+        .unwrap();
     assert_eq!(out.report.capacity, 2, "verifier pins the ⌈k/n⌉ bound");
     assert!(
         out.dispersed,
@@ -194,7 +202,9 @@ fn baseline_capacity_regime_matches_bound() {
     let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 0)
         .with_seed(5)
         .with_robots(k);
-    let out = run_algorithm(Algorithm::Baseline, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::Baseline))
+        .unwrap();
     assert_eq!(out.report.capacity, 3);
     assert!(out.dispersed, "violations {:?}", out.report.violations);
     assert_eq!(out.report.max_honest_per_node, 3, "load fully balanced");
@@ -208,7 +218,9 @@ fn sqrt_with_fewer_robots_than_nodes() {
     let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g)
         .with_seed(29)
         .with_robots(8);
-    let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
+        .unwrap();
     assert_eq!(out.report.capacity, 1);
     assert!(out.dispersed, "violations {:?}", out.report.violations);
 }
@@ -221,7 +233,9 @@ fn sqrt_with_fewer_robots_than_nodes() {
 fn sqrt_fault_free_at_n32() {
     let g = asymmetric_graph(32, 3);
     let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(3);
-    let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
+        .unwrap();
     assert!(out.dispersed, "violations {:?}", out.report.violations);
     let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
     let f = Algorithm::ArbitrarySqrtTh5.tolerance(32);
@@ -245,13 +259,13 @@ proptest! {
             return Ok(());
         }
         let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(seed);
-        let a = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+        let a = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5)).unwrap();
         prop_assert!(a.dispersed, "violations {:?}", a.report.violations);
         let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
         let f = Algorithm::ArbitrarySqrtTh5.tolerance(n);
         prop_assert_eq!(a.rounds, sqrt_round_budget(n, n, f, gather_budget));
         // Determinism: same spec, same outcome.
-        let b = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+        let b = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5)).unwrap();
         prop_assert_eq!(a.final_positions, b.final_positions);
     }
 
@@ -268,7 +282,7 @@ proptest! {
         }
         let mut spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(seed);
         spec.starts = StartConfig::Gathered(0);
-        let out = run_algorithm(Algorithm::ArbitrarySqrtTh5, &g, &spec).unwrap();
+        let out = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5)).unwrap();
         prop_assert!(out.dispersed, "violations {:?}", out.report.violations);
     }
 }

@@ -69,7 +69,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -699,12 +699,12 @@ fn batch_status(path: &str, state: &Arc<State>) -> (u16, String) {
     (200, serde_json::to_string(&reply).expect("batch reply"))
 }
 
+/// One worker: block for the next queued batch id and run it. Idle
+/// workers queue on the receiver's mutex behind the one blocked in
+/// `recv`; the loop ends when shutdown drops the last sender.
 fn worker_loop(state: &Arc<State>, rx: &Arc<Mutex<Receiver<u64>>>) {
     loop {
-        let job = {
-            let rx = lock_recover(rx);
-            rx.recv_timeout(Duration::from_millis(50))
-        };
+        let job = lock_recover(rx).recv();
         match job {
             Ok(id) => {
                 let t0 = std::time::Instant::now();
@@ -766,8 +766,7 @@ fn worker_loop(state: &Arc<State>, rx: &Arc<Mutex<Receiver<u64>>>) {
                     }
                 }
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(_) => break,
         }
     }
 }

@@ -52,7 +52,7 @@ pub use bd_service as service;
 pub mod prelude {
     pub use bd_dispersion::adversaries::AdversaryKind;
     pub use bd_dispersion::registry::{StartRequirement, TableRow};
-    pub use bd_dispersion::runner::{run_algorithm, Algorithm, Outcome, ScenarioSpec};
+    pub use bd_dispersion::runner::{Algorithm, Outcome, ScenarioSpec};
     pub use bd_dispersion::session::Session;
     pub use bd_dispersion::verify::verify_dispersion;
     pub use bd_dynamic::{

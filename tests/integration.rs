@@ -32,7 +32,9 @@ fn theorem1_pipeline_across_families() {
         let spec = ScenarioSpec::arbitrary(Algorithm::QuotientTh1, &g)
             .with_byzantine(g.n() - 2, AdversaryKind::Wanderer)
             .with_seed(3);
-        let out = run_algorithm(Algorithm::QuotientTh1, &g, &spec).unwrap();
+        let out = Session::new(g.clone())
+            .run(&spec.clone().with_algorithm(Algorithm::QuotientTh1))
+            .unwrap();
         assert!(out.dispersed, "{label}: {:?}", out.report.violations);
     }
 }
@@ -56,10 +58,14 @@ fn symmetric_graphs_fail_loudly() {
     let g = generators::oriented_ring(8).unwrap();
     // Theorem 1: quotient collapses -> precondition error.
     let spec = ScenarioSpec::arbitrary(Algorithm::QuotientTh1, &g).with_seed(1);
-    let err = run_algorithm(Algorithm::QuotientTh1, &g, &spec).unwrap_err();
+    let err = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::QuotientTh1))
+        .unwrap_err();
     assert!(format!("{err}").contains("quotient"));
     // Theorem 2: gathering infeasible.
-    let err = run_algorithm(Algorithm::ArbitraryHalfTh2, &g, &spec).unwrap_err();
+    let err = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::ArbitraryHalfTh2))
+        .unwrap_err();
     assert!(format!("{err}").contains("gathering"));
 }
 
@@ -70,7 +76,9 @@ fn gathered_algorithms_from_every_start_node() {
     for start in 0..g.n() {
         let spec =
             ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, start).with_seed(start as u64);
-        let out = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap();
+        let out = Session::new(g.clone())
+            .run(&spec.clone().with_algorithm(Algorithm::GatheredThirdTh4))
+            .unwrap();
         assert!(out.dispersed, "start {start}");
     }
 }
@@ -85,12 +93,14 @@ fn table1_round_ordering_holds() {
         let g = generators::erdos_renyi_connected(n, 0.35, n as u64).unwrap();
         let spec = ScenarioSpec::gathered(Algorithm::GatheredHalfTh3, &g, 0).with_seed(2);
         th3.push(
-            run_algorithm(Algorithm::GatheredHalfTh3, &g, &spec)
+            Session::new(g.clone())
+                .run(&spec.clone().with_algorithm(Algorithm::GatheredHalfTh3))
                 .unwrap()
                 .rounds,
         );
         th6.push(
-            run_algorithm(Algorithm::StrongGatheredTh6, &g, &spec)
+            Session::new(g.clone())
+                .run(&spec.clone().with_algorithm(Algorithm::StrongGatheredTh6))
                 .unwrap()
                 .rounds,
         );
@@ -111,7 +121,9 @@ fn group_infiltration_within_tolerance() {
             .with_byzantine(f, kind)
             .with_placement(ByzPlacement::LowIds)
             .with_seed(8);
-        let out = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap();
+        let out = Session::new(g.clone())
+            .run(&spec.clone().with_algorithm(Algorithm::GatheredThirdTh4))
+            .unwrap();
         assert!(out.dispersed, "{kind:?}: {:?}", out.report.violations);
     }
 }
@@ -124,7 +136,9 @@ fn fewer_robots_than_nodes() {
     let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 0)
         .with_seed(4)
         .with_robots(6);
-    let out = run_algorithm(Algorithm::Baseline, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::Baseline))
+        .unwrap();
     assert!(out.dispersed);
     let distinct: std::collections::HashSet<_> = out.final_positions.iter().collect();
     assert_eq!(distinct.len(), 6);
@@ -137,7 +151,9 @@ fn metrics_consistency() {
     let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, 0)
         .with_byzantine(2, AdversaryKind::Squatter)
         .with_seed(11);
-    let out = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap();
+    let out = Session::new(g.clone())
+        .run(&spec.clone().with_algorithm(Algorithm::GatheredThirdTh4))
+        .unwrap();
     assert!(out.metrics.max_moves_per_robot <= out.metrics.total_moves);
     assert!(out.metrics.total_moves as u64 >= 1);
     // Every stepped (non-fast-forwarded) round executes at least one

@@ -39,7 +39,7 @@ proptest! {
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, 0)
             .with_byzantine(f, kind)
             .with_seed(seed);
-        let out = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap();
+        let out = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::GatheredThirdTh4)).unwrap();
         prop_assert!(out.dispersed, "n={n} f={f} {kind:?}: {:?}", out.report.violations);
     }
 
@@ -59,7 +59,7 @@ proptest! {
         let spec = ScenarioSpec::arbitrary(Algorithm::QuotientTh1, &g)
             .with_byzantine(n - 1, kind)
             .with_seed(seed);
-        let out = run_algorithm(Algorithm::QuotientTh1, &g, &spec).unwrap();
+        let out = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::QuotientTh1)).unwrap();
         prop_assert!(out.dispersed);
     }
 
@@ -77,7 +77,7 @@ proptest! {
             .with_byzantine(f, AdversaryKind::StrongSpoofer)
             .with_placement(placement)
             .with_seed(seed);
-        let out = run_algorithm(Algorithm::StrongGatheredTh6, &g, &spec).unwrap();
+        let out = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::StrongGatheredTh6)).unwrap();
         prop_assert!(out.dispersed, "n={n} f={f} {placement:?}");
     }
 
