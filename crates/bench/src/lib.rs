@@ -19,8 +19,8 @@
 //! graph, and plain parallel `Session::run` calls otherwise.
 
 use bd_dispersion::adversaries::AdversaryKind;
-use bd_dispersion::runner::{Algorithm, ByzPlacement, Outcome, ScenarioSpec};
-use bd_dispersion::{BatchPlanner, DispersionError, Session};
+use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
+use bd_dispersion::Session;
 use bd_graphs::PortGraph;
 use bd_service::{CacheStats, CachedPlanner, ResultStore};
 use serde::{Deserialize, Serialize};
@@ -128,44 +128,6 @@ pub fn bench_graph(n: usize, seed: u64) -> PortGraph {
     bd_graphs::generators::asymmetric_gnp(n, seed).expect("bench graph")
 }
 
-/// A sweep executor that is either a bare cost-ordered [`BatchPlanner`] or
-/// a store-backed [`CachedPlanner`] — the single switch behind every
-/// sweep's opt-in `--store DIR` path.
-enum AnyPlanner<'s> {
-    Plain(BatchPlanner),
-    Cached(CachedPlanner<'s>),
-}
-
-impl<'s> AnyPlanner<'s> {
-    /// Store-backed when a store is given, bare otherwise.
-    fn new(store: Option<&'s ResultStore>) -> Self {
-        match store {
-            Some(store) => AnyPlanner::Cached(CachedPlanner::new(store)),
-            None => AnyPlanner::Plain(BatchPlanner::new()),
-        }
-    }
-
-    fn add(&mut self, graph: &Arc<PortGraph>, spec: ScenarioSpec) -> usize {
-        match self {
-            AnyPlanner::Plain(p) => p.add(graph, spec),
-            AnyPlanner::Cached(p) => p.add(graph, spec),
-        }
-    }
-
-    /// Run everything; the stats are `Some` exactly on the cached path.
-    /// Store I/O failures panic: a half-written benchmark cache is a
-    /// harness failure, not a measurement.
-    fn run(self) -> (Vec<Result<Outcome, DispersionError>>, Option<CacheStats>) {
-        match self {
-            AnyPlanner::Plain(p) => (p.run(), None),
-            AnyPlanner::Cached(p) => {
-                let (results, stats) = p.run().expect("result store I/O");
-                (results, Some(stats))
-            }
-        }
-    }
-}
-
 /// The start configuration each algorithm is evaluated in (Table 1 column
 /// "Starting Configuration", read from the row registry).
 pub fn starting_config(algo: Algorithm, g: &PortGraph) -> ScenarioSpec {
@@ -233,8 +195,8 @@ impl TraceOut {
 
 /// Memoizes [`bench_graph`] instances as shared `Arc` handles, so sweeps
 /// that revisit a `(n, seed)` coordinate (e.g. success-vs-`f` series that
-/// vary only `f`) reuse one graph — and therefore one [`BatchPlanner`]
-/// session — instead of regenerating and re-owning it per cell.
+/// vary only `f`) reuse one graph — and therefore one planner session —
+/// instead of regenerating and re-owning it per cell.
 #[derive(Default)]
 pub struct GraphCache(std::collections::BTreeMap<(usize, u64), Arc<PortGraph>>);
 
@@ -262,7 +224,7 @@ impl GraphCache {
 /// keep the session's tolerance guardrail, so a silently mis-sized `f`
 /// panics instead of producing an undefined-behavior cell.
 fn queue_cell(
-    planner: &mut AnyPlanner<'_>,
+    planner: &mut CachedPlanner<'_>,
     cache: &mut GraphCache,
     algo: Algorithm,
     n: usize,
@@ -321,13 +283,14 @@ pub fn run_spec_cell(session: &Session, spec: &ScenarioSpec) -> Cell {
     cell_of(spec, session.graph().n(), session.run(spec))
 }
 
-/// Sweep `n` values with `reps` seeds each through the [`BatchPlanner`]:
+/// Sweep `n` values with `reps` seeds each through the [`CachedPlanner`]:
 /// every cell's graph is a shared handle, and the pool executes cells
 /// largest-first (biggest `n` never straggles at the tail of the sweep).
 ///
 /// With a [`ResultStore`], stored cells replay without simulating and
 /// fresh cells write back; the second element is then the batch's
-/// [`CacheStats`]. Without one it is `None`.
+/// [`CacheStats`]. Without one it is `None`. Store I/O failures panic: a
+/// half-written benchmark cache is a harness failure, not a measurement.
 pub fn sweep_n(
     algo: Algorithm,
     ns: &[usize],
@@ -336,7 +299,7 @@ pub fn sweep_n(
     reps: u64,
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, Option<CacheStats>) {
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::new(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
     for &n in ns {
@@ -354,17 +317,17 @@ pub fn sweep_n(
             meta.push((spec, n));
         }
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(meta)
         .map(|(result, (spec, n))| cell_of(&spec, n, result))
         .collect();
-    (cells, stats)
+    (cells, store.map(|_| stats))
 }
 
 /// The whole Table 1 sweep as **one** multi-graph batch: all rows' cells
-/// queued on a single [`BatchPlanner`] (graphs of every size side by side)
+/// queued on a single [`CachedPlanner`] (graphs of every size side by side)
 /// and executed largest-cost-first. Returns per-sweep cell vectors in
 /// [`table1_sweeps`] order.
 ///
@@ -378,7 +341,7 @@ pub fn table1_batch(
     store: Option<&ResultStore>,
 ) -> (Vec<Vec<Cell>>, Option<CacheStats>) {
     let sweeps = table1_sweeps();
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::new(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(usize, ScenarioSpec, usize)> = Vec::new();
     for (serial, sweep) in sweeps.iter().enumerate() {
@@ -400,11 +363,11 @@ pub fn table1_batch(
         }
     }
     let mut rows: Vec<Vec<Cell>> = sweeps.iter().map(|_| Vec::new()).collect();
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     for (result, (serial, spec, n)) in results.into_iter().zip(meta) {
         rows[serial].push(cell_of(&spec, n, result));
     }
-    (rows, stats)
+    (rows, store.map(|_| stats))
 }
 
 /// One sweep coordinate for [`run_series_cells`], as data, so
@@ -425,7 +388,7 @@ pub struct SeriesCoord {
     pub seed: u64,
 }
 
-/// Run an arbitrary list of sweep coordinates as one [`BatchPlanner`]
+/// Run an arbitrary list of sweep coordinates as one [`CachedPlanner`]
 /// batch: graphs are shared per `(n, seed)` coordinate, cells execute
 /// largest-cost-first, and results come back in `coords` order. The
 /// optional [`ResultStore`] works as in [`sweep_n`].
@@ -433,7 +396,7 @@ pub fn run_series_cells(
     coords: &[SeriesCoord],
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, Option<CacheStats>) {
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::new(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
     for c in coords {
@@ -449,13 +412,13 @@ pub fn run_series_cells(
         );
         meta.push((spec, c.n));
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(meta)
         .map(|(result, (spec, n))| cell_of(&spec, n, result))
         .collect();
-    (cells, stats)
+    (cells, store.map(|_| stats))
 }
 
 /// Sweep robot-count bins on one shared graph: for each `k` in `ks`,
@@ -472,7 +435,7 @@ pub fn sweep_k(
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, Option<CacheStats>) {
     let graph = Arc::new(bench_graph(n, 1000));
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::new(store);
     let specs: Vec<ScenarioSpec> = ks
         .iter()
         .flat_map(|&k| {
@@ -489,13 +452,13 @@ pub fn sweep_k(
     for spec in &specs {
         planner.add(&graph, spec.clone());
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(&specs)
         .map(|(res, spec)| cell_of(spec, n, res))
         .collect();
-    (cells, stats)
+    (cells, store.map(|_| stats))
 }
 
 /// Mean of an arbitrary cell quantity grouped by an arbitrary cell key.

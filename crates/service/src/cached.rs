@@ -1,7 +1,8 @@
 //! The cache-aware batch layer: [`CachedPlanner`] partitions a submission
 //! into stored and to-run cells, executes only the misses through
 //! `bd_dispersion::BatchPlanner` (cost-ordered, multi-graph), writes the
-//! fresh outcomes back, and returns everything in insertion order.
+//! fresh outcomes back, and returns everything in insertion order. Without
+//! a store it runs every cell, exactly like a bare `BatchPlanner`.
 //!
 //! Digests are computed at the **default engine configuration** — the one
 //! the planner actually executes under (the session derives the per-run
@@ -71,12 +72,11 @@ impl CacheStats {
 enum Slot {
     /// Served from the store at `add` time.
     Hit(Box<Outcome>),
-    /// Queued on the inner planner at this index; written back after the
-    /// run under this digest.
+    /// Queued on the inner planner at this index; with a store, written
+    /// back after the run under this digest.
     Queued {
         planner_idx: usize,
-        digest: SpecDigest,
-        spec: ScenarioSpec,
+        write_back: Option<(SpecDigest, ScenarioSpec)>,
     },
     /// Same digest as the earlier cell at this slot index: simulating it
     /// again would produce (and pay for) the identical outcome, so the
@@ -85,6 +85,8 @@ enum Slot {
 }
 
 /// A [`BatchPlanner`] wrapper that consults a [`ResultStore`] per cell.
+/// Built with `None`, it is the bare planner: no digest, no lookup, no
+/// dedup and no write, so every cell simulates and `run` cannot fail.
 ///
 /// ```no_run
 /// use bd_dispersion::runner::{Algorithm, ScenarioSpec};
@@ -93,14 +95,14 @@ enum Slot {
 ///
 /// let store = ResultStore::open("/tmp/bd-store").unwrap();
 /// let graph = Arc::new(bd_graphs::generators::asymmetric_gnp(9, 1000).unwrap());
-/// let mut planner = CachedPlanner::new(&store);
+/// let mut planner = CachedPlanner::new(Some(&store));
 /// planner.add(&graph, ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0));
 /// let (results, stats) = planner.run().unwrap();
 /// assert_eq!(results.len(), 1);
 /// assert_eq!(stats.hits + stats.misses, 1);
 /// ```
 pub struct CachedPlanner<'s> {
-    store: &'s ResultStore,
+    store: Option<&'s ResultStore>,
     planner: BatchPlanner,
     slots: Vec<Slot>,
     /// Digest → slot index of the first cell queued under it, for
@@ -135,8 +137,8 @@ impl std::fmt::Debug for CachedPlanner<'_> {
 }
 
 impl<'s> CachedPlanner<'s> {
-    /// A planner writing through `store`.
-    pub fn new(store: &'s ResultStore) -> Self {
+    /// A planner writing through `store`, or a store-less one.
+    pub fn new(store: Option<&'s ResultStore>) -> Self {
         CachedPlanner {
             store,
             planner: BatchPlanner::new(),
@@ -165,21 +167,26 @@ impl<'s> CachedPlanner<'s> {
     /// Queue `spec` against `graph`; a stored outcome is claimed
     /// immediately, a digest already queued *in this batch* aliases that
     /// cell (in-flight dedup — identical retries cost one simulation, not
-    /// two), and anything else goes to the inner [`BatchPlanner`].
+    /// two), and anything else goes to the inner [`BatchPlanner`]. Without
+    /// a store every cell goes to the inner planner.
     /// Returns the cell's index in [`CachedPlanner::run`]'s result order.
     pub fn add(&mut self, graph: &Arc<PortGraph>, spec: ScenarioSpec) -> usize {
-        let digest = self.digest_memoized(graph, &spec);
-        let slot = if let Some(&first) = self.queued.get(&digest) {
-            Slot::Alias(first)
-        } else {
-            match self.store.get(&digest) {
-                Some(outcome) => Slot::Hit(Box::new(outcome)),
-                None => {
+        let slot = match self.store {
+            None => Slot::Queued {
+                planner_idx: self.planner.add(graph, spec),
+                write_back: None,
+            },
+            Some(store) => {
+                let digest = self.digest_memoized(graph, &spec);
+                if let Some(&first) = self.queued.get(&digest) {
+                    Slot::Alias(first)
+                } else if let Some(outcome) = store.get(&digest) {
+                    Slot::Hit(Box::new(outcome))
+                } else {
                     self.queued.insert(digest, self.slots.len());
                     Slot::Queued {
                         planner_idx: self.planner.add(graph, spec.clone()),
-                        digest,
-                        spec,
+                        write_back: Some((digest, spec)),
                     }
                 }
             }
@@ -225,9 +232,9 @@ impl<'s> CachedPlanner<'s> {
     /// [`BatchPlanner`]), persist their outcomes, and return every cell in
     /// insertion order together with the batch's [`CacheStats`].
     ///
-    /// The only error surfaced at this level is a store-write failure;
-    /// per-cell scenario errors stay inside the result vector, matching
-    /// `BatchPlanner::run`.
+    /// The only error surfaced at this level is a store-write failure, so
+    /// a store-less planner always returns `Ok`; per-cell scenario errors
+    /// stay inside the result vector, matching `BatchPlanner::run`.
     pub fn run(self) -> Result<(Vec<Result<Outcome, DispersionError>>, CacheStats), ServiceError> {
         let simulate_started = std::time::Instant::now();
         let mut executed: Vec<Option<Result<Outcome, DispersionError>>> =
@@ -249,8 +256,7 @@ impl<'s> CachedPlanner<'s> {
                 }
                 Slot::Queued {
                     planner_idx,
-                    digest,
-                    spec,
+                    write_back,
                 } => {
                     let result = executed[planner_idx]
                         .take()
@@ -261,9 +267,12 @@ impl<'s> CachedPlanner<'s> {
                             stats.rounds_simulated +=
                                 outcome.metrics.rounds - outcome.metrics.rounds_skipped;
                             stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
-                            let write_started = std::time::Instant::now();
-                            self.store.put(digest, &spec, outcome)?;
-                            stats.store_write_micros += write_started.elapsed().as_micros() as u64;
+                            if let (Some(store), Some((digest, spec))) = (self.store, write_back) {
+                                let write_started = std::time::Instant::now();
+                                store.put(digest, &spec, outcome)?;
+                                stats.store_write_micros +=
+                                    write_started.elapsed().as_micros() as u64;
+                            }
                         }
                         Err(_) => stats.errors += 1,
                     }
@@ -316,7 +325,7 @@ mod tests {
             })
             .collect();
 
-        let mut cold = CachedPlanner::new(&store);
+        let mut cold = CachedPlanner::new(Some(&store));
         for spec in &specs {
             cold.add(&graph, spec.clone());
         }
@@ -325,7 +334,7 @@ mod tests {
         assert_eq!((s1.hits, s1.misses), (0, 3));
         assert!(s1.rounds_simulated > 0);
 
-        let mut warm = CachedPlanner::new(&store);
+        let mut warm = CachedPlanner::new(Some(&store));
         for spec in &specs {
             warm.add(&graph, spec.clone());
         }
@@ -348,7 +357,7 @@ mod tests {
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0)
             .with_byzantine(1, AdversaryKind::Squatter)
             .with_seed(3);
-        let mut planner = CachedPlanner::new(&store);
+        let mut planner = CachedPlanner::new(Some(&store));
         planner.add(&graph, spec.clone());
         planner.add(&graph, spec.clone());
         planner.add(&graph, spec.clone().with_seed(4)); // distinct cell
@@ -375,19 +384,50 @@ mod tests {
     }
 
     #[test]
+    fn storeless_planner_runs_every_cell_like_a_bare_planner() {
+        let graph = Arc::new(asymmetric_gnp(9, 1000).unwrap());
+        let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(3);
+        let cells = [spec.clone(), spec.clone(), spec.with_robots(0)];
+        let mut bare = BatchPlanner::new();
+        let mut planner = CachedPlanner::new(None);
+        for cell in &cells {
+            bare.add(&graph, cell.clone());
+            planner.add(&graph, cell.clone());
+        }
+        assert_eq!(planner.pending_misses(), 3, "no dedup without a store");
+        assert!((0..3).all(|idx| planner.source(idx) == CellSource::Simulation));
+        let expected = bare.run();
+        let (results, stats) = planner.run().unwrap();
+        for (a, b) in expected.iter().zip(&results) {
+            match (a, b) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    (a.rounds, &a.final_positions),
+                    (b.rounds, &b.final_positions)
+                ),
+                (a, b) => assert!(a.is_err() && b.is_err()),
+            }
+        }
+        assert_eq!(
+            (stats.hits, stats.misses, stats.deduped, stats.errors),
+            (0, 2, 0, 1)
+        );
+        assert_eq!(stats.store_write_micros, 0);
+    }
+
+    #[test]
     fn errors_are_not_stored() {
         let dir = tmpdir("errors");
         let store = ResultStore::open(&dir).unwrap();
         let graph = Arc::new(asymmetric_gnp(9, 1000).unwrap());
         let bad = ScenarioSpec::gathered(Algorithm::Baseline, &graph, 0).with_robots(0);
-        let mut planner = CachedPlanner::new(&store);
+        let mut planner = CachedPlanner::new(Some(&store));
         planner.add(&graph, bad.clone());
         let (results, stats) = planner.run().unwrap();
         assert!(results[0].is_err());
         assert_eq!(stats.errors, 1);
         assert!(store.is_empty(), "failed cells never enter the journal");
         // And they stay misses on resubmission.
-        let mut again = CachedPlanner::new(&store);
+        let mut again = CachedPlanner::new(Some(&store));
         again.add(&graph, bad);
         assert_eq!(again.pending_misses(), 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -175,8 +175,9 @@ impl Client {
     }
 
     /// [`Client::metrics`] parsed into families and samples
-    /// ([`bd_telemetry::prom::parse`]) — what the load generator's gate
-    /// and the smoke tests read instead of grepping exposition text.
+    /// ([`bd_telemetry::prom::parse`]) — what perfbench's `serve-*`
+    /// workloads and the smoke tests read instead of grepping exposition
+    /// text.
     pub fn metrics_parsed(&self) -> Result<bd_telemetry::prom::Exposition, ServiceError> {
         let body = self.metrics()?;
         bd_telemetry::prom::parse(&body)
@@ -242,12 +243,18 @@ impl Client {
         self.get(&format!("/batches/{id}"))
     }
 
-    /// Poll `GET /batches/:id` until the batch leaves the queue (done or
-    /// failed), or `timeout` elapses.
+    /// Long-poll `GET /batches/:id?wait_ms=N` until the batch leaves the
+    /// queue (done or failed), or `timeout` elapses. Each call waits at
+    /// most half the I/O deadline, so the reply always beats the socket's
+    /// read timeout.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<BatchReply, ServiceError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let reply = self.batch(id)?;
+            let wait = deadline
+                .saturating_duration_since(Instant::now())
+                .min(self.config.io_timeout / 2);
+            let reply: BatchReply =
+                self.get(&format!("/batches/{id}?wait_ms={}", wait.as_millis()))?;
             match reply.status.as_str() {
                 "done" | "failed" => return Ok(reply),
                 _ if Instant::now() >= deadline => {
@@ -256,7 +263,7 @@ impl Client {
                         reply.status
                     )))
                 }
-                _ => std::thread::sleep(Duration::from_millis(20)),
+                _ => {}
             }
         }
     }

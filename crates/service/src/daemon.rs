@@ -6,12 +6,16 @@
 //! and `try_send`s the id into the bounded queue (`503` when full — the
 //! daemon sheds load instead of buffering unboundedly). A worker pops the
 //! id, materializes the graph (memoized by source, capped), runs a
-//! [`CachedPlanner`] over the daemon's [`ResultStore`], and parks results
-//! and [`CacheStats`] on the batch record. `GET /batches/:id` serves the
-//! record at any point in its lifecycle; `GET /stats` aggregates across
-//! batches; `GET /metrics` serves the same accounting (plus worker
-//! busy-time and per-row throughput histograms) as a Prometheus text
-//! exposition (OBSERVABILITY.md documents every metric).
+//! [`CachedPlanner`] over the daemon's [`ResultStore`] (store-less once
+//! degraded), parks results and [`CacheStats`] on the batch record, and
+//! wakes the long-polls. `GET /batches/:id` serves the record at any point
+//! in its lifecycle; with `?wait_ms=N` it first blocks on a condition
+//! variable until the batch is done, failed or evicted, or `N` ms pass
+//! (clamped to the total request deadline), so a client waits with one
+//! call instead of a poll loop. `GET /stats` aggregates across batches;
+//! `GET /metrics` serves the same accounting (plus worker busy-time and
+//! per-row throughput histograms) as a Prometheus text exposition
+//! (OBSERVABILITY.md documents every metric).
 //!
 //! All cross-batch accounting lives in one `ServeMetrics` behind one
 //! mutex: a worker merges a batch's stats and bumps `completed` in a
@@ -19,8 +23,8 @@
 //! acquisition — a reader can never observe a torn view (say, a
 //! `completed` bump without the totals that came with it).
 //!
-//! Each accepted connection is handled on its own thread, bounded by
-//! [`http::Deadlines`]: a per-read idle timeout *and* a whole-request
+//! Each accepted connection is handled on its own scoped thread, bounded
+//! by [`http::Deadlines`]: a per-read idle timeout *and* a whole-request
 //! total deadline, so neither a stalled client nor a slow-loris trickle
 //! can hold a thread hostage or block `/healthz` and `/shutdown`. Memory
 //! is bounded: only the most recent [`COMPLETED_RETENTION`] finished
@@ -46,9 +50,12 @@
 //! counters partially merged — availability over perfectly-consistent
 //! metrics, for metrics only.
 //!
-//! Shutdown (`POST /shutdown` or [`Daemon::shutdown`]) stops the acceptor,
-//! which drops the queue sender; workers drain what was already accepted,
-//! see the channel disconnect, and exit — no job is abandoned half-run.
+//! Shutdown (`POST /shutdown` or [`Daemon::shutdown`]) clears the running
+//! flag; the acceptor, which polls a non-blocking listener every 5 ms,
+//! sees it and leaves its thread scope, which ends only once every
+//! in-flight connection has answered. Its queue sender then drops;
+//! workers drain what was already accepted, see the channel disconnect,
+//! and exit — no job is abandoned half-run.
 
 use crate::cached::{CacheStats, CachedPlanner, CellSource};
 use crate::error::ServiceError;
@@ -60,7 +67,6 @@ use crate::protocol::{
 use crate::store::{ResultStore, StoreOptions};
 use bd_chaos::{Chaos, WorkerFault};
 use bd_dispersion::canon::Fnv64;
-use bd_dispersion::BatchPlanner;
 use bd_graphs::PortGraph;
 use bd_telemetry::log as tlog;
 use bd_telemetry::prom::{self, Histogram, PromText};
@@ -70,7 +76,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -263,11 +269,12 @@ struct State {
     /// mode. One-way for the process lifetime.
     degraded: Mutex<Option<String>>,
     batches: Mutex<BTreeMap<u64, BatchRecord>>,
+    /// Paired with `batches`: notified after every batch a worker
+    /// finishes, for `GET /batches/:id?wait_ms=N` long-polls.
+    batch_finished: Condvar,
     graphs: Mutex<HashMap<String, Arc<PortGraph>>>,
     next_id: AtomicU64,
     running: AtomicBool,
-    /// HTTP connections currently being handled (each on its own thread).
-    connections: AtomicU64,
     workers: usize,
     deadlines: http::Deadlines,
     chaos: Chaos,
@@ -315,15 +322,9 @@ impl State {
     }
 }
 
-/// Decrements the connection counter when a connection thread ends, on
-/// every exit path.
-struct ConnectionGuard(Arc<State>);
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
+/// How often the acceptor polls its non-blocking listener, and so how
+/// soon it sees a shutdown.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// A running daemon. Dropping the handle does **not** stop it; call
 /// [`Daemon::shutdown`] (or send `POST /shutdown`) then [`Daemon::join`].
@@ -373,10 +374,10 @@ impl Daemon {
             store,
             degraded: Mutex::new(degraded.clone()),
             batches: Mutex::new(BTreeMap::new()),
+            batch_finished: Condvar::new(),
             graphs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             running: AtomicBool::new(true),
-            connections: AtomicU64::new(0),
             workers,
             deadlines: config.deadlines,
             chaos: config.chaos,
@@ -403,7 +404,7 @@ impl Daemon {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("bd-serve-acceptor".into())
-                .spawn(move || accept_loop(&listener, &state, &tx))
+                .spawn(move || accept_loop(listener, &state, tx))
                 .expect("spawn acceptor")
         };
 
@@ -431,20 +432,12 @@ impl Daemon {
     }
 
     /// Wait until the daemon has stopped (after [`Daemon::shutdown`] or a
-    /// `POST /shutdown`): the acceptor exits, in-flight connections finish
-    /// (the `/shutdown` response itself rides one), and every worker
-    /// drains.
+    /// `POST /shutdown`): the acceptor exits once every in-flight
+    /// connection has finished (the `/shutdown` response itself rides
+    /// one), then every worker drains.
     pub fn join(mut self) {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
-        }
-        // Connection threads are detached; their per-read socket timeouts
-        // bound how long this wait can last, with a belt-and-braces cap.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while self.state.connections.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -452,31 +445,27 @@ impl Daemon {
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<State>, tx: &SyncSender<u64>) {
-    while state.running.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One thread per connection: a slow or stalled client must
-                // never block /healthz, /shutdown, or other submissions.
-                // Per-request deadlines (state.deadlines) bound each
-                // thread's lifetime; the guard keeps the live count for
-                // join().
-                state.connections.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(state);
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    let _guard = ConnectionGuard(Arc::clone(&state));
-                    handle_connection(stream, &state, &tx);
-                });
+fn accept_loop(listener: TcpListener, state: &Arc<State>, tx: SyncSender<u64>) {
+    // One scoped thread per connection: a slow or stalled client must
+    // never block /healthz, /shutdown, or other submissions, and the scope
+    // ends only when every connection has finished. Per-request deadlines
+    // (state.deadlines) bound each thread's lifetime.
+    std::thread::scope(move |scope| {
+        while state.running.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let tx = tx.clone();
+                    scope.spawn(move || handle_connection(stream, state, &tx));
+                }
+                // Nothing pending, or a real accept error (say, out of file
+                // descriptors): wait a poll interval either way.
+                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-    }
-    // Dropping `tx` here (and each connection thread dropping its clone)
-    // disconnects the channel once workers drain it.
+        // Refuse connections that arrive while the in-flight ones drain.
+        // `tx` drops here too; workers exit once the last clone is gone.
+        drop(listener);
+    });
 }
 
 fn handle_connection(mut stream: TcpStream, state: &Arc<State>, tx: &SyncSender<u64>) {
@@ -552,7 +541,7 @@ fn route(req: &http::Request, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16,
         }
         ("GET", "/audit") => audit(state),
         ("POST", "/batches") => submit_batch(&req.body, state, tx),
-        ("GET", path) if path.starts_with("/batches/") => batch_status(path, state),
+        ("GET", path) if path.starts_with("/batches/") => batch_status(path, &req.query, state),
         ("POST", "/shutdown") => {
             state.running.store(false, Ordering::SeqCst);
             (200, "{\"ok\":true}".to_string())
@@ -673,12 +662,34 @@ fn submit_batch(body: &str, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16, S
     }
 }
 
-fn batch_status(path: &str, state: &Arc<State>) -> (u16, String) {
+/// `GET /batches/:id[?wait_ms=N]`: the batch record now, or — with
+/// `wait_ms` — once it has finished or been evicted, or after `N` ms
+/// (clamped to the total request deadline), whichever comes first.
+fn batch_status(path: &str, query: &str, state: &Arc<State>) -> (u16, String) {
     let id: u64 = match path["/batches/".len()..].parse() {
         Ok(id) => id,
         Err(_) => return (400, error_body(&format!("bad batch id in {path}"))),
     };
-    let batches = lock_recover(&state.batches);
+    let wait = query
+        .split('&')
+        .find_map(|pair| pair.strip_prefix("wait_ms="))
+        .map(str::parse::<u64>);
+    let wait = match wait {
+        None => Duration::ZERO,
+        Some(Ok(ms)) => Duration::from_millis(ms).min(state.deadlines.total),
+        Some(Err(_)) => return (400, error_body(&format!("bad wait_ms in {query}"))),
+    };
+    let mut batches = lock_recover(&state.batches);
+    if !wait.is_zero() {
+        batches = state
+            .batch_finished
+            .wait_timeout_while(batches, wait, |batches| {
+                let status = batches.get(&id).map(|r| &r.state);
+                matches!(status, Some(BatchState::Queued | BatchState::Running))
+            })
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
+    }
     let Some(record) = batches.get(&id) else {
         return (404, error_body(&format!("no batch {id}")));
     };
@@ -765,6 +776,8 @@ fn worker_loop(state: &Arc<State>, rx: &Arc<Mutex<Receiver<u64>>>) {
                         m.completed += 1;
                     }
                 }
+                // Done, failed, or panicked: wake the long-polls.
+                state.batch_finished.notify_all();
             }
             Err(_) => break,
         }
@@ -889,28 +902,24 @@ fn run_request(
     request_id: &str,
 ) -> Result<(Vec<CellResult>, CacheStats, Vec<(String, u64)>), ServiceError> {
     let graph = graph_for(state, &request.graph)?;
-    if let Some(store) = state.healthy_store() {
-        match run_cached(store, &graph, request, request_id) {
-            Ok(done) => return Ok(done),
-            Err(e) => {
-                // The only error `CachedPlanner::run` surfaces is a
-                // store-write failure: degrade and fall through — the
-                // batch (and every later one) is answered compute-only
-                // rather than failed. Re-running the whole batch after a
-                // mid-batch write failure re-simulates cells the store
-                // already answered; a one-time cost, paid exactly once
-                // per process, for never returning a half-persisted
-                // batch.
-                state.degrade(format!("store write path failed: {e}"));
-            }
-        }
-    }
-    Ok(run_compute_only(&graph, request, request_id))
+    run_planned(state.healthy_store(), &graph, request, request_id).or_else(|e| {
+        // The only error `CachedPlanner::run` surfaces is a store-write
+        // failure: degrade and re-run store-less — the batch (and every
+        // later one) is answered compute-only rather than failed.
+        // Re-running the whole batch after a mid-batch write failure
+        // re-simulates cells the store already answered; a one-time cost,
+        // paid exactly once per process, for never returning a
+        // half-persisted batch.
+        state.degrade(format!("store write path failed: {e}"));
+        run_planned(None, &graph, request, request_id)
+    })
 }
 
-/// The store-backed path: consult, simulate misses, write back.
-fn run_cached(
-    store: &ResultStore,
+/// Run one batch through a [`CachedPlanner`]: with a store it consults,
+/// simulates misses and writes back; without one (degraded) it simulates
+/// everything and persists nothing, so it cannot fail.
+fn run_planned(
+    store: Option<&ResultStore>,
     graph: &Arc<PortGraph>,
     request: &BatchRequest,
     request_id: &str,
@@ -963,58 +972,6 @@ fn run_cached(
     Ok((cells, stats, observations))
 }
 
-/// The degraded path: simulate everything, consult and persist nothing.
-/// Infallible by construction — per-cell scenario errors stay per-cell —
-/// so a daemon whose store is gone can still never fail a batch for
-/// store reasons.
-fn run_compute_only(
-    graph: &Arc<PortGraph>,
-    request: &BatchRequest,
-    request_id: &str,
-) -> (Vec<CellResult>, CacheStats, Vec<(String, u64)>) {
-    let mut planner = BatchPlanner::new();
-    planner.tag("req", request_id.to_string());
-    for spec in &request.specs {
-        planner.add(graph, spec.clone());
-    }
-    let simulate_started = Instant::now();
-    let results = planner.run();
-    let mut stats = CacheStats {
-        simulate_wall_micros: simulate_started.elapsed().as_micros() as u64,
-        ..CacheStats::default()
-    };
-    let mut observations = Vec::new();
-    let cells = request
-        .specs
-        .iter()
-        .zip(results)
-        .map(|(spec, result)| match result {
-            Ok(outcome) => {
-                stats.misses += 1;
-                stats.rounds_simulated += outcome.metrics.rounds - outcome.metrics.rounds_skipped;
-                stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
-                let rps = outcome.metrics.rounds.saturating_mul(1_000_000)
-                    / outcome.metrics.elapsed_micros.max(1);
-                observations.push((spec.algo.row().name().to_string(), rps));
-                CellResult {
-                    cached: false,
-                    outcome: Some(outcome),
-                    error: None,
-                }
-            }
-            Err(e) => {
-                stats.errors += 1;
-                CellResult {
-                    cached: false,
-                    outcome: None,
-                    error: Some(e.to_string()),
-                }
-            }
-        })
-        .collect();
-    (cells, stats, observations)
-}
-
 /// Render the full Prometheus text exposition for `GET /metrics`. Every
 /// family here has a row in OBSERVABILITY.md — keep the two in sync.
 fn render_metrics(state: &Arc<State>) -> String {
@@ -1060,11 +1017,6 @@ fn render_metrics(state: &Arc<State>) -> String {
         "bd_store_write_failures_total",
         "Journal appends that failed (the daemon degrades on the first).",
         store.map_or(0, |c| c.write_failures),
-    )
-    .gauge(
-        "bd_connections",
-        "HTTP connections currently being handled.",
-        state.connections.load(Ordering::SeqCst),
     )
     .gauge(
         "bd_workers",

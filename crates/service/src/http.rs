@@ -132,6 +132,8 @@ pub struct Request {
     pub method: String,
     /// Path with any query string stripped.
     pub path: String,
+    /// The query string after `?`, undecoded (empty when absent).
+    pub query: String,
     /// Raw body (empty when no `Content-Length`).
     pub body: String,
 }
@@ -162,7 +164,7 @@ pub fn read_request_with(
     let target = parts
         .next()
         .ok_or_else(|| ServiceError::Protocol("missing request target".into()))?;
-    let path = target.split('?').next().unwrap_or(target).to_string();
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
 
     let mut content_length = 0usize;
     for line in lines {
@@ -194,7 +196,12 @@ pub fn read_request_with(
     rest.truncate(content_length);
     let body =
         String::from_utf8(rest).map_err(|_| ServiceError::Protocol("body is not UTF-8".into()))?;
-    Ok(Request { method, path, body })
+    Ok(Request {
+        method,
+        path: path.to_string(),
+        query: query.to_string(),
+        body,
+    })
 }
 
 /// Read until the `\r\n\r\n` header terminator; returns (header block
@@ -351,6 +358,7 @@ mod tests {
             let req = read_request(&mut stream).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/echo");
+            assert_eq!(req.query, "q=1");
             respond(&mut stream, 200, &req.body).unwrap();
         });
         let (status, body) = call(addr, "POST", "/echo?q=1", Some("{\"x\":1}")).unwrap();

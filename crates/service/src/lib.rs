@@ -51,7 +51,7 @@
 //! | Method & path      | Body                | Reply                                         |
 //! |--------------------|---------------------|-----------------------------------------------|
 //! | `POST /batches`    | [`protocol::BatchRequest`] | `202` [`protocol::BatchAccepted`], `503` queue full |
-//! | `GET /batches/:id` | —                   | [`protocol::BatchReply`] (status, cells, stats) |
+//! | `GET /batches/:id[?wait_ms=N]` | —       | [`protocol::BatchReply`] (status, cells, stats); with `wait_ms`, once the batch is done or failed or `N` ms (at most the total request deadline) pass; `400` on a non-numeric `N` |
 //! | `GET /healthz`     | —                   | [`protocol::Health`]                          |
 //! | `GET /stats`       | —                   | [`protocol::StatsReply`] (cache hits, rounds simulated/saved, queue depth) |
 //! | `GET /metrics`     | —                   | Prometheus text exposition (`text/plain; version=0.0.4`): store/queue/worker counters, per-row throughput histograms, and per-stage request-latency histograms; see OBSERVABILITY.md |
@@ -72,13 +72,13 @@
 //!     "request_id": ""}'
 //! {"id":1,"cells":1,"status":"queued","request_id":"8b1f20c4d1e6a973"}
 //!
-//! $ curl -s http://127.0.0.1:7171/batches/1   # first run: simulated
+//! $ curl -s 'http://127.0.0.1:7171/batches/1?wait_ms=5000'   # first run: simulated
 //! {"id":1,"status":"done","error":null,"cells":[{"cached":false,"outcome":{…}}],
 //!  "stats":{"hits":0,"misses":1,"errors":0,"rounds_simulated":812,…},
 //!  "request_id":"8b1f20c4d1e6a973"}
 //!
 //! $ curl -s -X POST http://127.0.0.1:7171/batches -d '…same body…' \
-//!     && sleep 0.1 && curl -s http://127.0.0.1:7171/batches/2
+//!     && curl -s 'http://127.0.0.1:7171/batches/2?wait_ms=5000'
 //! {"id":2,"status":"done","error":null,"cells":[{"cached":true,"outcome":{…}}],
 //!  "stats":{"hits":1,"misses":0,"errors":0,"rounds_simulated":0,"rounds_saved":2515,…},
 //!  "request_id":"8b1f20c4d1e6a973"}

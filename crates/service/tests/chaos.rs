@@ -337,6 +337,62 @@ fn tampered_store_degrades_the_daemon_instead_of_killing_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store write that fails mid-batch degrades the daemon and re-runs the
+/// batch compute-only: no cell is cached, nothing is deduplicated, and
+/// the per-cell error survives the re-run. Every later batch stays
+/// compute-only.
+#[test]
+fn write_failure_degrades_and_reruns_the_batch_compute_only() {
+    let dir = tmpdir("write-failure");
+    let mut config = ServeConfig::ephemeral(&dir);
+    config.chaos = Chaos::from_plan(FaultPlan {
+        torn_write_one_in: 1,
+        ..FaultPlan::quiet(0x5eed)
+    });
+    let daemon = Daemon::start(config).unwrap();
+    assert!(!daemon.is_degraded());
+    let client = Client::new(daemon.local_addr());
+
+    // Two fresh cells, a duplicate of the first, and a cell with no robots.
+    let graph_src = GraphSource::BenchEr { n: 8, seed: 1000 };
+    let graph = graph_src.materialize().unwrap();
+    let fresh =
+        |seed| ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(seed);
+    let request = BatchRequest::new(
+        graph_src,
+        vec![fresh(11), fresh(12), fresh(11), fresh(13).with_robots(0)],
+    );
+    let check = |reply: &bd_service::protocol::BatchReply| {
+        assert_eq!(reply.status, "done", "error: {:?}", reply.error);
+        assert!(reply.cells.iter().all(|c| !c.cached));
+        assert!(reply.cells[..3].iter().all(|c| c.outcome.is_some()));
+        assert!(reply.cells[3].error.is_some());
+        let stats = reply.stats.unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.deduped, stats.errors),
+            (0, 3, 0, 1)
+        );
+    };
+
+    let accepted = client.submit(&request).unwrap();
+    check(&client.wait(accepted.id, Duration::from_secs(120)).unwrap());
+    assert!(daemon.is_degraded());
+    let failures = client
+        .metrics_parsed()
+        .unwrap()
+        .value("bd_store_write_failures_total")
+        .unwrap();
+    assert!(failures >= 1.0, "write failures: {failures}");
+
+    // The resubmission never reaches the store again.
+    let accepted = client.submit(&request).unwrap();
+    check(&client.wait(accepted.id, Duration::from_secs(120)).unwrap());
+
+    client.shutdown().unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The client's deadlines are typed errors, not hangs: a server that
 /// accepts and never answers surfaces [`ServiceError::Timeout`] within
 /// the configured budget.

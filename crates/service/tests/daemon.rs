@@ -246,29 +246,16 @@ fn shutdown_drains_in_flight_write_backs() {
     let client = Client::new(daemon.local_addr());
 
     // Slow cells: a larger graph, several seeds, all distinct digests.
-    let graph_src = GraphSource::BenchEr { n: 32, seed: 1000 };
-    let graph = graph_src.materialize().unwrap();
-    let cells = 3;
-    let request = BatchRequest::new(
-        graph_src,
-        (0..cells)
-            .map(|seed| {
-                ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(seed)
-            })
-            .collect(),
-    );
+    let request = slow_request();
+    let cells = request.specs.len();
     client.submit(&request).unwrap();
     // Shutdown races the batch: it is queued or mid-simulation now.
     client.shutdown().unwrap();
     daemon.join();
 
     let store = bd_service::ResultStore::open(&dir).unwrap();
-    assert_eq!(
-        store.len(),
-        cells as usize,
-        "shutdown dropped in-flight write-backs"
-    );
-    assert_eq!(store.verify_chain().unwrap().entries, cells as usize);
+    assert_eq!(store.len(), cells, "shutdown dropped in-flight write-backs");
+    assert_eq!(store.verify_chain().unwrap().entries, cells);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -318,6 +305,139 @@ fn per_cell_errors_and_bad_requests_are_reported() {
     assert!(reply.error.is_some());
 
     client.shutdown().unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Three slow cells (a larger graph, distinct seeds and digests): the
+/// batch is still running while a test acts on the daemon.
+fn slow_request() -> BatchRequest {
+    let graph_src = GraphSource::BenchEr { n: 32, seed: 1000 };
+    let graph = graph_src.materialize().unwrap();
+    BatchRequest::new(
+        graph_src,
+        (0..3)
+            .map(|seed| {
+                ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(seed)
+            })
+            .collect(),
+    )
+}
+
+/// One raw `GET` with a read deadline longer than any long-poll.
+fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    let patient = Duration::from_secs(60);
+    bd_service::http::call_with(addr, "GET", path, None, patient, patient).unwrap()
+}
+
+#[test]
+fn long_poll_answers_a_cold_batch_in_one_call() {
+    let dir = tmpdir("long-poll");
+    let daemon = Daemon::start(ServeConfig::ephemeral(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let client = Client::new(addr);
+
+    let id = client.submit(&quick_request()).unwrap().id;
+    let (status, body) = get(addr, &format!("/batches/{id}?wait_ms=30000"));
+    assert_eq!(status, 200);
+    let reply: bd_service::protocol::BatchReply = serde_json::from_str(&body).unwrap();
+    assert_eq!(reply.status, "done", "error: {:?}", reply.error);
+
+    // `wait_ms=0` answers exactly like the plain GET.
+    assert_eq!(
+        get(addr, &format!("/batches/{id}?wait_ms=0")),
+        get(addr, &format!("/batches/{id}"))
+    );
+    // A malformed wait is refused; an unknown id is refused without
+    // waiting.
+    assert_eq!(get(addr, &format!("/batches/{id}?wait_ms=abc")).0, 400);
+    let t0 = std::time::Instant::now();
+    assert_eq!(get(addr, "/batches/999?wait_ms=20000").0, 404);
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+
+    client.shutdown().unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Client::wait` gives up at its own timeout, not at the socket's: a
+/// batch queued behind a slow one on a single worker reports "still
+/// queued" after about the 100 ms asked for.
+#[test]
+fn client_wait_times_out_on_its_own_budget() {
+    let dir = tmpdir("wait-budget");
+    let mut config = ServeConfig::ephemeral(&dir);
+    config.workers = 1;
+    let daemon = Daemon::start(config).unwrap();
+    let client = Client::new(daemon.local_addr());
+
+    client.submit(&slow_request()).unwrap();
+    let queued = client.submit(&quick_request()).unwrap().id;
+    let t0 = std::time::Instant::now();
+    match client.wait(queued, Duration::from_millis(100)) {
+        Err(ServiceError::Protocol(msg)) => assert!(msg.contains("still queued"), "{msg}"),
+        other => panic!("expected the still-queued error, got {other:?}"),
+    }
+    let took = t0.elapsed();
+    assert!(
+        took >= Duration::from_millis(100) && took < Duration::from_secs(2),
+        "wait returned after {took:?}"
+    );
+
+    client.shutdown().unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `shutdown` stops the acceptor within a poll interval, so `join` on an
+/// idle daemon returns at once — also when the daemon listens on the
+/// unspecified address.
+#[test]
+fn shutdown_then_join_returns_promptly_when_idle() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let dir = tmpdir("idle-join");
+        let mut config = ServeConfig::ephemeral(&dir);
+        config.addr = addr.into();
+        let daemon = Daemon::start(config).unwrap();
+        daemon.shutdown();
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            daemon.join();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("join on {addr} did not return within 2 s"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A long-poll accepted before `POST /shutdown` is part of the drain: it
+/// still gets its batch's `done` reply.
+#[test]
+fn long_poll_in_flight_at_shutdown_gets_its_reply() {
+    use std::io::{Read, Write};
+    let dir = tmpdir("poll-shutdown");
+    let daemon = Daemon::start(ServeConfig::ephemeral(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let client = Client::new(addr);
+
+    let id = client.submit(&slow_request()).unwrap().id;
+    // Connected before the shutdown request, so accepted before it.
+    let mut poll = std::net::TcpStream::connect(addr).unwrap();
+    poll.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(
+        poll,
+        "GET /batches/{id}?wait_ms=30000 HTTP/1.1\r\nhost: {addr}\r\ncontent-length: 0\r\n\r\n"
+    )
+    .unwrap();
+    client.shutdown().unwrap();
+
+    let mut reply = String::new();
+    poll.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert!(reply.contains("\"status\":\"done\""), "{reply}");
     daemon.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

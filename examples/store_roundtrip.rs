@@ -26,7 +26,7 @@ fn main() {
     // Cold: everything simulates, outcomes land in the journal.
     let cold = {
         let store = ResultStore::open(&dir).expect("open store");
-        let mut planner = CachedPlanner::new(&store);
+        let mut planner = CachedPlanner::new(Some(&store));
         for spec in &specs {
             planner.add(&graph, spec.clone());
         }
@@ -43,7 +43,7 @@ fn main() {
     // Warm, in a "new process": reopen the store from disk and resubmit.
     let store = ResultStore::open(&dir).expect("reopen store");
     println!("reopened store holds {} outcomes", store.len());
-    let mut planner = CachedPlanner::new(&store);
+    let mut planner = CachedPlanner::new(Some(&store));
     for spec in &specs {
         planner.add(&graph, spec.clone());
     }
