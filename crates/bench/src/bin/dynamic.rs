@@ -15,30 +15,31 @@
 //!     [--replay FILE]   re-execute a bdtr1 document; exit 1 unless the
 //!                       fresh outcome is byte-identical to the recorded one
 //!     [--oracle]        differentially check the run against the naive engine
+//!
+//! An unknown argument exits 2.
 
+use bd_bench::{arg_value, reject_unknown_flags};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::ScenarioSpec;
 use bd_dynamic::{replay, DynamicSession, DynamicSpec, EventKind, EventSchedule, ReplayVerdict};
 use bd_graphs::generators::ring;
 
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    });
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("{flag}: cannot parse {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        "dynamic",
+        &args,
+        &["--oracle"],
+        &[
+            "--n",
+            "--robots",
+            "--byzantine",
+            "--seed",
+            "--export",
+            "--replay",
+        ],
+    );
 
     if let Some(path) = arg_value::<String>(&args, "--replay") {
         let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -125,7 +126,7 @@ fn main() {
     );
 
     if args.iter().any(|a| a == "--oracle") {
-        let verdict = bd_oracle::check_dynamic_cell(&session, &spec);
+        let verdict = bd_oracle::check_dynamic_cell(&session, &spec, |c| c);
         if verdict.agreed() {
             println!("oracle: epoch-for-epoch agreement with the naive engine");
         } else {

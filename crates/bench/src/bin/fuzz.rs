@@ -24,27 +24,24 @@
 //!     [--cases N] [--seed S] [--max-n N] [--budget-secs T] [--broken] \
 //!     [--trace-out FILE] [--static-only] [--dynamic-only]
 
-use bd_bench::trace_out_from_args;
-use bd_oracle::{run_dynamic_fuzz_with, run_fuzz_with, FuzzConfig};
+use bd_bench::{arg_value, reject_unknown_flags, trace_out_from_args};
+use bd_oracle::{run_dynamic_fuzz, run_fuzz, FuzzConfig};
 use std::time::Duration;
-
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    });
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("{flag}: cannot parse {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        "fuzz",
+        &args,
+        &["--broken", "--static-only", "--dynamic-only"],
+        &[
+            "--cases",
+            "--seed",
+            "--max-n",
+            "--budget-secs",
+            "--trace-out",
+        ],
+    );
     let mut config = FuzzConfig::default();
     if let Some(cases) = arg_value(&args, "--cases") {
         config.cases = cases;
@@ -59,6 +56,8 @@ fn main() {
         config.time_budget = Some(Duration::from_secs(secs));
     }
     let broken = args.iter().any(|a| a == "--broken");
+    // The injected fault; 0 is every real engine's setting.
+    let overshoot = u64::from(broken);
     let static_pass = !args.iter().any(|a| a == "--dynamic-only");
     let dynamic_pass = !args.iter().any(|a| a == "--static-only");
     let trace = trace_out_from_args("fuzz", &args);
@@ -78,7 +77,7 @@ fn main() {
 
     let mut failed = false;
     if static_pass {
-        let report = run_fuzz_with(&config, |c| if broken { c.with_ff_overshoot(1) } else { c });
+        let report = run_fuzz(&config, |c| c.with_ff_overshoot(overshoot));
         println!(
             "static pass: checked {} cells: {} full-trajectory matches, {} identical-error \
              agreements",
@@ -101,11 +100,7 @@ fn main() {
         // wall-clock terms.
         let mut dyn_config = config.clone();
         dyn_config.cases = (config.cases / 4).max(5);
-        let report =
-            run_dynamic_fuzz_with(
-                &dyn_config,
-                |c| if broken { c.with_ff_overshoot(1) } else { c },
-            );
+        let report = run_dynamic_fuzz(&dyn_config, |c| c.with_ff_overshoot(overshoot));
         println!(
             "dynamic pass: checked {} event-scheduled cells ({} draws discarded): {} matches, \
              {} identical-error agreements",

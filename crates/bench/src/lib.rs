@@ -150,6 +150,38 @@ pub fn store_from_args(bin: &str, args: &[String]) -> Option<ResultStore> {
     }))
 }
 
+/// The value after `flag` in `argv`, parsed; `None` when the flag is
+/// absent. Exits 2 on a missing or unparsable value.
+pub fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let raw = args.get(i + 1).unwrap_or_else(|| {
+        eprintln!("{flag} needs a value");
+        std::process::exit(2);
+    });
+    match raw.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("{flag}: cannot parse {raw:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Exit 2 unless every argument after the program name is one of
+/// `switches` or one of `valued` followed by its value: a mistyped flag
+/// (`--dynamic_only`) must fail loudly, not silently run the default.
+pub fn reject_unknown_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            eprintln!("{bin}: unknown argument {arg:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Parse the bins' shared `--trace-out FILE` flag. When present, span
 /// *and* engine-counter recording are switched on process-wide (the phase
 /// level of the span tree is emitted by the engine recorder), and the

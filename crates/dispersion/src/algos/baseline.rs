@@ -180,7 +180,7 @@ mod tests {
                 )),
             );
         }
-        e.run().unwrap().final_positions
+        e.run_epoch(u64::MAX).unwrap().final_positions
     }
 
     #[test]
@@ -221,7 +221,7 @@ mod tests {
                 Box::new(BaselineController::new(RobotId(1 + i), g.clone(), 0, 1)),
             );
         }
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         assert!(out.metrics.rounds <= 2 * 10 + 4);
     }
 }

@@ -234,7 +234,7 @@ mod tests {
                 Box::new(RingOptController::new(RobotId(10 + i as u64), g.n())),
             );
         }
-        e.run().unwrap().final_positions
+        e.run_epoch(u64::MAX).unwrap().final_positions
     }
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
                 Box::new(RingOptController::new(RobotId(1 + i), 12)),
             );
         }
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         assert!(out.metrics.rounds <= 12 + dum_budget(12) + 2);
     }
 }

@@ -73,7 +73,10 @@ pub fn replay_experiment(
             Box::new(BaselineController::new(id, g.clone(), 0, load)),
         );
     }
-    let out1 = e1.run().expect("fault-free baseline completes");
+    let out1 = e1
+        .run_epoch(u64::MAX)
+        .expect("fault-free baseline completes");
+    let trace1 = e1.into_trace();
 
     // Locate a node with the full load; its occupants stay honest.
     let mut per_node: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
@@ -99,7 +102,7 @@ pub fn replay_experiment(
     let mut honest_mask = Vec::with_capacity(k);
     for (i, &id) in ids.iter().enumerate() {
         if replica_set.contains(&i) {
-            let script = out1.trace.move_script(id);
+            let script = trace1.move_script(id);
             e2.add_robot(
                 Flavor::WeakByzantine,
                 0,
@@ -115,7 +118,8 @@ pub fn replay_experiment(
             honest_mask.push(true);
         }
     }
-    let out2 = e2.run().expect("replay run completes");
+    let out2 = e2.run_epoch(u64::MAX).expect("replay run completes");
+    e2.into_trace();
 
     let report = crate::verify::verify_with_capacity(
         &out2.final_positions,

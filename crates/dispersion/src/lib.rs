@@ -129,4 +129,4 @@ pub use error::DispersionError;
 pub use msg::{DumState, Msg};
 pub use registry::{Plan, StartColumn, StartRequirement, TableRow};
 pub use runner::{Algorithm, Outcome, ScenarioSpec, StartConfig};
-pub use session::{assemble_outcome, build_roster, BatchPlanner, RosterEntry, Session};
+pub use session::{run_epoch, BatchPlanner, EpochBackend, RosterEntry, Session};

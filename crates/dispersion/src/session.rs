@@ -7,6 +7,14 @@
 //! in parallel (Rayon), all sharing the session's graph handle — the
 //! per-run graph clone the old monolithic runner paid is gone.
 //!
+//! Every run, static or dynamic, on either engine, goes through the epoch
+//! surface: an engine is an [`EpochBackend`], and [`run_epoch`] is the one
+//! per-epoch pipeline (seat `build_roster` → run to termination or a
+//! stop round → annotate phases → `assemble_outcome`). A static cell is
+//! a single epoch stopped at `u64::MAX` ([`Session::run_with`]);
+//! `bd-dynamic` chains epochs between scheduled events, and `bd-oracle`
+//! plugs its naive engine into the same trait.
+//!
 //! The pipeline itself is algorithm-agnostic: every per-row fact (tolerance,
 //! start requirement, precondition, round budget, controller construction)
 //! is read off the row's [`crate::registry::TableRow`] descriptor.
@@ -20,7 +28,10 @@ use crate::verify::verify_with_capacity;
 use bd_gathering::route::gather_route;
 use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::ids::generate_ids;
-use bd_runtime::{Controller, Engine, EngineConfig, Flavor, RobotId, RunMetrics, Trace};
+use bd_runtime::{
+    Controller, Engine, EngineConfig, EpochOutcome, Flavor, RobotId, RunError, RunMetrics, Trace,
+    WorldEvent,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -38,15 +49,15 @@ pub struct RosterEntry {
 }
 
 /// Build the complete engine roster for `spec` from its `plan` — exactly
-/// the seats [`Session::run`] hands the fast engine, in robot order:
-/// honest controllers from the row's factory, [`AdversaryController`]s for
-/// the Byzantine contingent (strong flavor on strong rows), and
+/// the seats [`run_epoch`] hands either engine, in robot order: honest
+/// controllers from the row's factory, [`AdversaryController`]s for the
+/// Byzantine contingent (strong flavor on strong rows), and
 /// [`CrashWrapper`]-wrapped faithful controllers for `CrashMidway`.
 ///
-/// Public so the reference engine (`bd-oracle`) can field the *identical*
-/// cast: the oracle-differential guarantee is meaningful only if the two
-/// engines differ in nothing but the stepping machinery.
-pub fn build_roster(spec: &ScenarioSpec, plan: &Plan) -> Vec<RosterEntry> {
+/// Both engines field the cast this builds from equal plans: the
+/// oracle-differential guarantee is meaningful only if the two engines
+/// differ in nothing but the stepping machinery.
+fn build_roster(spec: &ScenarioSpec, plan: &Plan) -> Vec<RosterEntry> {
     let row = spec.algo.row();
     let k = plan.k;
     let run_end = row.round_budget(plan);
@@ -106,11 +117,11 @@ pub fn build_roster(spec: &ScenarioSpec, plan: &Plan) -> Vec<RosterEntry> {
     roster
 }
 
-/// Assemble the public [`Outcome`] of a finished run: §5's
+/// Assemble the public [`Outcome`] of a finished epoch: §5's
 /// capacity-generalized Definition 1 check over the final positions, plus
-/// the measured metrics. Shared by the fast pipeline and the reference
-/// engine so both produce verdicts through the one verifier.
-pub fn assemble_outcome(plan: &Plan, metrics: RunMetrics, final_positions: Vec<NodeId>) -> Outcome {
+/// the measured metrics. Both engines produce verdicts through it, via
+/// [`run_epoch`].
+fn assemble_outcome(plan: &Plan, metrics: RunMetrics, final_positions: Vec<NodeId>) -> Outcome {
     // §5 capacity generalization: k robots must leave at most
     // ⌈(k−f)/n⌉ honest robots per node (the verifier module's
     // definition; at k ≤ n this is Definition 1's 1). Algorithms settle
@@ -127,6 +138,99 @@ pub fn assemble_outcome(plan: &Plan, metrics: RunMetrics, final_positions: Vec<N
         final_positions,
         honest: plan.honest.clone(),
     }
+}
+
+/// The narrow engine surface every run drives. Implemented by the fast
+/// arena [`Engine`] here and by the naive `OracleEngine` in `bd-oracle`;
+/// both must agree round-for-round on every cell, static or dynamic (the
+/// differential harness holds them to it).
+pub trait EpochBackend {
+    /// Clear the current cast and seat a fresh one (new IDs: each epoch
+    /// is a protocol re-bootstrap). Resets per-epoch metrics.
+    fn begin_epoch(&mut self, seats: Vec<RosterEntry>) -> Result<(), RunError>;
+    /// Run until honest termination or `stop_at` (absolute round),
+    /// whichever first. Returns the epoch-local outcome.
+    fn run_epoch(&mut self, stop_at: u64) -> Result<EpochOutcome, RunError>;
+    /// Jump the round clock forward to `round` (no stepping; rewinds are
+    /// errors). Identical in every backend, so never a divergence source.
+    fn advance_to(&mut self, round: u64) -> Result<(), RunError>;
+    /// Swap the world's graph (rejects configurations that would strand a
+    /// seated robot).
+    fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError>;
+    /// The absolute round clock (monotone across epochs).
+    fn round(&self) -> u64;
+    /// Consume the backend, returning the cumulative cross-epoch trace.
+    fn into_trace(self) -> Trace
+    where
+        Self: Sized;
+    /// Declare a static run's phase schedule for per-phase telemetry.
+    /// Only the fast engine records phases; the default ignores them.
+    fn set_phase_marks(&mut self, _marks: Vec<(String, u64)>) {}
+}
+
+impl EpochBackend for Engine<Msg> {
+    fn begin_epoch(&mut self, seats: Vec<RosterEntry>) -> Result<(), RunError> {
+        Engine::begin_epoch(
+            self,
+            seats.into_iter().map(|s| (s.flavor, s.start, s.controller)),
+        )
+    }
+
+    fn run_epoch(&mut self, stop_at: u64) -> Result<EpochOutcome, RunError> {
+        Engine::run_epoch(self, stop_at)
+    }
+
+    fn advance_to(&mut self, round: u64) -> Result<(), RunError> {
+        Engine::advance_to(self, round)
+    }
+
+    fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
+        self.apply_world_event(WorldEvent::Graph { graph })
+    }
+
+    fn round(&self) -> u64 {
+        Engine::round(self)
+    }
+
+    fn into_trace(self) -> Trace {
+        Engine::into_trace(self)
+    }
+
+    fn set_phase_marks(&mut self, marks: Vec<(String, u64)>) {
+        Engine::set_phase_marks(self, marks)
+    }
+}
+
+/// Run one epoch of `spec` (planned as `plan`) on `backend`: seat the
+/// `build_roster` cast, drive it to honest termination or `stop_at`,
+/// annotate the epoch-local rounds with the row's phase schedule, and
+/// verify. Returns the outcome and whether every honest robot terminated
+/// before `stop_at`. Static cells and every dynamic epoch run through
+/// here, on either engine.
+pub fn run_epoch<B: EpochBackend>(
+    backend: &mut B,
+    spec: &ScenarioSpec,
+    plan: &Plan,
+    stop_at: u64,
+) -> Result<(Outcome, bool), RunError> {
+    backend.begin_epoch(build_roster(spec, plan))?;
+    let mut epoch = backend.run_epoch(stop_at)?;
+    // Annotate the measured rounds with the row's phase schedule, clipped
+    // to the rounds actually run (fast termination or a stop can end an
+    // epoch mid-phase; zero-round phases are dropped). Excluded from
+    // metric equality, like the wall clock.
+    let rounds = epoch.metrics.rounds;
+    epoch.metrics.rounds_by_phase = spec
+        .algo
+        .row()
+        .phase_schedule(plan)
+        .phases()
+        .iter()
+        .map(|(name, start, end)| (name.clone(), end.min(&rounds) - start.min(&rounds)))
+        .filter(|&(_, len)| len > 0)
+        .collect();
+    let outcome = assemble_outcome(plan, epoch.metrics, epoch.final_positions);
+    Ok((outcome, epoch.terminated))
 }
 
 /// A handle on one graph that scenarios run against. Cheap to clone
@@ -258,56 +362,37 @@ impl Session {
         Ok(plan)
     }
 
-    /// Run one scenario to honest termination and verify Definition 1
-    /// (capacity-generalized per §5).
+    /// Run one scenario to honest termination on the fast engine and
+    /// verify Definition 1 (capacity-generalized per §5).
     pub fn run(&self, spec: &ScenarioSpec) -> Result<Outcome, DispersionError> {
-        let plan = self.plan(spec)?;
-        self.run_planned(spec, plan, std::convert::identity)
+        self.run_with(spec, Engine::<Msg>::new)
             .map(|(outcome, _)| outcome)
     }
 
-    /// [`Session::run`] with an engine-config hook: `tune` receives the
-    /// config the pipeline would use (round cap already set) and may adjust
-    /// it. Used by conformance suites, e.g. to disable fast-forwarding and
-    /// prove trajectories do not depend on it.
-    pub fn run_tuned(
+    /// Run one scenario as a single epoch on the backend `make` builds
+    /// from the plan's graph and the pipeline's config (round cap set to
+    /// the row's budget plus a margin). The returned [`Trace`] is empty
+    /// unless the config `make` hands the engine records one. Callers
+    /// tune through `make`: `|g, c| Engine::new(g, c.traced())` records
+    /// the trace, `|g, c| OracleEngine::new(g, c.traced())` runs the
+    /// reference engine.
+    pub fn run_with<B: EpochBackend>(
         &self,
         spec: &ScenarioSpec,
-        tune: impl FnOnce(EngineConfig) -> EngineConfig,
-    ) -> Result<Outcome, DispersionError> {
-        let plan = self.plan(spec)?;
-        self.run_planned(spec, plan, tune)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`Session::run`] that also records and returns the full event
-    /// [`Trace`]. The oracle-differential harness compares this trace
-    /// against the reference engine's, event for event.
-    pub fn run_traced(&self, spec: &ScenarioSpec) -> Result<(Outcome, Trace), DispersionError> {
-        self.run_tuned_traced(spec, std::convert::identity)
-    }
-
-    /// [`Session::run_tuned`] + trace recording: `tune` adjusts the engine
-    /// config *and* tracing is forced on afterwards, so a tune hook cannot
-    /// accidentally switch the trace off.
-    pub fn run_tuned_traced(
-        &self,
-        spec: &ScenarioSpec,
-        tune: impl FnOnce(EngineConfig) -> EngineConfig,
+        make: impl FnOnce(Arc<PortGraph>, EngineConfig) -> B,
     ) -> Result<(Outcome, Trace), DispersionError> {
         let plan = self.plan(spec)?;
-        self.run_planned(spec, plan, |cfg| tune(cfg).traced())
+        self.run_planned(spec, plan, make)
     }
 
-    /// Execute a spec whose [`Plan`] was already computed (so batch layers
-    /// never plan twice). `plan` must come from [`Session::plan`] on the
-    /// same spec. The returned [`Trace`] is empty unless the tuned config
-    /// enables recording.
-    fn run_planned(
+    /// [`Session::run_with`] for a spec whose [`Plan`] was already
+    /// computed (so batch layers never plan twice). `plan` must come from
+    /// [`Session::plan`] on the same spec.
+    fn run_planned<B: EpochBackend>(
         &self,
         spec: &ScenarioSpec,
         plan: Plan,
-        tune: impl FnOnce(EngineConfig) -> EngineConfig,
+        make: impl FnOnce(Arc<PortGraph>, EngineConfig) -> B,
     ) -> Result<(Outcome, Trace), DispersionError> {
         let row = spec.algo.row();
         // Cell level of the span tree (batch → cell → phase); `None` and
@@ -330,42 +415,23 @@ impl Session {
         // Exact honest-termination round from the row's phase timeline;
         // the engine cap carries a small safety margin on top.
         let run_end = row.round_budget(&plan);
-        let schedule = row.phase_schedule(&plan);
-
-        let mut engine: Engine<Msg> = Engine::new(
+        let mut backend = make(
             Arc::clone(&plan.graph),
-            tune(EngineConfig::with_max_rounds(run_end + 64)),
+            EngineConfig::with_max_rounds(run_end + 64),
         );
         if bd_telemetry::counters_enabled() {
-            engine.set_phase_marks(
-                schedule
+            backend.set_phase_marks(
+                row.phase_schedule(&plan)
                     .phases()
                     .iter()
                     .map(|(name, _, end)| (name.clone(), *end))
                     .collect(),
             );
         }
-        for seat in build_roster(spec, &plan) {
-            engine.add_robot(seat.flavor, seat.start, seat.controller);
-        }
-
-        let mut out = engine.run()?;
-        out.metrics.elapsed_micros = wall_start.elapsed().as_micros() as u64;
-        // Annotate the measured rounds with the row's phase schedule,
-        // clipped to the rounds actually run (fast termination can end a
-        // run mid-phase; zero-round phases are dropped). Excluded from
-        // metric equality, like the wall clock.
-        let rounds = out.metrics.rounds;
-        out.metrics.rounds_by_phase = schedule
-            .phases()
-            .iter()
-            .map(|(name, start, end)| (name.clone(), end.min(&rounds) - start.min(&rounds)))
-            .filter(|&(_, len)| len > 0)
-            .collect();
-        Ok((
-            assemble_outcome(&plan, out.metrics, out.final_positions),
-            out.trace,
-        ))
+        let (mut outcome, _) = run_epoch(&mut backend, spec, &plan, u64::MAX)?;
+        let trace = backend.into_trace();
+        outcome.metrics.elapsed_micros = wall_start.elapsed().as_micros() as u64;
+        Ok((outcome, trace))
     }
 
     /// Run a batch of scenarios against this session's graph, fanning the
@@ -551,7 +617,7 @@ impl BatchPlanner {
                 (
                     idx,
                     self.sessions[*session]
-                        .run_planned(spec, plan, std::convert::identity)
+                        .run_planned(spec, plan, Engine::<Msg>::new)
                         .map(|(outcome, _)| outcome),
                 )
             })

@@ -24,6 +24,7 @@ use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
 use bd_dispersion::Session;
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree};
 use bd_graphs::PortGraph;
+use bd_runtime::Engine;
 
 /// Graph families every Table 1 precondition holds on (view-asymmetric;
 /// also used by the cross-crate integration suite).
@@ -126,9 +127,13 @@ fn fast_forward_changes_nothing_but_wall_clock() {
     for (algo, kind, must_skip) in matrix() {
         let spec = cell(algo, session.graph(), kind, 3);
         let label = format!("{algo:?}/{kind:?}");
-        let (fast, fast_trace) = session.run_traced(&spec).unwrap();
+        let (fast, fast_trace) = session
+            .run_with(&spec, |g, c| Engine::new(g, c.traced()))
+            .unwrap();
         let (slow, slow_trace) = session
-            .run_tuned_traced(&spec, |c| c.without_fast_forward())
+            .run_with(&spec, |g, c| {
+                Engine::new(g, c.without_fast_forward().traced())
+            })
             .unwrap();
         assert_eq!(fast.rounds, slow.rounds, "{label}: measured rounds");
         // Compare whole trajectories, not just endpoints; on mismatch the
@@ -181,7 +186,7 @@ fn oracle_reproduces_the_conformance_matrix() {
         for (algo, kind, _) in matrix() {
             let spec = cell(algo, session.graph(), kind, 11);
             let label = format!("{algo:?}/{kind:?}/{family}");
-            match bd_oracle::check_cell(&session, &spec) {
+            match bd_oracle::check_cell(&session, &spec, |c| c) {
                 CellVerdict::Match { .. } => {}
                 CellVerdict::MatchErr(e) => {
                     panic!("{label}: cell unexpectedly errored on both engines: {e}")
@@ -201,8 +206,8 @@ fn fault_free_fast_forward_still_exact() {
         let spec = ScenarioSpec::evaluation(algo, session.graph()).with_seed(9);
         let label = format!("{algo:?}");
         let fast = session.run(&spec).unwrap();
-        let slow = session
-            .run_tuned(&spec, |c| c.without_fast_forward())
+        let (slow, _) = session
+            .run_with(&spec, |g, c| Engine::new(g, c.without_fast_forward()))
             .unwrap();
         assert_eq!(fast.rounds, slow.rounds, "{label}");
         assert_eq!(fast.final_positions, slow.final_positions, "{label}");

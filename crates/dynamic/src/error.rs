@@ -6,7 +6,7 @@ use bd_runtime::RunError;
 use std::fmt;
 
 /// Errors raised while validating or executing a dynamic scenario.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum DynamicError {
     /// The event schedule is inconsistent with the graph or the base
     /// scenario (checked before anything runs).

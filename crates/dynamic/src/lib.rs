@@ -17,10 +17,12 @@
 //!   epoch is re-planned from the registry (fresh round budget on the
 //!   mutated topology) and independently verified, yielding one
 //!   [`session::EpochReport`] per epoch;
-//! * [`session::EpochBackend`] — the narrow engine surface the session
-//!   drives, implemented by the fast arena engine here and by the naive
-//!   `bd-oracle` reference engine over in that crate, so the differential
-//!   harness covers dynamic cells too;
+//! * every epoch runs through `bd-dispersion`'s per-epoch pipeline
+//!   (`run_epoch`) on any `EpochBackend` — the engine surface that crate's
+//!   session module defines for the fast arena engine and `bd-oracle`
+//!   implements for its naive reference engine — so the differential
+//!   harness covers dynamic cells too, and a static cell is the
+//!   one-epoch case;
 //! * [`replay::export`] / [`replay::replay`] — the `bdtr1` trace format:
 //!   one JSONL document capturing graph, dynamic spec, and full outcome,
 //!   re-executable byte-identically (the engine never reads clocks, and
@@ -38,4 +40,4 @@ pub mod session;
 pub use error::DynamicError;
 pub use events::{EventKind, EventSchedule, ScheduledEvent};
 pub use replay::{export, parse, replay, ReplayVerdict};
-pub use session::{DynamicOutcome, DynamicSession, DynamicSpec, EpochBackend, EpochReport};
+pub use session::{DynamicOutcome, DynamicSession, DynamicSpec, EpochReport};

@@ -10,20 +10,20 @@
 //! and cast the batch left behind. Each epoch is independently verified
 //! and reported as an [`EpochReport`].
 //!
-//! The session drives any [`EpochBackend`] — the fast arena engine here,
-//! the naive reference engine in `bd-oracle` — so dynamic cells are
-//! differential-testable exactly like static ones.
+//! Each epoch runs through `bd-dispersion`'s one per-epoch pipeline,
+//! [`run_epoch`], on any [`EpochBackend`] — the fast arena engine or the
+//! naive reference engine in `bd-oracle` — so dynamic cells are
+//! differential-testable exactly like static ones, and a static cell is
+//! simply the one-epoch case.
 
 use crate::error::DynamicError;
 use crate::events::{EventKind, EventSchedule};
 use bd_dispersion::registry::StartRequirement;
 use bd_dispersion::runner::{ByzPlacement, StartConfig};
 use bd_dispersion::verify::verify_with_capacity;
-use bd_dispersion::{
-    assemble_outcome, build_roster, Msg, Outcome, RosterEntry, ScenarioSpec, Session,
-};
+use bd_dispersion::{run_epoch, EpochBackend, Msg, Outcome, ScenarioSpec, Session};
 use bd_graphs::{NodeId, PortGraph};
-use bd_runtime::{Engine, EngineConfig, EpochOutcome, RunError, Trace, WorldEvent};
+use bd_runtime::{Engine, EngineConfig, Trace};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -41,60 +41,6 @@ pub struct DynamicSpec {
     pub base: ScenarioSpec,
     /// The event timeline.
     pub schedule: EventSchedule,
-}
-
-/// The narrow engine surface a [`DynamicSession`] drives. Implemented by
-/// the fast arena [`Engine`] here and by the naive `OracleEngine` in
-/// `bd-oracle`; both must agree round-for-round on every dynamic cell
-/// (the differential harness holds them to it).
-pub trait EpochBackend {
-    /// Clear the current cast and seat a fresh one (new IDs: each epoch
-    /// is a protocol re-bootstrap). Resets per-epoch metrics.
-    fn begin_epoch(&mut self, seats: Vec<RosterEntry>) -> Result<(), RunError>;
-    /// Run until honest termination or `stop_at` (absolute round),
-    /// whichever first. Returns the epoch-local outcome.
-    fn run_epoch(&mut self, stop_at: u64) -> Result<EpochOutcome, RunError>;
-    /// Jump the round clock forward to `round` (no stepping; rewinds are
-    /// errors). Identical in every backend, so never a divergence source.
-    fn advance_to(&mut self, round: u64) -> Result<(), RunError>;
-    /// Swap the world's graph (rejects configurations that would strand a
-    /// seated robot).
-    fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError>;
-    /// The absolute round clock (monotone across epochs).
-    fn round(&self) -> u64;
-    /// Consume the backend, returning the cumulative cross-epoch trace.
-    fn into_trace(self) -> Trace
-    where
-        Self: Sized;
-}
-
-impl EpochBackend for Engine<Msg> {
-    fn begin_epoch(&mut self, seats: Vec<RosterEntry>) -> Result<(), RunError> {
-        Engine::begin_epoch(
-            self,
-            seats.into_iter().map(|s| (s.flavor, s.start, s.controller)),
-        )
-    }
-
-    fn run_epoch(&mut self, stop_at: u64) -> Result<EpochOutcome, RunError> {
-        Engine::run_epoch(self, stop_at)
-    }
-
-    fn advance_to(&mut self, round: u64) -> Result<(), RunError> {
-        Engine::advance_to(self, round)
-    }
-
-    fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
-        self.apply_world_event(WorldEvent::Graph { graph })
-    }
-
-    fn round(&self) -> u64 {
-        Engine::round(self)
-    }
-
-    fn into_trace(self) -> Trace {
-        Engine::into_trace(self)
-    }
 }
 
 /// One epoch's verified result.
@@ -281,31 +227,22 @@ impl DynamicSession {
     /// Run `spec` on the fast arena engine with the default config (trace
     /// recording on — replay equality needs it).
     pub fn run(&self, spec: &DynamicSpec) -> Result<DynamicOutcome, DynamicError> {
-        self.run_tuned(spec, std::convert::identity)
+        self.run_with(spec, Engine::<Msg>::new)
     }
 
-    /// [`DynamicSession::run`] with an engine-config hook. Tracing is
-    /// forced on after `tune` — a hook cannot switch the replay surface
-    /// off, matching the static session's traced runner.
-    pub fn run_tuned(
-        &self,
-        spec: &DynamicSpec,
-        tune: impl FnOnce(EngineConfig) -> EngineConfig,
-    ) -> Result<DynamicOutcome, DynamicError> {
-        let config = tune(EngineConfig::default()).traced();
-        self.run_with(spec, |graph| Engine::new(graph, config))
-    }
-
-    /// Run `spec` on any [`EpochBackend`]. This is the full epoch loop;
-    /// `run`/`run_tuned` and the oracle's dynamic checker both land here.
+    /// Run `spec` on the [`EpochBackend`] `make` builds from the epoch-0
+    /// graph and the default config with trace recording on. This is the
+    /// full epoch loop; callers tune through `make`, e.g.
+    /// `|g, c| Engine::new(g, c.without_fast_forward())`, or pass
+    /// `OracleEngine::new` to run the reference engine.
     pub fn run_with<B: EpochBackend>(
         &self,
         spec: &DynamicSpec,
-        make: impl FnOnce(Arc<PortGraph>) -> B,
+        make: impl FnOnce(Arc<PortGraph>, EngineConfig) -> B,
     ) -> Result<DynamicOutcome, DynamicError> {
         self.validate(spec)?;
         let row = spec.base.algo.row();
-        let mut backend = make(Arc::clone(&self.graph));
+        let mut backend = make(Arc::clone(&self.graph), EngineConfig::default().traced());
 
         // Whole-run world state, mutated between epochs.
         let plan0 = Session::new(Arc::clone(&self.graph)).plan(&spec.base)?;
@@ -361,33 +298,13 @@ impl DynamicSession {
                 (s, order)
             };
 
-            let session = Session::new(Arc::clone(&current_graph));
-            let plan = session.plan(&spec_e)?;
-            let budget = row.round_budget(&plan);
-            let phases = row.phase_schedule(&plan);
-
-            backend.begin_epoch(build_roster(&spec_e, &plan))?;
+            let plan = Session::new(Arc::clone(&current_graph)).plan(&spec_e)?;
             let start_round = backend.round();
             let stop_at = match batch_iter.peek() {
                 Some(&(at, _)) => at,
-                None => start_round + budget + 64,
+                None => start_round + row.round_budget(&plan) + 64,
             };
-            let mut ep = backend.run_epoch(stop_at)?;
-
-            // Annotate epoch-local rounds with the row's phase schedule,
-            // clipped exactly like the static session does.
-            let rounds = ep.metrics.rounds;
-            ep.metrics.rounds_by_phase = phases
-                .phases()
-                .iter()
-                .map(|(name, start, end)| (name.clone(), end.min(&rounds) - start.min(&rounds)))
-                .filter(|&(_, len)| len > 0)
-                .collect();
-
-            let end_round = backend.round();
-            let terminated = ep.terminated;
-            let final_positions = ep.final_positions.clone();
-            let mut outcome = assemble_outcome(&plan, ep.metrics, ep.final_positions);
+            let (mut outcome, terminated) = run_epoch(&mut backend, &spec_e, &plan, stop_at)?;
             if let Some(capacity) = capacity_override {
                 // CapacityChange overrides the default ⌈(k−f)/n⌉ check.
                 outcome.report = verify_with_capacity(
@@ -398,18 +315,17 @@ impl DynamicSession {
                 );
                 outcome.dispersed = outcome.report.ok;
             }
+            // Write final positions back to the whole-run inhabitants.
+            for (seat, &i) in order.iter().enumerate() {
+                inhabitants[i].position = outcome.final_positions[seat];
+            }
             epochs.push(EpochReport {
                 epoch,
                 start_round,
-                end_round,
+                end_round: backend.round(),
                 terminated,
                 outcome,
             });
-
-            // Write final positions back to the whole-run inhabitants.
-            for (seat, &i) in order.iter().enumerate() {
-                inhabitants[i].position = final_positions[seat];
-            }
 
             let Some((at, batch)) = batch_iter.next() else {
                 break;

@@ -24,6 +24,7 @@ use bd_dispersion::runner::{Algorithm, ScenarioSpec};
 use bd_dynamic::{replay, DynamicSession, DynamicSpec, EventKind, EventSchedule, ReplayVerdict};
 use bd_graphs::generators::{erdos_renyi_connected, random_tree};
 use bd_graphs::PortGraph;
+use bd_runtime::Engine;
 
 /// The first edge whose removal keeps `graph` connected — the edge the
 /// topology event class fails and heals.
@@ -258,7 +259,7 @@ fn fast_forward_changes_no_trajectory() {
         let label = row.label;
         let fast = session.run(&row.spec).unwrap();
         let slow = session
-            .run_tuned(&row.spec, |c| c.without_fast_forward())
+            .run_with(&row.spec, |g, c| Engine::new(g, c.without_fast_forward()))
             .unwrap();
         assert_eq!(fast.epochs.len(), slow.epochs.len(), "{label}: epochs");
         if let Some(d) = fast.trace.first_divergence(&slow.trace) {

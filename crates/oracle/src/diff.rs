@@ -1,11 +1,13 @@
 //! The differential check: one scenario cell, two engines, full-trajectory
 //! comparison.
 //!
-//! Both engines get the **same** [`Plan`](bd_dispersion::registry::Plan) products — the identical
-//! controller roster from [`bd_dispersion::build_roster`], the identical
-//! graph handle, the identical round cap — so the only degree of freedom
-//! between them is the stepping machinery itself. Agreement is judged on
-//! everything trajectory-observable:
+//! Both engines run the cell through the same pipeline,
+//! [`Session::run_with`]: each side plans the spec (planning is
+//! seed-deterministic, so the plans are equal), seats the cast
+//! [`bd_dispersion::run_epoch`] builds from its plan, and gets the same
+//! round cap — so the only degree of freedom between them is the
+//! stepping machinery itself. Agreement is judged on everything
+//! trajectory-observable:
 //!
 //! * the movement-normalized event [`Trace`] (every `Moved` and
 //!   `Terminated` event, in order — `Stayed` events are excluded by
@@ -18,13 +20,15 @@
 //! `rounds_skipped`, and `elapsed_micros` — those measure how much work an
 //! engine did, not what trajectory it produced, and the whole point of the
 //! fast path is to do less work.
+//!
+//! Dynamic cells ([`crate::dynamic`]) are judged by the same function,
+//! `judge`, with the outcome comparison applied per epoch.
 
 use crate::engine::OracleEngine;
 use bd_dispersion::runner::Outcome;
-use bd_dispersion::{assemble_outcome, build_roster, DispersionError, Msg, ScenarioSpec, Session};
-use bd_runtime::{EngineConfig, Trace, TraceDivergence};
+use bd_dispersion::{ScenarioSpec, Session};
+use bd_runtime::{Engine, EngineConfig, Trace, TraceDivergence};
 use std::fmt;
-use std::sync::Arc;
 
 /// Where two engines came apart on one cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +43,10 @@ pub enum Divergence {
     /// Traces agree but an aggregate outcome field does not — points at
     /// the metrics/verify layer rather than the stepping itself.
     Outcome {
-        /// Which [`Outcome`] field disagreed.
+        /// The epoch whose report disagreed (`None` for a whole-run
+        /// field of a dynamic cell, and for every field of a static one).
+        epoch: Option<usize>,
+        /// Which field disagreed.
         field: &'static str,
         /// The fast engine's value, debug-formatted.
         fast: String,
@@ -71,10 +78,17 @@ impl fmt::Display for Divergence {
                 oracle.as_deref().unwrap_or("ok"),
             ),
             Divergence::Outcome {
+                epoch,
                 field,
                 fast,
                 oracle,
-            } => write!(f, "outcome.{field}: fast = {fast}, oracle = {oracle}"),
+            } => {
+                write!(f, "outcome.")?;
+                if let Some(epoch) = epoch {
+                    write!(f, "epochs[{epoch}].")?;
+                }
+                write!(f, "{field}: fast = {fast}, oracle = {oracle}")
+            }
             Divergence::Trace(td) => write!(f, "trace divergence: {td}"),
         }
     }
@@ -103,92 +117,91 @@ impl CellVerdict {
     }
 }
 
-/// Run `spec` on the naive reference engine: plan through the session,
-/// field the identical roster, step every round, verify through the same
-/// capacity-generalized Definition 1 check. Trace recording is always on.
-pub fn run_oracle(
-    session: &Session,
-    spec: &ScenarioSpec,
-) -> Result<(Outcome, Trace), DispersionError> {
-    let plan = session.plan(spec)?;
-    let run_end = spec.algo.row().round_budget(&plan);
-    let mut engine: OracleEngine<Msg> = OracleEngine::new(
-        Arc::clone(&plan.graph),
-        EngineConfig::with_max_rounds(run_end + 64).traced(),
-    );
-    for seat in build_roster(spec, &plan) {
-        engine.add_robot(seat.flavor, seat.start, seat.controller);
+/// A finished run as the differential check sees it: a static cell's
+/// `(Outcome, Trace)` or a dynamic cell's `DynamicOutcome`.
+pub(crate) trait Judged {
+    /// The cumulative event trace.
+    fn trace(&self) -> &Trace;
+    /// The round count a match reports.
+    fn rounds(&self) -> u64;
+    /// The first trajectory-observable field that differs from `oracle`.
+    fn field_divergence(&self, oracle: &Self) -> Option<Divergence>;
+}
+
+impl Judged for (Outcome, Trace) {
+    fn trace(&self) -> &Trace {
+        &self.1
     }
-    let out = engine.run()?;
-    Ok((
-        assemble_outcome(&plan, out.metrics, out.final_positions),
-        out.trace,
-    ))
+
+    fn rounds(&self) -> u64 {
+        self.0.rounds
+    }
+
+    fn field_divergence(&self, oracle: &Self) -> Option<Divergence> {
+        outcome_divergence(&self.0, &oracle.0)
+    }
 }
 
-/// Differentially check one cell: fast engine (default config, fast
-/// path fully enabled) versus the oracle.
-pub fn check_cell(session: &Session, spec: &ScenarioSpec) -> CellVerdict {
-    check_cell_tuned(session, spec, std::convert::identity)
+/// Judge a fast run against an oracle run of the same cell: the error
+/// matrix first (both failing identically is agreement), then the trace
+/// (it localizes the bug to a round and an event), then the outcome
+/// fields. The one verdict function for static and dynamic cells.
+pub(crate) fn judge<T: Judged, E: PartialEq + fmt::Display>(
+    fast: Result<T, E>,
+    oracle: Result<T, E>,
+) -> CellVerdict {
+    let divergence = match (fast, oracle) {
+        (Err(fe), Err(oe)) if fe == oe => return CellVerdict::MatchErr(fe.to_string()),
+        (Ok(fast), Ok(oracle)) => match fast.trace().first_divergence(oracle.trace()) {
+            Some(td) => Divergence::Trace(td),
+            None => match fast.field_divergence(&oracle) {
+                Some(d) => d,
+                None => {
+                    return CellVerdict::Match {
+                        rounds: fast.rounds(),
+                    }
+                }
+            },
+        },
+        (fast, oracle) => Divergence::ErrorMismatch {
+            fast: fast.err().map(|e| e.to_string()),
+            oracle: oracle.err().map(|e| e.to_string()),
+        },
+    };
+    CellVerdict::Diverged(Box::new(divergence))
 }
 
-/// [`check_cell`] with an engine-config hook applied to the **fast side
-/// only** — the knob the broken-engine demonstrations turn
-/// (e.g. `|c| c.with_ff_overshoot(1)` must come back `Diverged`).
-pub fn check_cell_tuned(
+/// Differentially check one cell: the fast engine under `tune` (pass
+/// `|c| c` for the real fast path; the broken-engine demonstrations pass
+/// `|c| c.with_ff_overshoot(1)` and expect `Diverged`) versus the oracle.
+/// Both sides run through [`Session::run_with`] with tracing on.
+pub fn check_cell(
     session: &Session,
     spec: &ScenarioSpec,
     tune: impl FnOnce(EngineConfig) -> EngineConfig,
 ) -> CellVerdict {
-    let fast = session.run_tuned_traced(spec, tune);
-    let oracle = run_oracle(session, spec);
-    match (fast, oracle) {
-        (Err(fe), Err(oe)) => {
-            if fe == oe {
-                CellVerdict::MatchErr(fe.to_string())
-            } else {
-                CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-                    fast: Some(fe.to_string()),
-                    oracle: Some(oe.to_string()),
-                }))
-            }
-        }
-        (Err(fe), Ok(_)) => CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-            fast: Some(fe.to_string()),
-            oracle: None,
-        })),
-        (Ok(_), Err(oe)) => CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-            fast: None,
-            oracle: Some(oe.to_string()),
-        })),
-        (Ok((fast_out, fast_trace)), Ok((oracle_out, oracle_trace))) => {
-            // Trace first: it localizes the bug to a round and an event.
-            if let Some(td) = fast_trace.first_divergence(&oracle_trace) {
-                return CellVerdict::Diverged(Box::new(Divergence::Trace(td)));
-            }
-            if let Some(d) = outcome_divergence(&fast_out, &oracle_out) {
-                return CellVerdict::Diverged(Box::new(d));
-            }
-            CellVerdict::Match {
-                rounds: fast_out.rounds,
-            }
-        }
-    }
+    judge(
+        session.run_with(spec, |g, c| Engine::new(g, tune(c).traced())),
+        session.run_with(spec, |g, c| OracleEngine::new(g, c.traced())),
+    )
+}
+
+/// `fast` and `oracle` differ at `field`: the divergence naming it.
+pub(crate) fn diff<T: fmt::Debug + PartialEq>(
+    field: &'static str,
+    fast: &T,
+    oracle: &T,
+) -> Option<Divergence> {
+    (fast != oracle).then(|| Divergence::Outcome {
+        epoch: None,
+        field,
+        fast: format!("{fast:?}"),
+        oracle: format!("{oracle:?}"),
+    })
 }
 
 /// First disagreeing trajectory-observable [`Outcome`] field, if any.
-fn outcome_divergence(fast: &Outcome, oracle: &Outcome) -> Option<Divergence> {
-    fn diff<T: fmt::Debug + PartialEq>(
-        field: &'static str,
-        fast: &T,
-        oracle: &T,
-    ) -> Option<Divergence> {
-        (fast != oracle).then(|| Divergence::Outcome {
-            field,
-            fast: format!("{fast:?}"),
-            oracle: format!("{oracle:?}"),
-        })
-    }
+pub(crate) fn outcome_divergence(fast: &Outcome, oracle: &Outcome) -> Option<Divergence> {
     diff("rounds", &fast.rounds, &oracle.rounds)
         .or_else(|| diff("dispersed", &fast.dispersed, &oracle.dispersed))
         .or_else(|| {

@@ -2,33 +2,28 @@
 //! engines, per-epoch comparison.
 //!
 //! `bd-dynamic`'s [`DynamicSession`] drives any [`EpochBackend`]; this
-//! module plugs the naive [`OracleEngine`] into that trait and reruns the
-//! **identical** [`DynamicSpec`] — same schedule, same per-epoch plans,
-//! same controllers from [`bd_dispersion::build_roster`] — on both
-//! engines. Agreement is judged per epoch on everything
-//! trajectory-observable (same exemptions as [`crate::diff`]): the
-//! movement-normalized cumulative trace, each epoch's outcome, and the
-//! absolute round clock. The dynamic fuzz harness samples event schedules
-//! on top of the static case space and greedily minimizes a divergence by
-//! dropping whole event batches.
+//! module reruns the **identical** [`DynamicSpec`] — same schedule, same
+//! per-epoch plans, same controllers seated by [`bd_dispersion::run_epoch`]
+//! — on the fast engine and on the naive [`OracleEngine`]. Agreement is
+//! judged by the static checker's `judge` (same exemptions as
+//! [`crate::diff`]): the movement-normalized cumulative trace, each
+//! epoch's outcome, and the absolute round clock. The dynamic fuzz
+//! harness samples event schedules on top of the static case space and
+//! greedily minimizes a divergence by dropping whole event batches.
 
-use crate::diff::{CellVerdict, Divergence};
+use crate::diff::{diff, judge, outcome_divergence, CellVerdict, Divergence, Judged};
 use crate::engine::OracleEngine;
-use crate::fuzz::{CaseSketch, FuzzConfig};
+use crate::fuzz::{draw_case, fuzz, CaseSketch, FuzzConfig, FuzzReport, Sketch};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::registry::StartRequirement;
-use bd_dispersion::{Msg, RosterEntry};
-use bd_dynamic::{
-    DynamicError, DynamicOutcome, DynamicSession, DynamicSpec, EpochBackend, EventKind,
-    EventSchedule,
-};
+use bd_dispersion::{EpochBackend, Msg, RosterEntry};
+use bd_dynamic::{DynamicOutcome, DynamicSession, DynamicSpec, EventKind, EventSchedule};
 use bd_graphs::PortGraph;
-use bd_runtime::{EngineConfig, EpochOutcome, RunError, Trace, WorldEvent};
+use bd_runtime::{Engine, EngineConfig, EpochOutcome, RunError, Trace, WorldEvent};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 impl EpochBackend for OracleEngine<Msg> {
     fn begin_epoch(&mut self, seats: Vec<RosterEntry>) -> Result<(), RunError> {
@@ -59,127 +54,50 @@ impl EpochBackend for OracleEngine<Msg> {
     }
 }
 
-/// Run a dynamic spec on the naive reference engine (every round stepped,
-/// trace always on).
-pub fn run_dynamic_oracle(
-    session: &DynamicSession,
-    spec: &DynamicSpec,
-) -> Result<DynamicOutcome, DynamicError> {
-    session.run_with(spec, |graph| {
-        OracleEngine::new(graph, EngineConfig::default().traced())
-    })
-}
-
-/// Differentially check one dynamic cell: the fast engine (fast path
-/// fully enabled) versus the oracle, over the whole epoch sequence.
-pub fn check_dynamic_cell(session: &DynamicSession, spec: &DynamicSpec) -> CellVerdict {
-    check_dynamic_cell_tuned(session, spec, std::convert::identity)
-}
-
-/// [`check_dynamic_cell`] with an engine-config hook applied to the
-/// **fast side only** — the broken-engine demonstrations pass
-/// `|c| c.with_ff_overshoot(1)` and expect `Diverged`.
-pub fn check_dynamic_cell_tuned(
+/// Differentially check one dynamic cell: the fast engine under `tune`
+/// (pass `|c| c` for the real fast path; the broken-engine
+/// demonstrations pass `|c| c.with_ff_overshoot(1)` and expect
+/// `Diverged`) versus the oracle, over the whole epoch sequence.
+pub fn check_dynamic_cell(
     session: &DynamicSession,
     spec: &DynamicSpec,
     tune: impl FnOnce(EngineConfig) -> EngineConfig,
 ) -> CellVerdict {
-    let fast = session.run_tuned(spec, tune);
-    let oracle = run_dynamic_oracle(session, spec);
-    match (fast, oracle) {
-        (Err(fe), Err(oe)) => {
-            let (fe, oe) = (fe.to_string(), oe.to_string());
-            if fe == oe {
-                CellVerdict::MatchErr(fe)
-            } else {
-                CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-                    fast: Some(fe),
-                    oracle: Some(oe),
-                }))
-            }
-        }
-        (Err(fe), Ok(_)) => CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-            fast: Some(fe.to_string()),
-            oracle: None,
-        })),
-        (Ok(_), Err(oe)) => CellVerdict::Diverged(Box::new(Divergence::ErrorMismatch {
-            fast: None,
-            oracle: Some(oe.to_string()),
-        })),
-        (Ok(fast), Ok(oracle)) => {
-            // Cumulative trace first: it localizes the bug to a round.
-            if let Some(td) = fast.trace.first_divergence(&oracle.trace) {
-                return CellVerdict::Diverged(Box::new(Divergence::Trace(td)));
-            }
-            if let Some(d) = dynamic_outcome_divergence(&fast, &oracle) {
-                return CellVerdict::Diverged(Box::new(d));
-            }
-            CellVerdict::Match {
-                rounds: fast.total_rounds,
-            }
-        }
-    }
+    judge(
+        session.run_with(spec, |g, c| Engine::new(g, tune(c).traced())),
+        session.run_with(spec, OracleEngine::new),
+    )
 }
 
-/// First disagreeing epoch-level field, if any (trajectory-observable
-/// fields only, matching the static checker's exemptions).
-fn dynamic_outcome_divergence(
-    fast: &DynamicOutcome,
-    oracle: &DynamicOutcome,
-) -> Option<Divergence> {
-    fn diff<T: fmt::Debug + PartialEq>(
-        field: &'static str,
-        fast: &T,
-        oracle: &T,
-    ) -> Option<Divergence> {
-        (fast != oracle).then(|| Divergence::Outcome {
-            field,
-            fast: format!("{fast:?}"),
-            oracle: format!("{oracle:?}"),
-        })
+impl Judged for DynamicOutcome {
+    fn trace(&self) -> &Trace {
+        &self.trace
     }
-    if let Some(d) = diff("epochs.len", &fast.epochs.len(), &oracle.epochs.len()) {
-        return Some(d);
+
+    fn rounds(&self) -> u64 {
+        self.total_rounds
     }
-    for (f, o) in fast.epochs.iter().zip(&oracle.epochs) {
-        let d = diff("epoch.start_round", &f.start_round, &o.start_round)
-            .or_else(|| diff("epoch.end_round", &f.end_round, &o.end_round))
-            .or_else(|| diff("epoch.terminated", &f.terminated, &o.terminated))
-            .or_else(|| diff("epoch.rounds", &f.outcome.rounds, &o.outcome.rounds))
-            .or_else(|| {
-                diff(
-                    "epoch.dispersed",
-                    &f.outcome.dispersed,
-                    &o.outcome.dispersed,
-                )
-            })
-            .or_else(|| {
-                diff(
-                    "epoch.final_positions",
-                    &f.outcome.final_positions,
-                    &o.outcome.final_positions,
-                )
-            })
-            .or_else(|| diff("epoch.report", &f.outcome.report, &o.outcome.report))
-            .or_else(|| {
-                diff(
-                    "epoch.metrics.total_moves",
-                    &f.outcome.metrics.total_moves,
-                    &o.outcome.metrics.total_moves,
-                )
-            })
-            .or_else(|| {
-                diff(
-                    "epoch.metrics.max_moves_per_robot",
-                    &f.outcome.metrics.max_moves_per_robot,
-                    &o.outcome.metrics.max_moves_per_robot,
-                )
-            });
-        if d.is_some() {
-            return d;
+
+    /// The epoch count, then each epoch's clock, termination and outcome
+    /// (named with the epoch index), then the final round clock.
+    fn field_divergence(&self, oracle: &Self) -> Option<Divergence> {
+        if let Some(d) = diff("epochs.len", &self.epochs.len(), &oracle.epochs.len()) {
+            return Some(d);
         }
+        for (i, (f, o)) in self.epochs.iter().zip(&oracle.epochs).enumerate() {
+            let d = diff("start_round", &f.start_round, &o.start_round)
+                .or_else(|| diff("end_round", &f.end_round, &o.end_round))
+                .or_else(|| diff("terminated", &f.terminated, &o.terminated))
+                .or_else(|| outcome_divergence(&f.outcome, &o.outcome));
+            if let Some(mut d) = d {
+                if let Divergence::Outcome { epoch, .. } = &mut d {
+                    *epoch = Some(i);
+                }
+                return Some(d);
+            }
+        }
+        diff("total_rounds", &self.total_rounds, &oracle.total_rounds)
     }
-    diff("total_rounds", &fast.total_rounds, &oracle.total_rounds)
 }
 
 /// One dynamic fuzz case: a static sketch plus a sampled event schedule.
@@ -210,58 +128,29 @@ impl DynamicSketch {
             schedule: self.schedule.clone(),
         }
     }
+}
 
-    /// Differentially check this sketch under `tune` (fast side only).
-    pub fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
+impl Sketch for DynamicSketch {
+    const LABEL: &'static str = "DYNAMIC ";
+
+    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
         let graph = self.base.graph();
         let spec = self.spec(&graph);
-        check_dynamic_cell_tuned(&DynamicSession::new(graph), &spec, tune)
+        check_dynamic_cell(&DynamicSession::new(graph), &spec, tune)
     }
-}
 
-/// One confirmed, minimized dynamic disagreement.
-#[derive(Debug, Clone)]
-pub struct DynamicFuzzFailure {
-    /// The case as originally drawn.
-    pub original: DynamicSketch,
-    /// The minimized case (fewest event batches that still diverge).
-    pub minimized: DynamicSketch,
-    /// The divergence observed on the minimized case.
-    pub divergence: Divergence,
-}
-
-impl fmt::Display for DynamicFuzzFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "DYNAMIC DIVERGENCE: {}", self.divergence)?;
-        if let Some(round) = self.divergence.round() {
-            writeln!(f, "  first mismatch at round {round}")?;
-        }
-        writeln!(f, "  minimized case: {}", self.minimized)?;
-        write!(f, "  original case:  {}", self.original)
-    }
-}
-
-/// What a dynamic fuzz run did.
-#[derive(Debug, Clone, Default)]
-pub struct DynamicFuzzReport {
-    /// Dynamic cells actually checked.
-    pub cases_run: usize,
-    /// Cells where both engines agreed on every epoch.
-    pub matched: usize,
-    /// Cells where both engines failed identically.
-    pub match_err: usize,
-    /// Draws discarded because no valid schedule was found for the base
-    /// cell (counted for visibility — discards are not silent coverage
-    /// loss, they are re-rolled).
-    pub discarded: usize,
-    /// The first divergence found, minimized; `None` on a clean run.
-    pub failure: Option<DynamicFuzzFailure>,
-}
-
-impl DynamicFuzzReport {
-    /// Whether every checked cell agreed.
-    pub fn clean(&self) -> bool {
-        self.failure.is_none()
+    /// Drop one whole event batch, earliest first. The base cell is left
+    /// alone — shrinking it would change every epoch boundary at once.
+    fn shrink(&self) -> Vec<Self> {
+        self.schedule
+            .batches()
+            .into_iter()
+            .map(|(at, _)| {
+                let mut candidate = self.clone();
+                candidate.schedule.events.retain(|e| e.at != at);
+                candidate
+            })
+            .collect()
     }
 }
 
@@ -344,83 +233,21 @@ fn draw_schedule(rng: &mut StdRng, base: &CaseSketch) -> Option<EventSchedule> {
     None
 }
 
-/// Minimize a diverging dynamic case by greedily dropping whole event
-/// batches (smallest schedule that still diverges; the base cell is left
-/// alone — shrinking it would change every epoch boundary at once).
-fn minimize_dynamic(
-    start: &DynamicSketch,
-    tune: &impl Fn(EngineConfig) -> EngineConfig,
-) -> (DynamicSketch, Divergence) {
-    let diverges = |s: &DynamicSketch| match s.check(tune) {
-        CellVerdict::Diverged(d) => Some(*d),
-        _ => None,
-    };
-    let mut best = start.clone();
-    let mut best_div = diverges(&best).expect("minimize_dynamic() called on a diverging case");
-    loop {
-        let mut shrunk = false;
-        for (at, _) in best.schedule.batches() {
-            let mut candidate = best.clone();
-            candidate.schedule.events.retain(|e| e.at != at);
-            if let Some(d) = diverges(&candidate) {
-                best = candidate;
-                best_div = d;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return (best, best_div);
-        }
-    }
-}
-
-/// Run the dynamic harness against the **correct** fast engine.
-pub fn run_dynamic_fuzz(config: &FuzzConfig) -> DynamicFuzzReport {
-    run_dynamic_fuzz_with(config, |c| c)
-}
-
-/// Run the dynamic harness with an engine-config hook on the fast side
-/// (broken-engine demonstrations pass `|c| c.with_ff_overshoot(1)`).
-pub fn run_dynamic_fuzz_with(
+/// Fuzz event-scheduled cells with `tune` on the fast side (`|c| c`
+/// for the real engine; broken-engine demonstrations pass
+/// `|c| c.with_ff_overshoot(1)`). Each draw is a static base case plus a
+/// sampled schedule; a base with no valid schedule is discarded.
+pub fn run_dynamic_fuzz(
     config: &FuzzConfig,
     tune: impl Fn(EngineConfig) -> EngineConfig,
-) -> DynamicFuzzReport {
-    let started = Instant::now();
+) -> FuzzReport<DynamicSketch> {
     // Offset the stream so the dynamic pass explores different base cells
     // than the static pass run from the same master seed.
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xD11A_11C5);
-    let mut report = DynamicFuzzReport::default();
-    let mut drawn = 0usize;
-    while drawn < config.cases {
-        if let Some(budget) = config.time_budget {
-            if started.elapsed() >= budget {
-                break;
-            }
-        }
-        drawn += 1;
-        let base = crate::fuzz::draw_case(&mut rng, config.max_n);
-        let Some(schedule) = draw_schedule(&mut rng, &base) else {
-            report.discarded += 1;
-            continue;
-        };
-        let sketch = DynamicSketch { base, schedule };
-        report.cases_run += 1;
-        match sketch.check(&tune) {
-            CellVerdict::Match { .. } => report.matched += 1,
-            CellVerdict::MatchErr(_) => report.match_err += 1,
-            CellVerdict::Diverged(_) => {
-                let (minimized, divergence) = minimize_dynamic(&sketch, &tune);
-                report.failure = Some(DynamicFuzzFailure {
-                    original: sketch,
-                    minimized,
-                    divergence,
-                });
-                break;
-            }
-        }
-    }
-    report
+    let draw = |rng: &mut StdRng| {
+        let base = draw_case(rng, config.max_n);
+        draw_schedule(rng, &base).map(|schedule| DynamicSketch { base, schedule })
+    };
+    fuzz(config, config.seed ^ 0xD11A_11C5, draw, tune)
 }
 
 #[cfg(test)]
@@ -462,9 +289,39 @@ mod tests {
             ]),
         };
         let session = DynamicSession::new(g);
-        let verdict = check_dynamic_cell(&session, &spec);
+        let verdict = check_dynamic_cell(&session, &spec, |c| c);
         assert!(verdict.agreed(), "unexpected divergence: {verdict:?}");
         assert!(matches!(verdict, CellVerdict::Match { .. }));
+    }
+
+    #[test]
+    fn per_epoch_mismatch_names_the_field_and_the_epoch() {
+        let g = ring(8).unwrap();
+        let spec = DynamicSpec {
+            base: ScenarioSpec::arbitrary(Algorithm::Baseline, &g)
+                .with_robots(6)
+                .with_seed(7),
+            schedule: EventSchedule::default().with(3, EventKind::EdgeFail { u: 0, v: 1 }),
+        };
+        let fast = DynamicSession::new(g).run(&spec).unwrap();
+        let mut oracle = fast.clone();
+        oracle.epochs[1].outcome.honest[0] ^= true;
+        let verdict = judge::<_, bd_dynamic::DynamicError>(Ok(fast), Ok(oracle));
+        let CellVerdict::Diverged(d) = verdict else {
+            panic!("a flipped honesty flag must diverge: {verdict:?}");
+        };
+        assert!(matches!(
+            *d,
+            Divergence::Outcome {
+                epoch: Some(1),
+                field: "honest",
+                ..
+            }
+        ));
+        assert!(
+            d.to_string().starts_with("outcome.epochs[1].honest: "),
+            "{d}"
+        );
     }
 
     #[test]
@@ -484,8 +341,8 @@ mod tests {
             ),
         };
         let session = DynamicSession::new(g);
-        assert!(check_dynamic_cell(&session, &spec).agreed());
-        let broken = check_dynamic_cell_tuned(&session, &spec, |c| c.with_ff_overshoot(1));
+        assert!(check_dynamic_cell(&session, &spec, |c| c).agreed());
+        let broken = check_dynamic_cell(&session, &spec, |c| c.with_ff_overshoot(1));
         assert!(
             !broken.agreed(),
             "sabotaged fast-forward not caught: {broken:?}"
@@ -494,12 +351,13 @@ mod tests {
 
     #[test]
     fn bounded_dynamic_fuzz_is_clean() {
-        let report = run_dynamic_fuzz(&FuzzConfig {
+        let config = FuzzConfig {
             cases: 25,
             seed: 0xD1,
             max_n: 9,
             time_budget: Some(Duration::from_secs(60)),
-        });
+        };
+        let report = run_dynamic_fuzz(&config, |c| c);
         assert!(
             report.clean(),
             "dynamic divergence: {}",

@@ -16,7 +16,7 @@
 use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::{
     ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, MoveChoice, Observation,
-    Publication, RobotId, RunError, RunMetrics, RunOutcome, Trace, WorldEvent,
+    Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,8 +31,9 @@ struct Seat<M> {
 }
 
 /// The naive reference engine. Mirrors the `bd_runtime::Engine` public
-/// surface (`new` / `add_robot` / `run`) and its observable semantics, and
-/// nothing about its implementation.
+/// surface (`new` / `add_robot` / `begin_epoch` / `run_epoch` /
+/// `into_trace`) and its observable semantics, and nothing about its
+/// implementation.
 pub struct OracleEngine<M> {
     graph: Arc<PortGraph>,
     config: EngineConfig,
@@ -205,30 +206,6 @@ impl<M: Clone> OracleEngine<M> {
     /// Consume the engine, returning the cumulative trace.
     pub fn into_trace(self) -> Trace {
         self.trace
-    }
-
-    /// Execute rounds — every one of them, no fast-forwarding — until every
-    /// honest robot terminates or the round cap is hit.
-    pub fn run(mut self) -> Result<RunOutcome, RunError> {
-        if self.seats.is_empty() {
-            return Err(RunError::BadScenario("no robots registered".into()));
-        }
-        while !self.all_honest_terminated() {
-            if self.round >= self.config.max_rounds {
-                return Err(RunError::RoundLimit {
-                    limit: self.config.max_rounds,
-                });
-            }
-            self.step()?;
-        }
-        self.metrics.rounds = self.round;
-        self.metrics.total_moves = self.seats.iter().map(|s| s.moves).sum();
-        self.metrics.max_moves_per_robot = self.seats.iter().map(|s| s.moves).max().unwrap_or(0);
-        Ok(RunOutcome {
-            metrics: self.metrics,
-            final_positions: self.seats.iter().map(|s| s.position).collect(),
-            trace: self.trace,
-        })
     }
 
     /// The claimed ID the engine stamps for seat `i`: strong Byzantine
@@ -460,7 +437,7 @@ mod tests {
                 step: 0,
             }),
         );
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         assert_eq!(out.final_positions, vec![3]);
         assert_eq!(out.metrics.rounds, 3);
         assert_eq!(out.metrics.total_moves, 3);
@@ -479,7 +456,10 @@ mod tests {
                 step: 0,
             }),
         );
-        assert!(matches!(e.run(), Err(RunError::InvalidMove { .. })));
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::InvalidMove { .. })
+        ));
 
         let mut e: OracleEngine<String> = OracleEngine::new(g, EngineConfig::default());
         e.add_robot(
@@ -500,7 +480,7 @@ mod tests {
                 step: 0,
             }),
         );
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         assert_eq!(out.final_positions[1], 1, "byzantine teleport clamped");
     }
 
@@ -521,13 +501,19 @@ mod tests {
         let g = ring(4).unwrap();
         let mut e: OracleEngine<String> = OracleEngine::new(g, EngineConfig::with_max_rounds(10));
         e.add_robot(Flavor::Honest, 0, Box::new(Forever(RobotId(1))));
-        assert!(matches!(e.run(), Err(RunError::RoundLimit { limit: 10 })));
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::RoundLimit { limit: 10 })
+        ));
     }
 
     #[test]
     fn empty_scenario_rejected() {
         let g = ring(4).unwrap();
-        let e: OracleEngine<String> = OracleEngine::new(g, EngineConfig::default());
-        assert!(matches!(e.run(), Err(RunError::BadScenario(_))));
+        let mut e: OracleEngine<String> = OracleEngine::new(g, EngineConfig::default());
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::BadScenario(_))
+        ));
     }
 }

@@ -2,8 +2,13 @@
 //! {algorithm × adversary × graph family × n × k × f × seed}, each one
 //! checked for full-trajectory agreement between the fast engine and the
 //! oracle, with greedy minimization of the first divergence found.
+//!
+//! One loop and one minimizer serve both case kinds: a [`Sketch`] says
+//! how a case is checked and shrunk, [`run_fuzz`] draws static
+//! [`CaseSketch`]es, and [`crate::dynamic::run_dynamic_fuzz`] draws
+//! event-scheduled ones.
 
-use crate::diff::{check_cell_tuned, CellVerdict, Divergence};
+use crate::diff::{check_cell, CellVerdict, Divergence};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::registry::StartRequirement;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec, StartConfig};
@@ -126,12 +131,51 @@ impl CaseSketch {
         }
         spec
     }
+}
 
-    /// Differentially check this sketch under `tune` (fast side only).
-    pub fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
+/// A fuzz case that regenerates deterministically from its fields: what
+/// the shared loop and minimizer need to check and shrink it.
+pub trait Sketch: Clone + fmt::Display {
+    /// Prefix of a failure's `DIVERGENCE:` line, naming the case kind.
+    const LABEL: &'static str;
+    /// Differentially check this case under `tune` (fast side only).
+    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict;
+    /// Smaller candidate cases, in the order the minimizer tries them.
+    fn shrink(&self) -> Vec<Self>;
+}
+
+impl Sketch for CaseSketch {
+    const LABEL: &'static str = "";
+
+    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
         let graph = self.graph();
         let spec = self.spec(&graph);
-        check_cell_tuned(&Session::new(graph), &spec, tune)
+        check_cell(&Session::new(graph), &spec, tune)
+    }
+
+    /// Shrink `n` (keeping `k`/`f` feasible), then `f`, then `k` down
+    /// toward `n`.
+    fn shrink(&self) -> Vec<Self> {
+        let mut candidates = Vec::new();
+        if self.n > 5 {
+            let mut c = self.clone();
+            c.n -= 1;
+            c.k = c.k.min(c.n + 3).max(2);
+            c.f = c.f.min(c.k - 1);
+            candidates.push(c);
+        }
+        if self.f > 0 {
+            let mut c = self.clone();
+            c.f -= 1;
+            candidates.push(c);
+        }
+        if self.k > self.n && self.k > 2 {
+            let mut c = self.clone();
+            c.k -= 1;
+            c.f = c.f.min(c.k - 1);
+            candidates.push(c);
+        }
+        candidates
     }
 }
 
@@ -164,19 +208,19 @@ impl Default for FuzzConfig {
 
 /// One confirmed, minimized disagreement.
 #[derive(Debug, Clone)]
-pub struct FuzzFailure {
+pub struct FuzzFailure<S> {
     /// The case as originally drawn.
-    pub original: CaseSketch,
-    /// The greedily minimized case (smallest n, then f, then k, that still
-    /// diverges).
-    pub minimized: CaseSketch,
+    pub original: S,
+    /// The greedily minimized case: where repeated [`Sketch::shrink`]
+    /// steps that kept the divergence ended.
+    pub minimized: S,
     /// The divergence observed on the minimized case.
     pub divergence: Divergence,
 }
 
-impl fmt::Display for FuzzFailure {
+impl<S: Sketch> fmt::Display for FuzzFailure<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "DIVERGENCE: {}", self.divergence)?;
+        writeln!(f, "{}DIVERGENCE: {}", S::LABEL, self.divergence)?;
         if let Some(round) = self.divergence.round() {
             writeln!(f, "  first mismatch at round {round}")?;
         }
@@ -186,8 +230,8 @@ impl fmt::Display for FuzzFailure {
 }
 
 /// What a fuzz run did.
-#[derive(Debug, Clone, Default)]
-pub struct FuzzReport {
+#[derive(Debug, Clone)]
+pub struct FuzzReport<S> {
     /// Cells actually checked (≤ `cases` under a time budget or an early
     /// divergence stop).
     pub cases_run: usize,
@@ -196,11 +240,15 @@ pub struct FuzzReport {
     /// Cells where both engines failed identically (plan rejection, round
     /// limit) — agreement, counted separately for visibility.
     pub match_err: usize,
+    /// Draws discarded because no valid case came of them (counted for
+    /// visibility — discards are not silent coverage loss; static draws
+    /// never discard).
+    pub discarded: usize,
     /// The first divergence found, minimized; `None` on a clean run.
-    pub failure: Option<FuzzFailure>,
+    pub failure: Option<FuzzFailure<S>>,
 }
 
-impl FuzzReport {
+impl<S> FuzzReport<S> {
     /// Whether every checked cell agreed.
     pub fn clean(&self) -> bool {
         self.failure.is_none()
@@ -276,77 +324,56 @@ pub(crate) fn draw_case(rng: &mut StdRng, max_n: usize) -> CaseSketch {
     }
 }
 
-/// Greedy minimization: shrink `n` (keeping `k`/`f` feasible), then `f`,
-/// then `k` down toward `n`, re-checking after every candidate step and
-/// keeping it only if the divergence persists.
-fn minimize(
-    start: &CaseSketch,
-    tune: &impl Fn(EngineConfig) -> EngineConfig,
-) -> (CaseSketch, Divergence) {
-    let diverges = |s: &CaseSketch| match s.check(tune) {
+/// Greedy minimization: try the current case's [`Sketch::shrink`]
+/// candidates in order, keep the first that still diverges, and repeat
+/// until none does.
+fn minimize<S: Sketch>(start: &S, tune: &impl Fn(EngineConfig) -> EngineConfig) -> (S, Divergence) {
+    let diverges = |s: &S| match s.check(tune) {
         CellVerdict::Diverged(d) => Some(*d),
         _ => None,
     };
     let mut best = start.clone();
     let mut best_div = diverges(&best).expect("minimize() called on a diverging case");
-    loop {
-        let mut shrunk = false;
-        let mut candidates: Vec<CaseSketch> = Vec::new();
-        if best.n > 5 {
-            let mut c = best.clone();
-            c.n -= 1;
-            c.k = c.k.min(c.n + 3).max(2);
-            c.f = c.f.min(c.k - 1);
-            candidates.push(c);
-        }
-        if best.f > 0 {
-            let mut c = best.clone();
-            c.f -= 1;
-            candidates.push(c);
-        }
-        if best.k > best.n && best.k > 2 {
-            let mut c = best.clone();
-            c.k -= 1;
-            c.f = c.f.min(c.k - 1);
-            candidates.push(c);
-        }
-        for c in candidates {
-            if let Some(d) = diverges(&c) {
-                best = c;
+    'shrink: loop {
+        for candidate in best.shrink() {
+            if let Some(d) = diverges(&candidate) {
+                best = candidate;
                 best_div = d;
-                shrunk = true;
-                break;
+                continue 'shrink;
             }
         }
-        if !shrunk {
-            return (best, best_div);
-        }
+        return (best, best_div);
     }
 }
 
-/// Run the harness against the **correct** fast engine. A non-clean report
-/// here is an engine bug, full stop.
-pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_with(config, |c| c)
-}
-
-/// Run the harness with an engine-config hook on the fast side. The
-/// broken-engine demonstrations pass `|c| c.with_ff_overshoot(1)` and
-/// assert the report is *not* clean.
-pub fn run_fuzz_with(
+/// The fuzz loop: `config.cases` draws from an RNG seeded with `seed`,
+/// each checked under `tune` (fast side only); a discarded draw (`None`)
+/// still counts toward `cases`. Stops at the first divergence, minimized.
+pub(crate) fn fuzz<S: Sketch>(
     config: &FuzzConfig,
+    seed: u64,
+    mut draw: impl FnMut(&mut StdRng) -> Option<S>,
     tune: impl Fn(EngineConfig) -> EngineConfig,
-) -> FuzzReport {
+) -> FuzzReport<S> {
     let started = Instant::now();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut report = FuzzReport::default();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut report = FuzzReport {
+        cases_run: 0,
+        matched: 0,
+        match_err: 0,
+        discarded: 0,
+        failure: None,
+    };
     for _ in 0..config.cases {
         if let Some(budget) = config.time_budget {
             if started.elapsed() >= budget {
                 break;
             }
         }
-        let sketch = draw_case(&mut rng, config.max_n);
+        let Some(sketch) = draw(&mut rng) else {
+            report.discarded += 1;
+            continue;
+        };
         report.cases_run += 1;
         match sketch.check(&tune) {
             CellVerdict::Match { .. } => report.matched += 1,
@@ -363,4 +390,20 @@ pub fn run_fuzz_with(
         }
     }
     report
+}
+
+/// Fuzz static cells with `tune` on the fast side: `|c| c` checks the
+/// real engine (a non-clean report is an engine bug, full stop); the
+/// broken-engine demonstrations pass `|c| c.with_ff_overshoot(1)` and
+/// assert the report is *not* clean.
+pub fn run_fuzz(
+    config: &FuzzConfig,
+    tune: impl Fn(EngineConfig) -> EngineConfig,
+) -> FuzzReport<CaseSketch> {
+    fuzz(
+        config,
+        config.seed,
+        |rng| Some(draw_case(rng, config.max_n)),
+        tune,
+    )
 }

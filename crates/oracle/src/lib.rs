@@ -20,25 +20,29 @@
 //!   with the fast engine is the model itself (§1.1 rounds and
 //!   sub-rounds, weak/strong ID stamping, simultaneous movement,
 //!   Byzantine teleport clamping).
-//! * [`diff::check_cell`] runs one scenario on both engines **with the
-//!   identical controller roster** (via [`bd_dispersion::build_roster`])
-//!   and compares everything trajectory-observable: the
-//!   movement-normalized event trace, the verifier report, round count,
-//!   final positions, and move odometers. Work measures (`messages`,
+//! * [`diff::check_cell`] runs one scenario on both engines through the
+//!   one run pipeline (`bd_dispersion::Session::run_with`, whose
+//!   [`bd_dispersion::run_epoch`] seats the cast built from the plan) and
+//!   compares everything trajectory-observable: the movement-normalized
+//!   event trace, the verifier report, round count, final positions, the
+//!   honesty mask, and move odometers. Work measures (`messages`,
 //!   `subrounds_executed`, `rounds_skipped`, wall-clock) are exempt —
 //!   doing less work is the fast path's job.
+//! * [`dynamic::check_dynamic_cell`] extends the differential surface to
+//!   event-scheduled worlds: the naive engine implements
+//!   `bd_dispersion::EpochBackend` (same world-event hook, restated
+//!   naively), so whole epoch sequences — joins, leaves, edge failures,
+//!   adversary switches — are compared per epoch and on the cumulative
+//!   trace. Both checkers share one verdict function, so a static cell
+//!   is judged exactly like a one-epoch dynamic cell.
 //! * [`fuzz::run_fuzz`] samples random cells across
 //!   {algorithm × adversary × graph family × n × k × f × seed × start
 //!   configuration}, stops at the first divergence, and greedily
 //!   minimizes it (smallest `n`, then `f`, then `k` that still diverges,
-//!   with the round of first mismatch when the traces split).
-//! * [`dynamic::check_dynamic_cell`] extends the differential surface to
-//!   event-scheduled worlds: the naive engine implements `bd-dynamic`'s
-//!   `EpochBackend` (same world-event hook, restated naively), so whole
-//!   epoch sequences — joins, leaves, edge failures, adversary switches —
-//!   are compared per epoch and on the cumulative trace, and
+//!   with the round of first mismatch when the traces split);
 //!   [`dynamic::run_dynamic_fuzz`] samples event schedules on top of the
-//!   static case space (minimization drops event batches greedily).
+//!   static case space (minimization drops event batches greedily). Both
+//!   run the one fuzz loop and minimizer over a [`fuzz::Sketch`].
 //!
 //! Because the controllers are shared object-for-object, a divergence can
 //! never be a protocol bug: it is always an engine bug, on one side or
@@ -60,10 +64,7 @@ pub mod dynamic;
 pub mod engine;
 pub mod fuzz;
 
-pub use diff::{check_cell, check_cell_tuned, run_oracle, CellVerdict, Divergence};
-pub use dynamic::{
-    check_dynamic_cell, check_dynamic_cell_tuned, run_dynamic_fuzz, run_dynamic_fuzz_with,
-    run_dynamic_oracle, DynamicFuzzFailure, DynamicFuzzReport, DynamicSketch,
-};
+pub use diff::{check_cell, CellVerdict, Divergence};
+pub use dynamic::{check_dynamic_cell, run_dynamic_fuzz, DynamicSketch};
 pub use engine::OracleEngine;
-pub use fuzz::{run_fuzz, run_fuzz_with, CaseSketch, FuzzConfig, FuzzFailure, FuzzReport};
+pub use fuzz::{run_fuzz, CaseSketch, FuzzConfig, FuzzFailure, FuzzReport, Sketch};

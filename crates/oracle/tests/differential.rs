@@ -15,12 +15,17 @@
 //! 3. **Fuzz smoke** — a small random batch stays clean. The deep batch
 //!    (500+ cases) runs in CI's non-blocking fuzz job and via
 //!    `cargo run --release -p bd-bench --bin fuzz`.
+//!
+//! Plus the pin behind the one run pipeline: a static cell is exactly a
+//! one-epoch dynamic cell, on both engines.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
 use bd_dispersion::Session;
-use bd_graphs::generators::{lollipop, ring};
-use bd_oracle::{check_cell, check_cell_tuned, run_fuzz, run_fuzz_with, CellVerdict, FuzzConfig};
+use bd_dynamic::{DynamicSession, DynamicSpec, EventSchedule};
+use bd_graphs::generators::{erdos_renyi_connected, lollipop, ring};
+use bd_oracle::{check_cell, run_fuzz, CellVerdict, FuzzConfig, OracleEngine};
+use bd_runtime::Engine;
 
 /// The hand-minimized regression from the bug this harness caught during
 /// bring-up: GatheredHalfTh3 on a lollipop, where a fast-forward jump
@@ -35,7 +40,7 @@ fn pairing_settle_boundary_jump_regression() {
         .with_byzantine(1, AdversaryKind::MapLiar)
         .with_placement(ByzPlacement::Random)
         .with_seed(15969449143089021078);
-    match check_cell(&session, &spec) {
+    match check_cell(&session, &spec, |c| c) {
         CellVerdict::Match { .. } => {}
         v => panic!("regression cell no longer agrees: {v:?}"),
     }
@@ -55,20 +60,25 @@ fn spot_cells_agree() {
             .with_byzantine(f.min(2), kind)
             .with_placement(ByzPlacement::Random)
             .with_seed(17);
-        let verdict = check_cell(&session, &spec);
+        let verdict = check_cell(&session, &spec, |c| c);
         assert!(verdict.agreed(), "{algo:?}/{kind:?}: {verdict:?}");
     }
 }
 
 /// Tuning must apply to the fast side only — here it is the identity, so
-/// the tuned and untuned verdicts coincide.
+/// the check matches the untuned fast run round for round.
 #[test]
 fn tuned_identity_matches_untuned() {
     let session = Session::new(ring(5).unwrap());
     let spec = ScenarioSpec::evaluation(Algorithm::RingOptimal, session.graph()).with_seed(3);
-    let a = check_cell(&session, &spec);
-    let b = check_cell_tuned(&session, &spec, std::convert::identity);
-    assert!(a.agreed() && b.agreed(), "{a:?} / {b:?}");
+    let untuned = session.run(&spec).unwrap();
+    let verdict = check_cell(&session, &spec, std::convert::identity);
+    assert_eq!(
+        verdict,
+        CellVerdict::Match {
+            rounds: untuned.rounds
+        }
+    );
 }
 
 /// The teeth test: a deliberately broken fast engine (fast-forward
@@ -82,7 +92,7 @@ fn fuzzer_catches_overshooting_fast_forward() {
         max_n: 8,
         time_budget: None,
     };
-    let report = run_fuzz_with(&config, |c| c.with_ff_overshoot(1));
+    let report = run_fuzz(&config, |c| c.with_ff_overshoot(1));
     let failure = report
         .failure
         .expect("a fast-forward overshoot of one full round must diverge");
@@ -99,12 +109,13 @@ fn fuzzer_catches_overshooting_fast_forward() {
 /// A small clean batch — the smoke version of the acceptance fuzz run.
 #[test]
 fn fuzz_smoke_batch_is_clean() {
-    let report = run_fuzz(&FuzzConfig {
+    let config = FuzzConfig {
         cases: 25,
         seed: 0xD1FF,
         max_n: 8,
         time_budget: None,
-    });
+    };
+    let report = run_fuzz(&config, |c| c);
     assert_eq!(report.cases_run, 25);
     assert!(
         report.clean(),
@@ -112,4 +123,51 @@ fn fuzz_smoke_batch_is_clean() {
         report.failure.unwrap()
     );
     assert!(report.matched > 0, "batch never exercised a full run");
+}
+
+/// A static cell is one epoch: on both engines, a static run's outcome
+/// and trace equal epoch 0 and the cumulative trace of the same cell run
+/// as a dynamic spec with an empty schedule.
+#[test]
+fn static_cell_is_one_epoch_on_both_engines() {
+    let graph = erdos_renyi_connected(8, 0.4, 3).unwrap();
+    let session = Session::new(graph.clone());
+    let dynamic = DynamicSession::new(graph);
+    let rows = [
+        Algorithm::ArbitraryHalfTh2,
+        Algorithm::ArbitrarySqrtTh5,
+        Algorithm::StrongArbitraryTh7,
+        Algorithm::Baseline,
+    ];
+    for algo in rows {
+        for adversary in [AdversaryKind::Wanderer, AdversaryKind::Squatter] {
+            let base = ScenarioSpec::arbitrary(algo, session.graph())
+                .with_byzantine(algo.tolerance(8).min(1), adversary)
+                .with_seed(11);
+            let spec = DynamicSpec {
+                base: base.clone(),
+                schedule: EventSchedule::default(),
+            };
+            let runs = [
+                (
+                    session.run_with(&base, |g, c| Engine::new(g, c.traced())),
+                    dynamic.run(&spec),
+                ),
+                (
+                    session.run_with(&base, |g, c| OracleEngine::new(g, c.traced())),
+                    dynamic.run_with(&spec, OracleEngine::new),
+                ),
+            ];
+            for (static_run, dynamic_run) in runs {
+                let ((outcome, trace), epochs) = (static_run.unwrap(), dynamic_run.unwrap());
+                assert_eq!(epochs.epochs.len(), 1, "{algo:?}/{adversary:?}");
+                assert_eq!(epochs.epochs[0].outcome, outcome, "{algo:?}/{adversary:?}");
+                assert_eq!(epochs.trace.events, trace.events, "{algo:?}/{adversary:?}");
+                assert_eq!(
+                    epochs.total_rounds, outcome.rounds,
+                    "{algo:?}/{adversary:?}"
+                );
+            }
+        }
+    }
 }

@@ -33,7 +33,9 @@
 //! O(n + k) path `add_robot` has always used. [`Engine::begin_epoch`]
 //! reseats the whole cast through that primitive and snapshots-and-clears
 //! the metrics; [`Engine::run_epoch`] drives rounds to honest termination
-//! or a scheduled stop; [`Engine::advance_to`] jumps the round clock
+//! or a scheduled stop (a static run is one epoch stopped at `u64::MAX`,
+//! with `epoch_base` 0); [`Engine::into_trace`] ends the run and publishes
+//! the telemetry report; [`Engine::advance_to`] jumps the round clock
 //! across inter-epoch quiescence (after honest termination nothing
 //! observable happens until the next event, by the same argument that
 //! licenses idle fast-forwarding). The round clock, the cumulative trace,
@@ -138,9 +140,10 @@ pub enum WorldEvent<M> {
     },
 }
 
-/// The result of driving one epoch ([`Engine::run_epoch`]): like
-/// [`RunOutcome`] but borrowed from a still-running engine, with metrics
-/// snapshot-and-cleared so the next epoch starts counting from zero.
+/// The result of driving one epoch ([`Engine::run_epoch`]), read off a
+/// still-running engine with metrics snapshot-and-cleared so the next
+/// epoch starts counting from zero. A static run is one epoch stopped at
+/// `u64::MAX`.
 #[derive(Debug)]
 pub struct EpochOutcome {
     /// Measurements for this epoch alone (`rounds` is epoch-local).
@@ -170,17 +173,6 @@ pub struct Engine<M> {
     /// held when the engine was constructed (or phase marks were set). The
     /// disabled hot path is a branch on this `Option` — nothing else.
     telemetry: Option<Box<EngineTelemetry>>,
-}
-
-/// The result of driving a run to honest termination.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Aggregate measurements.
-    pub metrics: RunMetrics,
-    /// Final robot positions in setup order.
-    pub final_positions: Vec<NodeId>,
-    /// Recorded trace (empty unless [`EngineConfig::record_trace`]).
-    pub trace: Trace,
 }
 
 impl<M: Clone> Engine<M> {
@@ -323,7 +315,7 @@ impl<M: Clone> Engine<M> {
         if self.world.num_robots() == 0 {
             return Err(RunError::BadScenario("no robots registered".into()));
         }
-        let terminated = self.drive(Some(stop_at))?;
+        let terminated = self.drive(stop_at)?;
         let per_robot: Vec<u64> = self.world.robots().iter().map(|r| r.moves).collect();
         self.metrics.rounds = self.round - self.epoch_base;
         self.metrics.record_moves(&per_robot);
@@ -351,9 +343,9 @@ impl<M: Clone> Engine<M> {
         Ok(())
     }
 
-    /// Consume the engine at the end of a multi-epoch run: publishes the
-    /// telemetry report (when recording) and returns the cumulative trace
-    /// spanning every epoch.
+    /// Consume the engine at the end of a run: publishes the telemetry
+    /// report (when recording) and returns the cumulative trace spanning
+    /// every epoch.
     pub fn into_trace(mut self) -> Trace {
         if let Some(t) = self.telemetry.take() {
             bd_telemetry::publish_engine_report(t.finish(self.round));
@@ -420,19 +412,16 @@ impl<M: Clone> Engine<M> {
             .all(|(slot, c)| slot.flavor != Flavor::Honest || c.terminated())
     }
 
-    /// The shared round loop behind [`Engine::run`] (no stop round) and
-    /// [`Engine::run_epoch`] (stop at the next scheduled event). Returns
-    /// whether every honest robot terminated; with a stop round, `false`
-    /// means the clock reached it first.
-    fn drive(&mut self, stop_at: Option<u64>) -> Result<bool, RunError> {
+    /// The round loop behind [`Engine::run_epoch`]. Returns whether every
+    /// honest robot terminated; `false` means the clock reached `stop_at`
+    /// first.
+    fn drive(&mut self, stop_at: u64) -> Result<bool, RunError> {
         loop {
             if self.all_honest_terminated() {
                 return Ok(true);
             }
-            if let Some(stop) = stop_at {
-                if self.round >= stop {
-                    return Ok(false);
-                }
+            if self.round >= stop_at {
+                return Ok(false);
             }
             if self.round >= self.config.max_rounds {
                 return Err(RunError::RoundLimit {
@@ -465,9 +454,7 @@ impl<M: Clone> Engine<M> {
                     let mut target = target.saturating_add(self.config.ff_overshoot);
                     // Never jump past a scheduled stop: the world mutates
                     // there, which idle promises know nothing about.
-                    if let Some(stop) = stop_at {
-                        target = target.min(stop);
-                    }
+                    target = target.min(stop_at);
                     if target > self.round + 1 {
                         if target >= self.config.max_rounds {
                             // The earliest round any robot acts again is
@@ -491,26 +478,6 @@ impl<M: Clone> Engine<M> {
             }
             self.step()?;
         }
-    }
-
-    /// Execute rounds until every honest robot terminates or the round cap
-    /// is hit.
-    pub fn run(mut self) -> Result<RunOutcome, RunError> {
-        if self.world.num_robots() == 0 {
-            return Err(RunError::BadScenario("no robots registered".into()));
-        }
-        self.drive(None)?;
-        let per_robot: Vec<u64> = self.world.robots().iter().map(|r| r.moves).collect();
-        self.metrics.rounds = self.round;
-        self.metrics.record_moves(&per_robot);
-        if let Some(t) = self.telemetry.take() {
-            bd_telemetry::publish_engine_report(t.finish(self.round));
-        }
-        Ok(RunOutcome {
-            metrics: self.metrics,
-            final_positions: self.world.positions(),
-            trace: self.trace,
-        })
     }
 
     /// Execute a single round: sub-round communication, then simultaneous
@@ -868,7 +835,7 @@ mod tests {
                 step: 0,
             }),
         );
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         assert_eq!(out.final_positions, vec![3]);
         assert_eq!(out.metrics.rounds, 3);
         assert_eq!(out.metrics.total_moves, 3);
@@ -900,7 +867,7 @@ mod tests {
                 rounds: 0,
             }),
         );
-        let _ = e.run().unwrap();
+        let _ = e.run_epoch(u64::MAX).unwrap();
         let roster = seen.borrow();
         assert!(roster.contains(&RobotId(2)));
         assert!(!roster.contains(&RobotId(99)));
@@ -931,7 +898,7 @@ mod tests {
                 rounds: 0,
             }),
         );
-        let _ = e.run().unwrap();
+        let _ = e.run_epoch(u64::MAX).unwrap();
         let roster = seen.borrow();
         // Both entities claim ID 1: the roster shows a duplicate.
         let ones = roster.iter().filter(|&&r| r == RobotId(1)).count();
@@ -951,7 +918,10 @@ mod tests {
                 step: 0,
             }),
         );
-        assert!(matches!(e.run(), Err(RunError::InvalidMove { .. })));
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::InvalidMove { .. })
+        ));
     }
 
     #[test]
@@ -976,7 +946,7 @@ mod tests {
                 step: 0,
             }),
         );
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
         // Byzantine stayed at node 1 (clamped), honest moved to 1.
         assert_eq!(out.final_positions[1], 1);
     }
@@ -998,14 +968,20 @@ mod tests {
         let g = ring(4).unwrap();
         let mut e: Engine<String> = Engine::new(g, EngineConfig::with_max_rounds(10));
         e.add_robot(Flavor::Honest, 0, Box::new(Forever(RobotId(1))));
-        assert!(matches!(e.run(), Err(RunError::RoundLimit { limit: 10 })));
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::RoundLimit { limit: 10 })
+        ));
     }
 
     #[test]
     fn empty_scenario_rejected() {
         let g = ring(4).unwrap();
-        let e: Engine<String> = Engine::new(g, EngineConfig::default());
-        assert!(matches!(e.run(), Err(RunError::BadScenario(_))));
+        let mut e: Engine<String> = Engine::new(g, EngineConfig::default());
+        assert!(matches!(
+            e.run_epoch(u64::MAX),
+            Err(RunError::BadScenario(_))
+        ));
     }
 
     #[test]
@@ -1021,10 +997,11 @@ mod tests {
                 step: 0,
             }),
         );
-        let out = e.run().unwrap();
-        let script = out.trace.move_script(RobotId(4));
+        e.run_epoch(u64::MAX).unwrap();
+        let trace = e.into_trace();
+        let script = trace.move_script(RobotId(4));
         assert_eq!(script, vec![Some(0), Some(0)]);
-        assert!(out.trace.events.iter().any(|ev| matches!(
+        assert!(trace.events.iter().any(|ev| matches!(
             ev,
             Event::Terminated {
                 robot: RobotId(4),
@@ -1172,8 +1149,13 @@ mod tests {
         assert_eq!(trace.move_script(RobotId(2)).len(), 1);
     }
 
+    /// The telemetry tests toggle the process-global counters flag;
+    /// serialize them.
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn telemetry_records_counters_and_phases_when_enabled() {
+        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
         bd_telemetry::enable_counters(true);
         bd_telemetry::drain_engine_reports();
         let g = oriented_ring(6).unwrap();
@@ -1188,7 +1170,8 @@ mod tests {
             }),
         );
         e.set_phase_marks(vec![("walk".into(), 2), ("tail".into(), 3)]);
-        let out = e.run().unwrap();
+        let out = e.run_epoch(u64::MAX).unwrap();
+        e.into_trace();
         bd_telemetry::enable_counters(false);
         assert_eq!(out.metrics.total_moves, 3);
         let reports = bd_telemetry::drain_engine_reports();
@@ -1208,6 +1191,7 @@ mod tests {
 
     #[test]
     fn telemetry_disabled_records_nothing() {
+        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
         bd_telemetry::enable_counters(false);
         let g = oriented_ring(6).unwrap();
         let mut e: Engine<String> = Engine::new(g, EngineConfig::default());
@@ -1222,7 +1206,7 @@ mod tests {
         );
         e.set_phase_marks(vec![("walk".into(), 1)]);
         assert!(e.telemetry.is_none(), "disabled engines carry no recorder");
-        e.run().unwrap();
+        e.run_epoch(u64::MAX).unwrap();
     }
 
     #[test]
@@ -1280,7 +1264,7 @@ mod tests {
                 done: false,
             }),
         );
-        let _ = e.run().unwrap();
+        let _ = e.run_epoch(u64::MAX).unwrap();
         let log = saw.borrow();
         // Sub-round 0: bulletin empty for both; sub-round 1: both messages
         // visible (published in sub-round 0).

@@ -58,7 +58,7 @@
 //! the engine carries a `bd-telemetry` recorder: per-phase
 //! `EngineCounters` deltas keyed to marks installed via
 //! [`engine::Engine::set_phase_marks`], round-window snapshots, and an
-//! `EngineReport` published at run end. Disabled, the whole layer is one
+//! `EngineReport` published by [`engine::Engine::into_trace`] at run end. Disabled, the whole layer is one
 //! relaxed atomic load at construction and a `None` check per round.
 //! `OBSERVABILITY.md` at the repo root documents every counter.
 
@@ -74,7 +74,7 @@ pub mod world;
 
 pub use config::EngineConfig;
 pub use controller::{Controller, MoveChoice};
-pub use engine::{Engine, EpochOutcome, RunOutcome, WorldEvent};
+pub use engine::{Engine, EpochOutcome, WorldEvent};
 pub use error::RunError;
 pub use ids::{Flavor, RobotId};
 pub use metrics::RunMetrics;

@@ -105,23 +105,35 @@ impl Clock {
         }
     }
 
-    /// Arm the socket for the next read: the per-read deadline, clipped
-    /// so the read can never outlive the total one. Errors with the typed
-    /// timeout once the total deadline has passed.
-    fn arm(&self, stream: &TcpStream) -> Result<(), ServiceError> {
+    /// The typed error for an elapsed total-request deadline.
+    fn expired(&self) -> ServiceError {
+        ServiceError::Timeout {
+            what: "request",
+            after: self.total,
+        }
+    }
+
+    /// One read under both deadlines: the per-read deadline, clipped so
+    /// the read can never outlive the total one. A timeout names the
+    /// deadline that armed the read — `"request"` when the clip did, else
+    /// `"read"` — and a read started after the total deadline passed
+    /// fails with `"request"` at once.
+    fn read(&self, stream: &mut TcpStream, buf: &mut [u8]) -> Result<usize, ServiceError> {
         let remaining = self
             .deadline
             .checked_duration_since(Instant::now())
             .filter(|r| !r.is_zero())
-            .ok_or(ServiceError::Timeout {
-                what: "request",
-                after: self.total,
-            })?;
+            .ok_or_else(|| self.expired())?;
         // `set_read_timeout` rejects zero; a floor of 1ms can overshoot
         // the total deadline by at most that much.
         let next = self.per_read.min(remaining).max(Duration::from_millis(1));
         stream.set_read_timeout(Some(next))?;
-        Ok(())
+        stream
+            .read(buf)
+            .map_err(|e| match read_err(e, self.per_read) {
+                ServiceError::Timeout { .. } if remaining < self.per_read => self.expired(),
+                other => other,
+            })
     }
 }
 
@@ -183,11 +195,8 @@ pub fn read_request_with(
         )));
     }
     while rest.len() < content_length {
-        clock.arm(stream)?;
         let mut buf = [0u8; 8192];
-        let got = stream
-            .read(&mut buf)
-            .map_err(|e| read_err(e, deadlines.read))?;
+        let got = clock.read(stream, &mut buf)?;
         if got == 0 {
             return Err(ServiceError::Protocol("connection closed mid-body".into()));
         }
@@ -220,11 +229,8 @@ fn read_until_blank_line(
         if buf.len() > MAX_MESSAGE {
             return Err(ServiceError::Protocol("header block too large".into()));
         }
-        clock.arm(stream)?;
         let mut chunk = [0u8; 8192];
-        let got = stream
-            .read(&mut chunk)
-            .map_err(|e| read_err(e, clock.per_read))?;
+        let got = clock.read(stream, &mut chunk)?;
         if got == 0 {
             return Err(ServiceError::Protocol(
                 "connection closed before headers ended".into(),
@@ -398,6 +404,36 @@ mod tests {
         });
         // Connect, send nothing, keep the socket open past the deadline.
         let stream = TcpStream::connect(addr).unwrap();
+        server.join().unwrap();
+        drop(stream);
+    }
+
+    #[test]
+    fn total_deadline_expiring_inside_a_read_is_the_request_timeout() {
+        // The idle deadline is far off, so the read is armed with what is
+        // left of the total one; its expiry must be reported as that.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let deadlines = Deadlines {
+            read: Duration::from_secs(2),
+            write: Duration::from_secs(2),
+            total: Duration::from_millis(100),
+        };
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let started = Instant::now();
+            let err = read_request_with(&mut stream, deadlines).unwrap_err();
+            assert!(started.elapsed() < Duration::from_secs(1), "{err}");
+            match err {
+                ServiceError::Timeout { what, after } => {
+                    assert_eq!((what, after), ("request", deadlines.total))
+                }
+                other => panic!("expected the total deadline, got {other}"),
+            }
+        });
+        // One byte, then silence past the total deadline.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"G").unwrap();
         server.join().unwrap();
         drop(stream);
     }
