@@ -139,14 +139,10 @@ impl TableRow for BaselineRow {
         StartColumn::Gathered
     }
 
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        plan.n as u64 + 2
-    }
-
     fn phase_schedule(&self, plan: &Plan) -> Timeline {
         // The whole run is one Dispersion-Using-Map pass on the known map.
         let mut t = Timeline::default();
-        t.push("settle", self.round_budget(plan));
+        t.push("settle", plan.n as u64 + 2);
         t
     }
 

@@ -2,8 +2,9 @@
 //! group partitions, the [`GroupRun`] driver for one group map-finding run
 //! with quorum thresholds, the capacity-aware [`SettlePhase`] DUM tail, and
 //! the [`GroupPhaseController`] scaffold (gather → snapshot → sequential
-//! group runs → settle) that the Theorem 4 and Theorem 5 controllers
-//! instantiate through a [`GroupScheme`].
+//! group runs → tail) that the Theorem 4–7 controllers instantiate through
+//! a [`GroupScheme`]. The scheme picks its [`GroupTail`] statically:
+//! [`SettlePhase`] for Theorems 4–5, the rank walk for Theorems 6–7.
 
 use crate::dum::DumMachine;
 use crate::mapvote::quorum_map;
@@ -240,6 +241,51 @@ impl GroupRun {
     }
 }
 
+/// The phase a group-based controller runs after its map-finding runs,
+/// from the gathering node on the map the scheme chose. Every method is
+/// called on the concrete tail type, so the per-round path has no dynamic
+/// dispatch.
+pub trait GroupTail: Send {
+    /// A tail with no schedule yet (bounds land at the snapshot).
+    fn pending(id: RobotId, n: usize) -> Self;
+
+    /// Fix the bounds from the first round after the runs and the sorted
+    /// roster snapshot.
+    fn schedule(&mut self, start: u64, ids: &[RobotId]);
+
+    /// First round after the tail; `u64::MAX` until scheduled.
+    fn end(&self) -> u64;
+
+    /// Whether [`GroupTail::schedule`] has run.
+    fn scheduled(&self) -> bool {
+        self.end() != u64::MAX
+    }
+
+    /// Whether `round` falls inside the tail.
+    fn active(&self, round: u64) -> bool;
+
+    /// Sub-rounds an active round needs.
+    fn subrounds(&self) -> usize;
+
+    /// Whether [`GroupTail::start`] has run.
+    fn running(&self) -> bool;
+
+    /// Start from the gathering node (map node 0) on `map`.
+    fn start(&mut self, map: PortGraph);
+
+    /// Sub-round handler (call only while [`GroupTail::active`]).
+    fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg>;
+
+    /// End-of-round move decision.
+    fn decide_move(&mut self) -> MoveChoice;
+
+    /// Idleness hint at `round` (none by default).
+    fn idle_until(&self, round: u64) -> Option<u64> {
+        let _ = round;
+        None
+    }
+}
+
 /// The capacity-aware `Dispersion-Using-Map` tail every DUM-based row ends
 /// with: scheduling (absolute bounds derived at the roster snapshot), the
 /// §5 per-node capacity `⌈k/n⌉` from the observed roster size, sub-round
@@ -256,44 +302,9 @@ pub struct SettlePhase {
 }
 
 impl SettlePhase {
-    /// A settle phase with no schedule yet (bounds land at the snapshot).
-    pub fn pending(id: RobotId, n: usize) -> Self {
-        SettlePhase {
-            id,
-            n,
-            k_seen: n,
-            start: u64::MAX,
-            end: u64::MAX,
-            machine: None,
-        }
-    }
-
-    /// Fix the phase bounds: it runs `[start, start + dum_budget(n))` for a
-    /// roster of `k_seen` robots.
-    pub fn schedule(&mut self, start: u64, k_seen: usize) {
-        self.start = start;
-        self.end = start + dum_budget(self.n);
-        self.k_seen = k_seen.max(1);
-    }
-
-    /// Whether [`SettlePhase::schedule`] has run.
-    pub fn scheduled(&self) -> bool {
-        self.end != u64::MAX
-    }
-
     /// `(start, end)` bounds (exclusive end); `u64::MAX` until scheduled.
     pub fn bounds(&self) -> (u64, u64) {
         (self.start, self.end)
-    }
-
-    /// First round after the phase; `u64::MAX` until scheduled.
-    pub fn end(&self) -> u64 {
-        self.end
-    }
-
-    /// Whether `round` falls inside the phase.
-    pub fn active(&self, round: u64) -> bool {
-        round >= self.start && round < self.end
     }
 
     /// The §5 per-node capacity the machine settles against: `⌈k/n⌉` from
@@ -307,52 +318,81 @@ impl SettlePhase {
         self.k_seen
     }
 
-    /// Sub-rounds a settle round needs (rank sub-rounds for up to `k`
-    /// co-located robots).
-    pub fn subrounds(&self) -> usize {
-        DumMachine::subrounds_needed(self.k_seen.max(self.n))
-    }
-
-    /// Whether the machine has been started.
-    pub fn running(&self) -> bool {
-        self.machine.is_some()
-    }
-
-    /// Start the machine on `map` from map node 0 (the gathering node)
-    /// with the phase's capacity.
-    pub fn start_machine(&mut self, map: PortGraph) {
-        self.machine = Some(DumMachine::with_capacity(self.id, map, 0, self.capacity()));
-    }
-
-    /// Sub-round handler (call only while [`SettlePhase::active`]).
-    pub fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.machine.as_mut().and_then(|m| m.act(obs))
-    }
-
-    /// End-of-round move decision.
-    pub fn decide_move(&mut self) -> MoveChoice {
-        self.machine
-            .as_mut()
-            .map_or(MoveChoice::Stay, |m| m.decide_move())
-    }
-
     /// The underlying machine, if started (inspection/tests).
     pub fn machine(&self) -> Option<&DumMachine> {
         self.machine.as_ref()
     }
 }
 
-/// How a group-based row turns the roster snapshot into its run schedule
-/// and the per-run votes into the settling map. Implemented by the
-/// Theorem 4 scheme (three ID-ordered thirds, 2-of-3 majority) and the
-/// Theorem 5 scheme (`2f+1` helper groups, Byzantine-majority
-/// reconciliation); [`GroupPhaseController`] supplies everything else.
+impl GroupTail for SettlePhase {
+    fn pending(id: RobotId, n: usize) -> Self {
+        SettlePhase {
+            id,
+            n,
+            k_seen: n,
+            start: u64::MAX,
+            end: u64::MAX,
+            machine: None,
+        }
+    }
+
+    /// The phase runs `[start, start + dum_budget(n))` for a roster of
+    /// `ids.len()` robots.
+    fn schedule(&mut self, start: u64, ids: &[RobotId]) {
+        self.start = start;
+        self.end = start + dum_budget(self.n);
+        self.k_seen = ids.len().max(1);
+    }
+
+    fn end(&self) -> u64 {
+        self.end
+    }
+
+    fn active(&self, round: u64) -> bool {
+        round >= self.start && round < self.end
+    }
+
+    /// Rank sub-rounds for up to `k` co-located robots.
+    fn subrounds(&self) -> usize {
+        DumMachine::subrounds_needed(self.k_seen.max(self.n))
+    }
+
+    fn running(&self) -> bool {
+        self.machine.is_some()
+    }
+
+    /// Start the machine with the phase's capacity.
+    fn start(&mut self, map: PortGraph) {
+        self.machine = Some(DumMachine::with_capacity(self.id, map, 0, self.capacity()));
+    }
+
+    fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
+        self.machine.as_mut().and_then(|m| m.act(obs))
+    }
+
+    fn decide_move(&mut self) -> MoveChoice {
+        self.machine
+            .as_mut()
+            .map_or(MoveChoice::Stay, |m| m.decide_move())
+    }
+}
+
+/// How a group-based row turns the roster snapshot into its run schedule,
+/// the per-run votes into the map its tail starts on, and which tail runs.
+/// Implemented by the Theorem 4 scheme (three ID-ordered thirds, 2-of-3
+/// majority), the Theorem 5 scheme (`2f+1` helper groups,
+/// Byzantine-majority reconciliation) and the Theorem 6–7 scheme (one run
+/// over ID-ordered halves, rank walk); [`GroupPhaseController`] supplies
+/// everything else.
 pub trait GroupScheme: Send {
+    /// The phase after the runs.
+    type Tail: GroupTail;
+
     /// Build the sequential run specs from the sorted snapshot `ids`, the
     /// graph size, and the absolute round the first run starts.
     fn plan_runs(&mut self, ids: &[RobotId], n: usize, first_start: u64) -> Vec<GroupRunSpec>;
 
-    /// Pick the settling map from the per-run quorum-accepted forms.
+    /// Pick the tail's map from the per-run quorum-accepted forms.
     /// `None` degrades to a trivial single-node map (possible only beyond
     /// tolerance; the verifier reports the failure).
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm>;
@@ -360,16 +400,15 @@ pub trait GroupScheme: Send {
 
 /// The shared controller scaffold of the group-based rows: walk the gather
 /// script (if any), snapshot the roster, drive the scheme's sequential
-/// [`GroupRun`]s, then settle with the capacity-aware [`SettlePhase`].
-/// Formerly duplicated between `algos::third` and `algos::sqrt`.
-pub struct GroupPhaseController<S> {
+/// [`GroupRun`]s, then run the scheme's tail.
+pub struct GroupPhaseController<S: GroupScheme> {
     id: RobotId,
     n: usize,
     scheme: S,
     gather_script: VecDeque<Port>,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
-    settle: SettlePhase,
+    tail: S::Tail,
     round_seen: u64,
 }
 
@@ -395,19 +434,19 @@ impl<S: GroupScheme> GroupPhaseController<S> {
             gather_script: gather_script.into(),
             snapshot_round,
             runs: Vec::new(),
-            settle: SettlePhase::pending(id, n),
+            tail: S::Tail::pending(id, n),
             round_seen: 0,
         }
     }
 
-    /// Derive the run schedule and settle bounds from a roster snapshot.
+    /// Derive the run schedule and tail bounds from a roster snapshot.
     /// Called internally at the snapshot round; public so timeline tests
     /// can drive the schedule without an engine.
     pub fn snapshot(&mut self, ids: &[RobotId]) {
         let first_start = self.snapshot_round + 1;
         let specs = self.scheme.plan_runs(ids, self.n, first_start);
-        let dum_start = specs.last().map_or(first_start, |s| s.end());
-        self.settle.schedule(dum_start, ids.len());
+        let tail_start = specs.last().map_or(first_start, |s| s.end());
+        self.tail.schedule(tail_start, ids);
         self.runs = specs
             .into_iter()
             .map(|spec| GroupRun::new(spec, self.id, self.n))
@@ -419,9 +458,9 @@ impl<S: GroupScheme> GroupPhaseController<S> {
         &self.scheme
     }
 
-    /// The settle phase (bounds, capacity, machine) for inspection.
-    pub fn settle(&self) -> &SettlePhase {
-        &self.settle
+    /// The tail phase for inspection.
+    pub fn tail(&self) -> &S::Tail {
+        &self.tail
     }
 
     /// The scheduled group runs (empty before the snapshot).
@@ -436,8 +475,8 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     fn subrounds_wanted(&self, round: u64) -> usize {
-        if self.settle.active(round) {
-            self.settle.subrounds()
+        if self.tail.active(round) {
+            self.tail.subrounds()
         } else if round > self.snapshot_round {
             2
         } else {
@@ -447,7 +486,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
         self.round_seen = obs.round;
-        if obs.round == self.snapshot_round && !self.settle.scheduled() && obs.subround == 0 {
+        if obs.round == self.snapshot_round && !self.tail.scheduled() && obs.subround == 0 {
             let ids = snapshot_ids(obs.roster);
             self.snapshot(&ids);
             return None;
@@ -455,8 +494,8 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         if let Some(run) = self.runs.iter_mut().find(|r| r.active(obs.round)) {
             return run.act(obs);
         }
-        if self.settle.active(obs.round) {
-            if !self.settle.running() {
+        if self.tail.active(obs.round) {
+            if !self.tail.running() {
                 let votes: Vec<_> = self.runs.iter().map(|r| r.accepted().cloned()).collect();
                 let map = self
                     .scheme
@@ -465,13 +504,13 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
                     .unwrap_or_else(|| {
                         // No quorum/majority (possible only beyond
                         // tolerance): degrade to a single-node map; the
-                        // robot sits at the gathering node and the verifier
-                        // reports the failure.
+                        // robot stays at the gathering node and the
+                        // verifier reports the failure.
                         PortGraph::from_adjacency(vec![vec![]]).expect("trivial map")
                     });
-                self.settle.start_machine(map);
+                self.tail.start(map);
             }
-            return self.settle.act(obs);
+            return self.tail.act(obs);
         }
         None
     }
@@ -487,24 +526,24 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         if let Some(run) = self.runs.iter_mut().find(|r| r.active(obs.round)) {
             return run.decide_move(obs.round, obs.degree);
         }
-        if self.settle.active(obs.round) {
-            return self.settle.decide_move();
+        if self.tail.active(obs.round) {
+            return self.tail.decide_move();
         }
         MoveChoice::Stay
     }
 
     fn terminated(&self) -> bool {
-        self.settle.scheduled() && self.round_seen + 1 >= self.settle.end()
+        self.tail.scheduled() && self.round_seen + 1 >= self.tail.end()
     }
 
     fn idle_until(&self) -> Option<u64> {
         if self.round_seen < self.snapshot_round && self.gather_script.is_empty() {
             return Some(self.snapshot_round);
         }
-        self.runs
-            .iter()
-            .find(|r| r.active(self.round_seen))
-            .and_then(|r| r.idle_until(self.round_seen))
+        match self.runs.iter().find(|r| r.active(self.round_seen)) {
+            Some(run) => run.idle_until(self.round_seen),
+            None => self.tail.idle_until(self.round_seen),
+        }
     }
 }
 

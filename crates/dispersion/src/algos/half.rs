@@ -12,7 +12,7 @@
 //!   ([`crate::algos::common::SettlePhase`]) from the gathering node, so
 //!   `k ≠ n` rosters run first-class (§5's `⌈k/n⌉` regime).
 
-use crate::algos::common::SettlePhase;
+use crate::algos::common::{GroupTail, SettlePhase};
 use crate::mapvote::majority_map;
 use crate::msg::Msg;
 use crate::pairing::{pairing_schedule, PairingSchedule};
@@ -205,7 +205,7 @@ impl Controller<Msg> for HalfController {
             let schedule = pairing_schedule(&ids);
             self.pairing_start = self.snapshot_round + 1;
             self.pairing_end = self.pairing_start + schedule.total_windows * self.window_len;
-            self.settle.schedule(self.pairing_end, ids.len());
+            self.settle.schedule(self.pairing_end, &ids);
             self.schedule = Some(schedule);
             return None;
         }
@@ -224,7 +224,7 @@ impl Controller<Msg> for HalfController {
                         // report the failure.
                         PortGraph::from_adjacency(vec![vec![]]).expect("trivial map")
                     });
-                self.settle.start_machine(map);
+                self.settle.start(map);
             }
             return self.settle.act(obs);
         }
@@ -340,11 +340,6 @@ impl TableRow for HalfRow {
         } else {
             StartRequirement::Gathered
         }
-    }
-
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        let sched = pairing_schedule(&plan.ids);
-        plan.gather_budget + 1 + sched.total_windows * pair_window_len(plan.n) + dum_budget(plan.n)
     }
 
     fn phase_schedule(&self, plan: &Plan) -> Timeline {

@@ -13,10 +13,8 @@ pub mod strong;
 pub mod third;
 
 pub use baseline::BaselineController;
-pub use common::{GroupPhaseController, GroupScheme, SettlePhase};
+pub use common::{GroupPhaseController, GroupScheme, GroupTail, SettlePhase};
 pub use half::HalfController;
 pub use quotient::QuotientController;
 pub use ring_opt::RingOptController;
 pub use sqrt::SqrtController;
-pub use strong::StrongController;
-pub use third::GroupController;

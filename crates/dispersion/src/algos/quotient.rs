@@ -187,10 +187,6 @@ impl TableRow for QuotientRow {
         cover_walk_length(plan.n)
     }
 
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        cover_walk_length(plan.n) + dum_budget(plan.n)
-    }
-
     fn phase_schedule(&self, plan: &Plan) -> Timeline {
         let mut t = Timeline::default();
         t.push("cover_walk", cover_walk_length(plan.n));

@@ -201,10 +201,6 @@ impl TableRow for RingOptRow {
         plan.n as u64
     }
 
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        plan.n as u64 + dum_budget(plan.n)
-    }
-
     fn phase_schedule(&self, plan: &Plan) -> Timeline {
         let mut t = Timeline::default();
         t.push("walk", plan.n as u64);

@@ -33,7 +33,7 @@
 
 pub mod tokens;
 
-use crate::algos::common::{GroupPhaseController, GroupRunSpec, GroupScheme};
+use crate::algos::common::{GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase};
 use crate::algos::sqrt::tokens::{
     helper_group_count, reconcile_maps, supported_f_bound, ReplicationPlan,
 };
@@ -54,7 +54,9 @@ pub const PHASE_SETTLE: &str = "settle";
 /// The absolute phase timeline of the §3.3 machine for `k` robots on an
 /// `n`-node graph under fault bound `f_bound`, given the shared gathering
 /// budget. Every honest robot computes this identically, which is what
-/// keeps the sequential runs synchronized with zero communication.
+/// keeps the sequential runs synchronized with zero communication. Its end
+/// is the row's exact round budget: the phase machine is deterministic, so
+/// the budget is too.
 pub fn sqrt_timeline(n: usize, k: usize, f_bound: usize, gather_budget: u64) -> Timeline {
     let mut t = Timeline::default();
     t.push(PHASE_GATHER, gather_budget);
@@ -63,13 +65,6 @@ pub fn sqrt_timeline(n: usize, k: usize, f_bound: usize, gather_budget: u64) -> 
     t.push(PHASE_REPLICATE, runs * group_run_len(n));
     t.push(PHASE_SETTLE, dum_budget(n));
     t
-}
-
-/// The exact round at which every honest robot terminates — the round
-/// budget for `Algorithm::ArbitrarySqrtTh5`, replacing any guessed slack:
-/// the phase machine is deterministic, so the budget is too.
-pub fn sqrt_round_budget(n: usize, k: usize, f_bound: usize, gather_budget: u64) -> u64 {
-    sqrt_timeline(n, k, f_bound, gather_budget).end()
 }
 
 /// The Table 1 `O(√n)` fault bound for an `n`-node graph, additionally
@@ -107,6 +102,8 @@ impl SqrtScheme {
 }
 
 impl GroupScheme for SqrtScheme {
+    type Tail = SettlePhase;
+
     fn plan_runs(&mut self, ids: &[RobotId], n: usize, first_start: u64) -> Vec<GroupRunSpec> {
         let plan = ReplicationPlan::build(ids, self.f_bound);
         let quorum = plan.quorum();
@@ -193,10 +190,6 @@ impl TableRow for SqrtRow {
         StartRequirement::GathersFirst
     }
 
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        sqrt_round_budget(plan.n, plan.k, sqrt_f_bound(plan.n), plan.gather_budget)
-    }
-
     fn phase_schedule(&self, plan: &Plan) -> Timeline {
         sqrt_timeline(plan.n, plan.k, sqrt_f_bound(plan.n), plan.gather_budget)
     }
@@ -245,8 +238,8 @@ mod tests {
         c.snapshot(&ids);
         let t = sqrt_timeline(n, 16, f, gather_budget);
         let (settle_start, settle_end) = t.phase(PHASE_SETTLE).unwrap();
-        assert_eq!(c.settle().bounds(), (settle_start, settle_end));
-        assert_eq!(sqrt_round_budget(n, 16, f, gather_budget), settle_end);
+        assert_eq!(c.tail().bounds(), (settle_start, settle_end));
+        assert_eq!(t.end(), settle_end);
         let (rep_start, rep_end) = t.phase(PHASE_REPLICATE).unwrap();
         assert_eq!(rep_start, gather_budget + 1);
         assert_eq!(rep_end - rep_start, 5 * group_run_len(n));
@@ -266,8 +259,8 @@ mod tests {
         let mut c = SqrtController::new(RobotId(2), 8, 1, Vec::new(), 0);
         let ids: Vec<RobotId> = (1..=16).map(RobotId).collect(); // k = 2n
         c.snapshot(&ids);
-        assert_eq!(c.settle().k_seen(), 16);
-        assert_eq!(c.settle().capacity(), 2);
+        assert_eq!(c.tail().k_seen(), 16);
+        assert_eq!(c.tail().capacity(), 2);
         assert!(!c.terminated());
     }
 

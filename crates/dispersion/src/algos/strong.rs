@@ -17,165 +17,132 @@
 //! immune to strong Byzantine robots by construction (DESIGN.md,
 //! substitution 4 explains why this replaces the paper's exponential
 //! black-box gathering).
+//!
+//! Both phases run on the shared [`GroupPhaseController`]: this module
+//! contributes the run layout ([`StrongScheme`]) and the [`RankWalk`]
+//! tail.
 
-use crate::algos::common::{partition2, snapshot_ids, GroupRun, GroupRunSpec};
+use crate::algos::common::{
+    partition2, GroupPhaseController, GroupRunSpec, GroupScheme, GroupTail,
+};
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{group_run_len, rank_walk_budget, t2_work_budget, Timeline};
 use bd_graphs::navigate::shortest_path_ports;
-use bd_graphs::Port;
+use bd_graphs::{CanonicalForm, Port, PortGraph};
 use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
 use std::collections::VecDeque;
 
-/// Controller for Theorems 6 (gathered) and 7 (arbitrary start).
-pub struct StrongController {
+/// The Theorem 6–7 [`GroupScheme`]: one run over the ID-ordered halves of
+/// the snapshot of *claimed* IDs (duplicates collapse, so every honest
+/// robot records the identical set), all thresholds `max(⌊n/4⌋, 1)`.
+pub struct StrongScheme;
+
+impl StrongScheme {
+    /// The counting threshold for instructions, presence and votes.
+    pub fn threshold(n: usize) -> usize {
+        (n / 4).max(1)
+    }
+}
+
+impl GroupScheme for StrongScheme {
+    type Tail = RankWalk;
+
+    fn plan_runs(&mut self, ids: &[RobotId], n: usize, first_start: u64) -> Vec<GroupRunSpec> {
+        let (a, b) = partition2(ids);
+        let t = Self::threshold(n);
+        vec![GroupRunSpec {
+            agents: a.into_iter().collect(),
+            token: b.into_iter().collect(),
+            instr_threshold: t,
+            presence_threshold: t,
+            vote_threshold: t,
+            start: first_start,
+            work: t2_work_budget(n),
+        }]
+    }
+
+    fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
+        votes.first().cloned().flatten()
+    }
+}
+
+/// Phase 2, rank dispersion: the robot of rank `i` in the snapshot walks
+/// from the gathering node to node `v(i)` of the agreed map's canonical
+/// node ordering and stays there. No messages; 2 sub-rounds a round, like
+/// the run before it.
+pub struct RankWalk {
     id: RobotId,
     n: usize,
-    gather_script: VecDeque<Port>,
-    snapshot_round: u64,
-    /// Snapshot IDs (set at the snapshot round).
-    ids: Vec<RobotId>,
-    run: Option<GroupRun>,
-    walk_start: u64,
-    walk_end: u64,
-    /// Rank walk to the assigned node, computed when the walk phase starts.
-    walk_path: Option<VecDeque<Port>>,
-    round_seen: u64,
+    /// This robot's position in the sorted snapshot (`None` if absent).
+    rank: Option<usize>,
+    start: u64,
+    end: u64,
+    /// The walk, computed when the phase starts.
+    path: Option<VecDeque<Port>>,
 }
 
-impl StrongController {
-    /// `gather_script` empty = Theorem 6 (gathered start); otherwise the
-    /// robot's gathering route and shared budget (Theorem 7).
-    pub fn new(id: RobotId, n: usize, gather_script: Vec<Port>, gather_budget: u64) -> Self {
-        let snapshot_round = if gather_script.is_empty() {
-            0
-        } else {
-            gather_budget
-        };
-        StrongController {
+impl GroupTail for RankWalk {
+    fn pending(id: RobotId, n: usize) -> Self {
+        RankWalk {
             id,
             n,
-            gather_script: gather_script.into(),
-            snapshot_round,
-            ids: Vec::new(),
-            run: None,
-            walk_start: u64::MAX,
-            walk_end: u64::MAX,
-            walk_path: None,
-            round_seen: 0,
+            rank: None,
+            start: u64::MAX,
+            end: u64::MAX,
+            path: None,
         }
     }
 
-    fn threshold(&self) -> usize {
-        (self.n / 4).max(1)
-    }
-}
-
-impl Controller<Msg> for StrongController {
-    fn id(&self) -> RobotId {
-        self.id
+    /// The walk runs `[start, start + rank_walk_budget(n))`.
+    fn schedule(&mut self, start: u64, ids: &[RobotId]) {
+        self.rank = ids.iter().position(|&r| r == self.id);
+        self.start = start;
+        self.end = start + rank_walk_budget(self.n);
     }
 
-    fn subrounds_wanted(&self, round: u64) -> usize {
-        if round > self.snapshot_round {
-            2
-        } else {
-            1
-        }
+    fn end(&self) -> u64 {
+        self.end
     }
 
-    fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
-        if obs.round == self.snapshot_round && self.run.is_none() && obs.subround == 0 {
-            // Snapshot of *claimed* IDs: duplicates collapse; every honest
-            // robot records the identical set.
-            self.ids = snapshot_ids(obs.roster);
-            let (a, b) = partition2(&self.ids);
-            let t = self.threshold();
-            let spec = GroupRunSpec {
-                agents: a.into_iter().collect(),
-                token: b.into_iter().collect(),
-                instr_threshold: t,
-                presence_threshold: t,
-                vote_threshold: t,
-                start: self.snapshot_round + 1,
-                work: t2_work_budget(self.n),
-            };
-            self.walk_start = spec.end();
-            self.walk_end = self.walk_start + rank_walk_budget(self.n);
-            self.run = Some(GroupRun::new(spec, self.id, self.n));
-            return None;
-        }
-        if let Some(run) = self.run.as_mut() {
-            if run.active(obs.round) {
-                return run.act(obs);
-            }
-        }
-        if obs.round >= self.walk_start && self.walk_path.is_none() {
-            // Phase 2: rank dispersion. The robot of rank i settles at
-            // node v(i) of the agreed map's canonical node ordering.
-            let map = self
-                .run
-                .as_ref()
-                .and_then(|r| r.accepted())
-                .map(|f| f.to_graph());
-            let path = map
-                .and_then(|map| {
-                    let rank = self.ids.iter().position(|&r| r == self.id)?;
-                    if rank >= map.n() {
-                        return None;
-                    }
-                    shortest_path_ports(&map, 0, rank)
-                })
-                .unwrap_or_default();
-            self.walk_path = Some(path.into());
-        }
+    fn active(&self, round: u64) -> bool {
+        round >= self.start && round < self.end
+    }
+
+    fn subrounds(&self) -> usize {
+        2
+    }
+
+    fn running(&self) -> bool {
+        self.path.is_some()
+    }
+
+    fn start(&mut self, map: PortGraph) {
+        let path = self
+            .rank
+            .filter(|&rank| rank < map.n())
+            .and_then(|rank| shortest_path_ports(&map, 0, rank))
+            .unwrap_or_default();
+        self.path = Some(path.into());
+    }
+
+    fn act(&mut self, _obs: &Observation<'_, Msg>) -> Option<Msg> {
         None
     }
 
-    fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
-        if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
-                Some(p) => MoveChoice::Move(p),
-                None => MoveChoice::Stay,
-            };
+    fn decide_move(&mut self) -> MoveChoice {
+        match self.path.as_mut().and_then(|p| p.pop_front()) {
+            Some(p) => MoveChoice::Move(p),
+            None => MoveChoice::Stay,
         }
-        if let Some(run) = self.run.as_mut() {
-            if run.active(obs.round) {
-                return run.decide_move(obs.round, obs.degree);
-            }
-        }
-        if obs.round >= self.walk_start && obs.round < self.walk_end {
-            if let Some(p) = self.walk_path.as_mut().and_then(|p| p.pop_front()) {
-                return MoveChoice::Move(p);
-            }
-        }
-        MoveChoice::Stay
     }
 
-    fn terminated(&self) -> bool {
-        self.walk_end != u64::MAX && self.round_seen + 1 >= self.walk_end
-    }
-
-    fn idle_until(&self) -> Option<u64> {
-        if self.round_seen < self.snapshot_round && self.gather_script.is_empty() {
-            return Some(self.snapshot_round);
-        }
-        if let Some(run) = self.run.as_ref() {
-            if run.active(self.round_seen) {
-                return run.idle_until(self.round_seen);
-            }
-        }
-        // Walk phase: once the path is exhausted, idle to the phase's last
-        // round (acting there flips `terminated`, so the fast-forwarded
-        // round count equals the budget exactly).
-        if self.round_seen >= self.walk_start
-            && self.walk_path.as_ref().is_some_and(|p| p.is_empty())
-        {
-            return Some(self.walk_end.saturating_sub(1));
-        }
-        None
+    /// Once the path is used up, idle to the phase's last round (acting
+    /// there flips `terminated`, so the fast-forwarded round count equals
+    /// the budget exactly).
+    fn idle_until(&self, round: u64) -> Option<u64> {
+        (round >= self.start && self.path.as_ref().is_some_and(|p| p.is_empty()))
+            .then(|| self.end.saturating_sub(1))
     }
 }
 
@@ -238,10 +205,6 @@ impl TableRow for StrongRow {
         true
     }
 
-    fn round_budget(&self, plan: &Plan) -> u64 {
-        plan.gather_budget + 1 + group_run_len(plan.n) + rank_walk_budget(plan.n)
-    }
-
     fn phase_schedule(&self, plan: &Plan) -> Timeline {
         let mut t = Timeline::default();
         if plan.gather_budget > 0 {
@@ -254,9 +217,10 @@ impl TableRow for StrongRow {
     }
 
     fn build_controller(&self, plan: &Plan, i: usize) -> Box<dyn Controller<Msg>> {
-        Box::new(StrongController::new(
+        Box::new(GroupPhaseController::with_scheme(
             plan.ids[i],
             plan.n,
+            StrongScheme,
             plan.gather_script(i),
             plan.gather_budget,
         ))
@@ -269,9 +233,7 @@ mod tests {
 
     #[test]
     fn threshold_is_quarter_n() {
-        let c = StrongController::new(RobotId(1), 16, Vec::new(), 0);
-        assert_eq!(c.threshold(), 4);
-        let c = StrongController::new(RobotId(1), 3, Vec::new(), 0);
-        assert_eq!(c.threshold(), 1);
+        assert_eq!(StrongScheme::threshold(16), 4);
+        assert_eq!(StrongScheme::threshold(3), 1);
     }
 }

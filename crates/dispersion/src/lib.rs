@@ -11,7 +11,7 @@
 //! | [`algos::half`] | §3.1, Thms 2–3 | `f ≤ ⌊n/2−1⌋` weak, arbitrary/gathered, `Õ(n⁹)` / `O(n⁴)` |
 //! | [`algos::third`] | §3.2, Thm 4 | `f ≤ ⌊n/3−1⌋` weak, gathered, `O(n³)` |
 //! | [`algos::sqrt`] | §3.3, Thm 5 | `f = O(√n)` weak, arbitrary start, `Õ(n⁵·⁵)` — dedicated token-replication subsystem (design note below) |
-//! | [`algos::strong`] | §4, Thms 6–7 | `f ≤ ⌊n/4−1⌋` **strong**, gathered/arbitrary |
+//! | [`algos::strong`] | §4, Thms 6–7 | `f ≤ ⌊n/4−1⌋` **strong**, gathered/arbitrary — one group run, then a rank walk |
 //! | [`algos::baseline`] | §1.4 | non-Byzantine map-DFS baseline (k-robot capacity) |
 //! | [`algos::ring_opt`] | §2.2's predecessor \[34, 36\] | `Time-Opt-Ring-Dispersion`: `O(n)` on rings, `f ≤ n−1` weak |
 //! | [`impossibility`] | §5, Thm 8 | replay-adversary construction |
@@ -24,8 +24,9 @@
 //!   implemented in the row's own `algos::*` module: its name and paper
 //!   columns, `tolerance(n, k)` (the Table 1 bound at `k = n`, clamped to
 //!   what a `k`-robot roster sustains otherwise), its
-//!   [`registry::StartRequirement`], its graph `precondition`, the exact
-//!   `round_budget` of its phase timeline, and the controller factory.
+//!   [`registry::StartRequirement`], its graph `precondition`, its one
+//!   `phase_schedule` (whose end is the exact `round_budget`), and the
+//!   controller factory.
 //!   [`Algorithm::row`] is the registry lookup — the single place the enum
 //!   maps to behavior.
 //! * **[`runner::ScenarioSpec`]** — a fully serde-able description of one
@@ -74,8 +75,9 @@
 //! regime), the all-pairs [`pairing`] schedule (§3.1), agent/token drivers
 //! with quorum thresholds ([`token_roles`], §3.2–§4), majority voting
 //! over rooted canonical maps ([`mapvote`]), and the group-phase controller
-//! scaffold ([`algos::common::GroupPhaseController`]) the Theorem 4/5 rows
-//! instantiate. The [`adversaries`] module implements Byzantine
+//! scaffold ([`algos::common::GroupPhaseController`]) the Theorem 4–7 rows
+//! instantiate: Theorems 4–5 end in the DUM settle, Theorems 6–7 in the
+//! rank walk. The [`adversaries`] module implements Byzantine
 //! strategies; [`verify`] checks Definition 1.
 //!
 //! ## Design note: the §3.3 token-replication construction
@@ -103,10 +105,10 @@
 //!    (§5) run first-class.
 //!
 //! Because every boundary is derived from `n`, the gathering budget, and
-//! the snapshot, [`runner`] uses the phase machine's exact end
-//! ([`algos::sqrt::sqrt_round_budget`]) as the round budget — no guessed
-//! slack — and the bench layer checks the measured growth exponent against
-//! the paper's `Õ(n⁵·⁵)` band.
+//! the snapshot, the row's round budget is the phase machine's exact end
+//! (the end of [`algos::sqrt::sqrt_timeline`]) — no guessed slack — and the
+//! bench layer checks the measured growth exponent against the paper's
+//! `Õ(n⁵·⁵)` band.
 
 pub mod adversaries;
 pub mod algos;

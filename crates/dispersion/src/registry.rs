@@ -175,23 +175,18 @@ pub trait TableRow: Sync {
         plan.gather_budget
     }
 
-    /// The exact honest-termination round, derived from the row's phase
-    /// timeline. The engine's round cap adds a safety margin on top; the
-    /// registry-conformance suite asserts observed rounds equal this.
-    fn round_budget(&self, plan: &Plan) -> u64;
+    /// The run decomposed into the controller's named consecutive phases:
+    /// the one schedule the row states. The session layer hands it to the
+    /// telemetry recorder (per-phase counters/wall-clock) and folds it into
+    /// `RunMetrics::rounds_by_phase`; its end is the round budget.
+    fn phase_schedule(&self, plan: &Plan) -> Timeline;
 
-    /// The run's round budget decomposed into the controller's named
-    /// consecutive phases — the schedule the session layer hands to the
-    /// telemetry recorder (per-phase counters/wall-clock) and folds into
-    /// `RunMetrics::rounds_by_phase`. Must satisfy
-    /// `phase_schedule(plan).end() == round_budget(plan)` (pinned by the
-    /// registry conformance suite). The default is a single opaque
-    /// `"run"` phase; every Table 1 row overrides it with its real
-    /// decomposition.
-    fn phase_schedule(&self, plan: &Plan) -> Timeline {
-        let mut t = Timeline::default();
-        t.push("run", self.round_budget(plan));
-        t
+    /// The exact honest-termination round: the end of
+    /// [`TableRow::phase_schedule`]. The engine's round cap adds a safety
+    /// margin on top; the registry-conformance suite asserts observed
+    /// rounds equal this.
+    fn round_budget(&self, plan: &Plan) -> u64 {
+        self.phase_schedule(plan).end()
     }
 
     /// Build the honest controller for robot `i` of the plan.

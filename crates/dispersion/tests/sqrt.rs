@@ -4,7 +4,7 @@
 //! and property-based fault-free runs up to `n = 32`.
 
 use bd_dispersion::adversaries::AdversaryKind;
-use bd_dispersion::algos::sqrt::sqrt_round_budget;
+use bd_dispersion::algos::sqrt::sqrt_timeline;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec, StartConfig};
 use bd_dispersion::Session;
 use bd_gathering::route::gather_route;
@@ -135,9 +135,14 @@ fn sqrt_across_graph_families() {
 
 // ------------------------------------------------------ phase-derived budget
 
+/// The end of the Theorem 5 phase timeline: the row's round budget.
+fn sqrt_round_budget(n: usize, k: usize, f_bound: usize, gather_budget: u64) -> u64 {
+    sqrt_timeline(n, k, f_bound, gather_budget).end()
+}
+
 /// The runner's round budget for Theorem 5 is the exact phase-machine end:
-/// a fault-free run terminates at precisely `sqrt_round_budget` rounds —
-/// no `+64`-style fudge left anywhere.
+/// a fault-free run terminates at precisely the timeline's end — no
+/// `+64`-style fudge left anywhere.
 #[test]
 fn rounds_equal_phase_budget_exactly() {
     let n = 12;
