@@ -33,8 +33,10 @@
 //! deliberately disabled; the drill MUST fail, proving it detects a
 //! recovery path that stopped working), `--overhead-check` (interleaved
 //! A/B: puts through a disabled chaos handle vs an armed-but-quiet one;
-//! the injection points must cost nothing measurable when disabled).
+//! the injection points must cost nothing measurable when disabled). An
+//! unknown argument, or a flag value that does not parse, exits 2.
 
+use bd_bench::{arg_value, reject_unknown_flags};
 use bd_chaos::{Chaos, FaultPlan, SocketFault};
 use bd_dispersion::canon::SpecDigest;
 use bd_dispersion::runner::{Algorithm, Outcome, ScenarioSpec};
@@ -656,19 +658,19 @@ fn overhead_check() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        "chaos",
+        &args,
+        &["--quick", "--broken", "--overhead-check"],
+        &["--cycles", "--seed"],
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let broken = args.iter().any(|a| a == "--broken");
     if args.iter().any(|a| a == "--overhead-check") {
         overhead_check();
     }
-    let flag = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    let cycles = flag("--cycles").unwrap_or(if quick { 60 } else { 240 });
-    let seed = flag("--seed").unwrap_or(0xb0d5);
+    let cycles = arg_value(&args, "--cycles").unwrap_or(if quick { 60 } else { 240 });
+    let seed = arg_value(&args, "--seed").unwrap_or(0xb0d5);
 
     let mut failures: Vec<String> = Vec::new();
     let tally = journal_drill(cycles, seed, broken);

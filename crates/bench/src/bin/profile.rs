@@ -21,12 +21,16 @@
 //!   zero-overhead smoke.
 //!
 //! Usage: `cargo run --release -p bd-bench --bin profile [--quick] [--check] [--overhead-check]`
+//! (an unknown argument exits 2)
 
 // The counting allocator is the one place in the workspace that needs
 // `unsafe`: a `GlobalAlloc` impl forwarding to `System`.
 #![allow(unsafe_code)]
 
-use bd_bench::{bench_graph, run_spec_cell, starting_config, table1_batch, table1_sweeps, Cell};
+use bd_bench::{
+    bench_graph, reject_unknown_flags, run_spec_cell, starting_config, table1_batch,
+    table1_sweeps, Cell,
+};
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::Session;
 use bd_telemetry::{drain_engine_reports, EngineReport};
@@ -188,6 +192,12 @@ fn overhead_check() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        "profile",
+        &args,
+        &["--quick", "--check", "--overhead-check"],
+        &[],
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     if args.iter().any(|a| a == "--overhead-check") {

@@ -18,10 +18,11 @@
 //! export a Chrome trace-event JSONL file (batch → cell → phase tree).
 //!
 //! Usage: `cargo run --release -p bd-bench --bin series [--quick] [--store DIR] [--trace-out FILE] > series.jsonl`
+//! (an unknown argument exits 2)
 
 use bd_bench::{
     mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells,
-    store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
+    reject_unknown_flags, store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};
@@ -30,6 +31,7 @@ use serde_json::json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags("series", &args, &["--quick"], &["--store", "--trace-out"]);
     let quick = args.iter().any(|a| a == "--quick");
     let store = store_from_args("series", &args);
     let store = store.as_ref();

@@ -19,10 +19,11 @@
 //! phase tree; wrap with `jq -s .` for trace viewers).
 //!
 //! Usage: `cargo run --release -p bd-bench --bin table1 [--quick] [--store DIR] [--trace-out FILE]`
+//! (an unknown argument exits 2)
 
 use bd_bench::{
     mean_cost_estimate, mean_elapsed_micros, mean_rounds, store_from_args, success_rate,
-    table1_batch, table1_sweeps, trace_out_from_args,
+    reject_unknown_flags, table1_batch, table1_sweeps, trace_out_from_args,
 };
 use bd_dispersion::impossibility::replay_experiment;
 use bd_exploration::cost::fit_exponent;
@@ -30,6 +31,7 @@ use bd_graphs::generators::erdos_renyi_connected;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags("table1", &args, &["--quick"], &["--store", "--trace-out"]);
     let quick = args.iter().any(|a| a == "--quick");
     let store = store_from_args("table1", &args);
     let trace = trace_out_from_args("table1", &args);

@@ -1,80 +1,8 @@
-//! The paper's round-complexity formulas (Table 1) and our substrate's
-//! expected costs, for measured-vs-paper comparisons in benchmarks.
-//!
-//! All formulas return `f64` (they are asymptotic shapes, not exact counts);
-//! constants are taken as 1 unless the paper fixes them (e.g. the `4n⁴` of
-//! \[24\]'s gathering).
-
-/// `|Λ|` for an ID space `[1, n^c]`: bit length of the largest ID.
-pub fn id_length_bits(n: usize, c: u32) -> f64 {
-    ((n as f64).powi(c as i32)).log2().max(1.0)
-}
-
-/// The paper's worst-case exploration bound `X(n) = Õ(n^5)` (\[2, 45\]).
-pub fn paper_x_n(n: usize) -> f64 {
-    let n = n as f64;
-    n.powi(5) * n.log2().max(1.0)
-}
-
-/// Our substrate's exploration length: a shared-seed random walk of
-/// `Θ(n³ log n)` steps (see [`crate::walks::cover_walk_length`]).
-pub fn substrate_x_n(n: usize) -> f64 {
-    crate::walks::cover_walk_length(n) as f64
-}
-
-/// One token map-finding run plus return: the paper's `T₂ = O(n³)`.
-pub fn paper_t2(n: usize) -> f64 {
-    (n as f64).powi(3)
-}
-
-/// Theorem 1: polynomial(n) — dominated by quotient-graph construction,
-/// which \[16\] bounds by a (high-degree) polynomial; our substrate charges
-/// one exploration walk.
-pub fn paper_row1(n: usize) -> f64 {
-    substrate_x_n(n)
-}
-
-/// Theorem 2: `O(n⁴ |Λ_good| X(n))`, arbitrary start, `f <= n/2 - 1`.
-pub fn paper_row2(n: usize) -> f64 {
-    (n as f64).powi(4) * id_length_bits(n, 3) * paper_x_n(n)
-}
-
-/// Theorem 5: `O((f + |Λ_all|) X(n))`, arbitrary start, `f = O(sqrt n)`.
-pub fn paper_row3(n: usize, f: usize) -> f64 {
-    (f as f64 + id_length_bits(n, 3)) * paper_x_n(n)
-}
-
-/// Theorem 3: `O(n⁴)`, gathered, `f <= n/2 - 1`.
-pub fn paper_row4(n: usize) -> f64 {
-    (n as f64).powi(4)
-}
-
-/// Theorem 4: `O(n³)`, gathered, `f <= n/3 - 1`.
-pub fn paper_row5(n: usize) -> f64 {
-    (n as f64).powi(3)
-}
-
-/// Theorem 7: exponential(n), arbitrary start, strong Byzantine, f known.
-pub fn paper_row6(n: usize) -> f64 {
-    (2f64).powi(n.min(1000) as i32)
-}
-
-/// Theorem 6: `O(n³)`, gathered, strong Byzantine, `f <= n/4 - 1`.
-pub fn paper_row7(n: usize) -> f64 {
-    (n as f64).powi(3)
-}
-
-/// Maximum tolerated `f` per Table 1 row (1-indexed rows as printed).
-pub fn tolerance(row: usize, n: usize) -> usize {
-    match row {
-        1 => n.saturating_sub(1),
-        2 | 4 => (n / 2).saturating_sub(1),
-        3 => (n as f64).sqrt().floor() as usize,
-        5 => (n / 3).saturating_sub(1),
-        6 | 7 => (n / 4).saturating_sub(1),
-        _ => panic!("Table 1 has rows 1..=7"),
-    }
-}
+//! Growth-exponent fitting for measured-vs-paper comparisons: the bench
+//! layer fits each Table 1 row's measured rounds to `a · nᵇ` and checks `b`
+//! against the paper's running-time column. The paper's columns and
+//! tolerances themselves live on the row descriptors in `bd-dispersion`'s
+//! registry.
 
 /// Fit `rounds ~ a * n^b` over measured `(n, rounds)` points by least
 /// squares in log-log space; returns the exponent `b`. Used to compare the
@@ -101,25 +29,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tolerances_match_table1() {
-        assert_eq!(tolerance(1, 16), 15);
-        assert_eq!(tolerance(2, 16), 7);
-        assert_eq!(tolerance(3, 16), 4);
-        assert_eq!(tolerance(4, 16), 7);
-        assert_eq!(tolerance(5, 16), 4); // floor(16/3) - 1 = 4
-        assert_eq!(tolerance(6, 16), 3);
-        assert_eq!(tolerance(7, 16), 3);
-    }
-
-    #[test]
-    fn formulas_monotone_in_n() {
-        for f in [paper_x_n, paper_row2, paper_row4, paper_row5, paper_row7] {
-            assert!(f(8) < f(16));
-            assert!(f(16) < f(32));
-        }
-    }
-
-    #[test]
     fn fit_exponent_recovers_cubes() {
         let pts: Vec<(usize, f64)> = (3..30).map(|n| (n, 7.0 * (n as f64).powi(3))).collect();
         let b = fit_exponent(&pts);
@@ -130,11 +39,5 @@ mod tests {
     fn fit_exponent_handles_degenerate_input() {
         assert!(fit_exponent(&[]).is_nan());
         assert!(fit_exponent(&[(4, 100.0)]).is_nan());
-    }
-
-    #[test]
-    fn id_length_reasonable() {
-        // n = 16, c = 3: ids up to 4096, 12 bits.
-        assert!((id_length_bits(16, 3) - 12.0).abs() < 1e-9);
     }
 }

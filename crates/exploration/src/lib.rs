@@ -16,9 +16,8 @@
 //!   nodes from new ones. `O(n · m) ⊆ O(n³)` moves — the paper's `T₂`;
 //! * [`sim`] — an offline driver that runs the token explorer directly
 //!   against a graph (tests, calibration);
-//! * [`cost`] — the paper's round-complexity formulas (Table 1 columns) and
-//!   our substrate's expected costs, so benchmarks can print
-//!   measured-vs-paper columns side by side.
+//! * [`cost`] — the log-log growth-exponent fit the benchmarks use to
+//!   compare measured rounds with the paper's running-time column.
 
 pub mod cost;
 pub mod sim;

@@ -525,8 +525,8 @@ impl<M: Clone> Engine<M> {
         let local_round = round_now - *epoch_base;
         // Observability: `None` when disabled — every instrumentation site
         // below is a branch on this local `Option` and nothing more. Close
-        // any phase/window boundary reached (single compare; crossings are
-        // rare, and fast-forward jumps close several at once).
+        // any phase boundary reached (single compare; crossings are rare,
+        // and fast-forward jumps close several at once).
         let mut telem = telemetry.as_deref_mut();
         if let Some(t) = telem.as_mut() {
             if round_now >= t.next_mark {

@@ -3,11 +3,11 @@
 //! [`EngineCounters`] is a plain bag of `u64`s the engine increments
 //! directly (no atomics, no closures — the recorder is owned by exactly
 //! one engine on one thread). [`EngineTelemetry`] wraps the counters with
-//! phase-boundary and round-window snapshotting: the engine performs a
-//! single `round >= next_mark` compare per stepped round and calls
-//! [`EngineTelemetry::on_round`] only when a boundary is crossed, so the
-//! steady-state round stays branch-plus-increment cheap and allocates
-//! nothing (phase and window vectors are pre-sized at construction).
+//! phase-boundary snapshotting: the engine performs a single
+//! `round >= next_mark` compare per stepped round and calls
+//! [`EngineTelemetry::on_round`] only when a phase boundary is crossed, so
+//! the steady-state round stays branch-plus-increment cheap and allocates
+//! nothing (the phase vector is pre-sized at construction).
 //!
 //! Finished runs fold into an [`EngineReport`] and can be published to a
 //! process-global drain ([`publish_engine_report`] /
@@ -15,13 +15,6 @@
 
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Capacity of the per-round-window ring: only the most recent windows
-/// are retained, so arbitrarily long runs record in constant space.
-pub const WINDOW_RING_CAP: usize = 64;
-
-/// Default round-window length for [`EngineTelemetry`].
-pub const DEFAULT_WINDOW_LEN: u64 = 1024;
 
 /// The engine's observability counters. All fields are cumulative totals
 /// except the `*_hwm` high-water marks, which are running maxima.
@@ -105,21 +98,6 @@ impl EngineCounters {
         self.roster_hwm = self.roster_hwm.max(other.roster_hwm);
         self.bulletin_hwm = self.bulletin_hwm.max(other.bulletin_hwm);
     }
-
-    /// Update the arena high-water marks from current arena sizes. Called
-    /// once per stepped round (inside the telemetry branch only).
-    #[inline]
-    pub fn sample_arenas(&mut self, dirty: u64, roster: u64, bulletins: u64) {
-        if dirty > self.dirty_hwm {
-            self.dirty_hwm = dirty;
-        }
-        if roster > self.roster_hwm {
-            self.roster_hwm = roster;
-        }
-        if bulletins > self.bulletin_hwm {
-            self.bulletin_hwm = bulletins;
-        }
-    }
 }
 
 /// One closed phase of a run: the rounds it covered, the counter deltas
@@ -143,56 +121,8 @@ pub struct PhaseWindow {
     pub allocs: u64,
 }
 
-/// One round-window snapshot in the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSnap {
-    /// First round covered (inclusive).
-    pub start_round: u64,
-    /// End of the window (exclusive). Fast-forward jumps may fuse several
-    /// nominal windows into one wider snapshot.
-    pub end_round: u64,
-    /// Counter deltas accrued during the window.
-    pub counters: EngineCounters,
-}
-
-/// Fixed-capacity ring of the most recent round windows.
-#[derive(Debug)]
-struct WindowRing {
-    buf: Vec<WindowSnap>,
-    head: usize,
-    pushed: u64,
-}
-
-impl WindowRing {
-    fn new(cap: usize) -> Self {
-        WindowRing {
-            buf: Vec::with_capacity(cap),
-            head: 0,
-            pushed: 0,
-        }
-    }
-
-    fn push(&mut self, snap: WindowSnap) {
-        if self.buf.len() < self.buf.capacity() {
-            self.buf.push(snap);
-        } else {
-            self.buf[self.head] = snap;
-            self.head = (self.head + 1) % self.buf.len();
-        }
-        self.pushed += 1;
-    }
-
-    /// Retained snapshots, oldest first.
-    fn in_order(&self) -> Vec<WindowSnap> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
-/// The engine-owned recorder: cumulative counters plus phase and
-/// round-window snapshotting.
+/// The engine-owned recorder: cumulative counters plus phase
+/// snapshotting.
 ///
 /// The engine holds this as `Option<Box<EngineTelemetry>>` (None when
 /// recording is disabled) and, per stepped round, performs exactly one
@@ -205,8 +135,8 @@ impl WindowRing {
 pub struct EngineTelemetry {
     /// Cumulative counters — the engine increments these directly.
     pub counters: EngineCounters,
-    /// The next round at which [`EngineTelemetry::on_round`] must run
-    /// (minimum of the next phase and window boundaries).
+    /// The next round at which [`EngineTelemetry::on_round`] must run: the
+    /// end of the open phase.
     pub next_mark: u64,
     phases: Vec<(String, u64)>,
     next_phase: usize,
@@ -216,10 +146,6 @@ pub struct EngineTelemetry {
     phase_start_ts: u64,
     phase_start_allocs: u64,
     closed: Vec<PhaseWindow>,
-    window_len: u64,
-    next_window: u64,
-    window_mark: EngineCounters,
-    ring: WindowRing,
     started: Instant,
 }
 
@@ -229,18 +155,12 @@ impl EngineTelemetry {
     /// order. An empty schedule records a single `"run"` phase closed at
     /// [`finish`](EngineTelemetry::finish).
     pub fn new(phase_marks: Vec<(String, u64)>) -> Box<Self> {
-        Self::with_window_len(phase_marks, DEFAULT_WINDOW_LEN)
-    }
-
-    /// As [`EngineTelemetry::new`] with an explicit round-window length.
-    pub fn with_window_len(phase_marks: Vec<(String, u64)>, window_len: u64) -> Box<Self> {
-        let window_len = window_len.max(1);
         let now = Instant::now();
         let first_phase_end = phase_marks.first().map_or(u64::MAX, |&(_, end)| end);
         let closed = Vec::with_capacity(phase_marks.len() + 1);
         Box::new(EngineTelemetry {
             counters: EngineCounters::default(),
-            next_mark: first_phase_end.min(window_len),
+            next_mark: first_phase_end,
             phases: phase_marks,
             next_phase: 0,
             phase_mark: EngineCounters::default(),
@@ -249,15 +169,11 @@ impl EngineTelemetry {
             phase_start_ts: crate::spans::now_micros(),
             phase_start_allocs: crate::allocs(),
             closed,
-            window_len,
-            next_window: window_len,
-            window_mark: EngineCounters::default(),
-            ring: WindowRing::new(WINDOW_RING_CAP),
             started: now,
         })
     }
 
-    /// Close every phase and window boundary at or before `round`, then
+    /// Close every phase boundary at or before `round`, then
     /// recompute [`next_mark`](EngineTelemetry::next_mark). Call when
     /// `round >= next_mark` — including after fast-forward jumps, which
     /// may cross many boundaries in one step.
@@ -267,21 +183,10 @@ impl EngineTelemetry {
             self.close_phase(name, end);
             self.next_phase += 1;
         }
-        if self.next_window <= round {
-            let snap = WindowSnap {
-                start_round: self.next_window - self.window_len,
-                end_round: (round / self.window_len + 1) * self.window_len,
-                counters: self.counters.delta_since(&self.window_mark),
-            };
-            self.next_window = snap.end_round;
-            self.ring.push(snap);
-            self.window_mark = self.counters;
-        }
-        let phase_end = self
+        self.next_mark = self
             .phases
             .get(self.next_phase)
             .map_or(u64::MAX, |&(_, end)| end);
-        self.next_mark = phase_end.min(self.next_window);
     }
 
     fn close_phase(&mut self, name: String, end_round: u64) {
@@ -333,7 +238,6 @@ impl EngineTelemetry {
             wall_micros: self.started.elapsed().as_micros() as u64,
             total: self.counters,
             phases: self.closed,
-            windows: self.ring.in_order(),
         }
     }
 }
@@ -349,8 +253,6 @@ pub struct EngineReport {
     pub total: EngineCounters,
     /// Closed phases, in schedule order.
     pub phases: Vec<PhaseWindow>,
-    /// The most recent round windows (up to [`WINDOW_RING_CAP`]).
-    pub windows: Vec<WindowSnap>,
 }
 
 static REPORTS: Mutex<Vec<EngineReport>> = Mutex::new(Vec::new());
@@ -403,10 +305,9 @@ mod tests {
 
     #[test]
     fn jump_crosses_many_boundaries_at_once() {
-        let mut t =
-            EngineTelemetry::with_window_len(vec![("a".into(), 5), ("b".into(), 100_000)], 10);
+        let mut t = EngineTelemetry::new(vec![("a".into(), 5), ("b".into(), 100_000)]);
         bump(&mut t, 1);
-        // Fast-forward straight past phase "a" and thousands of windows.
+        // Fast-forward straight past phase "a".
         let landing = 99_999u64;
         assert!(landing >= t.next_mark);
         t.on_round(landing);
@@ -415,27 +316,6 @@ mod tests {
         assert_eq!(report.phases.len(), 2);
         assert_eq!(report.phases[0].counters.moves, 1);
         assert_eq!(report.phases[1].counters.moves, 1);
-        // The jump fused the skipped windows into one wide snapshot.
-        assert!(report.windows.len() <= WINDOW_RING_CAP);
-        let fused = report.windows[0];
-        assert_eq!(fused.start_round, 0);
-        assert_eq!(fused.end_round, 100_000);
-    }
-
-    #[test]
-    fn window_ring_keeps_most_recent() {
-        let mut ring = WindowRing::new(4);
-        for i in 0..10u64 {
-            ring.push(WindowSnap {
-                start_round: i,
-                end_round: i + 1,
-                counters: EngineCounters::default(),
-            });
-        }
-        let snaps = ring.in_order();
-        assert_eq!(snaps.len(), 4);
-        let starts: Vec<u64> = snaps.iter().map(|s| s.start_round).collect();
-        assert_eq!(starts, [6, 7, 8, 9]);
     }
 
     #[test]
@@ -468,13 +348,5 @@ mod tests {
         agg.absorb(&d);
         assert_eq!(agg.moves, 16);
         assert_eq!(agg.dirty_hwm, 7);
-    }
-
-    #[test]
-    fn arena_sampling_tracks_maxima() {
-        let mut c = EngineCounters::default();
-        c.sample_arenas(3, 10, 2);
-        c.sample_arenas(1, 20, 2);
-        assert_eq!((c.dirty_hwm, c.roster_hwm, c.bulletin_hwm), (3, 20, 2));
     }
 }

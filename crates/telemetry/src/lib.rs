@@ -6,8 +6,8 @@
 //!
 //! * [`counters`] — plain-`u64` engine counters ([`EngineCounters`])
 //!   accumulated into an engine-owned recorder ([`EngineTelemetry`]) that
-//!   snapshots per-phase and per-round-window deltas into a fixed-capacity
-//!   ring. The recorder is owned by one engine on one thread — no locks,
+//!   snapshots per-phase deltas. The recorder is owned by one engine on
+//!   one thread — no locks,
 //!   no allocation in the steady-state round — and finished reports are
 //!   published to a global drain for profilers.
 //! * [`spans`] — a batch → cell → phase span tree with monotonic
@@ -41,7 +41,7 @@ pub mod spans;
 
 pub use counters::{
     drain_engine_reports, publish_engine_report, EngineCounters, EngineReport, EngineTelemetry,
-    PhaseWindow, WindowSnap,
+    PhaseWindow,
 };
 pub use spans::{SpanEvent, SpanGuard};
 
