@@ -9,9 +9,10 @@
 //! * Phase 1 — one group map-finding run: lower half `A` agents, upper half
 //!   `B` the token, all thresholds `⌊n/4⌋`.
 //! * Phase 2 — **rank dispersion** (no DUM, no communication): the robots
-//!   order the `k` snapshot IDs; the robot of rank `i` walks to node `v(i)`
-//!   of the agreed map's deterministic node ordering and settles. `O(n³)`
-//!   rounds total, dominated by phase 1.
+//!   order the `k` snapshot IDs; the robot of rank `i` walks to node
+//!   `v(i mod n)` of the agreed map's deterministic node ordering and
+//!   settles, so a `k > n` roster places `⌈k/n⌉` robots per node (§5).
+//!   `O(n³)` rounds total, dominated by phase 1.
 //!
 //! Theorem 7 (arbitrary start) prepends the gathering substrate, which is
 //! immune to strong Byzantine robots by construction (DESIGN.md,
@@ -68,9 +69,9 @@ impl GroupScheme for StrongScheme {
 }
 
 /// Phase 2, rank dispersion: the robot of rank `i` in the snapshot walks
-/// from the gathering node to node `v(i)` of the agreed map's canonical
-/// node ordering and stays there. No messages; 2 sub-rounds a round, like
-/// the run before it.
+/// from the gathering node to node `v(i mod n)` of the agreed map's
+/// canonical node ordering and stays there. No messages; 2 sub-rounds a
+/// round, like the run before it.
 pub struct RankWalk {
     id: RobotId,
     n: usize,
@@ -117,11 +118,13 @@ impl GroupTail for RankWalk {
         self.path.is_some()
     }
 
+    /// Rank `i` targets map node `i mod map.n()`, so a `k > n` roster
+    /// spreads `⌈k/n⌉` robots per node instead of piling the surplus on
+    /// the gathering node.
     fn start(&mut self, map: PortGraph) {
         let path = self
             .rank
-            .filter(|&rank| rank < map.n())
-            .and_then(|rank| shortest_path_ports(&map, 0, rank))
+            .and_then(|rank| shortest_path_ports(&map, 0, rank % map.n()))
             .unwrap_or_default();
         self.path = Some(path.into());
     }
@@ -186,11 +189,12 @@ impl TableRow for StrongRow {
         "floor(n/4) - 1"
     }
 
-    /// `⌊n/4⌋ − 1`, additionally clamped to what the roster supports when
-    /// `k < n` (the `⌊n/4⌋` counting threshold must stay out of the
-    /// coalition's reach among the gathered robots).
+    /// `⌊n/4⌋ − 1`, so no forged quorum reaches the `⌊n/4⌋` threshold,
+    /// additionally clamped so the smaller ID-ordered half, `⌊k/2⌋`
+    /// robots, keeps `⌊n/4⌋` honest members when `k < n`. Both bounds
+    /// agree at `k = n`.
     fn tolerance(&self, n: usize, k: usize) -> usize {
-        (n.min(k) / 4).saturating_sub(1)
+        (n / 4).saturating_sub(1).min((k / 2).saturating_sub(n / 4))
     }
 
     fn start_requirement(&self) -> StartRequirement {
@@ -235,5 +239,17 @@ mod tests {
     fn threshold_is_quarter_n() {
         assert_eq!(StrongScheme::threshold(16), 4);
         assert_eq!(StrongScheme::threshold(3), 1);
+    }
+
+    #[test]
+    fn tolerance_keeps_the_smaller_half_at_quorum() {
+        // k = n: the Table 1 bound.
+        assert_eq!(STRONG_TH6.tolerance(16, 16), 3);
+        // k = n/2: halves of 4 leave no slack over the quorum of 4.
+        assert_eq!(STRONG_TH6.tolerance(16, 8), 0);
+        assert_eq!(STRONG_TH6.tolerance(16, 12), 2);
+        // k > n: the quorum bound alone.
+        assert_eq!(STRONG_TH6.tolerance(8, 16), 1);
+        assert_eq!(STRONG_TH7.tolerance(16, 20), 3);
     }
 }

@@ -3,7 +3,7 @@
 //! paths (`tests/sqrt.rs`), now pinned for `GatheredHalfTh3` and
 //! `GatheredThirdTh4` in both directions — `k > n` (robots share nodes up
 //! to the capacity) and `k < n` (standard capacity 1 with a partial
-//! roster).
+//! roster). The strong rank walk is pinned at `k = n/2` and `k = 2n`.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
@@ -143,6 +143,47 @@ fn third_th4_with_fewer_robots_than_nodes() {
         AdversaryKind::TokenHijacker,
         "th4 k<n",
     );
+}
+
+// ------------------------------------------------------- strong rows, k ≠ n
+
+/// Theorem 6 away from `k = n`, at the row's own tolerance, against
+/// several adversaries from both ends of the ID order. With `k = 2n` the
+/// robot of rank `i` walks to map node `i mod n`, so every node takes two
+/// honest robots; with `k = n/2` the tolerance keeps each ID-ordered half
+/// at the `⌊n/4⌋` quorum.
+#[test]
+fn strong_th6_disperses_at_half_and_double_n() {
+    let algo = Algorithm::StrongGatheredTh6;
+    for (n, k) in [(16, 8), (20, 10), (8, 16), (12, 24)] {
+        let g = asymmetric_graph(n, 5);
+        let session = Session::new(g);
+        let f = algo.row().tolerance(n, k);
+        for kind in [
+            AdversaryKind::StrongSpoofer,
+            AdversaryKind::TokenHijacker,
+            AdversaryKind::MapLiar,
+            AdversaryKind::Squatter,
+        ] {
+            for placement in [ByzPlacement::LowIds, ByzPlacement::HighIds] {
+                let label = format!("n={n} k={k} f={f} {kind:?} {placement:?}");
+                let spec = ScenarioSpec::gathered(algo, session.graph(), 0)
+                    .with_robots(k)
+                    .with_byzantine(f, kind)
+                    .with_placement(placement)
+                    .with_seed(1);
+                let out = session
+                    .run(&spec)
+                    .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+                assert!(
+                    out.dispersed,
+                    "{label}: not dispersed; violations {:?}",
+                    out.report.violations
+                );
+                assert_eq!(out.report.capacity, (k - f).div_ceil(n), "{label}");
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------- tolerance clamps
