@@ -28,8 +28,8 @@
 #![allow(unsafe_code)]
 
 use bd_bench::{
-    bench_graph, reject_unknown_flags, run_spec_cell, starting_config, table1_batch,
-    table1_sweeps, Cell,
+    bench_graph, reject_unknown_flags, run_spec_cell, starting_config, table1_batch, table1_sweeps,
+    Cell,
 };
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::Session;

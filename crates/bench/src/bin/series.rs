@@ -21,8 +21,9 @@
 //! (an unknown argument exits 2)
 
 use bd_bench::{
-    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells,
-    reject_unknown_flags, store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
+    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, reject_unknown_flags,
+    run_series_cells, store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args,
+    SeriesCoord,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};

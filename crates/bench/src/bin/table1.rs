@@ -22,8 +22,8 @@
 //! (an unknown argument exits 2)
 
 use bd_bench::{
-    mean_cost_estimate, mean_elapsed_micros, mean_rounds, store_from_args, success_rate,
-    reject_unknown_flags, table1_batch, table1_sweeps, trace_out_from_args,
+    mean_cost_estimate, mean_elapsed_micros, mean_rounds, reject_unknown_flags, store_from_args,
+    success_rate, table1_batch, table1_sweeps, trace_out_from_args,
 };
 use bd_dispersion::impossibility::replay_experiment;
 use bd_exploration::cost::fit_exponent;
