@@ -267,11 +267,11 @@ pub trait GroupTail: Send {
     /// Sub-rounds an active round needs.
     fn subrounds(&self) -> usize;
 
-    /// Whether [`GroupTail::start`] has run.
+    /// Whether [`GroupTail::begin`] has run.
     fn running(&self) -> bool;
 
     /// Start from the gathering node (map node 0) on `map`.
-    fn start(&mut self, map: PortGraph);
+    fn begin(&mut self, map: PortGraph);
 
     /// Sub-round handler (call only while [`GroupTail::active`]).
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg>;
@@ -362,7 +362,7 @@ impl GroupTail for SettlePhase {
     }
 
     /// Start the machine with the phase's capacity.
-    fn start(&mut self, map: PortGraph) {
+    fn begin(&mut self, map: PortGraph) {
         self.machine = Some(DumMachine::with_capacity(self.id, map, 0, self.capacity()));
     }
 
@@ -508,7 +508,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
                         // verifier reports the failure.
                         PortGraph::from_adjacency(vec![vec![]]).expect("trivial map")
                     });
-                self.tail.start(map);
+                self.tail.begin(map);
             }
             return self.tail.act(obs);
         }

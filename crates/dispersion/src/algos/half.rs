@@ -224,7 +224,7 @@ impl Controller<Msg> for HalfController {
                         // report the failure.
                         PortGraph::from_adjacency(vec![vec![]]).expect("trivial map")
                     });
-                self.settle.start(map);
+                self.settle.begin(map);
             }
             return self.settle.act(obs);
         }

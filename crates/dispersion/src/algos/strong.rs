@@ -41,7 +41,7 @@ pub struct StrongScheme;
 
 impl StrongScheme {
     /// The counting threshold for instructions, presence and votes.
-    pub fn threshold(n: usize) -> usize {
+    fn threshold(n: usize) -> usize {
         (n / 4).max(1)
     }
 }
@@ -121,7 +121,7 @@ impl GroupTail for RankWalk {
     /// Rank `i` targets map node `i mod map.n()`, so a `k > n` roster
     /// spreads `⌈k/n⌉` robots per node instead of piling the surplus on
     /// the gathering node.
-    fn start(&mut self, map: PortGraph) {
+    fn begin(&mut self, map: PortGraph) {
         let path = self
             .rank
             .and_then(|rank| shortest_path_ports(&map, 0, rank % map.n()))
