@@ -1,10 +1,14 @@
-//! Shared pieces of the group-based algorithms (§3.2–§4): roster snapshots,
-//! group partitions, the [`GroupRun`] driver for one group map-finding run
-//! with quorum thresholds, the capacity-aware [`SettlePhase`] DUM tail, and
-//! the [`GroupPhaseController`] scaffold (gather → snapshot → sequential
-//! group runs → tail) that the Theorem 4–7 controllers instantiate through
-//! a [`GroupScheme`]. The scheme picks its [`GroupTail`] statically:
-//! [`SettlePhase`] for Theorems 4–5, the rank walk for Theorems 6–7.
+//! Shared pieces of the map-finding algorithms (§3.1–§4): roster
+//! snapshots, group partitions, the [`GroupRun`] driver for one group
+//! map-finding run with trust thresholds and a [`VoteRule`], the
+//! capacity-aware [`SettlePhase`] DUM tail, and the
+//! [`GroupPhaseController`] scaffold (gather → snapshot → sequential group
+//! runs → tail) that the Theorem 2–7 controllers instantiate through a
+//! [`GroupScheme`]. Theorems 4–7 vote by quorum near the end of each run;
+//! §3.1's pairings (Theorems 2–3) are runs with groups of one, where each
+//! agent keeps its own map. The scheme picks its [`GroupTail`]
+//! statically: [`SettlePhase`] for Theorems 2–5, the rank walk for
+//! Theorems 6–7.
 
 use crate::dum::DumMachine;
 use crate::mapvote::quorum_map;
@@ -42,6 +46,18 @@ pub fn partition2(ids: &[RobotId]) -> (Vec<RobotId>, Vec<RobotId>) {
     (ids[..half].to_vec(), ids[half..].to_vec())
 }
 
+/// How a run's agents settle on the map the run yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VoteRule {
+    /// The run's second-to-last round is a vote round: agents publish
+    /// their maps, and everyone accepts the map at least this many
+    /// distinct agents voted for (§3.2, §4). The last round is slack.
+    Quorum(usize),
+    /// No vote round and no `MapVote`: an agent keeps the map it built
+    /// (§3.1's pairings, where each robot votes over its own runs).
+    OwnMap,
+}
+
 /// Parameters of one group map-finding run.
 #[derive(Debug, Clone)]
 pub struct GroupRunSpec {
@@ -53,13 +69,15 @@ pub struct GroupRunSpec {
     pub instr_threshold: usize,
     /// Distinct token IDs required for the agent to sense the token.
     pub presence_threshold: usize,
-    /// Distinct agent IDs required to accept the voted map.
-    pub vote_threshold: usize,
+    /// How the run's map is chosen.
+    pub vote: VoteRule,
     /// Absolute round the run starts.
     pub start: u64,
-    /// Work budget `B`; the run occupies `[start, start + 2B + 2)`:
-    /// construction, return, one vote round, one slack round.
+    /// Work budget: construction stops at `start + work` and everyone
+    /// heads home.
     pub work: u64,
+    /// First round after the run.
+    pub end: u64,
 }
 
 impl GroupRunSpec {
@@ -68,14 +86,14 @@ impl GroupRunSpec {
         self.start + self.work
     }
 
-    /// The single round in which map votes are published and read.
-    pub fn vote_round(&self) -> u64 {
-        self.start + 2 * self.work
-    }
-
-    /// First round after the run.
-    pub fn end(&self) -> u64 {
-        self.start + 2 * self.work + 2
+    /// First round after construction and the walk home: the vote round
+    /// under [`VoteRule::Quorum`], the run's end under
+    /// [`VoteRule::OwnMap`].
+    pub fn walk_end(&self) -> u64 {
+        match self.vote {
+            VoteRule::Quorum(_) => self.end - 2,
+            VoteRule::OwnMap => self.end,
+        }
     }
 }
 
@@ -95,9 +113,10 @@ pub struct GroupRun {
     n: usize,
     role: Option<RunRole>,
     deadline_handled: bool,
-    /// The map this robot built (agents only).
+    /// The map this robot built (quorum-voting agents only).
     my_form: Option<CanonicalForm>,
-    /// The map accepted by quorum at the vote round.
+    /// The map the run yields: accepted by quorum at the vote round, or,
+    /// under [`VoteRule::OwnMap`], the agent's own once the run finished.
     accepted: Option<CanonicalForm>,
     vote_done: bool,
 }
@@ -119,12 +138,17 @@ impl GroupRun {
 
     /// Whether `round` falls inside this run.
     pub fn active(&self, round: u64) -> bool {
-        round >= self.spec.start && round < self.spec.end()
+        round >= self.spec.start && round < self.spec.end
     }
 
-    /// The quorum-accepted map, available after the vote round.
-    pub fn accepted(&self) -> Option<&CanonicalForm> {
-        self.accepted.as_ref()
+    /// Close the run after its last round: under [`VoteRule::OwnMap`] an
+    /// agent's map becomes the run's result. The role and its walk logs
+    /// are dropped.
+    fn finish(&mut self) {
+        if let (VoteRule::OwnMap, Some(RunRole::Agent(a))) = (self.spec.vote, &mut self.role) {
+            self.accepted = a.take_result().map(|m| canonical_form(&m, 0));
+        }
+        self.role = None;
     }
 
     /// Sub-round handler; call for every sub-round of every active round.
@@ -138,14 +162,14 @@ impl GroupRun {
                 RunRole::Agent(AgentDriver::new(
                     obs.degree,
                     self.n,
-                    TokenSpec::Group {
+                    TokenSpec {
                         members: self.spec.token.clone(),
                         presence_threshold: self.spec.presence_threshold,
                     },
                 ))
             } else if self.spec.token.contains(&self.me) {
                 RunRole::Token(TokenFollower::with_timeout(
-                    InstructionSpec::Group {
+                    InstructionSpec {
                         members: self.spec.agents.clone(),
                         threshold: self.spec.instr_threshold,
                     },
@@ -166,8 +190,24 @@ impl GroupRun {
                 RunRole::Bystander => {}
             }
         }
+        // Working / returning rounds.
+        if obs.round < self.spec.walk_end() {
+            match self.role.as_mut().expect("role set") {
+                RunRole::Agent(a) => {
+                    if obs.subround == 0 {
+                        return a.act(obs);
+                    }
+                }
+                RunRole::Token(t) => return t.act(obs),
+                RunRole::Bystander => {}
+            }
+            return None;
+        }
         // Vote round: agents publish at sub-round 0; everyone reads at 1.
-        if obs.round == self.spec.vote_round() {
+        let VoteRule::Quorum(threshold) = self.spec.vote else {
+            return None;
+        };
+        if obs.round == self.spec.walk_end() {
             if obs.subround == 0 {
                 if let RunRole::Agent(a) = self.role.as_mut().expect("role set") {
                     if self.my_form.is_none() {
@@ -187,33 +227,21 @@ impl GroupRun {
                         _ => None,
                     })
                     .collect();
-                self.accepted = quorum_map(&votes, &self.spec.agents, self.spec.vote_threshold);
-            }
-            return None;
-        }
-        // Working / returning rounds.
-        if obs.round < self.spec.vote_round() {
-            match self.role.as_mut().expect("role set") {
-                RunRole::Agent(a) => {
-                    if obs.subround == 0 {
-                        return a.act(obs);
-                    }
-                }
-                RunRole::Token(t) => return t.act(obs),
-                RunRole::Bystander => {}
+                self.accepted = quorum_map(&votes, &self.spec.agents, threshold);
             }
         }
         None
     }
 
     /// Idleness hint: once this robot has nothing left to do in the run,
-    /// it can sleep until the vote round (or the run's end after voting).
+    /// it can sleep until the vote round (or the run's end after voting,
+    /// or when there is no vote round).
     pub fn idle_until(&self, round: u64) -> Option<u64> {
         if !self.active(round) {
             return None;
         }
         if self.vote_done {
-            return Some(self.spec.end());
+            return Some(self.spec.end);
         }
         let finished = match &self.role {
             Some(RunRole::Agent(a)) => a.finished(),
@@ -221,8 +249,8 @@ impl GroupRun {
             Some(RunRole::Bystander) => true,
             None => false,
         };
-        if finished && self.spec.vote_round() > round + 1 {
-            return Some(self.spec.vote_round());
+        if finished && self.spec.walk_end() > round + 1 {
+            return Some(self.spec.walk_end());
         }
         None
     }
@@ -230,7 +258,7 @@ impl GroupRun {
     /// End-of-round move for active rounds. `degree` is the physical degree
     /// of the robot's current node (for divergence detection).
     pub fn decide_move(&mut self, round: u64, degree: usize) -> MoveChoice {
-        if !self.active(round) || round >= self.spec.vote_round() {
+        if !self.active(round) || round >= self.spec.walk_end() {
             return MoveChoice::Stay;
         }
         match self.role.as_mut() {
@@ -377,28 +405,30 @@ impl GroupTail for SettlePhase {
     }
 }
 
-/// How a group-based row turns the roster snapshot into its run schedule,
-/// the per-run votes into the map its tail starts on, and which tail runs.
-/// Implemented by the Theorem 4 scheme (three ID-ordered thirds, 2-of-3
-/// majority), the Theorem 5 scheme (`2f+1` helper groups,
-/// Byzantine-majority reconciliation) and the Theorem 6–7 scheme (one run
-/// over ID-ordered halves, rank walk); [`GroupPhaseController`] supplies
-/// everything else.
+/// How a map-finding row turns the roster snapshot into its run schedule,
+/// the per-run maps into the map its tail starts on, and which tail runs.
+/// Implemented by the Theorem 2–3 scheme (two one-robot runs per pairing
+/// window, majority over the robot's own maps), the Theorem 4 scheme
+/// (three ID-ordered thirds, 2-of-3 majority), the Theorem 5 scheme
+/// (`2f+1` helper groups, Byzantine-majority reconciliation) and the
+/// Theorem 6–7 scheme (one run over ID-ordered halves, rank walk);
+/// [`GroupPhaseController`] supplies everything else.
 pub trait GroupScheme: Send {
     /// The phase after the runs.
     type Tail: GroupTail;
 
-    /// Build the sequential run specs from the sorted snapshot `ids`, the
-    /// graph size, and the absolute round the first run starts.
+    /// Build the sequential, non-overlapping run specs from the sorted
+    /// snapshot `ids`, the graph size, and the absolute round the first
+    /// run starts.
     fn plan_runs(&mut self, ids: &[RobotId], n: usize, first_start: u64) -> Vec<GroupRunSpec>;
 
-    /// Pick the tail's map from the per-run quorum-accepted forms.
+    /// Pick the tail's map from the maps the runs yielded, in run order.
     /// `None` degrades to a trivial single-node map (possible only beyond
     /// tolerance; the verifier reports the failure).
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm>;
 }
 
-/// The shared controller scaffold of the group-based rows: walk the gather
+/// The shared controller scaffold of the map-finding rows: walk the gather
 /// script (if any), snapshot the roster, drive the scheme's sequential
 /// [`GroupRun`]s, then run the scheme's tail.
 pub struct GroupPhaseController<S: GroupScheme> {
@@ -408,13 +438,18 @@ pub struct GroupPhaseController<S: GroupScheme> {
     gather_script: VecDeque<Port>,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
+    /// Index of the first run not yet over; rounds only move forward, so
+    /// the active run is found without a search.
+    cursor: usize,
     tail: S::Tail,
     round_seen: u64,
 }
 
 impl<S: GroupScheme> GroupPhaseController<S> {
-    /// `gather_script` empty means a gathered start; otherwise the robot's
-    /// gathering route with the shared `gather_budget`.
+    /// The robot walks its `gather_script` in the shared gathering phase
+    /// `[0, gather_budget)` and snapshots the roster at round
+    /// `gather_budget` (round 0 for a gathered start: empty script, zero
+    /// budget).
     pub fn with_scheme(
         id: RobotId,
         n: usize,
@@ -422,18 +457,14 @@ impl<S: GroupScheme> GroupPhaseController<S> {
         gather_script: Vec<Port>,
         gather_budget: u64,
     ) -> Self {
-        let snapshot_round = if gather_script.is_empty() {
-            0
-        } else {
-            gather_budget
-        };
         GroupPhaseController {
             id,
             n,
             scheme,
             gather_script: gather_script.into(),
-            snapshot_round,
+            snapshot_round: gather_budget,
             runs: Vec::new(),
+            cursor: 0,
             tail: S::Tail::pending(id, n),
             round_seen: 0,
         }
@@ -445,12 +476,27 @@ impl<S: GroupScheme> GroupPhaseController<S> {
     pub fn snapshot(&mut self, ids: &[RobotId]) {
         let first_start = self.snapshot_round + 1;
         let specs = self.scheme.plan_runs(ids, self.n, first_start);
-        let tail_start = specs.last().map_or(first_start, |s| s.end());
+        let tail_start = specs.last().map_or(first_start, |s| s.end);
         self.tail.schedule(tail_start, ids);
         self.runs = specs
             .into_iter()
             .map(|spec| GroupRun::new(spec, self.id, self.n))
             .collect();
+        self.cursor = 0;
+    }
+
+    /// The run active at `round`, after finishing every run that ended
+    /// before it.
+    fn run_at(&mut self, round: u64) -> Option<&mut GroupRun> {
+        while let Some(run) = self
+            .runs
+            .get_mut(self.cursor)
+            .filter(|r| r.spec.end <= round)
+        {
+            run.finish();
+            self.cursor += 1;
+        }
+        self.runs.get_mut(self.cursor).filter(|r| r.active(round))
     }
 
     /// The scheme driving this controller.
@@ -491,12 +537,12 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
             self.snapshot(&ids);
             return None;
         }
-        if let Some(run) = self.runs.iter_mut().find(|r| r.active(obs.round)) {
+        if let Some(run) = self.run_at(obs.round) {
             return run.act(obs);
         }
         if self.tail.active(obs.round) {
             if !self.tail.running() {
-                let votes: Vec<_> = self.runs.iter().map(|r| r.accepted().cloned()).collect();
+                let votes: Vec<_> = self.runs.iter_mut().map(|r| r.accepted.take()).collect();
                 let map = self
                     .scheme
                     .choose_map(&votes)
@@ -523,7 +569,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
                 None => MoveChoice::Stay,
             };
         }
-        if let Some(run) = self.runs.iter_mut().find(|r| r.active(obs.round)) {
+        if let Some(run) = self.run_at(obs.round) {
             return run.decide_move(obs.round, obs.degree);
         }
         if self.tail.active(obs.round) {
@@ -540,9 +586,10 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         if self.round_seen < self.snapshot_round && self.gather_script.is_empty() {
             return Some(self.snapshot_round);
         }
-        match self.runs.iter().find(|r| r.active(self.round_seen)) {
-            Some(run) => run.idle_until(self.round_seen),
-            None => self.tail.idle_until(self.round_seen),
+        let round = self.round_seen;
+        match self.runs.get(self.cursor).filter(|r| r.active(round)) {
+            Some(run) => run.idle_until(round),
+            None => self.tail.idle_until(round),
         }
     }
 }
@@ -585,12 +632,17 @@ mod tests {
             token: Default::default(),
             instr_threshold: 1,
             presence_threshold: 1,
-            vote_threshold: 1,
+            vote: VoteRule::Quorum(1),
             start: 100,
             work: 50,
+            end: 202,
         };
         assert_eq!(spec.work_deadline(), 150);
-        assert_eq!(spec.vote_round(), 200);
-        assert_eq!(spec.end(), 202);
+        assert_eq!(spec.walk_end(), 200);
+        let own = GroupRunSpec {
+            vote: VoteRule::OwnMap,
+            ..spec
+        };
+        assert_eq!(own.walk_end(), 202);
     }
 }

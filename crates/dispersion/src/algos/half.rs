@@ -11,280 +11,72 @@
 //! * Phase 3 — the capacity-aware `Dispersion-Using-Map` settle
 //!   ([`crate::algos::common::SettlePhase`]) from the gathering node, so
 //!   `k ≠ n` rosters run first-class (§5's `⌈k/n⌉` regime).
+//!
+//! A pairing is §3.2's group run with groups of one: a lone agent, a lone
+//! token, trust thresholds of 1, and the agent's own map as its vote
+//! ([`VoteRule::OwnMap`]). So both rows run on the shared
+//! [`GroupPhaseController`]; this module contributes the window layout
+//! ([`PairScheme`]) and the majority.
 
-use crate::algos::common::{GroupTail, SettlePhase};
+use crate::algos::common::{
+    GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase, VoteRule,
+};
 use crate::mapvote::majority_map;
 use crate::msg::Msg;
-use crate::pairing::{pairing_schedule, PairingSchedule};
+use crate::pairing::pairing_schedule;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, pair_window_len, t2_work_budget, Timeline};
-use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
-use bd_graphs::canonical::canonical_form;
-use bd_graphs::{CanonicalForm, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
-use std::collections::VecDeque;
+use bd_graphs::CanonicalForm;
+use bd_runtime::{Controller, RobotId};
 
-enum WindowRole {
-    Agent(AgentDriver),
-    Token(TokenFollower),
-    Idle,
+/// The Theorem 2–3 [`GroupScheme`] for robot `me`. Pairing window `w`
+/// spans `[ws, ws + 4W + 8)` with `W = t2_work_budget(n)`. With partner
+/// `p` it is two runs: the smaller ID is the agent in `[ws, ws + 2W)`,
+/// then the roles swap in `[ws + 2W, ws + 4W + 8)`, which absorbs the
+/// window's slack. A dummy window is one run with empty groups, so the
+/// robot idles it out as a bystander.
+pub struct PairScheme {
+    /// The robot whose windows the scheme lays out.
+    pub me: RobotId,
 }
 
-/// Controller for Theorems 2 (with a gather script) and 3 (gathered start).
-pub struct HalfController {
-    id: RobotId,
-    n: usize,
-    /// Gathering walk (empty for Theorem 3).
-    gather_script: VecDeque<Port>,
-    /// Round at which gathering ends and the roster snapshot happens.
-    snapshot_round: u64,
-    /// Set at the snapshot round.
-    schedule: Option<PairingSchedule>,
-    pairing_start: u64,
-    pairing_end: u64,
-    window_len: u64,
-    /// Window currently being executed.
-    cur_window: u64,
-    cur_partner: Option<RobotId>,
-    role: WindowRole,
-    run_index: u8,
-    deadline_handled: bool,
-    /// One vote per agent run.
-    votes: Vec<Option<CanonicalForm>>,
-    settle: SettlePhase,
-    round_seen: u64,
-}
+impl GroupScheme for PairScheme {
+    type Tail = SettlePhase;
 
-impl HalfController {
-    /// `gather_script` empty means a gathered start (Theorem 3); otherwise
-    /// it is the robot's precomputed gathering route and `gather_budget`
-    /// the shared phase budget (Theorem 2).
-    pub fn new(id: RobotId, n: usize, gather_script: Vec<Port>, gather_budget: u64) -> Self {
-        let snapshot_round = if gather_script.is_empty() {
-            0
-        } else {
-            gather_budget
+    fn plan_runs(&mut self, ids: &[RobotId], n: usize, first_start: u64) -> Vec<GroupRunSpec> {
+        let schedule = pairing_schedule(ids);
+        let work = t2_work_budget(n);
+        let window_len = pair_window_len(n);
+        let run = |agents: &[RobotId], token: &[RobotId], start: u64, end: u64| GroupRunSpec {
+            agents: agents.iter().copied().collect(),
+            token: token.iter().copied().collect(),
+            instr_threshold: 1,
+            presence_threshold: 1,
+            vote: VoteRule::OwnMap,
+            start,
+            work,
+            end,
         };
-        HalfController {
-            id,
-            n,
-            gather_script: gather_script.into(),
-            snapshot_round,
-            schedule: None,
-            pairing_start: snapshot_round + 1,
-            pairing_end: u64::MAX,
-            window_len: pair_window_len(n),
-            cur_window: u64::MAX,
-            cur_partner: None,
-            role: WindowRole::Idle,
-            run_index: 0,
-            deadline_handled: false,
-            votes: Vec::new(),
-            settle: SettlePhase::pending(id, n),
-            round_seen: 0,
-        }
-    }
-
-    fn in_pairing(&self, round: u64) -> bool {
-        self.schedule.is_some() && round >= self.pairing_start && round < self.pairing_end
-    }
-
-    /// Handle window transitions and intra-window sub-phases at sub-round 0.
-    fn pairing_act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        let offset_total = obs.round - self.pairing_start;
-        let window = offset_total / self.window_len;
-        let offset = offset_total % self.window_len;
-        let work = t2_work_budget(self.n);
-
-        if window != self.cur_window && obs.subround == 0 {
-            // Entering a new window: harvest the previous agent run, reset.
-            self.harvest_agent_run();
-            self.cur_window = window;
-            self.cur_partner = self
-                .schedule
-                .as_ref()
-                .expect("schedule set")
-                .partner_in(self.id, window);
-            self.role = WindowRole::Idle;
-            self.run_index = 0;
-            self.deadline_handled = false;
-        }
-        let Some(partner) = self.cur_partner else {
-            return None; // dummy slot: idle out the window
-        };
-
-        // Sub-phase boundaries: run 1 [0, W), return [W, 2W), run 2
-        // [2W, 3W), return [3W, 4W), slack afterwards.
-        if offset == 0 && obs.subround == 0 && self.run_index == 0 {
-            self.run_index = 1;
-            self.deadline_handled = false;
-            self.role = if self.id < partner {
-                WindowRole::Agent(AgentDriver::new(
-                    obs.degree,
-                    self.n,
-                    TokenSpec::Partner(partner),
-                ))
-            } else {
-                WindowRole::Token(TokenFollower::with_timeout(
-                    InstructionSpec::Partner(partner),
-                    8 * self.n as u64 + 16,
-                ))
-            };
-        }
-        if offset == 2 * work && obs.subround == 0 && self.run_index == 1 {
-            self.harvest_agent_run();
-            self.run_index = 2;
-            self.deadline_handled = false;
-            // Roles swap for the second run.
-            self.role = if self.id > partner {
-                WindowRole::Agent(AgentDriver::new(
-                    obs.degree,
-                    self.n,
-                    TokenSpec::Partner(partner),
-                ))
-            } else {
-                WindowRole::Token(TokenFollower::with_timeout(
-                    InstructionSpec::Partner(partner),
-                    8 * self.n as u64 + 16,
-                ))
-            };
-        }
-        // Work deadlines at W (run 1) and 3W (run 2).
-        let deadline = if self.run_index == 1 { work } else { 3 * work };
-        if offset >= deadline && !self.deadline_handled && obs.subround == 0 {
-            self.deadline_handled = true;
-            match &mut self.role {
-                WindowRole::Agent(a) => a.abort(),
-                WindowRole::Token(t) => t.go_home(),
-                WindowRole::Idle => {}
+        let mut specs = Vec::new();
+        for w in 0..schedule.total_windows {
+            let ws = first_start + w * window_len;
+            let we = ws + window_len;
+            match schedule.partner_in(self.me, w) {
+                Some(p) => {
+                    let (lo, hi) = (self.me.min(p), self.me.max(p));
+                    specs.push(run(&[lo], &[hi], ws, ws + 2 * work));
+                    specs.push(run(&[hi], &[lo], ws + 2 * work, we));
+                }
+                None => specs.push(run(&[], &[], ws, we)),
             }
         }
-        // Drive the active role during its work segment.
-        let working = (self.run_index == 1 && offset < work)
-            || (self.run_index == 2 && (2 * work..3 * work).contains(&offset));
-        match &mut self.role {
-            WindowRole::Agent(a) if working && obs.subround == 0 => a.act(obs),
-            WindowRole::Agent(a) if obs.subround == 0 => {
-                // Return leg: keep logging arrivals for the reversal path.
-                a.act(obs)
-            }
-            WindowRole::Token(t) => t.act(obs),
-            _ => None,
-        }
+        specs
     }
 
-    fn harvest_agent_run(&mut self) {
-        if let WindowRole::Agent(a) = &mut self.role {
-            let vote = a.take_result().map(|m| canonical_form(&m, 0));
-            self.votes.push(vote);
-            self.role = WindowRole::Idle;
-        }
-    }
-}
-
-impl Controller<Msg> for HalfController {
-    fn id(&self) -> RobotId {
-        self.id
-    }
-
-    fn subrounds_wanted(&self, round: u64) -> usize {
-        if self.settle.active(round) {
-            self.settle.subrounds()
-        } else if self.in_pairing(round) {
-            2
-        } else {
-            1
-        }
-    }
-
-    fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
-        // Roster snapshot: derive the schedule and all later boundaries.
-        if obs.round == self.snapshot_round && self.schedule.is_none() && obs.subround == 0 {
-            let ids = crate::algos::common::snapshot_ids(obs.roster);
-            let schedule = pairing_schedule(&ids);
-            self.pairing_start = self.snapshot_round + 1;
-            self.pairing_end = self.pairing_start + schedule.total_windows * self.window_len;
-            self.settle.schedule(self.pairing_end, &ids);
-            self.schedule = Some(schedule);
-            return None;
-        }
-        if self.in_pairing(obs.round) {
-            return self.pairing_act(obs);
-        }
-        if self.settle.active(obs.round) {
-            if !self.settle.running() {
-                self.harvest_agent_run();
-                let map = majority_map(&self.votes)
-                    .map(|form| form.to_graph())
-                    .unwrap_or_else(|| {
-                        // No majority (possible only beyond tolerance):
-                        // degrade to a single-node map; the robot will sit
-                        // at the gathering node and the verifier will
-                        // report the failure.
-                        PortGraph::from_adjacency(vec![vec![]]).expect("trivial map")
-                    });
-                self.settle.begin(map);
-            }
-            return self.settle.act(obs);
-        }
-        None
-    }
-
-    fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
-        if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
-                Some(p) => MoveChoice::Move(p),
-                None => MoveChoice::Stay,
-            };
-        }
-        if self.in_pairing(obs.round) {
-            return match &mut self.role {
-                WindowRole::Agent(a) => a.decide_move(obs.degree),
-                WindowRole::Token(t) => t.decide_move(),
-                WindowRole::Idle => MoveChoice::Stay,
-            };
-        }
-        if self.settle.active(obs.round) {
-            return self.settle.decide_move();
-        }
-        MoveChoice::Stay
-    }
-
-    fn terminated(&self) -> bool {
-        self.settle.scheduled() && self.round_seen + 1 >= self.settle.end()
-    }
-
-    fn idle_until(&self) -> Option<u64> {
-        // Gathering done early: idle until the snapshot.
-        if self.round_seen < self.snapshot_round && self.gather_script.is_empty() {
-            return Some(self.snapshot_round);
-        }
-        // Inside a window: idle until the next sub-phase boundary when the
-        // robot has nothing left to do in the current one.
-        if self.in_pairing(self.round_seen) && self.cur_window != u64::MAX {
-            let window_start = self.pairing_start + self.cur_window * self.window_len;
-            let next_window = (window_start + self.window_len).min(self.pairing_end);
-            if self.cur_partner.is_none() {
-                return Some(next_window);
-            }
-            let work = t2_work_budget(self.n);
-            let boundary = if self.run_index <= 1 {
-                window_start + 2 * work
-            } else {
-                next_window
-            };
-            let finished = match &self.role {
-                WindowRole::Agent(a) => a.finished(),
-                WindowRole::Token(t) => t.finished(),
-                WindowRole::Idle => true,
-            };
-            if finished && boundary > self.round_seen + 1 {
-                return Some(boundary);
-            }
-        }
-        None
+    /// The plurality over the maps this robot built as agent; token and
+    /// dummy runs yield `None`, which never wins.
+    fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
+        majority_map(votes)
     }
 }
 
@@ -355,9 +147,10 @@ impl TableRow for HalfRow {
     }
 
     fn build_controller(&self, plan: &Plan, i: usize) -> Box<dyn Controller<Msg>> {
-        Box::new(HalfController::new(
+        Box::new(GroupPhaseController::with_scheme(
             plan.ids[i],
             plan.n,
+            PairScheme { me: plan.ids[i] },
             plan.gather_script(i),
             plan.gather_budget,
         ))
@@ -368,12 +161,78 @@ impl TableRow for HalfRow {
 mod tests {
     use super::*;
 
+    use bd_graphs::canonical::canonical_form;
+    use bd_graphs::generators::{path, ring};
+    use std::sync::Arc;
+
     #[test]
     fn boundaries_unset_before_snapshot() {
-        let c = HalfController::new(RobotId(1), 8, Vec::new(), 0);
+        let c = GroupPhaseController::with_scheme(
+            RobotId(1),
+            8,
+            PairScheme { me: RobotId(1) },
+            Vec::new(),
+            0,
+        );
         assert!(!c.terminated());
         assert_eq!(c.subrounds_wanted(0), 1);
-        assert!(!c.in_pairing(5));
+        assert!(c.runs().is_empty());
+    }
+
+    /// Every robot's runs tile the row's `pairing` phase exactly, and a
+    /// partnered run is the same run in both robots' layouts.
+    #[test]
+    fn pair_runs_tile_the_pairing_phase() {
+        let n = 8;
+        for (row, gather_budget) in [(&HALF_TH3, 0), (&HALF_TH2, 100)] {
+            for k in 1..=9u64 {
+                let ids: Vec<RobotId> = (1..=k).map(|i| RobotId(10 * i)).collect();
+                let plan = Plan {
+                    graph: Arc::new(ring(n).unwrap()),
+                    n,
+                    k: ids.len(),
+                    f: 0,
+                    ids: ids.clone(),
+                    honest: vec![true; ids.len()],
+                    starts: vec![0; ids.len()],
+                    gather_routes: None,
+                    gather_budget,
+                    seed: 0,
+                    prep: None,
+                };
+                let (start, end) = row.phase_schedule(&plan).phase("pairing").unwrap();
+                assert_eq!(start, gather_budget + 1);
+                let layout = |me| PairScheme { me }.plan_runs(&ids, n, gather_budget + 1);
+                for &me in &ids {
+                    let runs = layout(me);
+                    let mut at = start;
+                    for run in &runs {
+                        assert_eq!(run.start, at, "k={k} {me:?}: gap or overlap");
+                        at = run.end;
+                        if let Some(&agent) = run.agents.first() {
+                            let token = *run.token.first().unwrap();
+                            let other = if agent == me { token } else { agent };
+                            let mirrored = layout(other).into_iter().find(|r| r.start == run.start);
+                            let mirrored = mirrored.expect("partner has the run");
+                            assert_eq!(
+                                (mirrored.agents, mirrored.token),
+                                (run.agents.clone(), run.token.clone())
+                            );
+                            assert_eq!(mirrored.end, run.end);
+                        }
+                    }
+                    assert_eq!(at, end, "k={k} {me:?}: last run ends off the pairing end");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn choose_map_takes_the_majority_not_the_first_map() {
+        let a = canonical_form(&ring(5).unwrap(), 0);
+        let b = canonical_form(&path(5).unwrap(), 0);
+        let votes = [Some(b), None, Some(a.clone()), Some(a.clone())];
+        assert_eq!(PairScheme { me: RobotId(1) }.choose_map(&votes), Some(a));
     }
 
     #[test]

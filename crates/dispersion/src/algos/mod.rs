@@ -1,7 +1,8 @@
 //! The paper's algorithms, one module per Table 1 family. Each module
 //! contributes its controller **and** its [`crate::registry::TableRow`]
 //! descriptor; shared scaffolding (group runs, the settle phase, the
-//! group-phase controller) lives in [`common`].
+//! group-phase controller every map-finding row from Theorem 2 to 7 runs
+//! on) lives in [`common`].
 
 pub mod baseline;
 pub mod common;
@@ -14,7 +15,6 @@ pub mod third;
 
 pub use baseline::BaselineController;
 pub use common::{GroupPhaseController, GroupScheme, GroupTail, SettlePhase};
-pub use half::HalfController;
 pub use quotient::QuotientController;
 pub use ring_opt::RingOptController;
 pub use sqrt::SqrtController;

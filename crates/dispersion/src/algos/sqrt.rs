@@ -33,7 +33,9 @@
 
 pub mod tokens;
 
-use crate::algos::common::{GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase};
+use crate::algos::common::{
+    GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase, VoteRule,
+};
 use crate::algos::sqrt::tokens::{
     helper_group_count, reconcile_maps, supported_f_bound, ReplicationPlan,
 };
@@ -109,14 +111,18 @@ impl GroupScheme for SqrtScheme {
         let quorum = plan.quorum();
         let run_len = group_run_len(n);
         let specs = (0..plan.num_runs())
-            .map(|j| GroupRunSpec {
-                agents: plan.agents_of(j).iter().copied().collect(),
-                token: plan.token_of(j).into_iter().collect(),
-                instr_threshold: quorum,
-                presence_threshold: quorum,
-                vote_threshold: quorum,
-                start: first_start + j as u64 * run_len,
-                work: t2_work_budget(n),
+            .map(|j| {
+                let start = first_start + j as u64 * run_len;
+                GroupRunSpec {
+                    agents: plan.agents_of(j).iter().copied().collect(),
+                    token: plan.token_of(j).into_iter().collect(),
+                    instr_threshold: quorum,
+                    presence_threshold: quorum,
+                    vote: VoteRule::Quorum(quorum),
+                    start,
+                    work: t2_work_budget(n),
+                    end: start + run_len,
+                }
             })
             .collect();
         self.plan = Some(plan);

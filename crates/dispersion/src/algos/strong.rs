@@ -24,7 +24,7 @@
 //! tail.
 
 use crate::algos::common::{
-    partition2, GroupPhaseController, GroupRunSpec, GroupScheme, GroupTail,
+    partition2, GroupPhaseController, GroupRunSpec, GroupScheme, GroupTail, VoteRule,
 };
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
@@ -57,9 +57,10 @@ impl GroupScheme for StrongScheme {
             token: b.into_iter().collect(),
             instr_threshold: t,
             presence_threshold: t,
-            vote_threshold: t,
+            vote: VoteRule::Quorum(t),
             start: first_start,
             work: t2_work_budget(n),
+            end: first_start + group_run_len(n),
         }]
     }
 

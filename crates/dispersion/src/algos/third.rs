@@ -16,7 +16,7 @@
 //! contributes the run layout and the 2-of-3 majority.
 
 use crate::algos::common::{
-    partition3, GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase,
+    partition3, GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase, VoteRule,
 };
 use crate::mapvote::majority_map;
 use crate::msg::Msg;
@@ -46,14 +46,18 @@ impl GroupScheme for ThirdScheme {
         seats
             .into_iter()
             .enumerate()
-            .map(|(i, (agents, token))| GroupRunSpec {
-                agents: agents.into_iter().collect(),
-                token: token.into_iter().collect(),
-                instr_threshold: instr,
-                presence_threshold: presence,
-                vote_threshold: instr,
-                start: first_start + i as u64 * run_len,
-                work: t2_work_budget(n),
+            .map(|(i, (agents, token))| {
+                let start = first_start + i as u64 * run_len;
+                GroupRunSpec {
+                    agents: agents.into_iter().collect(),
+                    token: token.into_iter().collect(),
+                    instr_threshold: instr,
+                    presence_threshold: presence,
+                    vote: VoteRule::Quorum(instr),
+                    start,
+                    work: t2_work_budget(n),
+                    end: start + run_len,
+                }
             })
             .collect()
     }

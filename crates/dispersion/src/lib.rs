@@ -65,7 +65,7 @@
 //! ```
 //!
 //! Every DUM-based row accepts `k ≠ n` rosters: the half/third
-//! controllers settle through the shared capacity-aware
+//! schemes settle through the shared capacity-aware
 //! [`algos::common::SettlePhase`], as sqrt and the baseline do. At
 //! `k = n` the registry-conformance suite pins tolerances and exact round
 //! budgets.
@@ -75,9 +75,10 @@
 //! regime), the all-pairs [`pairing`] schedule (§3.1), agent/token drivers
 //! with quorum thresholds ([`token_roles`], §3.2–§4), majority voting
 //! over rooted canonical maps ([`mapvote`]), and the group-phase controller
-//! scaffold ([`algos::common::GroupPhaseController`]) the Theorem 4–7 rows
-//! instantiate: Theorems 4–5 end in the DUM settle, Theorems 6–7 in the
-//! rank walk. The [`adversaries`] module implements Byzantine
+//! scaffold ([`algos::common::GroupPhaseController`]) the Theorem 2–7 rows
+//! instantiate: a pairing of Theorems 2–3 is two runs with groups of one,
+//! where each agent keeps its own map instead of a quorum vote. Theorems
+//! 2–5 end in the DUM settle, Theorems 6–7 in the rank walk. The [`adversaries`] module implements Byzantine
 //! strategies; [`verify`] checks Definition 1.
 //!
 //! ## Design note: the §3.3 token-replication construction

@@ -14,11 +14,10 @@
 use bd_runtime::RobotId;
 
 /// The full schedule as a direct lookup table: per robot (dense, in sorted
-/// ID order), the partner of every window. The half-row controller queries
-/// [`PairingSchedule::partner_in`] at every window transition of every
-/// robot, so the query is O(1): a binary search over `ids` (≤ `log k`,
-/// cacheable) plus one indexed load — the old per-call linear scan over a
-/// robot's window list is gone.
+/// ID order), the partner of every window. The half rows' scheme
+/// ([`crate::algos::half::PairScheme`]) queries [`PairingSchedule::partner_in`]
+/// once per window of its robot when it lays out the runs at the roster
+/// snapshot: a binary search over `ids` plus one indexed load.
 #[derive(Debug, Clone)]
 pub struct PairingSchedule {
     /// Sorted distinct robot IDs; row `r` of `table` belongs to `ids[r]`.

@@ -1,8 +1,8 @@
 //! Agent and token roles for map-finding runs.
 //!
-//! A run pairs an **agent** (one robot, or a whole group moving in
-//! lockstep) with a **token** (the partner robot, or the complementary
-//! group). The agent drives a [`TokenMapExplorer`]; `MoveWithToken`
+//! A run pairs an **agent** group moving in lockstep with a **token**
+//! group; §3.1's pairings are the groups of one with every threshold 1.
+//! The agent drives a [`TokenMapExplorer`]; `MoveWithToken`
 //! commands become `TokenGo` instructions published on the node bulletin;
 //! the token obeys instructions that reach its support threshold.
 //!
@@ -19,49 +19,38 @@ use bd_graphs::{Port, PortGraph};
 use bd_runtime::{MoveChoice, Observation, RobotId};
 use std::collections::{BTreeSet, VecDeque};
 
-/// Whom the agent treats as "the token".
+/// Whom the agent treats as "the token": it "is present" iff at least
+/// `presence_threshold` distinct members are co-located (§3.2, §4). A
+/// pairing (§3.1) is the one-member group with threshold 1.
 #[derive(Debug, Clone)]
-pub enum TokenSpec {
-    /// A single partner robot (pairwise runs, §3.1).
-    Partner(RobotId),
-    /// A group: the token "is present" iff at least `presence_threshold`
-    /// distinct members are co-located (§3.2, §4).
-    Group {
-        members: BTreeSet<RobotId>,
-        presence_threshold: usize,
-    },
+pub struct TokenSpec {
+    pub members: BTreeSet<RobotId>,
+    pub presence_threshold: usize,
 }
 
 impl TokenSpec {
     fn present(&self, roster: &[RobotId]) -> bool {
-        match self {
-            TokenSpec::Partner(p) => roster.contains(p),
-            TokenSpec::Group {
-                members,
-                presence_threshold,
-            } => {
-                let distinct: BTreeSet<RobotId> = roster
-                    .iter()
-                    .copied()
-                    .filter(|r| members.contains(r))
-                    .collect();
-                distinct.len() >= *presence_threshold
+        // The roster is sorted, so repeated claims of one ID are adjacent
+        // and count once.
+        let mut distinct = 0;
+        let mut last = None;
+        for &r in roster {
+            if last != Some(r) && self.members.contains(&r) {
+                distinct += 1;
             }
+            last = Some(r);
         }
+        distinct >= self.presence_threshold
     }
 }
 
-/// Whose `TokenGo` instructions the token obeys.
+/// Whose `TokenGo` instructions the token obeys: those supported by at
+/// least `threshold` distinct members of the agent group (a pairing's
+/// token obeys its one partner).
 #[derive(Debug, Clone)]
-pub enum InstructionSpec {
-    /// Obey a single partner (pairwise runs).
-    Partner(RobotId),
-    /// Obey instructions supported by at least `threshold` distinct members
-    /// of the agent group.
-    Group {
-        members: BTreeSet<RobotId>,
-        threshold: usize,
-    },
+pub struct InstructionSpec {
+    pub members: BTreeSet<RobotId>,
+    pub threshold: usize,
 }
 
 /// The agent side of a run.
@@ -302,11 +291,9 @@ impl TokenFollower {
                 _ => {}
             }
         }
-        let accepted = |s: &BTreeSet<RobotId>| match &self.instructions {
-            InstructionSpec::Partner(partner) => s.contains(partner),
-            InstructionSpec::Group { members, threshold } => {
-                s.iter().filter(|r| members.contains(r)).count() >= (*threshold).max(1)
-            }
+        let InstructionSpec { members, threshold } = &self.instructions;
+        let accepted = |s: &BTreeSet<RobotId>| {
+            s.iter().filter(|r| members.contains(r)).count() >= (*threshold).max(1)
         };
         if accepted(&done_support) {
             self.go_home();
@@ -365,14 +352,22 @@ fn reverse_of(entry_log: &[Port]) -> VecDeque<Port> {
 mod tests {
     use super::*;
 
+    fn group(members: &[u64]) -> BTreeSet<RobotId> {
+        members.iter().map(|&i| RobotId(i)).collect()
+    }
+
     #[test]
     fn token_spec_presence() {
-        let partner = TokenSpec::Partner(RobotId(4));
+        // A pairing's token: one partner, threshold 1.
+        let partner = TokenSpec {
+            members: group(&[4]),
+            presence_threshold: 1,
+        };
         assert!(partner.present(&[RobotId(1), RobotId(4)]));
         assert!(!partner.present(&[RobotId(1)]));
 
-        let group = TokenSpec::Group {
-            members: [RobotId(1), RobotId(2), RobotId(3)].into(),
+        let group = TokenSpec {
+            members: group(&[1, 2, 3]),
             presence_threshold: 2,
         };
         assert!(group.present(&[RobotId(1), RobotId(3), RobotId(9)]));
@@ -383,7 +378,10 @@ mod tests {
 
     #[test]
     fn follower_obeys_partner_only() {
-        let mut t = TokenFollower::new(InstructionSpec::Partner(RobotId(7)));
+        let mut t = TokenFollower::new(InstructionSpec {
+            members: group(&[7]),
+            threshold: 1,
+        });
         let roster = [RobotId(7), RobotId(8)];
         let bulletin = [
             bd_runtime::observation::Publication {
@@ -412,7 +410,10 @@ mod tests {
 
     #[test]
     fn follower_ignores_stale_steps_and_bad_ports() {
-        let mut t = TokenFollower::new(InstructionSpec::Partner(RobotId(7)));
+        let mut t = TokenFollower::new(InstructionSpec {
+            members: group(&[7]),
+            threshold: 1,
+        });
         let roster = [RobotId(7)];
         let bulletin = [
             bd_runtime::observation::Publication {
@@ -441,9 +442,8 @@ mod tests {
 
     #[test]
     fn group_quorum_counts_distinct_members() {
-        let members: BTreeSet<RobotId> = [RobotId(1), RobotId(2), RobotId(3)].into();
-        let mut t = TokenFollower::new(InstructionSpec::Group {
-            members,
+        let mut t = TokenFollower::new(InstructionSpec {
+            members: group(&[1, 2, 3]),
             threshold: 2,
         });
         let mk = |sender: u64, port: usize| bd_runtime::observation::Publication {
@@ -469,7 +469,11 @@ mod tests {
 
     #[test]
     fn abort_walks_home() {
-        let mut a = AgentDriver::new(2, 5, TokenSpec::Partner(RobotId(2)));
+        let token = TokenSpec {
+            members: group(&[2]),
+            presence_threshold: 1,
+        };
+        let mut a = AgentDriver::new(2, 5, token);
         // Simulate two recorded arrivals (entered via ports 1 then 0).
         a.entry_log = vec![1, 0];
         a.abort();
