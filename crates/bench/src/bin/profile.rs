@@ -11,9 +11,11 @@
 //! Flags:
 //!
 //! * `--quick` — profile the smaller quick-grid sizes;
-//! * `--check` — additionally assert that at least 90% of `QuotientTh1`'s
-//!   engine wall time is attributed to named schedule phases (exit 1
-//!   otherwise) — the acceptance gate for phase attribution;
+//! * `--check` — additionally assert (exit 1 otherwise) that at least 90%
+//!   of `QuotientTh1`'s engine wall time is attributed to named schedule
+//!   phases, and that for every row the stepped, skipped and scripted
+//!   rounds add up to the row's rounds and at least 90% of every
+//!   `cover_walk`/`gather` phase's rounds are scripted (applied in bulk);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -113,10 +115,11 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         );
     }
     println!(
-        "  totals: stepped={} skipped={} bulletin w/r={}/{} resorts={} dirty_hwm={} \
-         roster_hwm={} bulletin_hwm={}",
+        "  totals: stepped={} skipped={} scripted={} bulletin w/r={}/{} resorts={} \
+         dirty_hwm={} roster_hwm={} bulletin_hwm={}",
         report.total.rounds_stepped,
         report.total.rounds_skipped,
+        report.total.rounds_scripted,
         report.total.bulletin_writes,
         report.total.bulletin_reads,
         report.total.roster_resorts,
@@ -227,10 +230,48 @@ fn main() {
             report.wall_micros
         );
         assert!(cell.dispersed, "profiled QuotientTh1 cell must disperse");
+        let mut failures = Vec::new();
         if share < 0.90 {
-            eprintln!("profile: phase attribution below 90%");
+            failures.push("phase attribution below 90%".to_string());
+        }
+        for (cell, report) in &profiled {
+            failures.extend(round_accounting(&cell.algo, report));
+        }
+        for failure in &failures {
+            eprintln!("profile: {failure}");
+        }
+        if !failures.is_empty() {
             std::process::exit(1);
         }
         println!("check passed");
     }
+}
+
+/// The `--check` round-accounting gate for one row: every round is
+/// stepped, skipped or scripted exactly once, and the walks that need no
+/// communication (`cover_walk`, `gather`) are at least 90% scripted.
+fn round_accounting(algo: &str, report: &EngineReport) -> Vec<String> {
+    let t = &report.total;
+    let mut failures = Vec::new();
+    let accounted = t.rounds_stepped + t.rounds_skipped + t.rounds_scripted;
+    if accounted != report.rounds {
+        failures.push(format!(
+            "{algo}: stepped {} + skipped {} + scripted {} = {accounted} != {} rounds",
+            t.rounds_stepped, t.rounds_skipped, t.rounds_scripted, report.rounds
+        ));
+    }
+    for p in report
+        .phases
+        .iter()
+        .filter(|p| p.name == "cover_walk" || p.name == "gather")
+    {
+        let rounds = p.end_round - p.start_round;
+        if (p.counters.rounds_scripted as f64) < 0.9 * rounds as f64 {
+            failures.push(format!(
+                "{algo}: {} of {rounds} {} rounds scripted (< 90%)",
+                p.counters.rounds_scripted, p.name
+            ));
+        }
+    }
+    failures
 }

@@ -15,8 +15,8 @@
 //!
 //! All cells run on seeded Erdős–Rényi graphs (view-asymmetric w.h.p., so
 //! every row's precondition holds) and are embarrassingly parallel; sweeps
-//! fan out with Rayon through `Session::run_batch` where cells share a
-//! graph, and plain parallel `Session::run` calls otherwise.
+//! batch through `BatchPlanner`, whose `rayon` fan-out the vendored offline
+//! stand-in runs sequentially.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};

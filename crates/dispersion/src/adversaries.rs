@@ -54,8 +54,14 @@
 //!   idleness inside one), so the RNG stream position at every burst is
 //!   independent of how much was skipped elsewhere — roamer trajectories
 //!   are also deterministic under fast-forwarding.
+//!
+//! Before activation, an adversary still walking its gather script is
+//! *scripted* instead: it hands the engine the rest of the script up to
+//! its activation round (`Controller::scripted`), so the gathering phase
+//! is applied in bulk whether the walkers are honest or not.
 
 use crate::msg::{DumState, Msg};
+use crate::script::PortScript;
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
 use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
@@ -63,6 +69,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The adversary strategies available to scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,7 +145,7 @@ pub struct AdversaryController {
     rng: StdRng,
     /// Optional gathering script (so the adversary infiltrates the
     /// gathering in arbitrary-start scenarios).
-    gather_script: VecDeque<Port>,
+    gather_script: PortScript,
     /// Rounds before this are spent idle (after the gather script).
     active_from: u64,
     /// Honest IDs to impersonate (StrongSpoofer).
@@ -162,7 +169,7 @@ impl AdversaryController {
         kind: AdversaryKind,
         n: usize,
         seed: u64,
-        gather_script: Vec<Port>,
+        gather_script: impl Into<Arc<[Port]>>,
         active_from: u64,
         spoof_pool: Vec<RobotId>,
         coalition_index: usize,
@@ -172,7 +179,7 @@ impl AdversaryController {
             kind,
             n: n.max(1),
             rng: StdRng::seed_from_u64(seed ^ id.0),
-            gather_script: gather_script.into(),
+            gather_script: PortScript::new(gather_script),
             active_from,
             spoof_pool,
             coalition_index,
@@ -263,7 +270,7 @@ impl Controller<Msg> for AdversaryController {
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
-        if let Some(p) = self.gather_script.pop_front() {
+        if let Some(p) = self.gather_script.pop() {
             return MoveChoice::Move(p);
         }
         if !self.active(obs.round) || obs.degree == 0 || !self.in_burst(obs.round) {
@@ -290,7 +297,7 @@ impl Controller<Msg> for AdversaryController {
     }
 
     fn idle_until(&self) -> Option<u64> {
-        if !self.gather_script.is_empty() {
+        if !self.gather_script.done() {
             return None;
         }
         if self.round_seen < self.active_from {
@@ -311,6 +318,18 @@ impl Controller<Msg> for AdversaryController {
         } else {
             Some(self.next_burst_start(next))
         }
+    }
+
+    /// The rest of the gather script, up to activation: before it the
+    /// adversary reads, publishes and draws nothing.
+    fn scripted(&self, round: u64) -> &[Port] {
+        self.gather_script
+            .rest(self.active_from.saturating_sub(round))
+    }
+
+    fn advance_script(&mut self, round: u64, rounds: u64) {
+        self.gather_script.advance(rounds);
+        self.round_seen = round + rounds - 1;
     }
 }
 
@@ -412,6 +431,19 @@ impl Controller<Msg> for CrashWrapper {
         } else {
             self.inner.idle_until()
         }
+    }
+
+    /// The inner script, clipped at the crash: the robot halts during
+    /// round `crash_at`, so it never moves in bulk from there on.
+    fn scripted(&self, round: u64) -> &[Port] {
+        let script = self.inner.scripted(round);
+        let before_crash = self.crash_at.saturating_sub(round) as usize;
+        &script[..script.len().min(before_crash)]
+    }
+
+    fn advance_script(&mut self, round: u64, rounds: u64) {
+        self.round_seen = round + rounds - 1;
+        self.inner.advance_script(round, rounds);
     }
 }
 
@@ -566,5 +598,55 @@ mod tests {
         assert_eq!(r.decide_move(&obs), MoveChoice::Stay);
         assert_eq!(r.decide_move(&obs), MoveChoice::Move(0));
         assert_eq!(r.decide_move(&obs), MoveChoice::Stay);
+    }
+
+    #[test]
+    fn crash_wrapper_clips_the_inner_script_at_the_crash() {
+        use bd_runtime::{Engine, EngineConfig, Flavor};
+        // A faithful robot with ten gather ports ahead of it, crashing at
+        // round 4.
+        let walker = || {
+            let inner = AdversaryController::new(
+                RobotId(1),
+                AdversaryKind::CrashMidway,
+                16,
+                7,
+                vec![0; 10],
+                100,
+                Vec::new(),
+                0,
+            );
+            CrashWrapper::new(Box::new(inner), 4)
+        };
+        let mut c = walker();
+        assert_eq!(c.scripted(0), &[0; 4], "clipped at crash_at");
+        assert_eq!(c.scripted(2).len(), 2);
+        c.advance_script(0, 4);
+        assert!(!c.crashed() && c.scripted(4).is_empty());
+
+        // On an engine, bulk and stepped runs leave the crashed robot at
+        // its fourth node; a silent honest bystander keeps the run going.
+        let final_positions = |config: EngineConfig| {
+            let mut e: Engine<Msg> =
+                Engine::new(bd_graphs::generators::oriented_ring(16).unwrap(), config);
+            e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker()));
+            let bystander = AdversaryController::new(
+                RobotId(2),
+                AdversaryKind::CrashMidway,
+                16,
+                7,
+                Vec::new(),
+                0,
+                Vec::new(),
+                0,
+            );
+            e.add_robot(Flavor::Honest, 8, Box::new(bystander));
+            e.run_epoch(12).unwrap().final_positions
+        };
+        assert_eq!(final_positions(EngineConfig::default()), vec![4, 8]);
+        assert_eq!(
+            final_positions(EngineConfig::default().without_fast_forward()),
+            vec![4, 8]
+        );
     }
 }

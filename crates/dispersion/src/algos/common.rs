@@ -13,12 +13,14 @@
 use crate::dum::DumMachine;
 use crate::mapvote::quorum_map;
 use crate::msg::Msg;
+use crate::script::PortScript;
 use crate::timeline::dum_budget;
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port, PortGraph};
 use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Sorted, deduplicated roster — the ID snapshot every robot takes of the
 /// gathering ("each robot remembers the IDs of the remaining k − 1 gathered
@@ -435,7 +437,7 @@ pub struct GroupPhaseController<S: GroupScheme> {
     id: RobotId,
     n: usize,
     scheme: S,
-    gather_script: VecDeque<Port>,
+    gather_script: PortScript,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
     /// Index of the first run not yet over; rounds only move forward, so
@@ -449,19 +451,19 @@ impl<S: GroupScheme> GroupPhaseController<S> {
     /// The robot walks its `gather_script` in the shared gathering phase
     /// `[0, gather_budget)` and snapshots the roster at round
     /// `gather_budget` (round 0 for a gathered start: empty script, zero
-    /// budget).
+    /// budget). Robots starting on one node share one script.
     pub fn with_scheme(
         id: RobotId,
         n: usize,
         scheme: S,
-        gather_script: Vec<Port>,
+        gather_script: impl Into<Arc<[Port]>>,
         gather_budget: u64,
     ) -> Self {
         GroupPhaseController {
             id,
             n,
             scheme,
-            gather_script: gather_script.into(),
+            gather_script: PortScript::new(gather_script),
             snapshot_round: gather_budget,
             runs: Vec::new(),
             cursor: 0,
@@ -564,10 +566,10 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
-                Some(p) => MoveChoice::Move(p),
-                None => MoveChoice::Stay,
-            };
+            return self
+                .gather_script
+                .pop()
+                .map_or(MoveChoice::Stay, MoveChoice::Move);
         }
         if let Some(run) = self.run_at(obs.round) {
             return run.decide_move(obs.round, obs.degree);
@@ -583,7 +585,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     fn idle_until(&self) -> Option<u64> {
-        if self.round_seen < self.snapshot_round && self.gather_script.is_empty() {
+        if self.round_seen < self.snapshot_round && self.gather_script.done() {
             return Some(self.snapshot_round);
         }
         let round = self.round_seen;
@@ -591,6 +593,18 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
             Some(run) => run.idle_until(round),
             None => self.tail.idle_until(round),
         }
+    }
+
+    /// The rest of the gather script, up to the snapshot round: gathering
+    /// reads and publishes nothing.
+    fn scripted(&self, round: u64) -> &[Port] {
+        self.gather_script
+            .rest(self.snapshot_round.saturating_sub(round))
+    }
+
+    fn advance_script(&mut self, round: u64, rounds: u64) {
+        self.gather_script.advance(rounds);
+        self.round_seen = round + rounds - 1;
     }
 }
 

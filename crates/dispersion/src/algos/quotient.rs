@@ -14,6 +14,7 @@ use crate::dum::DumMachine;
 use crate::error::DispersionError;
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
+use crate::script::PortScript;
 use crate::timeline::{dum_budget, Timeline};
 use bd_exploration::walks::{cover_walk_length, SharedWalk};
 use bd_graphs::quotient::quotient_graph;
@@ -25,7 +26,8 @@ use std::sync::Arc;
 /// Protocol tag for the Theorem 1 `Find-Map` walk.
 const FIND_MAP_TAG: u64 = 0x6d61_7000; // "map"
 
-/// Per-robot inputs computed by the runner (deterministic, per-robot walk).
+/// Per-robot inputs (deterministic, per-robot walk), built with the
+/// robot's controller.
 #[derive(Debug, Clone)]
 pub struct QuotientSetup {
     /// The robot's exploration walk script (`Find-Map`'s round charge).
@@ -38,10 +40,17 @@ pub struct QuotientSetup {
     pub pos_after_walk: NodeId,
 }
 
+/// The shared part of Theorem 1's setup, computed once per run: the map
+/// and each node's class in it.
+struct QuotientPrep {
+    map: Arc<PortGraph>,
+    class_of: Vec<NodeId>,
+}
+
 /// Controller for Theorem 1.
 pub struct QuotientController {
     id: RobotId,
-    walk: std::collections::VecDeque<Port>,
+    walk: PortScript,
     walk_len: u64,
     dum_start: u64,
     dum_end: u64,
@@ -57,7 +66,7 @@ impl QuotientController {
         let walk_len = setup.walk.len() as u64;
         QuotientController {
             id,
-            walk: setup.walk.into(),
+            walk: PortScript::new(setup.walk),
             walk_len,
             dum_start: walk_len,
             dum_end: walk_len + dum_budget(n),
@@ -98,10 +107,7 @@ impl Controller<Msg> for QuotientController {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.walk_len {
-            return match self.walk.pop_front() {
-                Some(p) => MoveChoice::Move(p),
-                None => MoveChoice::Stay,
-            };
+            return self.walk.pop().map_or(MoveChoice::Stay, MoveChoice::Move);
         }
         if self.in_dum(obs.round) {
             return self.dum.as_mut().expect("dum machine").decide_move();
@@ -111,6 +117,16 @@ impl Controller<Msg> for QuotientController {
 
     fn terminated(&self) -> bool {
         self.round_seen + 1 >= self.dum_end
+    }
+
+    /// The rest of the `Find-Map` walk: no information flows during it.
+    fn scripted(&self, round: u64) -> &[Port] {
+        self.walk.rest(self.walk_len.saturating_sub(round))
+    }
+
+    fn advance_script(&mut self, round: u64, rounds: u64) {
+        self.walk.advance(rounds);
+        self.round_seen = round + rounds - 1;
     }
 }
 
@@ -144,42 +160,24 @@ impl TableRow for QuotientRow {
         StartRequirement::Any
     }
 
-    /// Shared setup: the quotient map plus each robot's deterministic
-    /// `Find-Map` walk script and post-walk map position. Theorem 1's
-    /// precondition (quotient isomorphic to the graph) is enforced here
-    /// rather than in `precondition`, so the quotient refinement — the
-    /// row's most expensive setup step — is computed exactly once per run.
+    /// Shared setup: the quotient map and each node's class in it.
+    /// Theorem 1's precondition (quotient isomorphic to the graph) is
+    /// enforced here rather than in `precondition`, so the quotient
+    /// refinement — the row's most expensive setup step — is computed
+    /// exactly once per run. Each robot's `Find-Map` walk is built with its
+    /// controller, so seats that never walk it (adversaries) cost nothing.
     fn prepare(&self, plan: &Plan) -> Result<Option<Box<dyn Any + Send + Sync>>, DispersionError> {
-        let graph = plan.graph.as_ref();
-        let q = quotient_graph(graph);
+        let q = quotient_graph(plan.graph.as_ref());
         if !q.is_isomorphic_to_original() {
             return Err(DispersionError::QuotientNotIsomorphic {
                 classes: q.num_classes(),
-                n: graph.n(),
+                n: plan.graph.n(),
             });
         }
-        let len = cover_walk_length(plan.n);
-        let quotient_map = Arc::new(q.graph.clone());
-        let setups: Vec<QuotientSetup> = plan
-            .starts
-            .iter()
-            .map(|&s| {
-                let mut walk = SharedWalk::for_size(plan.n, FIND_MAP_TAG);
-                let mut ports: Vec<Port> = Vec::with_capacity(len as usize);
-                let mut cur = s;
-                for _ in 0..len {
-                    let p = walk.next_port(graph.degree(cur));
-                    ports.push(p);
-                    cur = graph.neighbor(cur, p).0;
-                }
-                QuotientSetup {
-                    walk: ports,
-                    map: Arc::clone(&quotient_map),
-                    pos_after_walk: q.class_of[cur],
-                }
-            })
-            .collect();
-        Ok(Some(Box::new(setups)))
+        Ok(Some(Box::new(QuotientPrep {
+            map: Arc::new(q.graph),
+            class_of: q.class_of,
+        })))
     }
 
     /// Adversaries activate once the non-interactive `Find-Map` walk ends.
@@ -195,11 +193,25 @@ impl TableRow for QuotientRow {
     }
 
     fn build_controller(&self, plan: &Plan, i: usize) -> Box<dyn Controller<Msg>> {
-        let setups: &Vec<QuotientSetup> = plan.prep().expect("prepared by QuotientRow::prepare");
+        let prep: &QuotientPrep = plan.prep().expect("prepared by QuotientRow::prepare");
+        let graph = plan.graph.as_ref();
+        let len = cover_walk_length(plan.n);
+        let mut walk = SharedWalk::for_size(plan.n, FIND_MAP_TAG);
+        let mut ports: Vec<Port> = Vec::with_capacity(len as usize);
+        let mut cur = plan.starts[i];
+        for _ in 0..len {
+            let p = walk.next_port(graph.degree(cur));
+            ports.push(p);
+            cur = graph.neighbor(cur, p).0;
+        }
         Box::new(QuotientController::new(
             plan.ids[i],
             plan.n,
-            setups[i].clone(),
+            QuotientSetup {
+                walk: ports,
+                map: Arc::clone(&prep.map),
+                pos_after_walk: prep.class_of[cur],
+            },
         ))
     }
 }

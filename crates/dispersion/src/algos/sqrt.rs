@@ -44,6 +44,7 @@ use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, group_run_len, t2_work_budget, Timeline};
 use bd_graphs::{CanonicalForm, Port};
 use bd_runtime::{Controller, RobotId};
+use std::sync::Arc;
 
 /// Phase names used by [`sqrt_timeline`]; exposed so callers (sessions,
 /// benches, tests) can anchor assertions to boundaries instead of
@@ -151,7 +152,7 @@ impl SqrtController {
         id: RobotId,
         n: usize,
         f_bound: usize,
-        gather_script: Vec<Port>,
+        gather_script: impl Into<Arc<[Port]>>,
         gather_budget: u64,
     ) -> Self {
         GroupPhaseController::with_scheme(

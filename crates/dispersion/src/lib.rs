@@ -36,15 +36,16 @@
 //!   them, replay them.
 //! * **[`session::Session`]** — one shared `Arc<PortGraph>` plus the
 //!   generic plan → engine → verify pipeline. [`Session::run`] executes one
-//!   spec; [`Session::run_batch`] fans a slice of specs out via Rayon with
-//!   zero per-run graph clones; [`Session::plan`] exposes the precomputed
+//!   spec; [`Session::run_batch`] runs a slice of specs with zero per-run
+//!   graph clones; [`Session::plan`] exposes the precomputed
 //!   [`registry::Plan`] (and thereby the row's exact round budget) without
 //!   running.
 //! * **[`session::BatchPlanner`]** — the multi-graph batch layer above
 //!   sessions: queue specs against heterogeneous graphs, share one session
-//!   per distinct `Arc`, and execute across the Rayon pool **largest
-//!   cost first** (cost = registry round budget × roster size). The bench
-//!   sweeps run on it.
+//!   per distinct `Arc`, and execute **largest cost first** (cost =
+//!   registry round budget × roster size) through the `rayon` API, which
+//!   the vendored offline stand-in runs sequentially. The bench sweeps run
+//!   on it.
 //!
 //! ```
 //! use bd_dispersion::adversaries::AdversaryKind;
@@ -122,6 +123,7 @@ pub mod msg;
 pub mod pairing;
 pub mod registry;
 pub mod runner;
+pub mod script;
 pub mod session;
 pub mod timeline;
 pub mod token_roles;

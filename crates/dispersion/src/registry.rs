@@ -85,8 +85,9 @@ pub struct Plan {
     /// Start node per robot.
     pub starts: Vec<NodeId>,
     /// Per-robot gathering routes (rows with
-    /// [`StartRequirement::GathersFirst`] only).
-    pub gather_routes: Option<Vec<Vec<Port>>>,
+    /// [`StartRequirement::GathersFirst`] only); robots that start on one
+    /// node share one route.
+    pub gather_routes: Option<Vec<Arc<[Port]>>>,
     /// Shared gathering-phase budget (0 when no gathering runs).
     pub gather_budget: u64,
     /// Scenario seed.
@@ -96,12 +97,12 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Robot `i`'s gathering script (empty when the row does not gather).
-    pub fn gather_script(&self, i: usize) -> Vec<Port> {
+    /// Robot `i`'s gathering script (empty when the row does not gather):
+    /// a shared handle, not a copy.
+    pub fn gather_script(&self, i: usize) -> Arc<[Port]> {
         self.gather_routes
             .as_ref()
-            .map(|r| r[i].clone())
-            .unwrap_or_default()
+            .map_or_else(|| Arc::from([]), |r| Arc::clone(&r[i]))
     }
 
     /// The row-specific preparation downcast to its concrete type.

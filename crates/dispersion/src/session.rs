@@ -4,8 +4,9 @@
 //!
 //! A [`Session`] wraps one `Arc<PortGraph>`. [`Session::run`] executes a
 //! single [`ScenarioSpec`]; [`Session::run_batch`] executes a slice of them
-//! in parallel (Rayon), all sharing the session's graph handle — the
-//! per-run graph clone the old monolithic runner paid is gone.
+//! through the `rayon` iterator API (the vendored offline stand-in runs it
+//! sequentially), all sharing the session's graph handle — the per-run
+//! graph clone the old monolithic runner paid is gone.
 //!
 //! Every run, static or dynamic, on either engine, goes through the epoch
 //! surface: an engine is an [`EpochBackend`], and [`run_epoch`] is the one
@@ -25,8 +26,8 @@ use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement};
 use crate::runner::{ByzPlacement, Outcome, ScenarioSpec, StartConfig};
 use crate::verify::verify_with_capacity;
-use bd_gathering::route::gather_route;
-use bd_graphs::{NodeId, PortGraph};
+use bd_gathering::{gathering_target, route_from};
+use bd_graphs::{NodeId, Port, PortGraph};
 use bd_runtime::ids::generate_ids;
 use bd_runtime::{
     Controller, Engine, EngineConfig, EpochOutcome, Flavor, RobotId, RunError, RunMetrics, Trace,
@@ -35,6 +36,7 @@ use bd_runtime::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One engine seat of a planned scenario: the fault flavor the engine
@@ -323,15 +325,21 @@ impl Session {
         // must get a gathered start.
         let (gather_routes, gather_budget) = match row.start_requirement() {
             StartRequirement::GathersFirst => {
-                let mut routes = Vec::with_capacity(k);
-                let mut budget = 0;
-                for &s in &starts {
-                    let r =
-                        gather_route(graph, s).map_err(|_| DispersionError::GatheringInfeasible)?;
-                    budget = r.budget_rounds;
-                    routes.push(r.ports);
-                }
-                (Some(routes), budget)
+                // One target per plan and one route per distinct start:
+                // robots starting together share their script.
+                let target =
+                    gathering_target(graph).map_err(|_| DispersionError::GatheringInfeasible)?;
+                let mut by_start: BTreeMap<NodeId, Arc<[Port]>> = BTreeMap::new();
+                let routes = starts
+                    .iter()
+                    .map(|&s| {
+                        let route = by_start
+                            .entry(s)
+                            .or_insert_with(|| route_from(graph, &target, s).ports.into());
+                        Arc::clone(route)
+                    })
+                    .collect();
+                (Some(routes), target.budget_rounds)
             }
             StartRequirement::Gathered => {
                 if !matches!(spec.starts, StartConfig::Gathered(_)) {
@@ -434,8 +442,8 @@ impl Session {
         Ok((outcome, trace))
     }
 
-    /// Run a batch of scenarios against this session's graph, fanning the
-    /// cells out with Rayon. Every run shares one `Arc<PortGraph>`; results
+    /// Run a batch of scenarios against this session's graph through
+    /// [`BatchPlanner`]. Every run shares one `Arc<PortGraph>`; results
     /// come back in spec order, each cell failing independently.
     ///
     /// Single-graph convenience over [`BatchPlanner`], which additionally
@@ -453,9 +461,11 @@ impl Session {
 /// across **different** graphs (and graph sizes), shares one [`Session`]
 /// per distinct graph (keyed by content digest, with an `Arc`-identity
 /// fast path), estimates each cell's cost from
-/// the registry's round budget, and fans the cells out over the Rayon pool
-/// **largest-first** so the most expensive cells never straggle at the end
-/// of a sweep. Results come back in insertion order.
+/// the registry's round budget, and executes the cells **largest-first**
+/// through the `rayon` iterator API, so on a real thread pool the most
+/// expensive cells never straggle at the end of a sweep. The vendored
+/// offline `rayon` stand-in is sequential, so today the cells run one after
+/// another on the calling thread. Results come back in insertion order.
 ///
 /// ```
 /// use bd_dispersion::adversaries::AdversaryKind;
@@ -570,9 +580,9 @@ impl BatchPlanner {
             .saturating_mul(plan.k as u64)
     }
 
-    /// Plan and execute every queued cell. Planning runs first (in
-    /// parallel) so each cell's cost is known; execution then fans out over
-    /// the Rayon pool in descending cost order. Each cell fails
+    /// Plan and execute every queued cell. Planning runs first so each
+    /// cell's cost is known; execution then runs in descending cost order
+    /// (sequentially under the vendored `rayon` stand-in). Each cell fails
     /// independently; the result vector is in [`BatchPlanner::add`] order.
     pub fn run(&self) -> Vec<Result<Outcome, DispersionError>> {
         // Batch level of the span tree: one span over the whole fan-out,

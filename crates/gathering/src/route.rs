@@ -29,7 +29,13 @@ pub struct GatherRoute {
 /// quotient-path navigation to the canonical singleton class. Deterministic
 /// and independent of other robots, hence Byzantine-immune.
 pub fn gather_route(g: &PortGraph, start: NodeId) -> Result<GatherRoute, GatherError> {
-    let plan: GatherPlan = gathering_target(g)?;
+    Ok(route_from(g, &gathering_target(g)?, start))
+}
+
+/// [`gather_route`] against an already chosen target: a caller routing
+/// many robots on one graph computes [`gathering_target`] (a quotient
+/// refinement plus canonical forms) once instead of once per robot.
+pub fn route_from(g: &PortGraph, plan: &GatherPlan, start: NodeId) -> GatherRoute {
     let n = g.n();
     let mut ports = Vec::with_capacity(cover_walk_length(n) as usize + n);
     let mut walk = SharedWalk::for_size(n, GATHER_WALK_TAG);
@@ -53,11 +59,11 @@ pub fn gather_route(g: &PortGraph, start: NodeId) -> Result<GatherRoute, GatherE
         cur = g.neighbor(cur, p).0;
     }
     debug_assert_eq!(cur, plan.target_node, "projection lands on the singleton");
-    Ok(GatherRoute {
+    GatherRoute {
         ports,
         end: cur,
         budget_rounds: plan.budget_rounds,
-    })
+    }
 }
 
 #[cfg(test)]

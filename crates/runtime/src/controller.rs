@@ -77,6 +77,42 @@ pub trait Controller<M> {
     fn idle_until(&self) -> Option<u64> {
         None
     }
+
+    /// The scripted-horizon contract, the moving counterpart of
+    /// [`Controller::idle_until`]. Returning a non-empty slice promises
+    /// that in rounds `round, round + 1, …` (epoch-local, `round` being the
+    /// round the engine is about to step) this robot leaves through
+    /// `script[0], script[1], …` whatever it would observe, and does
+    /// nothing else: it reads nothing (roster, bulletin, arrival), publishes
+    /// nothing, requests one sub-round per round, and does not terminate
+    /// before the script's last round. The engine asks only controllers
+    /// that report no idle horizon.
+    ///
+    /// When every active robot is idle past the current round or scripted,
+    /// the engine applies the whole segment at once — up to the shortest
+    /// script, the earliest idle horizon, the epoch's stop round, the round
+    /// cap, and (when recording telemetry) the next phase mark — instead of
+    /// stepping it, then reports the rounds it applied through
+    /// [`Controller::advance_script`]. Idle robots are not called during a
+    /// segment, so an idle robot overlapping one must also be silent and
+    /// request one sub-round per round: the engine counts no messages for
+    /// it and one sub-round per round (debug builds assert the latter).
+    /// Unlike skipped rounds, a segment's rounds count as executed, so
+    /// `RunMetrics` equal a stepped run's. The default, an empty slice, opts
+    /// out.
+    fn scripted(&self, round: u64) -> &[Port] {
+        let _ = round;
+        &[]
+    }
+
+    /// The engine applied the first `rounds` ports of
+    /// [`Controller::scripted`]`(round)` in bulk, covering rounds
+    /// `round .. round + rounds`. The controller must now be in the state
+    /// stepping those rounds would have left it in (script cursor, last
+    /// round seen). Called only after a non-empty script was returned.
+    fn advance_script(&mut self, round: u64, rounds: u64) {
+        let _ = (round, rounds);
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +142,7 @@ mod tests {
         assert_eq!(e.claimed_id(), RobotId(9));
         assert_eq!(e.subrounds_wanted(0), 1);
         assert!(!e.terminated());
+        assert!(e.scripted(0).is_empty(), "controllers opt into scripts");
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
+//! Rounds that need no stepping bypass [`Engine::step`] altogether: an
+//! all-idle stretch is skipped, and a stretch where every active robot is
+//! idle or scripted ([`Controller::scripted`]) is applied in bulk by
+//! `Engine::apply_segment`, which moves robots straight through the
+//! [`World`] and leaves the arenas stale for the next stepped round to
+//! rebuild.
+//!
 //! # Dynamic worlds: events and epochs
 //!
 //! A long-lived run is a sequence of **epochs** separated by
@@ -50,7 +57,7 @@ use crate::metrics::RunMetrics;
 use crate::observation::{ArrivalInfo, Observation, Publication};
 use crate::trace::{Event, Trace};
 use crate::world::World;
-use bd_graphs::{NodeId, PortGraph};
+use bd_graphs::{NodeId, Port, PortGraph};
 use bd_telemetry::EngineTelemetry;
 use std::sync::Arc;
 
@@ -110,6 +117,18 @@ impl<M> Scratch<M> {
             dirty_nodes.push(node);
         }
     }
+}
+
+/// What the engine may do from the current round without stepping it
+/// (see [`Engine::drive`]).
+enum Horizon {
+    /// Some active robot acts this round: step it.
+    Step,
+    /// Every active robot is idle until at least this absolute round.
+    Idle(u64),
+    /// Every active robot is idle (until at least `idle`) or scripted (for
+    /// at least `script` rounds).
+    Scripted { idle: u64, script: u64 },
 }
 
 /// A mid-run mutation of the simulated world, applied between rounds via
@@ -412,6 +431,33 @@ impl<M: Clone> Engine<M> {
             .all(|(slot, c)| slot.flavor != Flavor::Honest || c.terminated())
     }
 
+    /// What the active robots let the engine do from the current round:
+    /// step it, skip to the earliest idle horizon (every robot idle), or
+    /// apply a scripted segment (every robot idle or scripted). Horizons
+    /// are absolute; `script` is the shortest script's length.
+    fn horizon(&self) -> Horizon {
+        // Idle promises and scripts are epoch-local (controllers never see
+        // the absolute clock); shift horizons by the epoch base before
+        // comparing with `self.round`.
+        let epoch_base = self.epoch_base;
+        let local = self.round - epoch_base;
+        let mut idle = u64::MAX;
+        let mut script: Option<u64> = None;
+        for c in self.controllers.iter().filter(|c| !c.terminated()) {
+            match c.idle_until() {
+                Some(r) => idle = idle.min(r.saturating_add(epoch_base)),
+                None => match c.scripted(local).len() as u64 {
+                    0 => return Horizon::Step,
+                    len => script = Some(script.map_or(len, |s| s.min(len))),
+                },
+            }
+        }
+        match script {
+            None => Horizon::Idle(idle),
+            Some(script) => Horizon::Scripted { idle, script },
+        }
+    }
+
     /// The round loop behind [`Engine::run_epoch`]. Returns whether every
     /// honest robot terminated; `false` means the clock reached `stop_at`
     /// first.
@@ -428,55 +474,191 @@ impl<M: Clone> Engine<M> {
                     limit: self.config.max_rounds,
                 });
             }
-            // Fast-forward: if every active robot is provably idle until
-            // some future round, skip to the earliest such round at once.
-            // Skipped rounds are rounds in which *no* robot acts, so no
-            // bulletin is ever read — which is exactly what licenses
-            // controllers to declare idleness (see `Controller::idle_until`).
             if self.config.fast_forward {
-                // Idle promises are epoch-local (controllers never see the
-                // absolute clock); shift them by the epoch base before
-                // comparing with `self.round`.
-                let epoch_base = self.epoch_base;
-                let skip_to = self
-                    .controllers
-                    .iter()
-                    .filter(|c| !c.terminated())
-                    .map(|c| c.idle_until())
-                    .try_fold(u64::MAX, |acc, u| {
-                        u.map(|r| acc.min(r.saturating_add(epoch_base)))
-                    });
-                if let Some(target) = skip_to {
-                    // `ff_overshoot` is deliberately-injected breakage (0 in
-                    // every real config): it pushes the jump past the round
-                    // the earliest robot acts in, losing that action — the
-                    // bug class the oracle-differential harness must catch.
-                    let mut target = target.saturating_add(self.config.ff_overshoot);
-                    // Never jump past a scheduled stop: the world mutates
-                    // there, which idle promises know nothing about.
-                    target = target.min(stop_at);
-                    if target > self.round + 1 {
-                        if target >= self.config.max_rounds {
-                            // The earliest round any robot acts again is
-                            // already past the cap: the run cannot finish.
-                            // Error *now*, leaving `self.round` at the true
-                            // executed round instead of silently teleporting
-                            // it to the cap and failing one iteration later.
-                            return Err(RunError::RoundLimit {
-                                limit: self.config.max_rounds,
-                            });
+                // `ff_overshoot` is deliberately-injected breakage (0 in
+                // every real config): it pushes a jump or segment past the
+                // round the earliest idle robot acts in, losing that
+                // action — the bug class the oracle-differential harness
+                // must catch.
+                let overshoot = self.config.ff_overshoot;
+                match self.horizon() {
+                    Horizon::Step => {}
+                    // Skipped rounds are rounds in which *no* robot acts,
+                    // so no bulletin is ever read — which is exactly what
+                    // licenses controllers to declare idleness (see
+                    // `Controller::idle_until`).
+                    Horizon::Idle(target) => {
+                        // Never jump past a scheduled stop: the world
+                        // mutates there, which idle promises know nothing
+                        // about.
+                        let target = target.saturating_add(overshoot).min(stop_at);
+                        if target > self.round + 1 {
+                            if target >= self.config.max_rounds {
+                                // The earliest round any robot acts again
+                                // is already past the cap: the run cannot
+                                // finish. Error *now*, leaving `self.round`
+                                // at the true executed round instead of
+                                // silently teleporting it to the cap and
+                                // failing one iteration later.
+                                return Err(RunError::RoundLimit {
+                                    limit: self.config.max_rounds,
+                                });
+                            }
+                            if let Some(t) = self.telemetry.as_deref_mut() {
+                                t.counters.ff_jumps += 1;
+                                t.counters.rounds_skipped += target - self.round;
+                            }
+                            self.metrics.rounds_skipped += target - self.round;
+                            self.round = target;
+                            continue;
                         }
+                    }
+                    // Scripted rounds read nothing and publish nothing, so
+                    // they are applied without rosters or bulletins (see
+                    // `Controller::scripted`). The segment stops where a
+                    // stepped run could first differ: an idle robot's
+                    // horizon, the stop round, the cap (the loop head then
+                    // raises `RoundLimit` exactly as stepping would), and
+                    // the next telemetry phase mark.
+                    Horizon::Scripted { idle, script } => {
+                        let mut end = (self.round + script)
+                            .min(idle.saturating_add(overshoot))
+                            .min(stop_at)
+                            .min(self.config.max_rounds);
                         if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.counters.ff_jumps += 1;
-                            t.counters.rounds_skipped += target - self.round;
+                            if self.round >= t.next_mark {
+                                t.on_round(self.round);
+                            }
+                            end = end.min(t.next_mark);
                         }
-                        self.metrics.rounds_skipped += target - self.round;
-                        self.round = target;
-                        continue;
+                        if end > self.round {
+                            self.apply_segment(end)?;
+                            continue;
+                        }
                     }
                 }
             }
             self.step()?;
+        }
+    }
+
+    /// Apply the scripted segment `[self.round, end)` in bulk: every
+    /// robot without an idle horizon is scripted (see
+    /// [`Engine::horizon`]), every other one stays put. Positions,
+    /// odometers, arrivals, the trace, termination records and the run
+    /// metrics end up exactly as stepping the segment would leave them;
+    /// rosters and bulletins are not touched, so the arenas are marked
+    /// stale for the next stepped round to rebuild.
+    fn apply_segment(&mut self, end: u64) -> Result<(), RunError> {
+        let start = self.round;
+        let rounds = end - start;
+        let local = start - self.epoch_base;
+        let Engine {
+            world,
+            controllers,
+            config,
+            round,
+            arrivals,
+            metrics,
+            trace,
+            scratch,
+            telemetry,
+            ..
+        } = self;
+        #[cfg(debug_assertions)]
+        for c in controllers.iter().filter(|c| !c.terminated()) {
+            for r in local..local + rounds {
+                debug_assert_eq!(
+                    c.subrounds_wanted(r),
+                    1,
+                    "robot {} wants sub-rounds inside a scripted segment",
+                    c.id()
+                );
+            }
+        }
+        let scripts: Vec<(usize, &[Port])> = controllers
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.terminated() && c.idle_until().is_none())
+            .map(|(i, c)| (i, c.scripted(local)))
+            .collect();
+        // A robot that stays keeps no arrival; scripted robots overwrite
+        // theirs every round below.
+        for a in arrivals.iter_mut() {
+            *a = None;
+        }
+        let mut moved = 0u64;
+        // Round-major, robot order within a round: the trace records
+        // events exactly as stepping would.
+        for t in 0..rounds as usize {
+            let round_now = start + t as u64;
+            for &(i, script) in &scripts {
+                let port = script[t];
+                let node = world.robot(i).position;
+                let degree = world.graph().degree(node);
+                if port >= degree {
+                    if world.robot(i).flavor == Flavor::Honest {
+                        *round = round_now;
+                        return Err(RunError::InvalidMove {
+                            robot: world.robot(i).id,
+                            node,
+                            port,
+                            degree,
+                        });
+                    }
+                    // Byzantine robots cannot teleport; clamp to Stay.
+                    arrivals[i] = None;
+                    continue;
+                }
+                let (exit_port, entry_port) = world.apply_move(i, port);
+                arrivals[i] = Some(ArrivalInfo {
+                    exit_port,
+                    entry_port,
+                });
+                moved += 1;
+                if config.record_trace {
+                    trace.events.push(Event::Moved {
+                        round: round_now,
+                        robot: world.robot(i).id,
+                        from: node,
+                        port,
+                        to: world.robot(i).position,
+                    });
+                }
+            }
+        }
+        let scripted: Vec<usize> = scripts.into_iter().map(|(i, _)| i).collect();
+        for &i in &scripted {
+            controllers[i].advance_script(local, rounds);
+        }
+        metrics.subrounds_executed += rounds;
+        if let Some(t) = telemetry.as_deref_mut() {
+            t.counters.ff_jumps += 1;
+            t.counters.rounds_scripted += rounds;
+            t.counters.subrounds += rounds;
+            t.counters.moves += moved;
+        }
+        scratch.ready = false;
+        *round = end;
+        self.log_terminations(end - 1);
+        Ok(())
+    }
+
+    /// Record `round` as the termination round of every robot reporting
+    /// terminated for the first time.
+    fn log_terminations(&mut self, round: u64) {
+        for i in 0..self.world.num_robots() {
+            if !self.terminated_logged[i] && self.controllers[i].terminated() {
+                self.terminated_logged[i] = true;
+                if self.config.record_trace {
+                    let slot = self.world.robot(i);
+                    self.trace.events.push(Event::Terminated {
+                        round,
+                        robot: slot.id,
+                        at: slot.position,
+                    });
+                }
+            }
         }
     }
 
@@ -496,11 +678,11 @@ impl<M: Clone> Engine<M> {
             round,
             epoch_base,
             arrivals,
-            terminated_logged,
             metrics,
             trace,
             scratch,
             telemetry,
+            ..
         } = self;
         let Scratch {
             at_node,
@@ -722,20 +904,6 @@ impl<M: Clone> Engine<M> {
             }
         }
 
-        // Log first terminations.
-        for i in 0..nrobots {
-            if !terminated_logged[i] && controllers[i].terminated() {
-                terminated_logged[i] = true;
-                if config.record_trace {
-                    trace.events.push(Event::Terminated {
-                        round: round_now,
-                        robot: world.robot(i).id,
-                        at: world.robot(i).position,
-                    });
-                }
-            }
-        }
-
         // Reset the bulletins through the touched list (O(publishing
         // nodes), not O(n)) so the next round starts clean.
         if let Some(t) = telem.as_mut() {
@@ -751,6 +919,7 @@ impl<M: Clone> Engine<M> {
         }
 
         *round += 1;
+        self.log_terminations(round_now);
         Ok(())
     }
 }
@@ -759,7 +928,8 @@ impl<M: Clone> Engine<M> {
 mod tests {
     use super::*;
     use bd_graphs::generators::{oriented_ring, ring};
-    use bd_graphs::Port;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// Walks a fixed port script, then terminates.
     struct Walker {
@@ -786,6 +956,87 @@ mod tests {
         }
         fn terminated(&self) -> bool {
             self.step >= self.script.len()
+        }
+    }
+
+    /// A [`Walker`] that also promises its remaining script
+    /// ([`Controller::scripted`]), so fast-forwarding engines apply it in
+    /// bulk. Logs every `decide_move` call and, at sub-round 0 of every
+    /// stepped round after its script, the round and arrival it observed.
+    struct Scripted {
+        walker: Walker,
+        calls: Rc<Cell<u64>>,
+        seen: Rc<RefCell<Vec<(u64, Option<ArrivalInfo>)>>>,
+        stop_after: usize,
+    }
+
+    impl Scripted {
+        /// Walks `script`, then looks around for `stop_after` rounds.
+        fn new(id: u64, script: Vec<Port>, stop_after: usize) -> Self {
+            Scripted {
+                walker: Walker {
+                    id: RobotId(id),
+                    script,
+                    step: 0,
+                },
+                calls: Rc::default(),
+                seen: Rc::default(),
+                stop_after,
+            }
+        }
+    }
+
+    impl Controller<String> for Scripted {
+        fn id(&self) -> RobotId {
+            self.walker.id
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            if self.walker.terminated() && obs.subround == 0 {
+                self.seen.borrow_mut().push((obs.round, obs.arrival));
+            }
+            None
+        }
+        fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+            self.calls.set(self.calls.get() + 1);
+            self.walker.decide_move(obs)
+        }
+        fn terminated(&self) -> bool {
+            self.walker.terminated() && self.seen.borrow().len() >= self.stop_after
+        }
+        fn scripted(&self, _round: u64) -> &[Port] {
+            &self.walker.script[self.walker.step..]
+        }
+        fn advance_script(&mut self, _round: u64, rounds: u64) {
+            self.walker.step += rounds as usize;
+        }
+    }
+
+    /// Idle until round `wake`; records the first round it is called in
+    /// from then on, stays put, and terminates.
+    struct Sleeper {
+        id: RobotId,
+        wake: u64,
+        woke: Rc<Cell<Option<u64>>>,
+    }
+
+    impl Controller<String> for Sleeper {
+        fn id(&self) -> RobotId {
+            self.id
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            if obs.round >= self.wake && self.woke.get().is_none() {
+                self.woke.set(Some(obs.round));
+            }
+            None
+        }
+        fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
+            MoveChoice::Stay
+        }
+        fn terminated(&self) -> bool {
+            self.woke.get().is_some()
+        }
+        fn idle_until(&self) -> Option<u64> {
+            self.woke.get().is_none().then_some(self.wake)
         }
     }
 
@@ -1270,5 +1521,148 @@ mod tests {
         // visible (published in sub-round 0).
         assert!(log.contains(&(0, 0)));
         assert!(log.contains(&(1, 2)));
+    }
+
+    /// What a run of the scripted cast leaves behind, for comparing
+    /// engines: positions, odometers, the movement-relevant trace events,
+    /// the scripted walker's post-script observations and its
+    /// `decide_move` call count, and the sleeper's wake round.
+    fn run_scripted_cast(
+        config: EngineConfig,
+    ) -> (
+        Vec<NodeId>,
+        Vec<u64>,
+        Vec<Event>,
+        Vec<(u64, Option<ArrivalInfo>)>,
+        u64,
+        Option<u64>,
+    ) {
+        // Robot 1 walks five ports then looks for one round; robot 2 walks
+        // three and terminates; robot 3 sleeps until round 7. Scripts
+        // differ in length, so a fast-forwarding engine applies two
+        // segments ([0, 3) and [3, 5)) and steps round 5.
+        let g = ring(7).unwrap();
+        let mut e: Engine<String> = Engine::new(g, config.traced());
+        let long = Scripted::new(1, vec![0, 1, 0, 0, 1], 1);
+        let (calls, seen) = (long.calls.clone(), long.seen.clone());
+        e.add_robot(Flavor::Honest, 0, Box::new(long));
+        e.add_robot(
+            Flavor::Honest,
+            3,
+            Box::new(Scripted::new(2, vec![1, 1, 0], 0)),
+        );
+        let woke = Rc::new(Cell::new(None));
+        e.add_robot(
+            Flavor::Honest,
+            5,
+            Box::new(Sleeper {
+                id: RobotId(3),
+                wake: 7,
+                woke: woke.clone(),
+            }),
+        );
+        let out = e.run_epoch(u64::MAX).unwrap();
+        let odometers = e.world().robots().iter().map(|r| r.moves).collect();
+        let events = e
+            .into_trace()
+            .events
+            .into_iter()
+            .filter(|ev| !matches!(ev, Event::Stayed { .. }))
+            .collect();
+        let seen = seen.borrow().clone();
+        (
+            out.final_positions,
+            odometers,
+            events,
+            seen,
+            calls.get(),
+            woke.get(),
+        )
+    }
+
+    #[test]
+    fn scripted_segments_match_stepping() {
+        let (pos, odo, events, seen, calls, woke) = run_scripted_cast(EngineConfig::default());
+        let stepped = run_scripted_cast(EngineConfig::default().without_fast_forward());
+        assert_eq!(pos, stepped.0, "positions");
+        assert_eq!(odo, stepped.1, "odometers");
+        assert_eq!(events, stepped.2, "Moved order and Terminated rounds");
+        assert_eq!(seen, stepped.3, "arrival on the first stepped round");
+        assert_eq!(woke, stepped.5);
+        assert_eq!(odo, vec![5, 3, 0]);
+        // Robot 1 observes round 5 and the arrival of its round-4 move.
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].0, 5);
+        assert!(seen[0].1.is_some(), "the last scripted move's arrival");
+        assert!(events.contains(&Event::Terminated {
+            round: 2,
+            robot: RobotId(2),
+            at: pos[1],
+        }));
+        // The walk itself was applied in bulk: only round 5 was stepped
+        // for robot 1, against six stepped rounds without fast-forward.
+        assert_eq!((calls, stepped.4), (1, 6));
+    }
+
+    #[test]
+    fn scripted_segment_clamps_at_stop_and_cap() {
+        let walker = || Box::new(Scripted::new(1, vec![0; 10], 0));
+        for config in [
+            EngineConfig::default(),
+            EngineConfig::default().without_fast_forward(),
+        ] {
+            // A scheduled stop cuts the segment; the next epoch resumes
+            // the script where it stopped.
+            let mut e: Engine<String> = Engine::new(oriented_ring(16).unwrap(), config.clone());
+            e.add_robot(Flavor::Honest, 0, walker());
+            let cut = e.run_epoch(4).unwrap();
+            assert!(!cut.terminated);
+            assert_eq!((e.round(), cut.final_positions), (4, vec![4]));
+            let rest = e.run_epoch(u64::MAX).unwrap();
+            assert_eq!((e.round(), rest.final_positions), (10, vec![10]));
+
+            // The cap cuts it too, with the error and clock of stepping.
+            let capped = EngineConfig {
+                max_rounds: 4,
+                ..config
+            };
+            let mut e: Engine<String> = Engine::new(oriented_ring(16).unwrap(), capped);
+            e.add_robot(Flavor::Honest, 0, walker());
+            assert!(matches!(
+                e.run_epoch(u64::MAX),
+                Err(RunError::RoundLimit { limit: 4 })
+            ));
+            assert_eq!((e.round(), e.world().positions()), (4, vec![4]));
+        }
+    }
+
+    #[test]
+    fn overshoot_runs_a_segment_past_an_idle_horizon() {
+        let woke_at = |config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(oriented_ring(16).unwrap(), config);
+            e.add_robot(
+                Flavor::Honest,
+                0,
+                Box::new(Scripted::new(1, vec![0; 10], 0)),
+            );
+            let woke = Rc::new(Cell::new(None));
+            e.add_robot(
+                Flavor::Honest,
+                8,
+                Box::new(Sleeper {
+                    id: RobotId(2),
+                    wake: 3,
+                    woke: woke.clone(),
+                }),
+            );
+            e.run_epoch(u64::MAX).unwrap();
+            woke.get()
+        };
+        assert_eq!(woke_at(EngineConfig::default()), Some(3));
+        // The sabotaged clamp lets the segment swallow round 3.
+        assert_eq!(
+            woke_at(EngineConfig::default().with_ff_overshoot(1)),
+            Some(4)
+        );
     }
 }

@@ -52,6 +52,23 @@
 //! them — the determinism suite replays scenarios with the feature
 //! disabled and asserts bit-identical trajectories.
 //!
+//! ## The scripted horizon
+//!
+//! Beside `idle_until`, [`controller::Controller::scripted`] lets a
+//! controller hand over the ports it will take in the coming rounds,
+//! promising to read nothing, publish nothing and keep one sub-round per
+//! round meanwhile — the paper's communication-free walks (Theorem 1's
+//! `Find-Map`, the gathering walk of Theorems 2, 5 and 7). When every
+//! active robot is idle past the current round or scripted, the engine
+//! applies the segment in bulk: positions, odometers, arrivals and trace
+//! `Moved` events advance per move, with no roster, bulletin or per-robot
+//! dispatch, then [`controller::Controller::advance_script`] tells each
+//! scripted controller how far it got. Scripted rounds count as executed
+//! rounds in [`metrics::RunMetrics`] (one sub-round each, not skipped), so
+//! metrics equal a stepped run's; `EngineCounters::rounds_scripted`
+//! counts them. Like skipping, it runs only under
+//! [`EngineConfig::fast_forward`] and honours `ff_overshoot`.
+//!
 //! ## Instrumentation
 //!
 //! When `bd_telemetry::counters_enabled()` is set at engine construction,

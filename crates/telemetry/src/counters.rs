@@ -43,9 +43,14 @@ pub struct EngineCounters {
     pub ff_jumps: u64,
     /// Rounds skipped by fast-forward.
     pub rounds_skipped: u64,
-    /// Rounds actually stepped (not skipped).
+    /// Rounds actually stepped (not skipped, not scripted).
     pub rounds_stepped: u64,
-    /// Sub-rounds executed inside stepped rounds.
+    /// Rounds applied in bulk as scripted segments (see
+    /// `Controller::scripted` in `bd-runtime`); each segment also counts
+    /// one [`EngineCounters::ff_jumps`].
+    pub rounds_scripted: u64,
+    /// Sub-rounds executed inside stepped rounds, plus one per scripted
+    /// round.
     pub subrounds: u64,
     /// High-water mark of the dirty-node list length at round end (how
     /// much roster work one round queued for the next).
@@ -73,6 +78,7 @@ impl EngineCounters {
             ff_jumps: self.ff_jumps - mark.ff_jumps,
             rounds_skipped: self.rounds_skipped - mark.rounds_skipped,
             rounds_stepped: self.rounds_stepped - mark.rounds_stepped,
+            rounds_scripted: self.rounds_scripted - mark.rounds_scripted,
             subrounds: self.subrounds - mark.subrounds,
             dirty_hwm: self.dirty_hwm,
             roster_hwm: self.roster_hwm,
@@ -93,6 +99,7 @@ impl EngineCounters {
         self.ff_jumps += other.ff_jumps;
         self.rounds_skipped += other.rounds_skipped;
         self.rounds_stepped += other.rounds_stepped;
+        self.rounds_scripted += other.rounds_scripted;
         self.subrounds += other.subrounds;
         self.dirty_hwm = self.dirty_hwm.max(other.dirty_hwm);
         self.roster_hwm = self.roster_hwm.max(other.roster_hwm);
