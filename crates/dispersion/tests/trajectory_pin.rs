@@ -21,6 +21,12 @@
 //! honest controller walking the gather script (Theorem 5 under
 //! `CrashMidway`), and ID-faking adversaries walking gather scripts at
 //! `k > n` (Theorem 7).
+//!
+//! The three after them pin roaming adversaries whose bursts overlap the
+//! map-finding windows while the honest robots wait: a `FakeSettler`
+//! whose moves depend on its own round counter (Theorem 3), `Wanderer`s
+//! beside Theorem 4's group runs, and `Wanderer`s at `k > n` beside
+//! Theorem 5's.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
@@ -70,6 +76,9 @@ const PINS: &[Pin] = &[
     Pin { algo: QuotientTh1, n: 8, k: 8, adversary: Squatter, f: Some(0), seed: 2, rounds: 8240, total_moves: 65566, max_moves_per_robot: 8201, messages: 392, subrounds_executed: 8672, rounds_skipped: 0, final_positions: &[3, 1, 5, 0, 6, 2, 7, 4] },
     Pin { algo: ArbitrarySqrtTh5, n: 9, k: 9, adversary: CrashMidway, f: None, seed: 2, rounds: 29613, total_moves: 108985, max_moves_per_robot: 12126, messages: 955, subrounds_executed: 13930, rounds_skipped: 17049, final_positions: &[0, 0, 5, 1, 2, 3, 6, 7, 4] },
     Pin { algo: StrongArbitraryTh7, n: 8, k: 12, adversary: StrongSpoofer, f: None, seed: 2, rounds: 12440, total_moves: 99637, max_moves_per_robot: 8355, messages: 419, subrounds_executed: 8602, rounds_skipped: 4041, final_positions: &[0, 0, 5, 6, 1, 2, 3, 4, 7, 0, 5, 6] },
+    Pin { algo: GatheredHalfTh3, n: 8, k: 8, adversary: FakeSettler, f: None, seed: 1, rounds: 59241, total_moves: 19165, max_moves_per_robot: 4939, messages: 45529, subrounds_executed: 33707, rounds_skipped: 42579, final_positions: &[0, 4, 2, 4, 5, 1, 5, 5] },
+    Pin { algo: GatheredThirdTh4, n: 12, k: 12, adversary: Wanderer, f: None, seed: 1, rounds: 41927, total_moves: 38916, max_moves_per_robot: 10488, messages: 32985, subrounds_executed: 24157, rounds_skipped: 30232, final_positions: &[0, 4, 2, 2, 3, 1, 5, 7, 7, 6, 5, 8] },
+    Pin { algo: ArbitrarySqrtTh5, n: 9, k: 12, adversary: Wanderer, f: None, seed: 3, rounds: 29613, total_moves: 148412, max_moves_per_robot: 16156, messages: 5580, subrounds_executed: 22342, rounds_skipped: 12921, final_positions: &[0, 0, 1, 1, 2, 4, 2, 4, 4, 5, 5, 8] },
 ];
 
 fn spec_of(pin: &Pin, session: &Session) -> ScenarioSpec {
