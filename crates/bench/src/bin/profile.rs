@@ -13,9 +13,12 @@
 //! * `--quick` — profile the smaller quick-grid sizes;
 //! * `--check` — additionally assert (exit 1 otherwise) that at least 90%
 //!   of `QuotientTh1`'s engine wall time is attributed to named schedule
-//!   phases, and that for every row the stepped, skipped and scripted
-//!   rounds add up to the row's rounds and at least 90% of every
-//!   `cover_walk`/`gather` phase's rounds are scripted (applied in bulk);
+//!   phases, and that for every row the stepped, skipped, scripted and
+//!   solo rounds add up to the row's rounds, at least 90% of every
+//!   `cover_walk`/`gather` phase's rounds are scripted (applied in bulk),
+//!   and at least 60% of the rounds not skipped in every
+//!   `pairing`/`replicate` phase are solo (roaming adversaries applied in
+//!   bulk while every honest robot waits);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -115,11 +118,12 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         );
     }
     println!(
-        "  totals: stepped={} skipped={} scripted={} bulletin w/r={}/{} resorts={} \
+        "  totals: stepped={} skipped={} scripted={} solo={} bulletin w/r={}/{} resorts={} \
          dirty_hwm={} roster_hwm={} bulletin_hwm={}",
         report.total.rounds_stepped,
         report.total.rounds_skipped,
         report.total.rounds_scripted,
+        report.total.rounds_solo,
         report.total.bulletin_writes,
         report.total.bulletin_reads,
         report.total.roster_resorts,
@@ -248,29 +252,40 @@ fn main() {
 }
 
 /// The `--check` round-accounting gate for one row: every round is
-/// stepped, skipped or scripted exactly once, and the walks that need no
-/// communication (`cover_walk`, `gather`) are at least 90% scripted.
+/// stepped, skipped, scripted or solo exactly once; the walks that need no
+/// communication (`cover_walk`, `gather`) are at least 90% scripted; and
+/// the map-finding windows (`pairing`, `replicate`) are at least 60% solo
+/// among the rounds not skipped.
 fn round_accounting(algo: &str, report: &EngineReport) -> Vec<String> {
     let t = &report.total;
     let mut failures = Vec::new();
-    let accounted = t.rounds_stepped + t.rounds_skipped + t.rounds_scripted;
+    let accounted = t.rounds_stepped + t.rounds_skipped + t.rounds_scripted + t.rounds_solo;
     if accounted != report.rounds {
         failures.push(format!(
-            "{algo}: stepped {} + skipped {} + scripted {} = {accounted} != {} rounds",
-            t.rounds_stepped, t.rounds_skipped, t.rounds_scripted, report.rounds
+            "{algo}: stepped {} + skipped {} + scripted {} + solo {} = {accounted} != {} rounds",
+            t.rounds_stepped, t.rounds_skipped, t.rounds_scripted, t.rounds_solo, report.rounds
         ));
     }
-    for p in report
-        .phases
-        .iter()
-        .filter(|p| p.name == "cover_walk" || p.name == "gather")
-    {
+    for p in &report.phases {
         let rounds = p.end_round - p.start_round;
-        if (p.counters.rounds_scripted as f64) < 0.9 * rounds as f64 {
-            failures.push(format!(
-                "{algo}: {} of {rounds} {} rounds scripted (< 90%)",
-                p.counters.rounds_scripted, p.name
-            ));
+        let c = &p.counters;
+        match p.name.as_str() {
+            "cover_walk" | "gather" if (c.rounds_scripted as f64) < 0.9 * rounds as f64 => {
+                failures.push(format!(
+                    "{algo}: {} of {rounds} {} rounds scripted (< 90%)",
+                    c.rounds_scripted, p.name
+                ));
+            }
+            "pairing" | "replicate" => {
+                let unskipped = rounds - c.rounds_skipped;
+                if (c.rounds_solo as f64) < 0.6 * unskipped as f64 {
+                    failures.push(format!(
+                        "{algo}: {} of {unskipped} non-skipped {} rounds solo (< 60%)",
+                        c.rounds_solo, p.name
+                    ));
+                }
+            }
+            _ => {}
         }
     }
     failures

@@ -45,7 +45,11 @@
 //!   publications, which are unread in any skipped round (the engine skips
 //!   only rounds in which *every* robot is idle). They report an unbounded
 //!   horizon and their trajectories are bit-identical with or without
-//!   fast-forwarding.
+//!   fast-forwarding. They are idle but not silent, so they must never
+//!   overlap a segment (below), where an idle robot's messages would go
+//!   uncounted. Today that holds because a cast has one adversary kind
+//!   and activation starts after gathering: no roamer or script runs
+//!   beside an active spammer.
 //! * **Roamers** (FakeSettler, Silent, Wanderer, TokenHijacker) act on a
 //!   **burst grid**: active during the first `n` rounds of every `4n`-round
 //!   block after activation, provably idle (stationary, silent, no RNG
@@ -53,7 +57,12 @@
 //!   start. Burst rounds are never skipped (the controller reports no
 //!   idleness inside one), so the RNG stream position at every burst is
 //!   independent of how much was skipped elsewhere — roamer trajectories
-//!   are also deterministic under fast-forwarding.
+//!   are also deterministic under fast-forwarding. Inside a burst a roamer
+//!   is *solo* until the burst ends (`Controller::solo_until`): it reads
+//!   only its own round, degree and RNG — never the roster or bulletin —
+//!   so while every honest robot waits out a map-finding window the
+//!   engine applies the burst as a segment, calling the roamer without
+//!   building a roster or bulletin.
 //!
 //! Before activation, an adversary still walking its gather script is
 //! *scripted* instead: it hands the engine the rest of the script up to
@@ -213,6 +222,14 @@ impl AdversaryController {
         let offset = (round - self.active_from) % block;
         round + (block - offset)
     }
+
+    /// First round after the burst `round` lies in (call with an active,
+    /// in-burst round of a roamer).
+    fn burst_end(&self, round: u64) -> u64 {
+        let block = 4 * self.n as u64;
+        let offset = (round - self.active_from) % block;
+        round + (self.n as u64 - offset)
+    }
 }
 
 impl Controller<Msg> for AdversaryController {
@@ -318,6 +335,20 @@ impl Controller<Msg> for AdversaryController {
         } else {
             Some(self.next_burst_start(next))
         }
+    }
+
+    /// A roamer inside a burst reads only its own round, degree and RNG,
+    /// and nothing it publishes needs a reader while every honest robot
+    /// waits: solo until the burst ends. Gaps are covered by
+    /// [`Controller::idle_until`]; stationary kinds are never solo.
+    fn solo_until(&self) -> Option<u64> {
+        if !self.gather_script.done() || !self.kind.roams() {
+            return None;
+        }
+        // As in `idle_until`: the engine is about to evaluate
+        // `round_seen + 1`.
+        let next = self.round_seen + 1;
+        (self.active(next) && self.in_burst(next)).then(|| self.burst_end(next))
     }
 
     /// The rest of the gather script, up to activation: before it the
@@ -548,6 +579,54 @@ mod tests {
         assert_eq!(a.idle_until(), None);
         a.round_seen = n as u64; // next evaluated round is n + 1
         assert_eq!(a.idle_until(), Some(4 * n as u64));
+    }
+
+    #[test]
+    fn roamer_is_solo_exactly_inside_bursts() {
+        let n = 8u64;
+        let mk = |kind, script: Vec<Port>, active_from| {
+            AdversaryController::new(
+                RobotId(9),
+                kind,
+                n as usize,
+                7,
+                script,
+                active_from,
+                Vec::new(),
+                0,
+            )
+        };
+        // While the gather script runs: scripted, not solo.
+        let mut a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
+        assert_eq!(a.solo_until(), None);
+        a.advance_script(0, 3);
+        // Before activation: idle, not solo.
+        assert_eq!(a.solo_until(), None);
+        assert_eq!(a.idle_until(), Some(100));
+        // Inside a burst: solo until the burst's end, whichever round of it
+        // the engine is about to evaluate.
+        for next in [100, 101, 100 + n - 1, 100 + 4 * n, 100 + 9 * n - 1] {
+            a.round_seen = next - 1;
+            let end = 100 + (next - 100) / (4 * n) * 4 * n + n;
+            assert_eq!(a.solo_until(), Some(end), "round {next}");
+            // No idle horizon past the round (at activation the horizon is
+            // the round itself, so that round is stepped).
+            assert!(a.idle_until().map_or(true, |r| r <= next));
+        }
+        // Between bursts: idle, not solo.
+        for next in [100 + n, 100 + 4 * n - 1, 100 + 5 * n] {
+            a.round_seen = next - 1;
+            assert_eq!(a.solo_until(), None, "round {next}");
+            assert!(a.idle_until().is_some());
+        }
+        // Stationary kinds are never solo.
+        for kind in AdversaryKind::all().into_iter().filter(|k| !k.roams()) {
+            let mut a = mk(kind, Vec::new(), 0);
+            for round_seen in [0, 1, n, 4 * n] {
+                a.round_seen = round_seen;
+                assert_eq!(a.solo_until(), None, "{kind:?}");
+            }
+        }
     }
 
     #[test]

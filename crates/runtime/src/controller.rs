@@ -86,20 +86,25 @@ pub trait Controller<M> {
     /// nothing else: it reads nothing (roster, bulletin, arrival), publishes
     /// nothing, requests one sub-round per round, and does not terminate
     /// before the script's last round. The engine asks only controllers
-    /// that report no idle horizon.
+    /// that report no idle horizon, and reports the rounds it applied
+    /// through [`Controller::advance_script`]. The default, an empty slice,
+    /// opts out.
     ///
-    /// When every active robot is idle past the current round or scripted,
-    /// the engine applies the whole segment at once — up to the shortest
-    /// script, the earliest idle horizon, the epoch's stop round, the round
-    /// cap, and (when recording telemetry) the next phase mark — instead of
-    /// stepping it, then reports the rounds it applied through
-    /// [`Controller::advance_script`]. Idle robots are not called during a
-    /// segment, so an idle robot overlapping one must also be silent and
-    /// request one sub-round per round: the engine counts no messages for
-    /// it and one sub-round per round (debug builds assert the latter).
+    /// # Segments
+    ///
+    /// When every active robot is idle past the current round, scripted,
+    /// or solo ([`Controller::solo_until`]), the engine applies the whole
+    /// stretch as one *segment* instead of stepping it: it ends at the
+    /// shortest script, the earliest solo horizon, the earliest idle
+    /// horizon, the epoch's stop round, the round cap, and (when recording
+    /// telemetry) the next phase mark. No roster or bulletin is built
+    /// inside a segment and idle robots are not called, so an idle robot
+    /// overlapping one must also be silent: the engine counts no messages
+    /// for it. The segment runs the sub-round count the active robots
+    /// request at its first round, so every active robot's request must
+    /// stay constant within it (debug builds assert the maximum does).
     /// Unlike skipped rounds, a segment's rounds count as executed, so
-    /// `RunMetrics` equal a stepped run's. The default, an empty slice, opts
-    /// out.
+    /// `RunMetrics` equal a stepped run's.
     fn scripted(&self, round: u64) -> &[Port] {
         let _ = round;
         &[]
@@ -112,6 +117,26 @@ pub trait Controller<M> {
     /// round seen). Called only after a non-empty script was returned.
     fn advance_script(&mut self, round: u64, rounds: u64) {
         let _ = (round, rounds);
+    }
+
+    /// The solo contract, the third fast-forward promise beside
+    /// [`Controller::idle_until`] and [`Controller::scripted`]. Returning
+    /// `Some(r)` (epoch-local, like `idle_until`) promises that until round
+    /// `r` this robot reads only its own senses — the observation's
+    /// `round`, `subround`, `subrounds`, `degree` and `arrival`, never the
+    /// roster or the bulletin — that nothing it publishes needs a reader,
+    /// that its sub-round request stays constant, and that it does not
+    /// terminate. The engine asks only controllers that report neither an
+    /// idle horizon nor a script.
+    ///
+    /// Inside a segment (see [`Controller::scripted`]) a solo robot is
+    /// still called: [`Controller::act`] once per sub-round, then
+    /// [`Controller::decide_move`], on an observation with an empty roster
+    /// and bulletin, its own node's degree and, at sub-round 0, the
+    /// arrival of its last move, exactly as stepping would hand it. Its
+    /// publications count as messages. The default, `None`, opts out.
+    fn solo_until(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -143,6 +168,7 @@ mod tests {
         assert_eq!(e.subrounds_wanted(0), 1);
         assert!(!e.terminated());
         assert!(e.scripted(0).is_empty(), "controllers opt into scripts");
+        assert_eq!(e.solo_until(), None, "controllers opt into solo segments");
     }
 
     #[test]

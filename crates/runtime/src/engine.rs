@@ -22,10 +22,13 @@
 //!
 //! Rounds that need no stepping bypass [`Engine::step`] altogether: an
 //! all-idle stretch is skipped, and a stretch where every active robot is
-//! idle or scripted ([`Controller::scripted`]) is applied in bulk by
-//! `Engine::apply_segment`, which moves robots straight through the
-//! [`World`] and leaves the arenas stale for the next stepped round to
-//! rebuild.
+//! idle, scripted ([`Controller::scripted`]) or solo
+//! ([`Controller::solo_until`]) is applied in bulk by
+//! `Engine::apply_segment`. It moves scripted robots straight through the
+//! [`World`], calls solo robots on their own senses (empty roster and
+//! bulletin, their own degree and arrival), never calls idle robots, and
+//! builds no roster or bulletin; the arenas are left stale for the next
+//! stepped round to rebuild.
 //!
 //! # Dynamic worlds: events and epochs
 //!
@@ -126,9 +129,31 @@ enum Horizon {
     Step,
     /// Every active robot is idle until at least this absolute round.
     Idle(u64),
-    /// Every active robot is idle (until at least `idle`) or scripted (for
-    /// at least `script` rounds).
-    Scripted { idle: u64, script: u64 },
+    /// Every active robot is idle (until at least `idle`), scripted or solo,
+    /// and at least one is not idle. `busy` is the absolute round where the
+    /// shortest script or the earliest solo horizon ends.
+    Segment { idle: u64, busy: u64 },
+}
+
+/// What an active robot does inside a segment (see
+/// [`Engine::apply_segment`]).
+enum Role<'a, M> {
+    /// Leaves through these ports, one per round.
+    Scripted(&'a [Port]),
+    /// Is called every round on its own senses.
+    Solo(&'a mut Box<dyn Controller<M>>),
+}
+
+/// The sub-round count of epoch-local `round`: the most any active robot
+/// requests, at least one.
+fn subrounds_at<M>(controllers: &[Box<dyn Controller<M>>], round: u64) -> usize {
+    controllers
+        .iter()
+        .filter(|c| !c.terminated())
+        .map(|c| c.subrounds_wanted(round))
+        .max()
+        .unwrap_or(1)
+        .max(1)
 }
 
 /// A mid-run mutation of the simulated world, applied between rounds via
@@ -433,28 +458,34 @@ impl<M: Clone> Engine<M> {
 
     /// What the active robots let the engine do from the current round:
     /// step it, skip to the earliest idle horizon (every robot idle), or
-    /// apply a scripted segment (every robot idle or scripted). Horizons
-    /// are absolute; `script` is the shortest script's length.
+    /// apply a segment (every robot idle, scripted or solo). Horizons are
+    /// absolute.
     fn horizon(&self) -> Horizon {
-        // Idle promises and scripts are epoch-local (controllers never see
-        // the absolute clock); shift horizons by the epoch base before
-        // comparing with `self.round`.
+        // Idle promises, scripts and solo horizons are epoch-local
+        // (controllers never see the absolute clock); shift them by the
+        // epoch base before comparing with `self.round`.
         let epoch_base = self.epoch_base;
         let local = self.round - epoch_base;
         let mut idle = u64::MAX;
-        let mut script: Option<u64> = None;
+        let mut busy: Option<u64> = None;
         for c in self.controllers.iter().filter(|c| !c.terminated()) {
-            match c.idle_until() {
-                Some(r) => idle = idle.min(r.saturating_add(epoch_base)),
-                None => match c.scripted(local).len() as u64 {
-                    0 => return Horizon::Step,
-                    len => script = Some(script.map_or(len, |s| s.min(len))),
-                },
+            if let Some(r) = c.idle_until() {
+                idle = idle.min(r.saturating_add(epoch_base));
+                continue;
             }
+            let until = match c.scripted(local).len() as u64 {
+                0 => match c.solo_until() {
+                    Some(r) if r > local => r,
+                    _ => return Horizon::Step,
+                },
+                len => local + len,
+            };
+            let until = until.saturating_add(epoch_base);
+            busy = Some(busy.map_or(until, |b| b.min(until)));
         }
-        match script {
+        match busy {
             None => Horizon::Idle(idle),
-            Some(script) => Horizon::Scripted { idle, script },
+            Some(busy) => Horizon::Segment { idle, busy },
         }
     }
 
@@ -513,15 +544,16 @@ impl<M: Clone> Engine<M> {
                             continue;
                         }
                     }
-                    // Scripted rounds read nothing and publish nothing, so
-                    // they are applied without rosters or bulletins (see
-                    // `Controller::scripted`). The segment stops where a
-                    // stepped run could first differ: an idle robot's
-                    // horizon, the stop round, the cap (the loop head then
-                    // raises `RoundLimit` exactly as stepping would), and
-                    // the next telemetry phase mark.
-                    Horizon::Scripted { idle, script } => {
-                        let mut end = (self.round + script)
+                    // Segment rounds read no roster or bulletin and publish
+                    // nothing anyone reads, so they are applied without
+                    // rosters or bulletins (see `Controller::scripted`).
+                    // The segment stops where a stepped run could first
+                    // differ: a script's or solo horizon's end, an idle
+                    // robot's horizon, the stop round, the cap (the loop
+                    // head then raises `RoundLimit` exactly as stepping
+                    // would), and the next telemetry phase mark.
+                    Horizon::Segment { idle, busy } => {
+                        let mut end = busy
                             .min(idle.saturating_add(overshoot))
                             .min(stop_at)
                             .min(self.config.max_rounds);
@@ -542,13 +574,15 @@ impl<M: Clone> Engine<M> {
         }
     }
 
-    /// Apply the scripted segment `[self.round, end)` in bulk: every
-    /// robot without an idle horizon is scripted (see
-    /// [`Engine::horizon`]), every other one stays put. Positions,
-    /// odometers, arrivals, the trace, termination records and the run
-    /// metrics end up exactly as stepping the segment would leave them;
-    /// rosters and bulletins are not touched, so the arenas are marked
-    /// stale for the next stepped round to rebuild.
+    /// Apply the segment `[self.round, end)` in bulk: every active robot
+    /// without an idle horizon is scripted or solo (see
+    /// [`Engine::horizon`]), every other one stays put uncalled. Scripted
+    /// robots take their ports; solo robots are called on their own
+    /// senses, round-major in robot order.
+    /// Positions, odometers, arrivals, the trace, termination records and
+    /// the run metrics end up exactly as stepping the segment would leave
+    /// them; rosters and bulletins are not touched, so the arenas are
+    /// marked stale for the next stepped round to rebuild.
     fn apply_segment(&mut self, end: u64) -> Result<(), RunError> {
         let start = self.round;
         let rounds = end - start;
@@ -565,37 +599,68 @@ impl<M: Clone> Engine<M> {
             telemetry,
             ..
         } = self;
+        let subrounds = subrounds_at(controllers, local);
         #[cfg(debug_assertions)]
-        for c in controllers.iter().filter(|c| !c.terminated()) {
-            for r in local..local + rounds {
-                debug_assert_eq!(
-                    c.subrounds_wanted(r),
-                    1,
-                    "robot {} wants sub-rounds inside a scripted segment",
-                    c.id()
-                );
+        for r in local..local + rounds {
+            debug_assert_eq!(
+                subrounds_at(controllers, r),
+                subrounds,
+                "the sub-round count changes inside a segment at round {r}"
+            );
+        }
+        let mut roles: Vec<(usize, Role<'_, M>)> = Vec::with_capacity(controllers.len());
+        for (i, c) in controllers.iter_mut().enumerate() {
+            // A robot that stays keeps no arrival; scripted robots
+            // overwrite theirs every round below, and solo robots see the
+            // arrival their last stepped move left.
+            if c.terminated() || c.idle_until().is_some() {
+                arrivals[i] = None;
+            } else if !c.scripted(local).is_empty() {
+                let c: &dyn Controller<M> = &**c;
+                roles.push((i, Role::Scripted(c.scripted(local))));
+            } else {
+                roles.push((i, Role::Solo(c)));
             }
         }
-        let scripts: Vec<(usize, &[Port])> = controllers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.terminated() && c.idle_until().is_none())
-            .map(|(i, c)| (i, c.scripted(local)))
-            .collect();
-        // A robot that stays keeps no arrival; scripted robots overwrite
-        // theirs every round below.
-        for a in arrivals.iter_mut() {
-            *a = None;
-        }
+        let solo = roles.iter().any(|(_, role)| matches!(role, Role::Solo(_)));
         let mut moved = 0u64;
+        let mut messages = 0u64;
         // Round-major, robot order within a round: the trace records
         // events exactly as stepping would.
-        for t in 0..rounds as usize {
-            let round_now = start + t as u64;
-            for &(i, script) in &scripts {
-                let port = script[t];
+        for t in 0..rounds {
+            let round_now = start + t;
+            for (i, role) in roles.iter_mut() {
+                let i = *i;
                 let node = world.robot(i).position;
                 let degree = world.graph().degree(node);
+                let port = match role {
+                    Role::Scripted(script) => script[t as usize],
+                    Role::Solo(c) => {
+                        let mut obs = Observation {
+                            round: local + t,
+                            subround: 0,
+                            subrounds,
+                            degree,
+                            roster: &[],
+                            bulletin: &[],
+                            arrival: arrivals[i],
+                        };
+                        for sub in 0..subrounds {
+                            obs.subround = sub;
+                            if c.act(&obs).is_some() {
+                                messages += 1;
+                            }
+                            obs.arrival = None;
+                        }
+                        match c.decide_move(&obs) {
+                            MoveChoice::Move(port) => port,
+                            MoveChoice::Stay => {
+                                arrivals[i] = None;
+                                continue;
+                            }
+                        }
+                    }
+                };
                 if port >= degree {
                     if world.robot(i).flavor == Flavor::Honest {
                         *round = round_now;
@@ -627,15 +692,23 @@ impl<M: Clone> Engine<M> {
                 }
             }
         }
-        let scripted: Vec<usize> = scripts.into_iter().map(|(i, _)| i).collect();
-        for &i in &scripted {
+        let scripted: Vec<usize> = roles
+            .into_iter()
+            .filter_map(|(i, role)| matches!(role, Role::Scripted(_)).then_some(i))
+            .collect();
+        for i in scripted {
             controllers[i].advance_script(local, rounds);
         }
-        metrics.subrounds_executed += rounds;
+        metrics.messages += messages;
+        metrics.subrounds_executed += rounds * subrounds as u64;
         if let Some(t) = telemetry.as_deref_mut() {
             t.counters.ff_jumps += 1;
-            t.counters.rounds_scripted += rounds;
-            t.counters.subrounds += rounds;
+            if solo {
+                t.counters.rounds_solo += rounds;
+            } else {
+                t.counters.rounds_scripted += rounds;
+            }
+            t.counters.subrounds += rounds * subrounds as u64;
             t.counters.moves += moved;
         }
         scratch.ready = false;
@@ -755,14 +828,7 @@ impl<M: Clone> Engine<M> {
 
         // Sub-round communication. Run as many sub-rounds as any active
         // robot requests (walking phases request 1, so this stays cheap).
-        let subrounds = controllers
-            .iter()
-            .zip(active.iter())
-            .filter(|&(_, &a)| a)
-            .map(|(c, _)| c.subrounds_wanted(local_round))
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let subrounds = subrounds_at(controllers, local_round);
         for sub in 0..subrounds {
             pending.clear();
             for i in 0..nrobots {
@@ -927,7 +993,7 @@ impl<M: Clone> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_graphs::generators::{oriented_ring, ring};
+    use bd_graphs::generators::{lollipop, oriented_ring, ring};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
@@ -1012,16 +1078,32 @@ mod tests {
     }
 
     /// Idle until round `wake`; records the first round it is called in
-    /// from then on, stays put, and terminates.
+    /// from then on, stays put, and terminates. Asks for `subrounds`
+    /// sub-rounds every round.
     struct Sleeper {
         id: RobotId,
         wake: u64,
         woke: Rc<Cell<Option<u64>>>,
+        subrounds: usize,
+    }
+
+    impl Sleeper {
+        fn new(id: u64, wake: u64, subrounds: usize) -> Self {
+            Sleeper {
+                id: RobotId(id),
+                wake,
+                woke: Rc::default(),
+                subrounds,
+            }
+        }
     }
 
     impl Controller<String> for Sleeper {
         fn id(&self) -> RobotId {
             self.id
+        }
+        fn subrounds_wanted(&self, _round: u64) -> usize {
+            self.subrounds
         }
         fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
             if obs.round >= self.wake && self.woke.get().is_none() {
@@ -1037,6 +1119,67 @@ mod tests {
         }
         fn idle_until(&self) -> Option<u64> {
             self.woke.get().is_none().then_some(self.wake)
+        }
+    }
+
+    /// Roams on its own senses: at every sub-round it logs the round, the
+    /// sub-round and its arrival, and at sub-round 0 it publishes; then it
+    /// leaves through a port derived from the round, its node's degree and
+    /// the port it arrived by. Solo in rounds `solo.0 .. solo.1`;
+    /// terminates after round `last`. Also logs the rounds it was handed
+    /// an empty roster in, which only a segment does.
+    struct Roamer {
+        id: RobotId,
+        solo: (u64, u64),
+        last: u64,
+        next: u64,
+        entry: usize,
+        seen: Rc<RefCell<Vec<(u64, usize, Option<ArrivalInfo>)>>>,
+        unrostered: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Roamer {
+        fn new(id: u64, solo: (u64, u64), last: u64) -> Self {
+            Roamer {
+                id: RobotId(id),
+                solo,
+                last,
+                next: 0,
+                entry: 0,
+                seen: Rc::default(),
+                unrostered: Rc::default(),
+            }
+        }
+    }
+
+    impl Controller<String> for Roamer {
+        fn id(&self) -> RobotId {
+            self.id
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            self.seen
+                .borrow_mut()
+                .push((obs.round, obs.subround, obs.arrival));
+            if obs.subround != 0 {
+                return None;
+            }
+            if obs.roster.is_empty() {
+                self.unrostered.borrow_mut().push(obs.round);
+            }
+            self.entry = obs.arrival.map_or(0, |a| a.entry_port);
+            Some(format!("at {}", obs.round))
+        }
+        fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+            self.next = obs.round + 1;
+            MoveChoice::Move((obs.round as usize + self.entry) % obs.degree)
+        }
+        fn terminated(&self) -> bool {
+            self.next > self.last
+        }
+        fn solo_until(&self) -> Option<u64> {
+            (self.solo.0..self.solo.1)
+                .contains(&self.next)
+                .then_some(self.solo.1)
         }
     }
 
@@ -1551,16 +1694,9 @@ mod tests {
             3,
             Box::new(Scripted::new(2, vec![1, 1, 0], 0)),
         );
-        let woke = Rc::new(Cell::new(None));
-        e.add_robot(
-            Flavor::Honest,
-            5,
-            Box::new(Sleeper {
-                id: RobotId(3),
-                wake: 7,
-                woke: woke.clone(),
-            }),
-        );
+        let sleeper = Sleeper::new(3, 7, 1);
+        let woke = sleeper.woke.clone();
+        e.add_robot(Flavor::Honest, 5, Box::new(sleeper));
         let out = e.run_epoch(u64::MAX).unwrap();
         let odometers = e.world().robots().iter().map(|r| r.moves).collect();
         let events = e
@@ -1645,21 +1781,142 @@ mod tests {
                 0,
                 Box::new(Scripted::new(1, vec![0; 10], 0)),
             );
-            let woke = Rc::new(Cell::new(None));
-            e.add_robot(
-                Flavor::Honest,
-                8,
-                Box::new(Sleeper {
-                    id: RobotId(2),
-                    wake: 3,
-                    woke: woke.clone(),
-                }),
-            );
+            let sleeper = Sleeper::new(2, 3, 1);
+            let woke = sleeper.woke.clone();
+            e.add_robot(Flavor::Honest, 8, Box::new(sleeper));
             e.run_epoch(u64::MAX).unwrap();
             woke.get()
         };
         assert_eq!(woke_at(EngineConfig::default()), Some(3));
         // The sabotaged clamp lets the segment swallow round 3.
+        assert_eq!(
+            woke_at(EngineConfig::default().with_ff_overshoot(1)),
+            Some(4)
+        );
+    }
+
+    /// What a run of a [`Roamer`] beside an honest [`Sleeper`] leaves
+    /// behind.
+    struct SoloRun {
+        /// `(messages, subrounds_executed, terminated)`, or the error.
+        out: Result<(u64, u64, bool), RunError>,
+        round: u64,
+        positions: Vec<NodeId>,
+        odometers: Vec<u64>,
+        moved: Vec<Event>,
+        /// The roamer's `(round, subround, arrival)` per `act` call.
+        seen: Vec<(u64, usize, Option<ArrivalInfo>)>,
+        /// The rounds the roamer was handed an empty roster in.
+        unrostered: Vec<u64>,
+        woke: Option<u64>,
+    }
+
+    fn run_solo_cast(config: EngineConfig, roamer: Roamer, wake: u64, stop_at: u64) -> SoloRun {
+        let mut e: Engine<String> = Engine::new(lollipop(4, 3).unwrap(), config.traced());
+        let (seen, unrostered) = (roamer.seen.clone(), roamer.unrostered.clone());
+        e.add_robot(Flavor::WeakByzantine, 6, Box::new(roamer));
+        let sleeper = Sleeper::new(2, wake, 2);
+        let woke = sleeper.woke.clone();
+        e.add_robot(Flavor::Honest, 0, Box::new(sleeper));
+        let out = e.run_epoch(stop_at).map(|o| {
+            let m = o.metrics;
+            (m.messages, m.subrounds_executed, o.terminated)
+        });
+        let round = e.round();
+        let positions = e.world().positions();
+        let odometers = e.world().robots().iter().map(|r| r.moves).collect();
+        let moved = e
+            .into_trace()
+            .events
+            .into_iter()
+            .filter(|ev| matches!(ev, Event::Moved { .. }))
+            .collect();
+        let seen = seen.borrow().clone();
+        let unrostered = unrostered.borrow().clone();
+        SoloRun {
+            out,
+            round,
+            positions,
+            odometers,
+            moved,
+            seen,
+            unrostered,
+            woke: woke.get(),
+        }
+    }
+
+    #[test]
+    fn solo_segments_match_stepping() {
+        // The roamer steps rounds 0-2 (not solo), is solo in 3-8 beside a
+        // sleeper idle until 12 that asks for two sub-rounds, and steps
+        // 9-11 again; the sleeper wakes at 12 and ends the run.
+        let run = |config| run_solo_cast(config, Roamer::new(1, (3, 9), 11), 12, u64::MAX);
+        let fast = run(EngineConfig::default());
+        let stepped = run(EngineConfig::default().without_fast_forward());
+        assert_eq!(fast.out, stepped.out, "messages and sub-rounds");
+        assert_eq!(fast.out, Ok((12, 26, true)), "one message a round, 2 × 13");
+        assert_eq!(fast.round, stepped.round);
+        assert_eq!(fast.positions, stepped.positions);
+        assert_eq!(fast.odometers, stepped.odometers);
+        assert_eq!(fast.odometers, vec![12, 0]);
+        assert_eq!(fast.moved, stepped.moved, "Moved order");
+        assert_eq!(fast.seen, stepped.seen, "rounds, sub-rounds and arrivals");
+        assert_eq!(fast.woke, stepped.woke);
+        // The first segment round sees the arrival of round 2's move, at
+        // sub-round 0 only.
+        let first: Vec<_> = fast.seen.iter().filter(|s| s.0 == 3).collect();
+        assert_eq!(first.len(), 2, "two sub-rounds");
+        assert!(
+            first[0].2.is_some(),
+            "arrival left by the last stepped move"
+        );
+        assert_eq!(first[1].2, None);
+        // Only the solo rounds ran as a segment.
+        assert_eq!(fast.unrostered, (3..9).collect::<Vec<_>>());
+        assert!(stepped.unrostered.is_empty());
+    }
+
+    #[test]
+    fn solo_segment_clamps_at_horizon_stop_and_cap() {
+        let fast = EngineConfig::default();
+        let stepped = EngineConfig::default().without_fast_forward();
+        let same = |a: &SoloRun, b: &SoloRun| {
+            assert_eq!(a.out, b.out);
+            assert_eq!(a.round, b.round);
+            assert_eq!(a.positions, b.positions);
+            assert_eq!(a.moved, b.moved);
+            assert_eq!(a.seen, b.seen);
+        };
+        // The segment ends at the solo horizon: round 6 is stepped.
+        let run = |config| run_solo_cast(config, Roamer::new(1, (2, 6), 8), 9, u64::MAX);
+        let (a, b) = (run(fast.clone()), run(stepped.clone()));
+        same(&a, &b);
+        assert_eq!(a.unrostered, vec![2, 3, 4, 5]);
+
+        // A scheduled stop cuts it.
+        let run = |config| run_solo_cast(config, Roamer::new(1, (0, 10), 12), 20, 4);
+        let (a, b) = (run(fast.clone()), run(stepped.clone()));
+        same(&a, &b);
+        assert_eq!(a.out, Ok((4, 8, false)));
+        assert_eq!(a.unrostered, vec![0, 1, 2, 3]);
+
+        // The cap cuts it too, with the error and clock of stepping.
+        let capped = |config: EngineConfig| EngineConfig {
+            max_rounds: 4,
+            ..config
+        };
+        let run = |config| run_solo_cast(config, Roamer::new(1, (0, 10), 12), 20, u64::MAX);
+        let (a, b) = (run(capped(fast)), run(capped(stepped)));
+        same(&a, &b);
+        assert!(matches!(a.out, Err(RunError::RoundLimit { limit: 4 })));
+        assert_eq!(a.round, 4);
+    }
+
+    #[test]
+    fn overshoot_runs_a_solo_segment_past_an_idle_horizon() {
+        let woke_at = |config| run_solo_cast(config, Roamer::new(1, (0, 10), 12), 3, u64::MAX).woke;
+        assert_eq!(woke_at(EngineConfig::default()), Some(3));
+        // The sabotaged clamp lets the solo segment swallow round 3.
         assert_eq!(
             woke_at(EngineConfig::default().with_ff_overshoot(1)),
             Some(4)

@@ -64,10 +64,25 @@
 //! `Moved` events advance per move, with no roster, bulletin or per-robot
 //! dispatch, then [`controller::Controller::advance_script`] tells each
 //! scripted controller how far it got. Scripted rounds count as executed
-//! rounds in [`metrics::RunMetrics`] (one sub-round each, not skipped), so
-//! metrics equal a stepped run's; `EngineCounters::rounds_scripted`
-//! counts them. Like skipping, it runs only under
-//! [`EngineConfig::fast_forward`] and honours `ff_overshoot`.
+//! rounds in [`metrics::RunMetrics`] (with the segment's sub-round count,
+//! not skipped), so metrics equal a stepped run's;
+//! `EngineCounters::rounds_scripted` counts them. Like skipping, it runs
+//! only under [`EngineConfig::fast_forward`] and honours `ff_overshoot`.
+//!
+//! ## Solo robots
+//!
+//! The third promise, [`controller::Controller::solo_until`], covers a
+//! robot that keeps deciding but reads only its own senses (round,
+//! sub-round, degree, arrival — never the roster or the bulletin) and
+//! whose publications need no reader: this reproduction's roaming
+//! adversaries in mid-burst while every honest robot waits out a
+//! map-finding window. A segment also runs when some active robots are
+//! solo: the engine calls each solo robot's `act` once per sub-round and
+//! then `decide_move`, on an observation with an empty roster and
+//! bulletin, round-major in robot order, and still builds no roster or
+//! bulletin and calls no idle robot. The segment ends at the earliest
+//! solo horizon too; its messages count in `RunMetrics`, and
+//! `EngineCounters::rounds_solo` counts its rounds.
 //!
 //! ## Instrumentation
 //!

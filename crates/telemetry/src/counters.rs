@@ -45,12 +45,17 @@ pub struct EngineCounters {
     pub rounds_skipped: u64,
     /// Rounds actually stepped (not skipped, not scripted).
     pub rounds_stepped: u64,
-    /// Rounds applied in bulk as scripted segments (see
-    /// `Controller::scripted` in `bd-runtime`); each segment also counts
-    /// one [`EngineCounters::ff_jumps`].
+    /// Rounds applied in bulk as segments in which no robot is solo: every
+    /// active robot idle or scripted (see `Controller::scripted` in
+    /// `bd-runtime`); each segment also counts one
+    /// [`EngineCounters::ff_jumps`].
     pub rounds_scripted: u64,
-    /// Sub-rounds executed inside stepped rounds, plus one per scripted
-    /// round.
+    /// Rounds applied in bulk as segments in which at least one robot is
+    /// solo (see `Controller::solo_until` in `bd-runtime`); each segment
+    /// also counts one [`EngineCounters::ff_jumps`].
+    pub rounds_solo: u64,
+    /// Sub-rounds executed inside stepped rounds, plus the sub-rounds of
+    /// every segment round (the segment's sub-round count per round).
     pub subrounds: u64,
     /// High-water mark of the dirty-node list length at round end (how
     /// much roster work one round queued for the next).
@@ -79,6 +84,7 @@ impl EngineCounters {
             rounds_skipped: self.rounds_skipped - mark.rounds_skipped,
             rounds_stepped: self.rounds_stepped - mark.rounds_stepped,
             rounds_scripted: self.rounds_scripted - mark.rounds_scripted,
+            rounds_solo: self.rounds_solo - mark.rounds_solo,
             subrounds: self.subrounds - mark.subrounds,
             dirty_hwm: self.dirty_hwm,
             roster_hwm: self.roster_hwm,
@@ -100,6 +106,7 @@ impl EngineCounters {
         self.rounds_skipped += other.rounds_skipped;
         self.rounds_stepped += other.rounds_stepped;
         self.rounds_scripted += other.rounds_scripted;
+        self.rounds_solo += other.rounds_solo;
         self.subrounds += other.subrounds;
         self.dirty_hwm = self.dirty_hwm.max(other.dirty_hwm);
         self.roster_hwm = self.roster_hwm.max(other.roster_hwm);
