@@ -48,7 +48,7 @@
 //!   fast-forwarding. They are idle but not silent, so they must never
 //!   overlap a segment (below), where an idle robot's messages would go
 //!   uncounted. Today that holds because a cast has one adversary kind
-//!   and activation starts after gathering: no roamer or script runs
+//!   and activation starts after gathering: no roamer or prelude runs
 //!   beside an active spammer.
 //! * **Roamers** (FakeSettler, Silent, Wanderer, TokenHijacker) act on a
 //!   **burst grid**: active during the first `n` rounds of every `4n`-round
@@ -64,13 +64,14 @@
 //!   engine applies the burst as a segment, calling the roamer without
 //!   building a roster or bulletin.
 //!
-//! Before activation, an adversary still walking its gather script is
-//! *scripted* instead: it hands the engine the rest of the script up to
-//! its activation round (`Controller::scripted`), so the gathering phase
-//! is applied in bulk whether the walkers are honest or not.
+//! An adversary's gather script is its prelude (`Controller::prelude`):
+//! the engine walks it without calling the controller, exactly as it
+//! walks an honest robot's, so the gathering phase is applied in bulk
+//! whether the walkers are honest or not. Activation never precedes the
+//! script's end (the scenario builder activates at or after the
+//! gathering budget).
 
 use crate::msg::{DumState, Msg};
-use crate::script::PortScript;
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
 use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
@@ -152,10 +153,11 @@ pub struct AdversaryController {
     /// Graph size; scales the roamers' burst grid.
     n: usize,
     rng: StdRng,
-    /// Optional gathering script (so the adversary infiltrates the
-    /// gathering in arbitrary-start scenarios).
-    gather_script: PortScript,
-    /// Rounds before this are spent idle (after the gather script).
+    /// Optional gathering script, walked as the prelude (so the adversary
+    /// infiltrates the gathering in arbitrary-start scenarios).
+    gather_script: Arc<[Port]>,
+    /// Rounds before this are spent idle (after the gather script, which
+    /// must not run past it).
     active_from: u64,
     /// Honest IDs to impersonate (StrongSpoofer).
     spoof_pool: Vec<RobotId>,
@@ -188,7 +190,7 @@ impl AdversaryController {
             kind,
             n: n.max(1),
             rng: StdRng::seed_from_u64(seed ^ id.0),
-            gather_script: PortScript::new(gather_script),
+            gather_script: gather_script.into(),
             active_from,
             spoof_pool,
             coalition_index,
@@ -287,9 +289,6 @@ impl Controller<Msg> for AdversaryController {
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
-        if let Some(p) = self.gather_script.pop() {
-            return MoveChoice::Move(p);
-        }
         if !self.active(obs.round) || obs.degree == 0 || !self.in_burst(obs.round) {
             return MoveChoice::Stay;
         }
@@ -314,9 +313,6 @@ impl Controller<Msg> for AdversaryController {
     }
 
     fn idle_until(&self) -> Option<u64> {
-        if !self.gather_script.done() {
-            return None;
-        }
         if self.round_seen < self.active_from {
             return Some(self.active_from);
         }
@@ -342,7 +338,7 @@ impl Controller<Msg> for AdversaryController {
     /// waits: solo until the burst ends. Gaps are covered by
     /// [`Controller::idle_until`]; stationary kinds are never solo.
     fn solo_until(&self) -> Option<u64> {
-        if !self.gather_script.done() || !self.kind.roams() {
+        if !self.kind.roams() {
             return None;
         }
         // As in `idle_until`: the engine is about to evaluate
@@ -351,16 +347,10 @@ impl Controller<Msg> for AdversaryController {
         (self.active(next) && self.in_burst(next)).then(|| self.burst_end(next))
     }
 
-    /// The rest of the gather script, up to activation: before it the
-    /// adversary reads, publishes and draws nothing.
-    fn scripted(&self, round: u64) -> &[Port] {
-        self.gather_script
-            .rest(self.active_from.saturating_sub(round))
-    }
-
-    fn advance_script(&mut self, round: u64, rounds: u64) {
-        self.gather_script.advance(rounds);
-        self.round_seen = round + rounds - 1;
+    /// The gather script: before activation the adversary reads,
+    /// publishes and draws nothing.
+    fn prelude(&self) -> Arc<[Port]> {
+        Arc::clone(&self.gather_script)
     }
 }
 
@@ -464,17 +454,14 @@ impl Controller<Msg> for CrashWrapper {
         }
     }
 
-    /// The inner script, clipped at the crash: the robot halts during
-    /// round `crash_at`, so it never moves in bulk from there on.
-    fn scripted(&self, round: u64) -> &[Port] {
-        let script = self.inner.scripted(round);
-        let before_crash = self.crash_at.saturating_sub(round) as usize;
-        &script[..script.len().min(before_crash)]
-    }
-
-    fn advance_script(&mut self, round: u64, rounds: u64) {
-        self.round_seen = round + rounds - 1;
-        self.inner.advance_script(round, rounds);
+    /// The inner prelude, clipped at the crash: the robot halts during
+    /// round `crash_at`, so it never walks from there on.
+    fn prelude(&self) -> Arc<[Port]> {
+        let prelude = self.inner.prelude();
+        match usize::try_from(self.crash_at) {
+            Ok(crash) if crash < prelude.len() => prelude[..crash].into(),
+            _ => prelude,
+        }
     }
 }
 
@@ -596,10 +583,10 @@ mod tests {
                 0,
             )
         };
-        // While the gather script runs: scripted, not solo.
+        // The gather script is the prelude: the engine walks it and asks
+        // nothing meanwhile.
         let mut a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
-        assert_eq!(a.solo_until(), None);
-        a.advance_script(0, 3);
+        assert_eq!(&*a.prelude(), &[0; 3]);
         // Before activation: idle, not solo.
         assert_eq!(a.solo_until(), None);
         assert_eq!(a.idle_until(), Some(100));
@@ -683,8 +670,8 @@ mod tests {
     fn crash_wrapper_clips_the_inner_script_at_the_crash() {
         use bd_runtime::{Engine, EngineConfig, Flavor};
         // A faithful robot with ten gather ports ahead of it, crashing at
-        // round 4.
-        let walker = || {
+        // round `crash_at`.
+        let walker = |crash_at| {
             let inner = AdversaryController::new(
                 RobotId(1),
                 AdversaryKind::CrashMidway,
@@ -695,20 +682,21 @@ mod tests {
                 Vec::new(),
                 0,
             );
-            CrashWrapper::new(Box::new(inner), 4)
+            CrashWrapper::new(Box::new(inner), crash_at)
         };
-        let mut c = walker();
-        assert_eq!(c.scripted(0), &[0; 4], "clipped at crash_at");
-        assert_eq!(c.scripted(2).len(), 2);
-        c.advance_script(0, 4);
-        assert!(!c.crashed() && c.scripted(4).is_empty());
+        assert_eq!(&*walker(4).prelude(), &[0; 4], "clipped at crash_at");
+        assert_eq!(
+            walker(20).prelude().len(),
+            10,
+            "a later crash clips nothing"
+        );
 
         // On an engine, bulk and stepped runs leave the crashed robot at
         // its fourth node; a silent honest bystander keeps the run going.
         let final_positions = |config: EngineConfig| {
             let mut e: Engine<Msg> =
                 Engine::new(bd_graphs::generators::oriented_ring(16).unwrap(), config);
-            e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker()));
+            e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker(4)));
             let bystander = AdversaryController::new(
                 RobotId(2),
                 AdversaryKind::CrashMidway,

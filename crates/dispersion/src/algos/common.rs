@@ -13,7 +13,6 @@
 use crate::dum::DumMachine;
 use crate::mapvote::quorum_map;
 use crate::msg::Msg;
-use crate::script::PortScript;
 use crate::timeline::dum_budget;
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
@@ -430,14 +429,15 @@ pub trait GroupScheme: Send {
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm>;
 }
 
-/// The shared controller scaffold of the map-finding rows: walk the gather
-/// script (if any), snapshot the roster, drive the scheme's sequential
+/// The shared controller scaffold of the map-finding rows: hand the engine
+/// the gather script (if any) as the prelude, wait out the gathering
+/// budget, snapshot the roster, drive the scheme's sequential
 /// [`GroupRun`]s, then run the scheme's tail.
 pub struct GroupPhaseController<S: GroupScheme> {
     id: RobotId,
     n: usize,
     scheme: S,
-    gather_script: PortScript,
+    gather_script: Arc<[Port]>,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
     /// Index of the first run not yet over; rounds only move forward, so
@@ -448,8 +448,9 @@ pub struct GroupPhaseController<S: GroupScheme> {
 }
 
 impl<S: GroupScheme> GroupPhaseController<S> {
-    /// The robot walks its `gather_script` in the shared gathering phase
-    /// `[0, gather_budget)` and snapshots the roster at round
+    /// The robot walks its `gather_script` (its prelude, which the engine
+    /// applies) in the shared gathering phase `[0, gather_budget)`, idles
+    /// out the rest of it, and snapshots the roster at round
     /// `gather_budget` (round 0 for a gathered start: empty script, zero
     /// budget). Robots starting on one node share one script.
     pub fn with_scheme(
@@ -463,7 +464,7 @@ impl<S: GroupScheme> GroupPhaseController<S> {
             id,
             n,
             scheme,
-            gather_script: PortScript::new(gather_script),
+            gather_script: gather_script.into(),
             snapshot_round: gather_budget,
             runs: Vec::new(),
             cursor: 0,
@@ -565,12 +566,6 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
-        if obs.round < self.snapshot_round {
-            return self
-                .gather_script
-                .pop()
-                .map_or(MoveChoice::Stay, MoveChoice::Move);
-        }
         if let Some(run) = self.run_at(obs.round) {
             return run.decide_move(obs.round, obs.degree);
         }
@@ -585,7 +580,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     fn idle_until(&self) -> Option<u64> {
-        if self.round_seen < self.snapshot_round && self.gather_script.done() {
+        if self.round_seen < self.snapshot_round {
             return Some(self.snapshot_round);
         }
         let round = self.round_seen;
@@ -595,16 +590,9 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         }
     }
 
-    /// The rest of the gather script, up to the snapshot round: gathering
-    /// reads and publishes nothing.
-    fn scripted(&self, round: u64) -> &[Port] {
-        self.gather_script
-            .rest(self.snapshot_round.saturating_sub(round))
-    }
-
-    fn advance_script(&mut self, round: u64, rounds: u64) {
-        self.gather_script.advance(rounds);
-        self.round_seen = round + rounds - 1;
+    /// The gather script: gathering reads and publishes nothing.
+    fn prelude(&self) -> Arc<[Port]> {
+        Arc::clone(&self.gather_script)
     }
 }
 

@@ -76,7 +76,7 @@ impl GroupScheme for PairScheme {
     /// The plurality over the maps this robot built as agent; token and
     /// dummy runs yield `None`, which never wins.
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
-        majority_map(votes)
+        majority_map(votes, 1)
     }
 }
 

@@ -14,7 +14,6 @@ use crate::dum::DumMachine;
 use crate::error::DispersionError;
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
-use crate::script::PortScript;
 use crate::timeline::{dum_budget, Timeline};
 use bd_exploration::walks::{cover_walk_length, SharedWalk};
 use bd_graphs::quotient::quotient_graph;
@@ -50,8 +49,7 @@ struct QuotientPrep {
 /// Controller for Theorem 1.
 pub struct QuotientController {
     id: RobotId,
-    walk: PortScript,
-    walk_len: u64,
+    walk: Arc<[Port]>,
     dum_start: u64,
     dum_end: u64,
     dum: Option<DumMachine>,
@@ -66,8 +64,7 @@ impl QuotientController {
         let walk_len = setup.walk.len() as u64;
         QuotientController {
             id,
-            walk: PortScript::new(setup.walk),
-            walk_len,
+            walk: setup.walk.into(),
             dum_start: walk_len,
             dum_end: walk_len + dum_budget(n),
             dum: Some(DumMachine::new(id, setup.map.clone(), setup.pos_after_walk)),
@@ -106,9 +103,6 @@ impl Controller<Msg> for QuotientController {
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
-        if obs.round < self.walk_len {
-            return self.walk.pop().map_or(MoveChoice::Stay, MoveChoice::Move);
-        }
         if self.in_dum(obs.round) {
             return self.dum.as_mut().expect("dum machine").decide_move();
         }
@@ -119,14 +113,9 @@ impl Controller<Msg> for QuotientController {
         self.round_seen + 1 >= self.dum_end
     }
 
-    /// The rest of the `Find-Map` walk: no information flows during it.
-    fn scripted(&self, round: u64) -> &[Port] {
-        self.walk.rest(self.walk_len.saturating_sub(round))
-    }
-
-    fn advance_script(&mut self, round: u64, rounds: u64) {
-        self.walk.advance(rounds);
-        self.round_seen = round + rounds - 1;
+    /// The `Find-Map` walk: no information flows during it.
+    fn prelude(&self) -> Arc<[Port]> {
+        Arc::clone(&self.walk)
     }
 }
 

@@ -16,8 +16,9 @@
 //!    is `f + 1` *distinct* IDs, which the Byzantine coalition can never
 //!    reach alone. At most `f` groups contain a Byzantine robot, so at
 //!    least `f + 1` runs are led by fully honest groups and reconstruct the
-//!    true map; [`tokens::reconcile_maps`] accepts exactly the form with
-//!    that level of support.
+//!    true map; the scheme's vote, [`crate::mapvote::majority_map`] with a
+//!    minimum support of `f + 1`, accepts exactly the form with that level
+//!    of support.
 //! 3. **Settle** — `Dispersion-Using-Map` from the gathering node on the
 //!    reconciled map, generalized to the §5 per-node capacity `⌈k/n⌉` so
 //!    the same controller covers the `k > n` regime.
@@ -36,9 +37,8 @@ pub mod tokens;
 use crate::algos::common::{
     GroupPhaseController, GroupRunSpec, GroupScheme, SettlePhase, VoteRule,
 };
-use crate::algos::sqrt::tokens::{
-    helper_group_count, reconcile_maps, supported_f_bound, ReplicationPlan,
-};
+use crate::algos::sqrt::tokens::{helper_group_count, supported_f_bound, ReplicationPlan};
+use crate::mapvote::majority_map;
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, group_run_len, t2_work_budget, Timeline};
@@ -135,7 +135,7 @@ impl GroupScheme for SqrtScheme {
     /// the honest-led runs.
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
         let f_eff = self.plan.as_ref().map_or(self.f_bound, |p| p.f_bound());
-        reconcile_maps(votes, f_eff)
+        majority_map(votes, f_eff + 1)
     }
 }
 

@@ -15,12 +15,11 @@
 //!
 //! At most `f` of the `2f + 1` groups contain a Byzantine member, so at
 //! least `f + 1` runs are led by fully honest groups and reconstruct the
-//! true map. [`reconcile_maps`] therefore accepts exactly the form that
-//! at least `f + 1` runs agree on.
+//! true map. The scheme's vote ([`crate::mapvote::majority_map`] with a
+//! minimum support of `f + 1`) therefore accepts exactly the form that at
+//! least `f + 1` runs agree on.
 
-use bd_graphs::CanonicalForm;
 use bd_runtime::RobotId;
-use std::collections::BTreeMap;
 
 /// The largest fault bound a `k`-robot gathering can actually support:
 /// the construction needs `2f + 1` helper groups of at least `f + 1`
@@ -123,52 +122,12 @@ impl ReplicationPlan {
     }
 }
 
-/// Byzantine-majority reconciliation over the per-run accepted maps.
-///
-/// A form is trustworthy only when at least `f + 1` runs accepted it: runs
-/// led by groups containing Byzantine members number at most `f`, so no
-/// coordinated wrong form can reach that bar while the true map always
-/// does (within tolerance). Among qualifying forms the most frequent wins,
-/// ties broken toward the smaller canonical form so every honest robot
-/// resolves identically. `None` when no form qualifies — possible only
-/// beyond tolerance, where the caller degrades to a trivial map and the
-/// verifier reports the failure.
-pub fn reconcile_maps(
-    run_results: &[Option<CanonicalForm>],
-    f_bound: usize,
-) -> Option<CanonicalForm> {
-    let mut counts: BTreeMap<&CanonicalForm, usize> = BTreeMap::new();
-    for form in run_results.iter().flatten() {
-        *counts.entry(form).or_insert(0) += 1;
-    }
-    // Same tie-break convention as [`majority_map`]: highest count first,
-    // then the smaller canonical form, so reconciliation and §3.1 majority
-    // voting can never disagree on ordering.
-    counts
-        .into_iter()
-        .filter(|&(_, c)| c > f_bound)
-        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(form, _)| form.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_graphs::canonical::canonical_form;
-    use bd_graphs::generators::{path, ring, star};
 
     fn ids(v: std::ops::Range<u64>) -> Vec<RobotId> {
         v.map(RobotId).collect()
-    }
-
-    fn form_true() -> CanonicalForm {
-        canonical_form(&ring(6).unwrap(), 0)
-    }
-    fn form_garbage() -> CanonicalForm {
-        canonical_form(&path(2).unwrap(), 0)
-    }
-    fn form_other() -> CanonicalForm {
-        canonical_form(&star(6).unwrap(), 0)
     }
 
     #[test]
@@ -246,45 +205,5 @@ mod tests {
             assert!(plan.agents_of(j).contains(&id));
         }
         assert_eq!(plan.group_of(RobotId(99)), None);
-    }
-
-    #[test]
-    fn reconcile_accepts_the_majority_form() {
-        // f = 1: three runs, one hijacked.
-        let votes = vec![Some(form_true()), Some(form_garbage()), Some(form_true())];
-        assert_eq!(reconcile_maps(&votes, 1), Some(form_true()));
-    }
-
-    #[test]
-    fn reconcile_rejects_sub_quorum_adversarial_forms() {
-        // The garbage form is lexicographically *smaller* than the true
-        // ring — a plain plurality tie-break would be dangerous, but the
-        // f+1 bar filters it before any tie-break applies.
-        let votes = vec![
-            Some(form_garbage()),
-            Some(form_true()),
-            Some(form_true()),
-            None,
-            None,
-        ];
-        assert_eq!(reconcile_maps(&votes, 1), Some(form_true()));
-    }
-
-    #[test]
-    fn reconcile_fails_closed_when_nothing_reaches_quorum() {
-        // Beyond tolerance: every run produced something different.
-        let votes = vec![Some(form_garbage()), Some(form_true()), Some(form_other())];
-        assert_eq!(reconcile_maps(&votes, 1), None);
-        assert_eq!(reconcile_maps(&[None, None, None], 1), None);
-        assert_eq!(reconcile_maps(&[], 0), None);
-    }
-
-    #[test]
-    fn reconcile_tie_breaks_deterministically() {
-        // Two qualifying forms (possible only with tiny f): smaller wins,
-        // independent of vote order.
-        let a = vec![Some(form_true()), Some(form_garbage())];
-        let b = vec![Some(form_garbage()), Some(form_true())];
-        assert_eq!(reconcile_maps(&a, 0), reconcile_maps(&b, 0));
     }
 }

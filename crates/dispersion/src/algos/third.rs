@@ -63,7 +63,7 @@ impl GroupScheme for ThirdScheme {
     }
 
     fn choose_map(&self, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
-        majority_map(votes)
+        majority_map(votes, 1)
     }
 }
 

@@ -99,9 +99,9 @@
 //!    presence, and vote thresholds are all `f + 1` distinct IDs, beyond
 //!    the coalition's reach. At most `f` groups contain a Byzantine
 //!    member, so at least `f + 1` runs are led by fully honest groups and
-//!    rebuild the true map; [`algos::sqrt::tokens::reconcile_maps`]
-//!    accepts exactly the form with that support (Byzantine-majority
-//!    reconciliation).
+//!    rebuild the true map; [`mapvote::majority_map`] with a minimum
+//!    support of `f + 1` accepts exactly the form with that support
+//!    (Byzantine-majority reconciliation).
 //! 3. **Settle** — `Dispersion-Using-Map` from the gathering node on the
 //!    reconciled map, with per-node capacity `⌈k/n⌉` so `k > n` scenarios
 //!    (§5) run first-class.
@@ -123,7 +123,6 @@ pub mod msg;
 pub mod pairing;
 pub mod registry;
 pub mod runner;
-pub mod script;
 pub mod session;
 pub mod timeline;
 pub mod token_roles;

@@ -9,17 +9,25 @@ use bd_graphs::CanonicalForm;
 use bd_runtime::RobotId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Plurality over a robot's own collected maps (§3.1: each robot takes the
-/// map formed by the majority of its pairings). `None` votes (failed runs)
-/// never win. Ties are broken toward the smaller canonical form so all
-/// honest robots resolve identically.
-pub fn majority_map(votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
+/// Plurality over a robot's collected per-run maps among the forms that at
+/// least `min_support` runs produced. `None` votes (failed runs) never
+/// win. Ties are broken toward the smaller canonical form so all honest
+/// robots resolve identically; `None` when no form has the support.
+///
+/// With `min_support = 1` this is §3.1's rule (each robot takes the map
+/// formed by the majority of its pairings; Theorems 2–4). With `f + 1` it
+/// is §3.3's Byzantine-majority reconciliation (Theorem 5): runs led by
+/// groups containing Byzantine members number at most `f`, so no
+/// coordinated wrong form can reach that bar while the true map always
+/// does within tolerance — the bar filters before any tie-break applies.
+pub fn majority_map(votes: &[Option<CanonicalForm>], min_support: usize) -> Option<CanonicalForm> {
     let mut counts: BTreeMap<&CanonicalForm, usize> = BTreeMap::new();
     for form in votes.iter().flatten() {
         *counts.entry(form).or_insert(0) += 1;
     }
     counts
         .into_iter()
+        .filter(|&(_, c)| c >= min_support)
         .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
         .map(|(form, _)| form.clone())
 }
@@ -65,23 +73,60 @@ mod tests {
         canonical_form(&star(5).unwrap(), 0)
     }
 
+    /// The smallest nontrivial form: it wins any tie-break it reaches.
+    fn form_garbage() -> CanonicalForm {
+        canonical_form(&path(2).unwrap(), 0)
+    }
+
     #[test]
     fn majority_wins() {
         let votes = vec![Some(form_a()), Some(form_b()), Some(form_a()), None];
-        assert_eq!(majority_map(&votes), Some(form_a()));
+        assert_eq!(majority_map(&votes, 1), Some(form_a()));
+        // f = 1: three runs, one hijacked.
+        let votes = vec![Some(form_a()), Some(form_garbage()), Some(form_a())];
+        assert_eq!(majority_map(&votes, 2), Some(form_a()));
+    }
+
+    #[test]
+    fn support_bar_filters_before_the_tie_break() {
+        // The garbage form is lexicographically smaller than the true map,
+        // so a plain plurality tie-break would be dangerous; at f = 1 the
+        // f + 1 bar filters it first.
+        assert!(form_garbage() < form_a());
+        let votes = vec![
+            Some(form_garbage()),
+            Some(form_a()),
+            Some(form_a()),
+            None,
+            None,
+        ];
+        assert_eq!(majority_map(&votes, 2), Some(form_a()));
+        let tied = vec![Some(form_garbage()), Some(form_a())];
+        assert_eq!(majority_map(&tied, 1), Some(form_garbage()));
+        assert_eq!(majority_map(&tied, 2), None);
     }
 
     #[test]
     fn all_failed_runs_yield_none() {
-        assert_eq!(majority_map(&[None, None]), None);
-        assert_eq!(majority_map(&[]), None);
+        for min_support in [1, 2] {
+            assert_eq!(majority_map(&[None, None], min_support), None);
+            assert_eq!(majority_map(&[None, None, None], min_support), None);
+            assert_eq!(majority_map(&[], min_support), None);
+        }
+        // Beyond tolerance: every run produced something different, so
+        // nothing reaches an f + 1 = 2 bar.
+        let votes = vec![Some(form_garbage()), Some(form_a()), Some(form_c())];
+        assert_eq!(majority_map(&votes, 2), None);
     }
 
     #[test]
     fn tie_breaks_deterministically() {
         let votes1 = vec![Some(form_a()), Some(form_b())];
         let votes2 = vec![Some(form_b()), Some(form_a())];
-        assert_eq!(majority_map(&votes1), majority_map(&votes2));
+        assert_eq!(majority_map(&votes1, 1), majority_map(&votes2, 1));
+        let votes1 = vec![Some(form_a()), Some(form_garbage())];
+        let votes2 = vec![Some(form_garbage()), Some(form_a())];
+        assert_eq!(majority_map(&votes1, 1), majority_map(&votes2, 1));
     }
 
     #[test]

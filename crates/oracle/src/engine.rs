@@ -10,10 +10,13 @@
 //! arenas, no dirty lists, and no skip logic to share bugs with the hot
 //! path. The only thing the two engines have in common is the *model*
 //! (§1.1: sub-round communication, simultaneous movement, weak/strong ID
-//! stamping) — which is exactly what makes disagreement between them
-//! meaningful.
+//! stamping) plus the prelude rule (`Controller::prelude`: in epoch-local
+//! rounds `0..len` the engine moves the robot through its prelude and calls
+//! none of its round methods), restated here round by round, so the fast
+//! engine's bulk application of preludes is checked too — which is exactly
+//! what makes disagreement between them meaningful.
 
-use bd_graphs::{NodeId, PortGraph};
+use bd_graphs::{NodeId, Port, PortGraph};
 use bd_runtime::{
     ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, MoveChoice, Observation,
     Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
@@ -27,7 +30,18 @@ struct Seat<M> {
     flavor: Flavor,
     position: NodeId,
     moves: u64,
+    /// The ports the engine walks the robot through in epoch-local rounds
+    /// `0..len`, read when the robot was seated.
+    prelude: Arc<[Port]>,
     controller: Box<dyn Controller<M>>,
+}
+
+impl<M> Seat<M> {
+    /// The prelude's port for epoch-local `round`, if the robot is still
+    /// inside its prelude.
+    fn prelude_port(&self, round: u64) -> Option<Port> {
+        self.prelude.get(round as usize).copied()
+    }
 }
 
 /// The naive reference engine. Mirrors the `bd_runtime::Engine` public
@@ -73,16 +87,21 @@ impl<M: Clone> OracleEngine<M> {
             flavor,
             position: start,
             moves: 0,
+            prelude: controller.prelude(),
             controller,
         });
         self.arrivals.push(None);
         self.terminated_logged.push(false);
     }
 
+    /// Whether every honest robot has terminated; a robot inside its
+    /// prelude has not.
     fn all_honest_terminated(&self) -> bool {
-        self.seats
-            .iter()
-            .all(|s| s.flavor != Flavor::Honest || s.controller.terminated())
+        let local_round = self.round - self.epoch_base;
+        self.seats.iter().all(|s| {
+            s.flavor != Flavor::Honest
+                || (s.prelude_port(local_round).is_none() && s.controller.terminated())
+        })
     }
 
     /// Rounds elapsed so far.
@@ -228,12 +247,21 @@ impl<M: Clone> OracleEngine<M> {
         // the absolute clock. The frames coincide outside dynamic runs.
         let local_round = round_now - self.epoch_base;
 
-        // Active = not terminated. Terminated robots stay put silently but
-        // remain physically present (they appear in rosters).
+        // The prelude ports of robots inside their prelude: the engine
+        // moves them and calls nothing of theirs this round.
+        let walking: Vec<Option<Port>> = self
+            .seats
+            .iter()
+            .map(|s| s.prelude_port(local_round))
+            .collect();
+        // Active = past the prelude and not terminated. Terminated and
+        // walking robots remain physically present (they appear in
+        // rosters).
         let active: Vec<bool> = self
             .seats
             .iter()
-            .map(|s| !s.controller.terminated())
+            .zip(&walking)
+            .map(|(s, w)| w.is_none() && !s.controller.terminated())
             .collect();
 
         // Occupancy and sorted claimed-ID rosters, rebuilt wholesale.
@@ -305,6 +333,10 @@ impl<M: Clone> OracleEngine<M> {
         // Movement decisions (all collected before any move applies)...
         let mut choices: Vec<MoveChoice> = Vec::with_capacity(k);
         for i in 0..k {
+            if let Some(port) = walking[i] {
+                choices.push(MoveChoice::Move(port));
+                continue;
+            }
             if !active[i] {
                 choices.push(MoveChoice::Stay);
                 continue;
@@ -372,9 +404,13 @@ impl<M: Clone> OracleEngine<M> {
             }
         }
 
-        // Log first terminations, at the post-move position.
+        // Log first terminations, at the post-move position; a robot whose
+        // prelude runs on into the next round is not asked.
         for i in 0..k {
-            if !self.terminated_logged[i] && self.seats[i].controller.terminated() {
+            if !self.terminated_logged[i]
+                && self.seats[i].prelude_port(local_round + 1).is_none()
+                && self.seats[i].controller.terminated()
+            {
                 self.terminated_logged[i] = true;
                 if self.config.record_trace {
                     self.trace.events.push(Event::Terminated {

@@ -4,6 +4,7 @@
 use crate::ids::RobotId;
 use crate::observation::Observation;
 use bd_graphs::Port;
+use std::sync::Arc;
 
 /// A robot's movement decision at the end of a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,58 +79,51 @@ pub trait Controller<M> {
         None
     }
 
-    /// The scripted-horizon contract, the moving counterpart of
-    /// [`Controller::idle_until`]. Returning a non-empty slice promises
-    /// that in rounds `round, round + 1, …` (epoch-local, `round` being the
-    /// round the engine is about to step) this robot leaves through
-    /// `script[0], script[1], …` whatever it would observe, and does
-    /// nothing else: it reads nothing (roster, bulletin, arrival), publishes
-    /// nothing, requests one sub-round per round, and does not terminate
-    /// before the script's last round. The engine asks only controllers
-    /// that report no idle horizon, and reports the rounds it applied
-    /// through [`Controller::advance_script`]. The default, an empty slice,
-    /// opts out.
+    /// The robot's *prelude*: the ports it leaves through in epoch-local
+    /// rounds `0, 1, …, len − 1`, whatever it would observe — the paper's
+    /// communication-free walks (Theorem 1's `Find-Map`, the gathering
+    /// walk of Theorems 2, 5 and 7). The engine reads it once, when it
+    /// seats the robot, and moves the robot itself through those rounds,
+    /// stepped or not: it calls none of the controller's round methods
+    /// (`act`, `decide_move`, `subrounds_wanted`, `idle_until`,
+    /// `solo_until`) before round `len`, and asks `terminated` only once
+    /// the last prelude move is applied. So inside its prelude the robot
+    /// reads nothing, publishes nothing, requests no sub-rounds and cannot
+    /// terminate, and its state when first called is the state it was
+    /// built in. Only a strong Byzantine robot's
+    /// [`Controller::claimed_id`] is still read, to stamp rosters. The
+    /// default, an empty prelude, opts out.
     ///
     /// # Segments
     ///
-    /// When every active robot is idle past the current round, scripted,
-    /// or solo ([`Controller::solo_until`]), the engine applies the whole
-    /// stretch as one *segment* instead of stepping it: it ends at the
-    /// shortest script, the earliest solo horizon, the earliest idle
-    /// horizon, the epoch's stop round, the round cap, and (when recording
-    /// telemetry) the next phase mark. No roster or bulletin is built
-    /// inside a segment and idle robots are not called, so an idle robot
-    /// overlapping one must also be silent: the engine counts no messages
-    /// for it. The segment runs the sub-round count the active robots
-    /// request at its first round, so every active robot's request must
-    /// stay constant within it (debug builds assert the maximum does).
-    /// Unlike skipped rounds, a segment's rounds count as executed, so
-    /// `RunMetrics` equal a stepped run's.
-    fn scripted(&self, round: u64) -> &[Port] {
-        let _ = round;
-        &[]
+    /// When every active robot is idle past the current round, inside its
+    /// prelude, or solo ([`Controller::solo_until`]), the engine applies
+    /// the whole stretch as one *segment* instead of stepping it: it ends
+    /// at the shortest remaining prelude, the earliest solo horizon, the
+    /// earliest idle horizon, the epoch's stop round, the round cap, and
+    /// (when recording telemetry) the next phase mark. No roster or
+    /// bulletin is built inside a segment and idle robots are not called,
+    /// so an idle robot overlapping one must also be silent: the engine
+    /// counts no messages for it. The segment runs the sub-round count the
+    /// active robots outside their preludes request at its first round, so
+    /// every such request must stay constant within it (debug builds
+    /// assert the maximum does). Unlike skipped rounds, a segment's rounds
+    /// count as executed, so `RunMetrics` equal a stepped run's.
+    fn prelude(&self) -> Arc<[Port]> {
+        Arc::from([])
     }
 
-    /// The engine applied the first `rounds` ports of
-    /// [`Controller::scripted`]`(round)` in bulk, covering rounds
-    /// `round .. round + rounds`. The controller must now be in the state
-    /// stepping those rounds would have left it in (script cursor, last
-    /// round seen). Called only after a non-empty script was returned.
-    fn advance_script(&mut self, round: u64, rounds: u64) {
-        let _ = (round, rounds);
-    }
-
-    /// The solo contract, the third fast-forward promise beside
-    /// [`Controller::idle_until`] and [`Controller::scripted`]. Returning
+    /// The solo contract, the fast-forward promise beside
+    /// [`Controller::idle_until`] and [`Controller::prelude`]. Returning
     /// `Some(r)` (epoch-local, like `idle_until`) promises that until round
     /// `r` this robot reads only its own senses — the observation's
     /// `round`, `subround`, `subrounds`, `degree` and `arrival`, never the
     /// roster or the bulletin — that nothing it publishes needs a reader,
     /// that its sub-round request stays constant, and that it does not
-    /// terminate. The engine asks only controllers that report neither an
-    /// idle horizon nor a script.
+    /// terminate. The engine asks only controllers past their prelude that
+    /// report no idle horizon.
     ///
-    /// Inside a segment (see [`Controller::scripted`]) a solo robot is
+    /// Inside a segment (see [`Controller::prelude`]) a solo robot is
     /// still called: [`Controller::act`] once per sub-round, then
     /// [`Controller::decide_move`], on an observation with an empty roster
     /// and bulletin, its own node's degree and, at sub-round 0, the
@@ -167,7 +161,7 @@ mod tests {
         assert_eq!(e.claimed_id(), RobotId(9));
         assert_eq!(e.subrounds_wanted(0), 1);
         assert!(!e.terminated());
-        assert!(e.scripted(0).is_empty(), "controllers opt into scripts");
+        assert!(e.prelude().is_empty(), "controllers opt into preludes");
         assert_eq!(e.solo_until(), None, "controllers opt into solo segments");
     }
 

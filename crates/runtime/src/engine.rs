@@ -2,7 +2,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! [`Engine::step`] executes millions of times per Table 1 cell, so its
+//! `Engine::step` executes millions of times per Table 1 cell, so its
 //! per-round state lives in engine-owned **scratch arenas** (`Scratch`)
 //! instead of per-round maps:
 //!
@@ -20,11 +20,14 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
-//! Rounds that need no stepping bypass [`Engine::step`] altogether: an
-//! all-idle stretch is skipped, and a stretch where every active robot is
-//! idle, scripted ([`Controller::scripted`]) or solo
+//! Each robot's prelude ([`Controller::prelude`], read once when the
+//! robot is seated) is walked by the engine itself: inside it the robot's
+//! move is the prelude's port and its controller is not called, whether
+//! the round is stepped or not. Rounds that need no stepping bypass
+//! `Engine::step` altogether: an all-idle stretch is skipped, and a
+//! stretch where every active robot is idle, inside its prelude or solo
 //! ([`Controller::solo_until`]) is applied in bulk by
-//! `Engine::apply_segment`. It moves scripted robots straight through the
+//! `Engine::apply_segment`. It moves prelude robots straight through the
 //! [`World`], calls solo robots on their own senses (empty roster and
 //! bulletin, their own degree and arrival), never calls idle robots, and
 //! builds no roster or bulletin; the arenas are left stale for the next
@@ -129,31 +132,38 @@ enum Horizon {
     Step,
     /// Every active robot is idle until at least this absolute round.
     Idle(u64),
-    /// Every active robot is idle (until at least `idle`), scripted or solo,
-    /// and at least one is not idle. `busy` is the absolute round where the
-    /// shortest script or the earliest solo horizon ends.
+    /// Every active robot is idle (until at least `idle`), inside its
+    /// prelude or solo, and at least one is not idle. `busy` is the
+    /// absolute round where the shortest remaining prelude or the earliest
+    /// solo horizon ends.
     Segment { idle: u64, busy: u64 },
 }
 
 /// What an active robot does inside a segment (see
 /// [`Engine::apply_segment`]).
 enum Role<'a, M> {
-    /// Leaves through these ports, one per round.
-    Scripted(&'a [Port]),
+    /// Walks the rest of its prelude, one port per round.
+    Prelude(&'a [Port]),
     /// Is called every round on its own senses.
     Solo(&'a mut Box<dyn Controller<M>>),
 }
 
-/// The sub-round count of epoch-local `round`: the most any active robot
-/// requests, at least one.
-fn subrounds_at<M>(controllers: &[Box<dyn Controller<M>>], round: u64) -> usize {
-    controllers
-        .iter()
-        .filter(|c| !c.terminated())
+/// The sub-round count of epoch-local `round`: the most any of the
+/// `called` robots requests, at least one.
+fn subrounds_at<'a, M: 'a>(
+    called: impl Iterator<Item = &'a Box<dyn Controller<M>>>,
+    round: u64,
+) -> usize {
+    called
         .map(|c| c.subrounds_wanted(round))
         .max()
         .unwrap_or(1)
         .max(1)
+}
+
+/// Whether epoch-local `round` lies inside `prelude`.
+fn in_prelude(prelude: &[Port], round: u64) -> bool {
+    round < prelude.len() as u64
 }
 
 /// A mid-run mutation of the simulated world, applied between rounds via
@@ -203,6 +213,11 @@ pub struct EpochOutcome {
 pub struct Engine<M> {
     world: World,
     controllers: Vec<Box<dyn Controller<M>>>,
+    /// Each robot's prelude, read once when it was seated.
+    preludes: Vec<Arc<[Port]>>,
+    /// The longest prelude any robot was seated with: from this epoch-local
+    /// round on no robot is inside its prelude.
+    longest_prelude: u64,
     config: EngineConfig,
     round: u64,
     /// Round at which the current epoch began (0 for single-epoch runs);
@@ -228,6 +243,8 @@ impl<M: Clone> Engine<M> {
         Engine {
             world: World::new(graph, Vec::new()),
             controllers: Vec::new(),
+            preludes: Vec::new(),
+            longest_prelude: 0,
             config,
             round: 0,
             epoch_base: 0,
@@ -257,8 +274,10 @@ impl<M: Clone> Engine<M> {
 
     /// Register a robot. Its true ID is taken from the controller.
     pub fn add_robot(&mut self, flavor: Flavor, start: NodeId, controller: Box<dyn Controller<M>>) {
-        let id = controller.id();
-        self.world.add_robot(id, flavor, start);
+        self.world.add_robot(controller.id(), flavor, start);
+        let prelude = controller.prelude();
+        self.longest_prelude = self.longest_prelude.max(prelude.len() as u64);
+        self.preludes.push(prelude);
         self.controllers.push(controller);
         self.arrivals.push(None);
         self.terminated_logged.push(false);
@@ -284,10 +303,7 @@ impl<M: Clone> Engine<M> {
                         self.world.graph().n()
                     )));
                 }
-                self.world.add_robot(controller.id(), flavor, node);
-                self.controllers.push(controller);
-                self.arrivals.push(None);
-                self.terminated_logged.push(false);
+                self.add_robot(flavor, node, controller);
             }
             WorldEvent::Leave { id } => {
                 let i = self
@@ -300,6 +316,7 @@ impl<M: Clone> Engine<M> {
                     })?;
                 self.world.remove_robot(i);
                 self.controllers.remove(i);
+                self.preludes.remove(i);
                 self.arrivals.remove(i);
                 self.terminated_logged.remove(i);
             }
@@ -447,38 +464,45 @@ impl<M: Clone> Engine<M> {
         self.round
     }
 
-    /// Whether every honest robot has terminated.
+    /// Whether every honest robot has terminated (none can inside its
+    /// prelude).
     fn all_honest_terminated(&self) -> bool {
+        let local = self.round - self.epoch_base;
         self.world
             .robots()
             .iter()
             .zip(&self.controllers)
-            .all(|(slot, c)| slot.flavor != Flavor::Honest || c.terminated())
+            .zip(&self.preludes)
+            .all(|((slot, c), p)| {
+                slot.flavor != Flavor::Honest || (!in_prelude(p, local) && c.terminated())
+            })
     }
 
     /// What the active robots let the engine do from the current round:
     /// step it, skip to the earliest idle horizon (every robot idle), or
-    /// apply a segment (every robot idle, scripted or solo). Horizons are
-    /// absolute.
+    /// apply a segment (every robot idle, inside its prelude or solo).
+    /// Horizons are absolute.
     fn horizon(&self) -> Horizon {
-        // Idle promises, scripts and solo horizons are epoch-local
+        // Preludes, idle promises and solo horizons are epoch-local
         // (controllers never see the absolute clock); shift them by the
         // epoch base before comparing with `self.round`.
         let epoch_base = self.epoch_base;
         let local = self.round - epoch_base;
         let mut idle = u64::MAX;
         let mut busy: Option<u64> = None;
-        for c in self.controllers.iter().filter(|c| !c.terminated()) {
-            if let Some(r) = c.idle_until() {
+        for (c, p) in self.controllers.iter().zip(&self.preludes) {
+            let until = if in_prelude(p, local) {
+                p.len() as u64
+            } else if c.terminated() {
+                continue;
+            } else if let Some(r) = c.idle_until() {
                 idle = idle.min(r.saturating_add(epoch_base));
                 continue;
-            }
-            let until = match c.scripted(local).len() as u64 {
-                0 => match c.solo_until() {
+            } else {
+                match c.solo_until() {
                     Some(r) if r > local => r,
                     _ => return Horizon::Step,
-                },
-                len => local + len,
+                }
             };
             let until = until.saturating_add(epoch_base);
             busy = Some(busy.map_or(until, |b| b.min(until)));
@@ -546,9 +570,9 @@ impl<M: Clone> Engine<M> {
                     }
                     // Segment rounds read no roster or bulletin and publish
                     // nothing anyone reads, so they are applied without
-                    // rosters or bulletins (see `Controller::scripted`).
+                    // rosters or bulletins (see `Controller::prelude`).
                     // The segment stops where a stepped run could first
-                    // differ: a script's or solo horizon's end, an idle
+                    // differ: a prelude's or solo horizon's end, an idle
                     // robot's horizon, the stop round, the cap (the loop
                     // head then raises `RoundLimit` exactly as stepping
                     // would), and the next telemetry phase mark.
@@ -575,8 +599,8 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Apply the segment `[self.round, end)` in bulk: every active robot
-    /// without an idle horizon is scripted or solo (see
-    /// [`Engine::horizon`]), every other one stays put uncalled. Scripted
+    /// without an idle horizon is inside its prelude or solo (see
+    /// [`Engine::horizon`]), every other one stays put uncalled. Prelude
     /// robots take their ports; solo robots are called on their own
     /// senses, round-major in robot order.
     /// Positions, odometers, arrivals, the trace, termination records and
@@ -590,6 +614,7 @@ impl<M: Clone> Engine<M> {
         let Engine {
             world,
             controllers,
+            preludes,
             config,
             round,
             arrivals,
@@ -599,25 +624,33 @@ impl<M: Clone> Engine<M> {
             telemetry,
             ..
         } = self;
-        let subrounds = subrounds_at(controllers, local);
+        // The segment ends at the shortest remaining prelude, so the same
+        // robots are called in every one of its rounds.
+        let called = || {
+            controllers
+                .iter()
+                .zip(preludes.iter())
+                .filter(|(c, p)| !in_prelude(p, local) && !c.terminated())
+                .map(|(c, _)| c)
+        };
+        let subrounds = subrounds_at(called(), local);
         #[cfg(debug_assertions)]
         for r in local..local + rounds {
             debug_assert_eq!(
-                subrounds_at(controllers, r),
+                subrounds_at(called(), r),
                 subrounds,
                 "the sub-round count changes inside a segment at round {r}"
             );
         }
         let mut roles: Vec<(usize, Role<'_, M>)> = Vec::with_capacity(controllers.len());
-        for (i, c) in controllers.iter_mut().enumerate() {
-            // A robot that stays keeps no arrival; scripted robots
+        for (i, (c, p)) in controllers.iter_mut().zip(preludes.iter()).enumerate() {
+            // A robot that stays keeps no arrival; prelude robots
             // overwrite theirs every round below, and solo robots see the
             // arrival their last stepped move left.
-            if c.terminated() || c.idle_until().is_some() {
+            if in_prelude(p, local) {
+                roles.push((i, Role::Prelude(&p[local as usize..])));
+            } else if c.terminated() || c.idle_until().is_some() {
                 arrivals[i] = None;
-            } else if !c.scripted(local).is_empty() {
-                let c: &dyn Controller<M> = &**c;
-                roles.push((i, Role::Scripted(c.scripted(local))));
             } else {
                 roles.push((i, Role::Solo(c)));
             }
@@ -634,7 +667,7 @@ impl<M: Clone> Engine<M> {
                 let node = world.robot(i).position;
                 let degree = world.graph().degree(node);
                 let port = match role {
-                    Role::Scripted(script) => script[t as usize],
+                    Role::Prelude(ports) => ports[t as usize],
                     Role::Solo(c) => {
                         let mut obs = Observation {
                             round: local + t,
@@ -692,13 +725,6 @@ impl<M: Clone> Engine<M> {
                 }
             }
         }
-        let scripted: Vec<usize> = roles
-            .into_iter()
-            .filter_map(|(i, role)| matches!(role, Role::Scripted(_)).then_some(i))
-            .collect();
-        for i in scripted {
-            controllers[i].advance_script(local, rounds);
-        }
         metrics.messages += messages;
         metrics.subrounds_executed += rounds * subrounds as u64;
         if let Some(t) = telemetry.as_deref_mut() {
@@ -718,10 +744,15 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Record `round` as the termination round of every robot reporting
-    /// terminated for the first time.
+    /// terminated for the first time. Only robots whose prelude is behind
+    /// them after `round` are asked.
     fn log_terminations(&mut self, round: u64) {
+        let next = round + 1 - self.epoch_base;
         for i in 0..self.world.num_robots() {
-            if !self.terminated_logged[i] && self.controllers[i].terminated() {
+            if !self.terminated_logged[i]
+                && !in_prelude(&self.preludes[i], next)
+                && self.controllers[i].terminated()
+            {
                 self.terminated_logged[i] = true;
                 if self.config.record_trace {
                     let slot = self.world.robot(i);
@@ -738,7 +769,7 @@ impl<M: Clone> Engine<M> {
     /// Execute a single round: sub-round communication, then simultaneous
     /// movement. Runs entirely on the scratch arenas — the steady state
     /// allocates nothing.
-    pub fn step(&mut self) -> Result<(), RunError> {
+    fn step(&mut self) -> Result<(), RunError> {
         if !self.scratch.ready {
             self.rebuild_scratch();
         }
@@ -747,6 +778,8 @@ impl<M: Clone> Engine<M> {
         let Engine {
             world,
             controllers,
+            preludes,
+            longest_prelude,
             config,
             round,
             epoch_base,
@@ -789,10 +822,19 @@ impl<M: Clone> Engine<M> {
             }
         }
 
-        // Active = not terminated. Terminated robots stay put silently but
-        // are *physically* present (they appear in rosters).
+        // Active = called this round: not terminated and past its prelude.
+        // Terminated robots stay put silently and prelude robots walk
+        // their ports uncalled, but both are *physically* present (they
+        // appear in rosters). Once the longest prelude has ended this costs
+        // one compare per round.
+        let walking = local_round < *longest_prelude;
         active.clear();
-        active.extend(controllers.iter().map(|c| !c.terminated()));
+        active.extend(
+            controllers
+                .iter()
+                .zip(preludes.iter())
+                .map(|(c, p)| !(walking && in_prelude(p, local_round) || c.terminated())),
+        );
 
         // Rosters: nodes whose occupancy changed last round are already in
         // the dirty queue; nodes hosting ID-faking robots re-sort every
@@ -828,7 +870,13 @@ impl<M: Clone> Engine<M> {
 
         // Sub-round communication. Run as many sub-rounds as any active
         // robot requests (walking phases request 1, so this stays cheap).
-        let subrounds = subrounds_at(controllers, local_round);
+        let subrounds = subrounds_at(
+            controllers
+                .iter()
+                .zip(active.iter())
+                .filter_map(|(c, &a)| a.then_some(c)),
+            local_round,
+        );
         for sub in 0..subrounds {
             pending.clear();
             for i in 0..nrobots {
@@ -906,6 +954,13 @@ impl<M: Clone> Engine<M> {
                 arrival: None,
             };
             choices.push(controllers[i].decide_move(&obs));
+        }
+        if walking {
+            for (choice, p) in choices.iter_mut().zip(preludes.iter()) {
+                if let Some(&port) = p.get(local_round as usize) {
+                    *choice = MoveChoice::Move(port);
+                }
+            }
         }
 
         for i in 0..nrobots {
@@ -997,7 +1052,8 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
-    /// Walks a fixed port script, then terminates.
+    /// Walks a fixed port script, then terminates. Unlike [`Preluded`] it
+    /// decides every move itself.
     struct Walker {
         id: RobotId,
         script: Vec<Port>,
@@ -1025,55 +1081,49 @@ mod tests {
         }
     }
 
-    /// A [`Walker`] that also promises its remaining script
-    /// ([`Controller::scripted`]), so fast-forwarding engines apply it in
-    /// bulk. Logs every `decide_move` call and, at sub-round 0 of every
-    /// stepped round after its script, the round and arrival it observed.
-    struct Scripted {
-        walker: Walker,
+    /// Walks a fixed prelude ([`Controller::prelude`]), which every engine
+    /// applies without calling it, then stays put for `rounds` rounds and
+    /// terminates. Counts its `decide_move` calls and logs, at sub-round 0,
+    /// the round and arrival of every `act` call.
+    struct Preluded {
+        id: RobotId,
+        prelude: Arc<[Port]>,
+        rounds: u64,
         calls: Rc<Cell<u64>>,
         seen: Rc<RefCell<Vec<(u64, Option<ArrivalInfo>)>>>,
-        stop_after: usize,
     }
 
-    impl Scripted {
-        /// Walks `script`, then looks around for `stop_after` rounds.
-        fn new(id: u64, script: Vec<Port>, stop_after: usize) -> Self {
-            Scripted {
-                walker: Walker {
-                    id: RobotId(id),
-                    script,
-                    step: 0,
-                },
+    impl Preluded {
+        fn new(id: u64, prelude: Vec<Port>, rounds: u64) -> Self {
+            Preluded {
+                id: RobotId(id),
+                prelude: prelude.into(),
+                rounds,
                 calls: Rc::default(),
                 seen: Rc::default(),
-                stop_after,
             }
         }
     }
 
-    impl Controller<String> for Scripted {
+    impl Controller<String> for Preluded {
         fn id(&self) -> RobotId {
-            self.walker.id
+            self.id
         }
         fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
-            if self.walker.terminated() && obs.subround == 0 {
+            if obs.subround == 0 {
                 self.seen.borrow_mut().push((obs.round, obs.arrival));
             }
             None
         }
-        fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+        fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
             self.calls.set(self.calls.get() + 1);
-            self.walker.decide_move(obs)
+            MoveChoice::Stay
         }
         fn terminated(&self) -> bool {
-            self.walker.terminated() && self.seen.borrow().len() >= self.stop_after
+            self.calls.get() >= self.rounds
         }
-        fn scripted(&self, _round: u64) -> &[Port] {
-            &self.walker.script[self.walker.step..]
-        }
-        fn advance_script(&mut self, _round: u64, rounds: u64) {
-            self.walker.step += rounds as usize;
+        fn prelude(&self) -> Arc<[Port]> {
+            Arc::clone(&self.prelude)
         }
     }
 
@@ -1666,38 +1716,57 @@ mod tests {
         assert!(log.contains(&(1, 2)));
     }
 
-    /// What a run of the scripted cast leaves behind, for comparing
-    /// engines: positions, odometers, the movement-relevant trace events,
-    /// the scripted walker's post-script observations and its
-    /// `decide_move` call count, and the sleeper's wake round.
-    fn run_scripted_cast(
-        config: EngineConfig,
-    ) -> (
-        Vec<NodeId>,
-        Vec<u64>,
-        Vec<Event>,
-        Vec<(u64, Option<ArrivalInfo>)>,
-        u64,
-        Option<u64>,
-    ) {
-        // Robot 1 walks five ports then looks for one round; robot 2 walks
-        // three and terminates; robot 3 sleeps until round 7. Scripts
-        // differ in length, so a fast-forwarding engine applies two
-        // segments ([0, 3) and [3, 5)) and steps round 5.
+    /// Attach a telemetry recorder to `e` without touching the
+    /// process-global counters flag.
+    fn record(e: &mut Engine<String>) {
+        e.telemetry = Some(EngineTelemetry::new(Vec::new()));
+    }
+
+    /// The rounds `e` applied as segments with no solo robot, taking the
+    /// recorder [`record`] attached (so nothing is published).
+    fn rounds_scripted(e: &mut Engine<String>) -> u64 {
+        e.telemetry
+            .take()
+            .expect("recorder")
+            .counters
+            .rounds_scripted
+    }
+
+    /// What a run of the prelude cast leaves behind, for comparing engines.
+    struct PreludeRun {
+        positions: Vec<NodeId>,
+        odometers: Vec<u64>,
+        /// The movement-relevant trace events (`Stayed` filtered out).
+        events: Vec<Event>,
+        /// Robot 1's `(round, arrival)` per `act` call.
+        seen: Vec<(u64, Option<ArrivalInfo>)>,
+        /// `decide_move` calls of robots 1 and 2.
+        calls: (u64, u64),
+        woke: Option<u64>,
+        rounds_scripted: u64,
+    }
+
+    fn run_scripted_cast(config: EngineConfig) -> PreludeRun {
+        // Robot 1 walks a five-port prelude, then looks around for one
+        // round; robot 2 walks three and looks around for one round; robot
+        // 3 sleeps until round 7. Preludes differ in length, so a
+        // fast-forwarding engine applies the segments [0, 3) and [4, 5)
+        // and steps round 3 (robot 2 is called while robot 1 still walks)
+        // and round 5.
         let g = ring(7).unwrap();
         let mut e: Engine<String> = Engine::new(g, config.traced());
-        let long = Scripted::new(1, vec![0, 1, 0, 0, 1], 1);
+        record(&mut e);
+        let long = Preluded::new(1, vec![0, 1, 0, 0, 1], 1);
         let (calls, seen) = (long.calls.clone(), long.seen.clone());
         e.add_robot(Flavor::Honest, 0, Box::new(long));
-        e.add_robot(
-            Flavor::Honest,
-            3,
-            Box::new(Scripted::new(2, vec![1, 1, 0], 0)),
-        );
+        let short = Preluded::new(2, vec![1, 1, 0], 1);
+        let short_calls = short.calls.clone();
+        e.add_robot(Flavor::Honest, 3, Box::new(short));
         let sleeper = Sleeper::new(3, 7, 1);
         let woke = sleeper.woke.clone();
         e.add_robot(Flavor::Honest, 5, Box::new(sleeper));
         let out = e.run_epoch(u64::MAX).unwrap();
+        let rounds_scripted = rounds_scripted(&mut e);
         let odometers = e.world().robots().iter().map(|r| r.moves).collect();
         let events = e
             .into_trace()
@@ -1706,56 +1775,69 @@ mod tests {
             .filter(|ev| !matches!(ev, Event::Stayed { .. }))
             .collect();
         let seen = seen.borrow().clone();
-        (
-            out.final_positions,
+        PreludeRun {
+            positions: out.final_positions,
             odometers,
             events,
             seen,
-            calls.get(),
-            woke.get(),
-        )
+            calls: (calls.get(), short_calls.get()),
+            woke: woke.get(),
+            rounds_scripted,
+        }
     }
 
     #[test]
     fn scripted_segments_match_stepping() {
-        let (pos, odo, events, seen, calls, woke) = run_scripted_cast(EngineConfig::default());
+        let fast = run_scripted_cast(EngineConfig::default());
         let stepped = run_scripted_cast(EngineConfig::default().without_fast_forward());
-        assert_eq!(pos, stepped.0, "positions");
-        assert_eq!(odo, stepped.1, "odometers");
-        assert_eq!(events, stepped.2, "Moved order and Terminated rounds");
-        assert_eq!(seen, stepped.3, "arrival on the first stepped round");
-        assert_eq!(woke, stepped.5);
-        assert_eq!(odo, vec![5, 3, 0]);
-        // Robot 1 observes round 5 and the arrival of its round-4 move.
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, 5);
-        assert!(seen[0].1.is_some(), "the last scripted move's arrival");
-        assert!(events.contains(&Event::Terminated {
-            round: 2,
+        assert_eq!(fast.positions, stepped.positions, "positions");
+        assert_eq!(fast.odometers, stepped.odometers, "odometers");
+        assert_eq!(
+            fast.events, stepped.events,
+            "Moved order and Terminated rounds"
+        );
+        assert_eq!(
+            fast.seen, stepped.seen,
+            "arrival on the first stepped round"
+        );
+        assert_eq!(fast.woke, stepped.woke);
+        assert_eq!(fast.odometers, vec![5, 3, 0]);
+        // Robot 1 is first called in round 5 and observes the arrival of
+        // its round-4 prelude move.
+        assert_eq!(fast.seen.len(), 1);
+        assert_eq!(fast.seen[0].0, 5);
+        assert!(fast.seen[0].1.is_some(), "the last prelude move's arrival");
+        // A controller cannot terminate inside its prelude: robot 2 is
+        // called in round 3 and terminates there.
+        assert!(fast.events.contains(&Event::Terminated {
+            round: 3,
             robot: RobotId(2),
-            at: pos[1],
+            at: fast.positions[1],
         }));
-        // The walk itself was applied in bulk: only round 5 was stepped
-        // for robot 1, against six stepped rounds without fast-forward.
-        assert_eq!((calls, stepped.4), (1, 6));
+        // Neither engine calls a robot inside its prelude, and the
+        // fast-forwarding one applies the preludes as segments.
+        assert_eq!((fast.calls, stepped.calls), ((1, 1), (1, 1)));
+        assert_eq!((fast.rounds_scripted, stepped.rounds_scripted), (4, 0));
     }
 
     #[test]
     fn scripted_segment_clamps_at_stop_and_cap() {
-        let walker = || Box::new(Scripted::new(1, vec![0; 10], 0));
-        for config in [
-            EngineConfig::default(),
-            EngineConfig::default().without_fast_forward(),
+        let walker = || Box::new(Preluded::new(1, vec![0; 10], 0));
+        for (config, in_bulk) in [
+            (EngineConfig::default(), true),
+            (EngineConfig::default().without_fast_forward(), false),
         ] {
             // A scheduled stop cuts the segment; the next epoch resumes
-            // the script where it stopped.
+            // the prelude where it stopped.
             let mut e: Engine<String> = Engine::new(oriented_ring(16).unwrap(), config.clone());
+            record(&mut e);
             e.add_robot(Flavor::Honest, 0, walker());
             let cut = e.run_epoch(4).unwrap();
             assert!(!cut.terminated);
             assert_eq!((e.round(), cut.final_positions), (4, vec![4]));
             let rest = e.run_epoch(u64::MAX).unwrap();
             assert_eq!((e.round(), rest.final_positions), (10, vec![10]));
+            assert_eq!(rounds_scripted(&mut e), if in_bulk { 10 } else { 0 });
 
             // The cap cuts it too, with the error and clock of stepping.
             let capped = EngineConfig {
@@ -1763,12 +1845,14 @@ mod tests {
                 ..config
             };
             let mut e: Engine<String> = Engine::new(oriented_ring(16).unwrap(), capped);
+            record(&mut e);
             e.add_robot(Flavor::Honest, 0, walker());
             assert!(matches!(
                 e.run_epoch(u64::MAX),
                 Err(RunError::RoundLimit { limit: 4 })
             ));
             assert_eq!((e.round(), e.world().positions()), (4, vec![4]));
+            assert_eq!(rounds_scripted(&mut e), if in_bulk { 4 } else { 0 });
         }
     }
 
@@ -1779,7 +1863,7 @@ mod tests {
             e.add_robot(
                 Flavor::Honest,
                 0,
-                Box::new(Scripted::new(1, vec![0; 10], 0)),
+                Box::new(Preluded::new(1, vec![0; 10], 0)),
             );
             let sleeper = Sleeper::new(2, 3, 1);
             let woke = sleeper.woke.clone();

@@ -25,7 +25,7 @@
 //!
 //! ## The hot loop: scratch arenas
 //!
-//! Table 1 rows are Θ(n³)–O(n⁴)-round protocols, so [`engine::Engine::step`]
+//! Table 1 rows are Θ(n³)–O(n⁴)-round protocols, so the engine's `step`
 //! is the hot path of every sweep. Its per-round state lives in
 //! engine-owned, reusable **arenas** rather than per-round maps: occupancy
 //! and rosters are flat vectors indexed by the dense [`bd_graphs::NodeId`],
@@ -52,26 +52,30 @@
 //! them — the determinism suite replays scenarios with the feature
 //! disabled and asserts bit-identical trajectories.
 //!
-//! ## The scripted horizon
+//! ## Preludes
 //!
-//! Beside `idle_until`, [`controller::Controller::scripted`] lets a
-//! controller hand over the ports it will take in the coming rounds,
-//! promising to read nothing, publish nothing and keep one sub-round per
-//! round meanwhile — the paper's communication-free walks (Theorem 1's
-//! `Find-Map`, the gathering walk of Theorems 2, 5 and 7). When every
-//! active robot is idle past the current round or scripted, the engine
-//! applies the segment in bulk: positions, odometers, arrivals and trace
-//! `Moved` events advance per move, with no roster, bulletin or per-robot
-//! dispatch, then [`controller::Controller::advance_script`] tells each
-//! scripted controller how far it got. Scripted rounds count as executed
+//! The paper's communication-free walks (Theorem 1's `Find-Map`, the
+//! gathering walk of Theorems 2, 5 and 7) are data, not behaviour:
+//! [`controller::Controller::prelude`] hands the engine the ports a robot
+//! leaves through in epoch-local rounds `0..len`. The engine reads it once
+//! when it seats the robot and from then on owns the walk: inside its
+//! prelude the robot moves through those ports and its controller is not
+//! called, so it reads nothing, publishes nothing and requests no
+//! sub-rounds. Stepped rounds (and the oracle engine, which restates the
+//! rule naively) take the prelude's port as the robot's move. When every
+//! active robot is idle past the current round or inside its prelude, the
+//! engine applies the stretch as a *segment*: positions, odometers,
+//! arrivals and trace `Moved` events advance per move, with no roster,
+//! bulletin or per-robot dispatch. Segment rounds count as executed
 //! rounds in [`metrics::RunMetrics`] (with the segment's sub-round count,
 //! not skipped), so metrics equal a stepped run's;
-//! `EngineCounters::rounds_scripted` counts them. Like skipping, it runs
-//! only under [`EngineConfig::fast_forward`] and honours `ff_overshoot`.
+//! `EngineCounters::rounds_scripted` counts them. Like skipping, segments
+//! run only under [`EngineConfig::fast_forward`] and honour
+//! `ff_overshoot`.
 //!
 //! ## Solo robots
 //!
-//! The third promise, [`controller::Controller::solo_until`], covers a
+//! The last promise, [`controller::Controller::solo_until`], covers a
 //! robot that keeps deciding but reads only its own senses (round,
 //! sub-round, degree, arrival — never the roster or the bulletin) and
 //! whose publications need no reader: this reproduction's roaming
@@ -89,9 +93,9 @@
 //! When `bd_telemetry::counters_enabled()` is set at engine construction,
 //! the engine carries a `bd-telemetry` recorder: per-phase
 //! `EngineCounters` deltas keyed to marks installed via
-//! [`engine::Engine::set_phase_marks`], round-window snapshots, and an
-//! `EngineReport` published by [`engine::Engine::into_trace`] at run end. Disabled, the whole layer is one
-//! relaxed atomic load at construction and a `None` check per round.
+//! [`engine::Engine::set_phase_marks`], and an `EngineReport` published by
+//! [`engine::Engine::into_trace`] at run end. Disabled, the whole layer is
+//! one relaxed atomic load at construction and a `None` check per round.
 //! `OBSERVABILITY.md` at the repo root documents every counter.
 
 pub mod config;

@@ -43,11 +43,12 @@ pub struct EngineCounters {
     pub ff_jumps: u64,
     /// Rounds skipped by fast-forward.
     pub rounds_skipped: u64,
-    /// Rounds actually stepped (not skipped, not scripted).
+    /// Rounds actually stepped (not skipped, not in a segment, scripted or
+    /// solo).
     pub rounds_stepped: u64,
     /// Rounds applied in bulk as segments in which no robot is solo: every
-    /// active robot idle or scripted (see `Controller::scripted` in
-    /// `bd-runtime`); each segment also counts one
+    /// active robot idle or walking its prelude (see `Controller::prelude`
+    /// in `bd-runtime`); each segment also counts one
     /// [`EngineCounters::ff_jumps`].
     pub rounds_scripted: u64,
     /// Rounds applied in bulk as segments in which at least one robot is
