@@ -472,10 +472,16 @@ impl<M: Clone> Engine<M> {
             .robots()
             .iter()
             .zip(&self.controllers)
-            .zip(&self.preludes)
-            .all(|((slot, c), p)| {
-                slot.flavor != Flavor::Honest || (!in_prelude(p, local) && c.terminated())
+            .enumerate()
+            .all(|(i, (slot, c))| {
+                slot.flavor != Flavor::Honest || (!self.walks(i, local) && c.terminated())
             })
+    }
+
+    /// Whether robot `i` is inside its prelude in epoch-local `round`; one
+    /// compare once the longest prelude has ended.
+    fn walks(&self, i: usize, round: u64) -> bool {
+        round < self.longest_prelude && in_prelude(&self.preludes[i], round)
     }
 
     /// What the active robots let the engine do from the current round:
@@ -490,9 +496,9 @@ impl<M: Clone> Engine<M> {
         let local = self.round - epoch_base;
         let mut idle = u64::MAX;
         let mut busy: Option<u64> = None;
-        for (c, p) in self.controllers.iter().zip(&self.preludes) {
-            let until = if in_prelude(p, local) {
-                p.len() as u64
+        for (i, c) in self.controllers.iter().enumerate() {
+            let until = if self.walks(i, local) {
+                self.preludes[i].len() as u64
             } else if c.terminated() {
                 continue;
             } else if let Some(r) = c.idle_until() {
@@ -749,10 +755,8 @@ impl<M: Clone> Engine<M> {
     fn log_terminations(&mut self, round: u64) {
         let next = round + 1 - self.epoch_base;
         for i in 0..self.world.num_robots() {
-            if !self.terminated_logged[i]
-                && !in_prelude(&self.preludes[i], next)
-                && self.controllers[i].terminated()
-            {
+            let asked = !self.terminated_logged[i] && !self.walks(i, next);
+            if asked && self.controllers[i].terminated() {
                 self.terminated_logged[i] = true;
                 if self.config.record_trace {
                     let slot = self.world.robot(i);
