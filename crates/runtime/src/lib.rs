@@ -75,7 +75,7 @@
 //!
 //! ## Solo robots
 //!
-//! The last promise, [`controller::Controller::solo_until`], covers a
+//! The other promise, [`controller::Controller::solo_until`], covers a
 //! robot that keeps deciding but reads only its own senses (round,
 //! sub-round, degree, arrival — never the roster or the bulletin) and
 //! whose publications need no reader: this reproduction's roaming
