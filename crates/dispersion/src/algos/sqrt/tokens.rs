@@ -125,9 +125,29 @@ impl ReplicationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapvote::majority_map;
+    use bd_graphs::canonical::canonical_form;
+    use bd_graphs::generators::{path, ring, star};
+    use bd_graphs::CanonicalForm;
 
     fn ids(v: std::ops::Range<u64>) -> Vec<RobotId> {
         v.map(RobotId).collect()
+    }
+
+    fn form_true() -> CanonicalForm {
+        canonical_form(&ring(6).unwrap(), 0)
+    }
+    fn form_garbage() -> CanonicalForm {
+        canonical_form(&path(2).unwrap(), 0)
+    }
+    fn form_other() -> CanonicalForm {
+        canonical_form(&star(6).unwrap(), 0)
+    }
+
+    /// The scheme's reconciliation: the plan's `f + 1` quorum as the
+    /// minimum support of the per-run vote.
+    fn reconcile(plan: &ReplicationPlan, votes: &[Option<CanonicalForm>]) -> Option<CanonicalForm> {
+        majority_map(votes, plan.quorum())
     }
 
     #[test]
@@ -205,5 +225,37 @@ mod tests {
             assert!(plan.agents_of(j).contains(&id));
         }
         assert_eq!(plan.group_of(RobotId(99)), None);
+    }
+
+    #[test]
+    fn reconcile_accepts_the_majority_form() {
+        // f = 1: three runs, one hijacked.
+        let plan = ReplicationPlan::build(&ids(1..10), 1);
+        assert_eq!(plan.quorum(), 2);
+        let votes = vec![Some(form_true()), Some(form_garbage()), Some(form_true())];
+        assert_eq!(reconcile(&plan, &votes), Some(form_true()));
+    }
+
+    #[test]
+    fn reconcile_fails_closed_when_nothing_reaches_quorum() {
+        // Beyond tolerance: every run produced something different.
+        let plan = ReplicationPlan::build(&ids(1..10), 1);
+        let votes = vec![Some(form_garbage()), Some(form_true()), Some(form_other())];
+        assert_eq!(reconcile(&plan, &votes), None);
+        assert_eq!(reconcile(&plan, &[None, None, None]), None);
+        let fault_free = ReplicationPlan::build(&ids(1..3), 0);
+        assert_eq!(reconcile(&fault_free, &[]), None);
+    }
+
+    #[test]
+    fn reconcile_tie_breaks_deterministically() {
+        // Two qualifying forms (possible only with f = 0): the smaller
+        // wins, independent of vote order.
+        let plan = ReplicationPlan::build(&ids(1..3), 0);
+        assert_eq!(plan.quorum(), 1);
+        let a = vec![Some(form_true()), Some(form_garbage())];
+        let b = vec![Some(form_garbage()), Some(form_true())];
+        assert_eq!(reconcile(&plan, &a), reconcile(&plan, &b));
+        assert_eq!(reconcile(&plan, &a), Some(form_garbage()));
     }
 }

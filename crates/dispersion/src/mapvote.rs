@@ -82,9 +82,6 @@ mod tests {
     fn majority_wins() {
         let votes = vec![Some(form_a()), Some(form_b()), Some(form_a()), None];
         assert_eq!(majority_map(&votes, 1), Some(form_a()));
-        // f = 1: three runs, one hijacked.
-        let votes = vec![Some(form_a()), Some(form_garbage()), Some(form_a())];
-        assert_eq!(majority_map(&votes, 2), Some(form_a()));
     }
 
     #[test]
@@ -113,19 +110,12 @@ mod tests {
             assert_eq!(majority_map(&[None, None, None], min_support), None);
             assert_eq!(majority_map(&[], min_support), None);
         }
-        // Beyond tolerance: every run produced something different, so
-        // nothing reaches an f + 1 = 2 bar.
-        let votes = vec![Some(form_garbage()), Some(form_a()), Some(form_c())];
-        assert_eq!(majority_map(&votes, 2), None);
     }
 
     #[test]
     fn tie_breaks_deterministically() {
         let votes1 = vec![Some(form_a()), Some(form_b())];
         let votes2 = vec![Some(form_b()), Some(form_a())];
-        assert_eq!(majority_map(&votes1, 1), majority_map(&votes2, 1));
-        let votes1 = vec![Some(form_a()), Some(form_garbage())];
-        let votes2 = vec![Some(form_garbage()), Some(form_a())];
         assert_eq!(majority_map(&votes1, 1), majority_map(&votes2, 1));
     }
 
