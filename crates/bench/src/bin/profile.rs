@@ -16,9 +16,11 @@
 //!   phases, and that for every row the stepped, skipped, scripted and
 //!   solo rounds add up to the row's rounds, at least 90% of every
 //!   `cover_walk`/`gather` phase's rounds are scripted (applied in bulk),
-//!   and at least 60% of the rounds not skipped in every
-//!   `pairing`/`replicate` phase are solo (roaming adversaries applied in
-//!   bulk while every honest robot waits);
+//!   every `gather` phase moves robots at least twice per prelude port the
+//!   engine looked up (`walked=`: merged gathering walks share a tail and
+//!   are walked once per cohort), and at least 60% of the rounds not
+//!   skipped in every `pairing`/`replicate` phase are solo (roaming
+//!   adversaries applied in bulk while every honest robot waits);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -118,12 +120,13 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         );
     }
     println!(
-        "  totals: stepped={} skipped={} scripted={} solo={} bulletin w/r={}/{} resorts={} \
-         dirty_hwm={} roster_hwm={} bulletin_hwm={}",
+        "  totals: stepped={} skipped={} scripted={} solo={} walked={} bulletin w/r={}/{} \
+         resorts={} dirty_hwm={} roster_hwm={} bulletin_hwm={}",
         report.total.rounds_stepped,
         report.total.rounds_skipped,
         report.total.rounds_scripted,
         report.total.rounds_solo,
+        report.total.prelude_walked,
         report.total.bulletin_writes,
         report.total.bulletin_reads,
         report.total.roster_resorts,
@@ -253,8 +256,10 @@ fn main() {
 
 /// The `--check` round-accounting gate for one row: every round is
 /// stepped, skipped, scripted or solo exactly once; the walks that need no
-/// communication (`cover_walk`, `gather`) are at least 90% scripted; and
-/// the map-finding windows (`pairing`, `replicate`) are at least 60% solo
+/// communication (`cover_walk`, `gather`) are at least 90% scripted; the
+/// gathering walk makes at least two moves per prelude port looked up
+/// (which fails if plans stop sharing tails among merged walks); and the
+/// map-finding windows (`pairing`, `replicate`) are at least 60% solo
 /// among the rounds not skipped.
 fn round_accounting(algo: &str, report: &EngineReport) -> Vec<String> {
     let t = &report.total;
@@ -270,11 +275,19 @@ fn round_accounting(algo: &str, report: &EngineReport) -> Vec<String> {
         let rounds = p.end_round - p.start_round;
         let c = &p.counters;
         match p.name.as_str() {
-            "cover_walk" | "gather" if (c.rounds_scripted as f64) < 0.9 * rounds as f64 => {
-                failures.push(format!(
-                    "{algo}: {} of {rounds} {} rounds scripted (< 90%)",
-                    c.rounds_scripted, p.name
-                ));
+            "cover_walk" | "gather" => {
+                if (c.rounds_scripted as f64) < 0.9 * rounds as f64 {
+                    failures.push(format!(
+                        "{algo}: {} of {rounds} {} rounds scripted (< 90%)",
+                        c.rounds_scripted, p.name
+                    ));
+                }
+                if p.name == "gather" && c.moves < 2 * c.prelude_walked {
+                    failures.push(format!(
+                        "{algo}: {} gather moves < 2 x {} prelude ports walked",
+                        c.moves, c.prelude_walked
+                    ));
+                }
             }
             "pairing" | "replicate" => {
                 let unskipped = rounds - c.rounds_skipped;

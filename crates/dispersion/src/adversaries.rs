@@ -74,12 +74,11 @@
 use crate::msg::{DumState, Msg};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// The adversary strategies available to scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,7 +154,7 @@ pub struct AdversaryController {
     rng: StdRng,
     /// Optional gathering script, walked as the prelude (so the adversary
     /// infiltrates the gathering in arbitrary-start scenarios).
-    gather_script: Arc<[Port]>,
+    gather_script: Prelude,
     /// Rounds before this are spent idle (after the gather script, which
     /// must not run past it).
     active_from: u64,
@@ -180,7 +179,7 @@ impl AdversaryController {
         kind: AdversaryKind,
         n: usize,
         seed: u64,
-        gather_script: impl Into<Arc<[Port]>>,
+        gather_script: impl Into<Prelude>,
         active_from: u64,
         spoof_pool: Vec<RobotId>,
         coalition_index: usize,
@@ -349,8 +348,8 @@ impl Controller<Msg> for AdversaryController {
 
     /// The gather script: before activation the adversary reads,
     /// publishes and draws nothing.
-    fn prelude(&self) -> Arc<[Port]> {
-        Arc::clone(&self.gather_script)
+    fn prelude(&self) -> Prelude {
+        self.gather_script.clone()
     }
 }
 
@@ -456,12 +455,9 @@ impl Controller<Msg> for CrashWrapper {
 
     /// The inner prelude, clipped at the crash: the robot halts during
     /// round `crash_at`, so it never walks from there on.
-    fn prelude(&self) -> Arc<[Port]> {
-        let prelude = self.inner.prelude();
-        match usize::try_from(self.crash_at) {
-            Ok(crash) if crash < prelude.len() => prelude[..crash].into(),
-            _ => prelude,
-        }
+    fn prelude(&self) -> Prelude {
+        let crash = usize::try_from(self.crash_at).unwrap_or(usize::MAX);
+        self.inner.prelude().clipped(crash)
     }
 }
 
@@ -586,7 +582,7 @@ mod tests {
         // The gather script is the prelude: the engine walks it and asks
         // nothing meanwhile.
         let mut a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
-        assert_eq!(&*a.prelude(), &[0; 3]);
+        assert_eq!(a.prelude().to_vec(), [0; 3]);
         // Before activation: idle, not solo.
         assert_eq!(a.solo_until(), None);
         assert_eq!(a.idle_until(), Some(100));
@@ -684,7 +680,7 @@ mod tests {
             );
             CrashWrapper::new(Box::new(inner), crash_at)
         };
-        assert_eq!(&*walker(4).prelude(), &[0; 4], "clipped at crash_at");
+        assert_eq!(walker(4).prelude().to_vec(), [0; 4], "clipped at crash_at");
         assert_eq!(
             walker(20).prelude().len(),
             10,

@@ -16,10 +16,9 @@ use crate::msg::Msg;
 use crate::timeline::dum_budget;
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
-use bd_graphs::{CanonicalForm, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_graphs::{CanonicalForm, PortGraph};
+use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Sorted, deduplicated roster — the ID snapshot every robot takes of the
 /// gathering ("each robot remembers the IDs of the remaining k − 1 gathered
@@ -437,7 +436,7 @@ pub struct GroupPhaseController<S: GroupScheme> {
     id: RobotId,
     n: usize,
     scheme: S,
-    gather_script: Arc<[Port]>,
+    gather_script: Prelude,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
     /// Index of the first run not yet over; rounds only move forward, so
@@ -452,12 +451,12 @@ impl<S: GroupScheme> GroupPhaseController<S> {
     /// applies) in the shared gathering phase `[0, gather_budget)`, idles
     /// out the rest of it, and snapshots the roster at round
     /// `gather_budget` (round 0 for a gathered start: empty script, zero
-    /// budget). Robots starting on one node share one script.
+    /// budget). Scripts of robots whose walks merged share one tail.
     pub fn with_scheme(
         id: RobotId,
         n: usize,
         scheme: S,
-        gather_script: impl Into<Arc<[Port]>>,
+        gather_script: impl Into<Prelude>,
         gather_budget: u64,
     ) -> Self {
         GroupPhaseController {
@@ -591,8 +590,8 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     /// The gather script: gathering reads and publishes nothing.
-    fn prelude(&self) -> Arc<[Port]> {
-        Arc::clone(&self.gather_script)
+    fn prelude(&self) -> Prelude {
+        self.gather_script.clone()
     }
 }
 

@@ -15,10 +15,10 @@ use crate::error::DispersionError;
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, Timeline};
-use bd_exploration::walks::{cover_walk_length, SharedWalk};
+use bd_exploration::walks::{cover_walk_length, lockstep_walk, SharedWalk};
 use bd_graphs::quotient::quotient_graph;
-use bd_graphs::{NodeId, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_graphs::{NodeId, PortGraph};
+use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -29,8 +29,8 @@ const FIND_MAP_TAG: u64 = 0x6d61_7000; // "map"
 /// robot's controller.
 #[derive(Debug, Clone)]
 pub struct QuotientSetup {
-    /// The robot's exploration walk script (`Find-Map`'s round charge).
-    pub walk: Vec<Port>,
+    /// The robot's exploration walk (`Find-Map`'s round charge).
+    pub walk: Prelude,
     /// The map (the quotient graph, isomorphic to the graph by the
     /// Theorem 1 precondition); shared across the n robots the runner
     /// spawns, so setup stays O(1) per robot in the graph size.
@@ -39,17 +39,17 @@ pub struct QuotientSetup {
     pub pos_after_walk: NodeId,
 }
 
-/// The shared part of Theorem 1's setup, computed once per run: the map
-/// and each node's class in it.
+/// The shared part of Theorem 1's setup, computed once per run: the map,
+/// and each seat's `Find-Map` walk with its map position after the walk.
 struct QuotientPrep {
     map: Arc<PortGraph>,
-    class_of: Vec<NodeId>,
+    walks: Vec<(Prelude, NodeId)>,
 }
 
 /// Controller for Theorem 1.
 pub struct QuotientController {
     id: RobotId,
-    walk: Arc<[Port]>,
+    walk: Prelude,
     dum_start: u64,
     dum_end: u64,
     dum: Option<DumMachine>,
@@ -64,7 +64,7 @@ impl QuotientController {
         let walk_len = setup.walk.len() as u64;
         QuotientController {
             id,
-            walk: setup.walk.into(),
+            walk: setup.walk,
             dum_start: walk_len,
             dum_end: walk_len + dum_budget(n),
             dum: Some(DumMachine::new(id, setup.map.clone(), setup.pos_after_walk)),
@@ -114,8 +114,8 @@ impl Controller<Msg> for QuotientController {
     }
 
     /// The `Find-Map` walk: no information flows during it.
-    fn prelude(&self) -> Arc<[Port]> {
-        Arc::clone(&self.walk)
+    fn prelude(&self) -> Prelude {
+        self.walk.clone()
     }
 }
 
@@ -149,23 +149,32 @@ impl TableRow for QuotientRow {
         StartRequirement::Any
     }
 
-    /// Shared setup: the quotient map and each node's class in it.
+    /// Shared setup: the quotient map and every seat's `Find-Map` walk.
     /// Theorem 1's precondition (quotient isomorphic to the graph) is
     /// enforced here rather than in `precondition`, so the quotient
     /// refinement — the row's most expensive setup step — is computed
-    /// exactly once per run. Each robot's `Find-Map` walk is built with its
-    /// controller, so seats that never walk it (adversaries) cost nothing.
+    /// exactly once per run. The walks come from one lockstep pass over
+    /// every seat's start (a crash-fault seat walks too, and the plan does
+    /// not say which seats those are); walks merge within a few dozen
+    /// steps, so a seat that never walks costs only its head.
     fn prepare(&self, plan: &Plan) -> Result<Option<Box<dyn Any + Send + Sync>>, DispersionError> {
-        let q = quotient_graph(plan.graph.as_ref());
+        let graph = plan.graph.as_ref();
+        let q = quotient_graph(graph);
         if !q.is_isomorphic_to_original() {
             return Err(DispersionError::QuotientNotIsomorphic {
                 classes: q.num_classes(),
-                n: plan.graph.n(),
+                n: graph.n(),
             });
         }
+        let walk = SharedWalk::for_size(plan.n, FIND_MAP_TAG);
+        let len = cover_walk_length(plan.n);
+        let walks = lockstep_walk(graph, walk, len, &plan.starts, |_, _| {})
+            .into_iter()
+            .map(|(walk, end)| (walk, q.class_of[end]))
+            .collect();
         Ok(Some(Box::new(QuotientPrep {
             map: Arc::new(q.graph),
-            class_of: q.class_of,
+            walks,
         })))
     }
 
@@ -183,23 +192,14 @@ impl TableRow for QuotientRow {
 
     fn build_controller(&self, plan: &Plan, i: usize) -> Box<dyn Controller<Msg>> {
         let prep: &QuotientPrep = plan.prep().expect("prepared by QuotientRow::prepare");
-        let graph = plan.graph.as_ref();
-        let len = cover_walk_length(plan.n);
-        let mut walk = SharedWalk::for_size(plan.n, FIND_MAP_TAG);
-        let mut ports: Vec<Port> = Vec::with_capacity(len as usize);
-        let mut cur = plan.starts[i];
-        for _ in 0..len {
-            let p = walk.next_port(graph.degree(cur));
-            ports.push(p);
-            cur = graph.neighbor(cur, p).0;
-        }
+        let (walk, pos_after_walk) = prep.walks[i].clone();
         Box::new(QuotientController::new(
             plan.ids[i],
             plan.n,
             QuotientSetup {
-                walk: ports,
+                walk,
                 map: Arc::clone(&prep.map),
-                pos_after_walk: prep.class_of[cur],
+                pos_after_walk,
             },
         ))
     }
@@ -216,7 +216,7 @@ mod tests {
             RobotId(3),
             5,
             QuotientSetup {
-                walk: vec![0, 0],
+                walk: vec![0, 0].into(),
                 map: map.into(),
                 pos_after_walk: 2,
             },

@@ -24,8 +24,8 @@ use crate::error::DispersionError;
 use crate::msg::Msg;
 use crate::runner::Algorithm;
 use crate::timeline::Timeline;
-use bd_graphs::{NodeId, Port, PortGraph};
-use bd_runtime::{Controller, RobotId};
+use bd_graphs::{NodeId, PortGraph};
+use bd_runtime::{Controller, Prelude, RobotId};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -85,9 +85,10 @@ pub struct Plan {
     /// Start node per robot.
     pub starts: Vec<NodeId>,
     /// Per-robot gathering routes (rows with
-    /// [`StartRequirement::GathersFirst`] only); robots that start on one
-    /// node share one route.
-    pub gather_routes: Option<Vec<Arc<[Port]>>>,
+    /// [`StartRequirement::GathersFirst`] only): a short head of the
+    /// robot's own, then a tail shared by every robot whose walk merged
+    /// with it.
+    pub gather_routes: Option<Vec<Prelude>>,
     /// Shared gathering-phase budget (0 when no gathering runs).
     pub gather_budget: u64,
     /// Scenario seed.
@@ -98,11 +99,11 @@ pub struct Plan {
 
 impl Plan {
     /// Robot `i`'s gathering script (empty when the row does not gather):
-    /// a shared handle, not a copy.
-    pub fn gather_script(&self, i: usize) -> Arc<[Port]> {
+    /// its head copied, its tail a shared handle.
+    pub fn gather_script(&self, i: usize) -> Prelude {
         self.gather_routes
             .as_ref()
-            .map_or_else(|| Arc::from([]), |r| Arc::clone(&r[i]))
+            .map_or_else(Prelude::default, |r| r[i].clone())
     }
 
     /// The row-specific preparation downcast to its concrete type.

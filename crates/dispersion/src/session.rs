@@ -26,8 +26,8 @@ use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement};
 use crate::runner::{ByzPlacement, Outcome, ScenarioSpec, StartConfig};
 use crate::verify::verify_with_capacity;
-use bd_gathering::{gathering_target, route_from};
-use bd_graphs::{NodeId, Port, PortGraph};
+use bd_gathering::{gather_routes, gathering_target};
+use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::ids::generate_ids;
 use bd_runtime::{
     Controller, Engine, EngineConfig, EpochOutcome, Flavor, RobotId, RunError, RunMetrics, Trace,
@@ -36,7 +36,6 @@ use bd_runtime::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One engine seat of a planned scenario: the fault flavor the engine
@@ -325,20 +324,11 @@ impl Session {
         // must get a gathered start.
         let (gather_routes, gather_budget) = match row.start_requirement() {
             StartRequirement::GathersFirst => {
-                // One target per plan and one route per distinct start:
-                // robots starting together share their script.
+                // One target per plan and one lockstep walk from every
+                // start: robots whose walks merged share their tail.
                 let target =
                     gathering_target(graph).map_err(|_| DispersionError::GatheringInfeasible)?;
-                let mut by_start: BTreeMap<NodeId, Arc<[Port]>> = BTreeMap::new();
-                let routes = starts
-                    .iter()
-                    .map(|&s| {
-                        let route = by_start
-                            .entry(s)
-                            .or_insert_with(|| route_from(graph, &target, s).ports.into());
-                        Arc::clone(route)
-                    })
-                    .collect();
+                let routes = gather_routes(graph, &target, &starts);
                 (Some(routes), target.budget_rounds)
             }
             StartRequirement::Gathered => {

@@ -26,7 +26,7 @@ fn conforming_graph(algo: Algorithm, n: usize) -> PortGraph {
             .map(|attempt| erdos_renyi_connected(n, 0.4, 90 + attempt).unwrap())
             .find(|g| {
                 bd_graphs::quotient::quotient_graph(g).is_isomorphic_to_original()
-                    && bd_gathering::route::gather_route(g, 0).is_ok()
+                    && bd_gathering::gathering_target(g).is_ok()
             })
             .expect("no asymmetric G(n, 0.4) near seed 90"),
     }

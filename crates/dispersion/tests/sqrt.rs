@@ -7,7 +7,7 @@ use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::algos::sqrt::sqrt_timeline;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec, StartConfig};
 use bd_dispersion::Session;
-use bd_gathering::route::gather_route;
+use bd_gathering::gathering_target;
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree, star};
 use bd_graphs::PortGraph;
 use proptest::prelude::*;
@@ -82,7 +82,7 @@ fn small_n_byzantine_refused_fault_free_disperses() {
     for n in [3usize, 4, 5] {
         for seed in 0..20u64 {
             let g = erdos_renyi_connected(n, 0.6, seed).unwrap();
-            if gather_route(&g, 0).is_err() {
+            if gathering_target(&g).is_err() {
                 continue; // symmetric draw: gathering infeasible
             }
             feasible += 1;
@@ -122,7 +122,7 @@ fn sqrt_across_graph_families() {
         // Skip families where the gathering substrate is infeasible for
         // this seed (symmetric views); the runner reports that as a typed
         // error rather than a wrong answer, which other suites cover.
-        if gather_route(&g, 0).is_err() {
+        if gathering_target(&g).is_err() {
             continue;
         }
         let f = Algorithm::ArbitrarySqrtTh5.tolerance(g.n()).min(1);
@@ -152,7 +152,7 @@ fn rounds_equal_phase_budget_exactly() {
         .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
         .unwrap();
     assert!(out.dispersed);
-    let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
+    let gather_budget = gathering_target(&g).unwrap().budget_rounds;
     let f = Algorithm::ArbitrarySqrtTh5.tolerance(n);
     assert_eq!(out.rounds, sqrt_round_budget(n, n, f, gather_budget));
 }
@@ -242,7 +242,7 @@ fn sqrt_fault_free_at_n32() {
         .run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5))
         .unwrap();
     assert!(out.dispersed, "violations {:?}", out.report.violations);
-    let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
+    let gather_budget = gathering_target(&g).unwrap().budget_rounds;
     let f = Algorithm::ArbitrarySqrtTh5.tolerance(32);
     assert_eq!(out.rounds, sqrt_round_budget(32, 32, f, gather_budget));
 }
@@ -259,14 +259,14 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = asymmetric_graph(n, seed);
-        if gather_route(&g, 0).is_err() {
+        if gathering_target(&g).is_err() {
             // Symmetric draw: gathering infeasible, covered elsewhere.
             return Ok(());
         }
         let spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(seed);
         let a = Session::new(g.clone()).run(&spec.clone().with_algorithm(Algorithm::ArbitrarySqrtTh5)).unwrap();
         prop_assert!(a.dispersed, "violations {:?}", a.report.violations);
-        let gather_budget = gather_route(&g, 0).unwrap().budget_rounds;
+        let gather_budget = gathering_target(&g).unwrap().budget_rounds;
         let f = Algorithm::ArbitrarySqrtTh5.tolerance(n);
         prop_assert_eq!(a.rounds, sqrt_round_budget(n, n, f, gather_budget));
         // Determinism: same spec, same outcome.
@@ -282,7 +282,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let g = asymmetric_graph(n, seed.wrapping_add(1000));
-        if gather_route(&g, 0).is_err() {
+        if gathering_target(&g).is_err() {
             return Ok(());
         }
         let mut spec = ScenarioSpec::arbitrary(Algorithm::ArbitrarySqrtTh5, &g).with_seed(seed);

@@ -31,4 +31,4 @@ pub mod route;
 
 pub use error::GatherError;
 pub use plan::{gathering_target, GatherPlan};
-pub use route::{gather_route, route_from, GatherRoute};
+pub use route::{gather_route, gather_routes};

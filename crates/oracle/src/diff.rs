@@ -145,16 +145,28 @@ impl Judged for (Outcome, Trace) {
 /// Judge a fast run against an oracle run of the same cell: the error
 /// matrix first (both failing identically is agreement), then the trace
 /// (it localizes the bug to a round and an event), then the outcome
-/// fields. The one verdict function for static and dynamic cells.
+/// fields. Then the same fast engine untraced (`bulk`) must reach the
+/// oracle's outcome too: a trace makes the engine walk every prelude
+/// robot alone, so only an untraced run walks merged preludes as cohorts.
+/// The one verdict function for static and dynamic cells.
 pub(crate) fn judge<T: Judged, E: PartialEq + fmt::Display>(
     fast: Result<T, E>,
+    bulk: Result<T, E>,
     oracle: Result<T, E>,
 ) -> CellVerdict {
+    let bulk_divergence = match (&bulk, &oracle) {
+        (Ok(bulk), Ok(oracle)) => bulk.field_divergence(oracle),
+        (Err(be), Err(oe)) if be == oe => None,
+        (bulk, oracle) => Some(Divergence::ErrorMismatch {
+            fast: bulk.as_ref().err().map(|e| e.to_string()),
+            oracle: oracle.as_ref().err().map(|e| e.to_string()),
+        }),
+    };
     let divergence = match (fast, oracle) {
         (Err(fe), Err(oe)) if fe == oe => return CellVerdict::MatchErr(fe.to_string()),
         (Ok(fast), Ok(oracle)) => match fast.trace().first_divergence(oracle.trace()) {
             Some(td) => Divergence::Trace(td),
-            None => match fast.field_divergence(&oracle) {
+            None => match fast.field_divergence(&oracle).or(bulk_divergence) {
                 Some(d) => d,
                 None => {
                     return CellVerdict::Match {
@@ -174,14 +186,18 @@ pub(crate) fn judge<T: Judged, E: PartialEq + fmt::Display>(
 /// Differentially check one cell: the fast engine under `tune` (pass
 /// `|c| c` for the real fast path; the broken-engine demonstrations pass
 /// `|c| c.with_ff_overshoot(1)` and expect `Diverged`) versus the oracle.
-/// Both sides run through [`Session::run_with`] with tracing on.
+/// Both sides run through [`Session::run_with`] with tracing on, and the
+/// fast engine once more without: a trace makes it walk every prelude
+/// robot alone, so only the untraced run walks merged preludes as
+/// cohorts, and its outcome must equal the oracle's too.
 pub fn check_cell(
     session: &Session,
     spec: &ScenarioSpec,
-    tune: impl FnOnce(EngineConfig) -> EngineConfig,
+    tune: impl Fn(EngineConfig) -> EngineConfig,
 ) -> CellVerdict {
     judge(
         session.run_with(spec, |g, c| Engine::new(g, tune(c).traced())),
+        session.run_with(spec, |g, c| Engine::new(g, tune(c))),
         session.run_with(spec, |g, c| OracleEngine::new(g, c.traced())),
     )
 }

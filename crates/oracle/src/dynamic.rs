@@ -57,14 +57,16 @@ impl EpochBackend for OracleEngine<Msg> {
 /// Differentially check one dynamic cell: the fast engine under `tune`
 /// (pass `|c| c` for the real fast path; the broken-engine
 /// demonstrations pass `|c| c.with_ff_overshoot(1)` and expect
-/// `Diverged`) versus the oracle, over the whole epoch sequence.
+/// `Diverged`) versus the oracle, over the whole epoch sequence, traced
+/// and untraced (as [`crate::check_cell`] does).
 pub fn check_dynamic_cell(
     session: &DynamicSession,
     spec: &DynamicSpec,
-    tune: impl FnOnce(EngineConfig) -> EngineConfig,
+    tune: impl Fn(EngineConfig) -> EngineConfig,
 ) -> CellVerdict {
     judge(
         session.run_with(spec, |g, c| Engine::new(g, tune(c).traced())),
+        session.run_with(spec, |g, c| Engine::new(g, tune(c))),
         session.run_with(spec, OracleEngine::new),
     )
 }
@@ -133,7 +135,7 @@ impl DynamicSketch {
 impl Sketch for DynamicSketch {
     const LABEL: &'static str = "DYNAMIC ";
 
-    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
+    fn check(&self, tune: impl Fn(EngineConfig) -> EngineConfig) -> CellVerdict {
         let graph = self.base.graph();
         let spec = self.spec(&graph);
         check_dynamic_cell(&DynamicSession::new(graph), &spec, tune)
@@ -306,7 +308,7 @@ mod tests {
         let fast = DynamicSession::new(g).run(&spec).unwrap();
         let mut oracle = fast.clone();
         oracle.epochs[1].outcome.honest[0] ^= true;
-        let verdict = judge::<_, bd_dynamic::DynamicError>(Ok(fast), Ok(oracle));
+        let verdict = judge::<_, bd_dynamic::DynamicError>(Ok(fast.clone()), Ok(fast), Ok(oracle));
         let CellVerdict::Diverged(d) = verdict else {
             panic!("a flipped honesty flag must diverge: {verdict:?}");
         };

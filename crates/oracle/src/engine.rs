@@ -19,7 +19,7 @@
 use bd_graphs::{NodeId, Port, PortGraph};
 use bd_runtime::{
     ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, MoveChoice, Observation,
-    Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
+    Prelude, Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ struct Seat<M> {
     moves: u64,
     /// The ports the engine walks the robot through in epoch-local rounds
     /// `0..len`, read when the robot was seated.
-    prelude: Arc<[Port]>,
+    prelude: Prelude,
     controller: Box<dyn Controller<M>>,
 }
 
@@ -40,7 +40,7 @@ impl<M> Seat<M> {
     /// The prelude's port for epoch-local `round`, if the robot is still
     /// inside its prelude.
     fn prelude_port(&self, round: u64) -> Option<Port> {
-        self.prelude.get(round as usize).copied()
+        self.prelude.port(round)
     }
 }
 

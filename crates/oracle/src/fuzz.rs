@@ -139,7 +139,7 @@ pub trait Sketch: Clone + fmt::Display {
     /// Prefix of a failure's `DIVERGENCE:` line, naming the case kind.
     const LABEL: &'static str;
     /// Differentially check this case under `tune` (fast side only).
-    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict;
+    fn check(&self, tune: impl Fn(EngineConfig) -> EngineConfig) -> CellVerdict;
     /// Smaller candidate cases, in the order the minimizer tries them.
     fn shrink(&self) -> Vec<Self>;
 }
@@ -147,7 +147,7 @@ pub trait Sketch: Clone + fmt::Display {
 impl Sketch for CaseSketch {
     const LABEL: &'static str = "";
 
-    fn check(&self, tune: impl FnOnce(EngineConfig) -> EngineConfig) -> CellVerdict {
+    fn check(&self, tune: impl Fn(EngineConfig) -> EngineConfig) -> CellVerdict {
         let graph = self.graph();
         let spec = self.spec(&graph);
         check_cell(&Session::new(graph), &spec, tune)

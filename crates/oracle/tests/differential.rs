@@ -23,13 +23,14 @@
 
 use bd_dispersion::adversaries::{AdversaryKind, CrashWrapper};
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
-use bd_dispersion::{DumState, Msg, Session};
+use bd_dispersion::{DumState, EpochBackend, Msg, RosterEntry, Session};
 use bd_dynamic::{DynamicSession, DynamicSpec, EventSchedule};
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, ring};
 use bd_graphs::{NodeId, Port};
 use bd_oracle::{check_cell, run_fuzz, CellVerdict, FuzzConfig, OracleEngine};
 use bd_runtime::{
-    Controller, Engine, EngineConfig, Event, Flavor, MoveChoice, Observation, RobotId, Trace,
+    ArrivalInfo, Controller, Engine, EngineConfig, Event, Flavor, MoveChoice, Observation, Prelude,
+    RobotId, Trace,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -183,12 +184,17 @@ fn static_cell_is_one_epoch_on_both_engines() {
 /// The rounds a controller was called in (`act` and `decide_move`).
 type Calls = Rc<RefCell<Vec<u64>>>;
 
+/// The arrival a controller was handed in each round it was called in.
+type Arrivals = Rc<RefCell<Vec<(u64, Option<ArrivalInfo>)>>>;
+
 /// Walks `prelude`, then stays put for `rounds` rounds and terminates.
+/// Logs the rounds it is called in, and at sub-round 0 its arrival.
 struct Walk {
     id: RobotId,
-    prelude: Arc<[Port]>,
+    prelude: Prelude,
     rounds: usize,
     calls: Calls,
+    arrivals: Arrivals,
 }
 
 impl Controller<Msg> for Walk {
@@ -197,6 +203,9 @@ impl Controller<Msg> for Walk {
     }
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
         self.calls.borrow_mut().push(obs.round);
+        if obs.subround == 0 {
+            self.arrivals.borrow_mut().push((obs.round, obs.arrival));
+        }
         None
     }
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
@@ -206,8 +215,8 @@ impl Controller<Msg> for Walk {
     fn terminated(&self) -> bool {
         self.calls.borrow().len() >= 2 * self.rounds
     }
-    fn prelude(&self) -> Arc<[Port]> {
-        Arc::clone(&self.prelude)
+    fn prelude(&self) -> Prelude {
+        self.prelude.clone()
     }
 }
 
@@ -324,6 +333,7 @@ fn run_prelude_cast(
         prelude: prelude.into(),
         rounds,
         calls: Rc::clone(calls),
+        arrivals: Arrivals::default(),
     };
     let crashing = walk(3, vec![0; 10], 100, &logs[2]);
     let seats: Vec<(Flavor, NodeId, Box<dyn Controller<Msg>>)> = vec![
@@ -449,4 +459,180 @@ fn engine_walked_preludes_agree_on_all_engines() {
     // no roster in its two solo bursts.
     assert_eq!(bulk.unrostered, vec![0, 1, 2, 12, 13, 14]);
     assert!(stepped.unrostered.is_empty() && oracle.unrostered.is_empty());
+}
+
+/// What one engine made of the cohort cast: positions at the stop round
+/// and at the end, per-robot odometers, the arrivals the walkers were
+/// handed, `messages`, `subrounds_executed` and, when traced, the trace.
+#[derive(Debug, PartialEq)]
+struct CohortCastRun {
+    at_stop: Vec<NodeId>,
+    positions: Vec<NodeId>,
+    odometers: Vec<u64>,
+    arrivals: Vec<Vec<(u64, Option<ArrivalInfo>)>>,
+    metrics: Vec<(u64, u64)>,
+    trace: Option<Trace>,
+}
+
+/// `len` ports that lead from `from` to `to` on `g`, found by trying
+/// every port sequence over ports 0 and 1.
+fn ports_between(g: &bd_graphs::PortGraph, from: NodeId, to: NodeId, len: usize) -> Vec<Port> {
+    (0..1u32 << len)
+        .map(|bits| {
+            (0..len)
+                .map(|i| (bits >> i & 1) as Port)
+                .collect::<Vec<_>>()
+        })
+        .find(|ports| bd_graphs::navigate::follow_ports(g, from, ports) == Ok(to))
+        .expect("a path of that length exists")
+}
+
+/// Run the cohort cast on an 8-node ring, cut by a scheduled stop at
+/// round 9 (inside the shared tail) and then run to the end. Honest
+/// walkers 1, 2 and 3 share one 12-port tail: robot 1 from node 0 with no
+/// head, robots 2 and 3 after 3- and 5-port heads from nodes 2 and 6 that
+/// bring them to robot 1. Robot 4 walks the same tail from node 1, an odd
+/// node, so it never meets them. Robot 6 is a crash-fault copy of robot 2
+/// whose prelude the crash at round 8 clips inside the tail. Robot 7 is
+/// Byzantine and walks a tail whose third port is invalid, clamped to a
+/// stay. Each walker then looks around for three rounds, and an idle
+/// honest sleeper (robot 5) wakes at round 15, so no engine skips a round
+/// and even the work counters must agree.
+fn run_cohort_cast<B: EpochBackend>(
+    mut backend: B,
+    odometers: impl Fn(&B) -> Vec<u64>,
+) -> CohortCastRun {
+    let g = ring(8).unwrap();
+    let tail: Arc<[Port]> = vec![0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1].into();
+    let at = |round: usize| bd_graphs::navigate::follow_ports(&g, 0, &tail[..round]).unwrap();
+    let head = |from, len| ports_between(&g, from, at(len), len);
+    let logs: Vec<Arrivals> = (0..5).map(|_| Arrivals::default()).collect();
+    let walk = |id, prelude: Prelude, log: &Arrivals| Walk {
+        id: RobotId(id),
+        prelude,
+        rounds: 3,
+        calls: Calls::default(),
+        arrivals: Rc::clone(log),
+    };
+    let shared = |head: Vec<Port>| Prelude::new(head, Arc::clone(&tail));
+    let crashing = walk(6, shared(head(2, 3)), &Arrivals::default());
+    let clamped: Prelude = vec![0, 0, 7, 1, 1, 0].into();
+    let seat = |flavor, start, controller: Box<dyn Controller<Msg>>| RosterEntry {
+        flavor,
+        start,
+        controller,
+    };
+    backend
+        .begin_epoch(vec![
+            seat(
+                Flavor::Honest,
+                0,
+                Box::new(walk(1, shared(vec![]), &logs[0])),
+            ),
+            seat(
+                Flavor::Honest,
+                2,
+                Box::new(walk(2, shared(head(2, 3)), &logs[1])),
+            ),
+            seat(
+                Flavor::Honest,
+                6,
+                Box::new(walk(3, shared(head(6, 5)), &logs[2])),
+            ),
+            seat(
+                Flavor::Honest,
+                1,
+                Box::new(walk(4, shared(vec![]), &logs[3])),
+            ),
+            seat(Flavor::Honest, 3, Box::new(Sleeper { woke: false })),
+            seat(
+                Flavor::WeakByzantine,
+                2,
+                Box::new(CrashWrapper::new(Box::new(crashing), 8)),
+            ),
+            seat(
+                Flavor::WeakByzantine,
+                4,
+                Box::new(walk(7, clamped, &logs[4])),
+            ),
+        ])
+        .unwrap();
+    let cut = backend.run_epoch(9).unwrap();
+    assert!(!cut.terminated, "the stop cuts the tail");
+    let end = backend.run_epoch(u64::MAX).unwrap();
+    let odometers = odometers(&backend);
+    let trace = backend.into_trace();
+    CohortCastRun {
+        at_stop: cut.final_positions,
+        positions: end.final_positions,
+        odometers,
+        arrivals: logs.iter().map(|l| l.borrow().clone()).collect(),
+        metrics: [cut.metrics, end.metrics]
+            .iter()
+            .map(|m| (m.messages, m.subrounds_executed))
+            .collect(),
+        trace: (!trace.events.is_empty()).then_some(trace),
+    }
+}
+
+/// Each robot's moves, counted from a trace.
+fn moves_in(trace: &Trace, robots: u64) -> Vec<u64> {
+    (1..=robots)
+        .map(|id| {
+            let moved =
+                |e: &&Event| matches!(e, Event::Moved { robot, .. } if *robot == RobotId(id));
+            trace.events.iter().filter(moved).count() as u64
+        })
+        .collect()
+}
+
+/// Cohorts of merged preludes on every engine: the fast engine walking
+/// cohorts (fast-forward, no trace), walking every robot alone
+/// (fast-forward with a trace), stepping, and the oracle agree on
+/// positions at a mid-tail stop and at the end, odometers, arrivals,
+/// `messages`, `subrounds_executed` and the `Moved`/`Terminated` events.
+#[test]
+fn cohort_preludes_agree_on_all_engines() {
+    let fast = |config: EngineConfig| {
+        run_cohort_cast(Engine::<Msg>::new(ring(8).unwrap(), config), |e| {
+            e.world().robots().iter().map(|r| r.moves).collect()
+        })
+    };
+    let cohorts = fast(EngineConfig::default());
+    let alone = fast(EngineConfig::default().traced());
+    let stepped = fast(EngineConfig::default().without_fast_forward().traced());
+    let oracle = run_cohort_cast(
+        OracleEngine::<Msg>::new(ring(8).unwrap(), EngineConfig::default().traced()),
+        |_| Vec::new(),
+    );
+    let oracle_trace = oracle.trace.as_ref().expect("traced");
+    // Robots are seated in ID order.
+    let oracle_moves = moves_in(oracle_trace, 7);
+    for (name, run) in [
+        ("cohorts", &cohorts),
+        ("alone", &alone),
+        ("stepped", &stepped),
+    ] {
+        assert_eq!(run.at_stop, oracle.at_stop, "{name}: positions at the stop");
+        assert_eq!(run.positions, oracle.positions, "{name}: positions");
+        assert_eq!(run.odometers, oracle_moves, "{name}: odometers");
+        assert_eq!(run.arrivals, oracle.arrivals, "{name}: arrivals");
+        assert_eq!(
+            run.metrics, oracle.metrics,
+            "{name}: messages and sub-rounds"
+        );
+    }
+    for (name, run) in [("alone", &alone), ("stepped", &stepped)] {
+        let trace = run.trace.as_ref().expect("traced");
+        assert_eq!(trace.first_divergence(oracle_trace), None, "{name}: events");
+    }
+    // The merged walkers end together, the stranger elsewhere; the crash
+    // clipped robot 6 at 8 moves and robot 7 stayed once.
+    assert_eq!(oracle.positions[..3], [oracle.positions[0]; 3]);
+    assert_ne!(oracle.positions[3], oracle.positions[0]);
+    assert_eq!(oracle_moves, vec![12, 12, 12, 12, 0, 8, 5]);
+    assert!(oracle
+        .arrivals
+        .iter()
+        .all(|a| a.len() == 3 && a[0].1.is_some()));
 }

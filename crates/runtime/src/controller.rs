@@ -15,6 +15,101 @@ pub enum MoveChoice {
     Move(Port),
 }
 
+/// A robot's prelude (see [`Controller::prelude`]): the ports it leaves
+/// through in epoch-local rounds `0..len`. Round `r` takes `head[r]` while
+/// `r` is inside the robot's own head, then `tail[r]`: the shared tail is
+/// indexed by the round itself, so robots whose walks merged hold one tail
+/// `Arc` whatever the lengths of the heads that led into it, and the
+/// engine walks those standing on one node once, as a cohort.
+#[derive(Debug, Clone)]
+pub struct Prelude {
+    head: Box<[Port]>,
+    tail: Arc<[Port]>,
+    len: usize,
+}
+
+impl Prelude {
+    /// `head`'s ports, then `tail`'s from index `head.len()` to its end.
+    pub fn new(head: impl Into<Box<[Port]>>, tail: Arc<[Port]>) -> Self {
+        let head = head.into();
+        let len = head.len().max(tail.len());
+        Prelude { head, tail, len }
+    }
+
+    /// Rounds the prelude lasts.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the prelude is empty (the robot opted out).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Rounds the robot spends in its own head.
+    pub fn head_len(&self) -> usize {
+        self.head.len().min(self.len)
+    }
+
+    /// The shared tail, indexed by the epoch-local round.
+    pub fn tail(&self) -> &Arc<[Port]> {
+        &self.tail
+    }
+
+    /// The port of epoch-local `round`, or `None` past the prelude.
+    pub fn port(&self, round: u64) -> Option<Port> {
+        let r = usize::try_from(round).ok().filter(|&r| r < self.len)?;
+        Some(if r < self.head.len() {
+            self.head[r]
+        } else {
+            self.tail[r]
+        })
+    }
+
+    /// The ports of rounds `from..from + rounds`, which must lie wholly in
+    /// the head or wholly in the tail.
+    pub(crate) fn stretch(&self, from: usize, rounds: usize) -> &[Port] {
+        assert!(from + rounds <= self.len, "stretch past the prelude");
+        if from < self.head.len() {
+            &self.head[from..from + rounds]
+        } else {
+            &self.tail[from..from + rounds]
+        }
+    }
+
+    /// The first `len` rounds only (a walk cut short, such as by a
+    /// crash); the tail stays shared.
+    pub fn clipped(mut self, len: usize) -> Self {
+        self.len = self.len.min(len);
+        self
+    }
+
+    /// Every port in round order.
+    pub fn to_vec(&self) -> Vec<Port> {
+        (0..self.len as u64).filter_map(|r| self.port(r)).collect()
+    }
+}
+
+impl Default for Prelude {
+    /// The empty prelude.
+    fn default() -> Self {
+        Prelude::from(Arc::<[Port]>::from([]))
+    }
+}
+
+impl From<Arc<[Port]>> for Prelude {
+    /// A walk with no head: robots handed one `Arc` share the whole walk.
+    fn from(tail: Arc<[Port]>) -> Self {
+        Prelude::new([], tail)
+    }
+}
+
+impl From<Vec<Port>> for Prelude {
+    fn from(ports: Vec<Port>) -> Self {
+        Prelude::from(Arc::<[Port]>::from(ports))
+    }
+}
+
 /// A robot's behavior. The engine drives one controller per robot.
 ///
 /// The same trait serves honest and Byzantine robots: Byzantine behavior is
@@ -94,23 +189,37 @@ pub trait Controller<M> {
     /// [`Controller::claimed_id`] is still read, to stamp rosters. The
     /// default, an empty prelude, opts out.
     ///
+    /// A [`Prelude`] is the robot's own head, then a tail indexed by the
+    /// round. Walks that merge (the shared-seed walks from different
+    /// starts, once two walkers meet) share one tail `Arc`, and an
+    /// `Arc<[Port]>` converts into a prelude with no head, so robots handed
+    /// one walk share it too.
+    ///
     /// # Segments
     ///
     /// When every active robot is idle past the current round, inside its
     /// prelude, or solo ([`Controller::solo_until`]), the engine applies
     /// the whole stretch as one *segment* instead of stepping it: it ends
-    /// at the shortest remaining prelude, the earliest solo horizon, the
-    /// earliest idle horizon, the epoch's stop round, the round cap, and
-    /// (when recording telemetry) the next phase mark. No roster or
-    /// bulletin is built inside a segment and idle robots are not called,
-    /// so an idle robot overlapping one must also be silent: the engine
-    /// counts no messages for it. The segment runs the sub-round count the
-    /// active robots outside their preludes request at its first round, so
-    /// every such request must stay constant within it (debug builds
-    /// assert the maximum does). Unlike skipped rounds, a segment's rounds
-    /// count as executed, so `RunMetrics` equal a stepped run's.
-    fn prelude(&self) -> Arc<[Port]> {
-        Arc::from([])
+    /// at the shortest remaining prelude or head, the earliest solo
+    /// horizon, the earliest idle horizon, the epoch's stop round, the
+    /// round cap, and (when recording telemetry) the next phase mark. No
+    /// roster or bulletin is built inside a segment and idle robots are not
+    /// called, so an idle robot overlapping one must also be silent: the
+    /// engine counts no messages for it. The segment runs the sub-round
+    /// count the active robots outside their preludes request at its first
+    /// round, so every such request must stay constant within it (debug
+    /// builds assert the maximum does). Unlike skipped rounds, a segment's
+    /// rounds count as executed, so `RunMetrics` equal a stepped run's.
+    ///
+    /// In a segment with no solo robot and no trace recorded, the robots
+    /// past their head that hold one tail `Arc` and stand on one node form
+    /// a *cohort*: the engine walks the tail once and gives every member
+    /// the end node, the moves and the last arrival. A robot in its head
+    /// walks alone. Beside a solo robot, with a trace, or when an honest
+    /// robot's port is invalid, every robot walks alone, round-major in
+    /// robot order, so events and errors come out exactly as stepping's.
+    fn prelude(&self) -> Prelude {
+        Prelude::default()
     }
 
     /// The solo contract, the fast-forward promise beside

@@ -31,7 +31,11 @@
 //! [`World`], calls solo robots on their own senses (empty roster and
 //! bulletin, their own degree and arrival), never calls idle robots, and
 //! builds no roster or bulletin; the arenas are left stale for the next
-//! stepped round to rebuild.
+//! stepped round to rebuild. Segments end where a head does, so inside
+//! one every prelude robot walks its head or its tail; with no solo robot
+//! and no trace, robots past their head that share a tail `Arc` and a
+//! node walk it once as a cohort (`walk_cohorts`), so a gathering walk
+//! that all `k` robots merged into costs one walk, not `k`.
 //!
 //! # Dynamic worlds: events and epochs
 //!
@@ -56,7 +60,7 @@
 //! the scheduling layer.
 
 use crate::config::EngineConfig;
-use crate::controller::{Controller, MoveChoice};
+use crate::controller::{Controller, MoveChoice, Prelude};
 use crate::error::RunError;
 use crate::ids::{Flavor, RobotId};
 use crate::metrics::RunMetrics;
@@ -162,8 +166,100 @@ fn subrounds_at<'a, M: 'a>(
 }
 
 /// Whether epoch-local `round` lies inside `prelude`.
-fn in_prelude(prelude: &[Port], round: u64) -> bool {
+fn in_prelude(prelude: &Prelude, round: u64) -> bool {
     round < prelude.len() as u64
+}
+
+/// Walk the segment's prelude robots through epoch-local rounds
+/// `local..local + rounds` in bulk: robots past their head that hold one
+/// tail `Arc` and stand on one node form a cohort, which is walked once
+/// and whose members then all get its end node, odometer increment and
+/// last arrival. A robot still in its head walks alone (the segment ends
+/// where its head does). A Byzantine robot's invalid port is clamped to a
+/// stay, as stepping would; an honest robot's makes this return `None`
+/// with nothing changed, so the caller steps the stretch per robot and
+/// raises the error at the exact robot and round. Otherwise returns the
+/// moves made and the prelude ports looked up (one per cohort per round).
+fn walk_cohorts<M>(
+    world: &mut World,
+    preludes: &[Prelude],
+    roles: &[(usize, Role<'_, M>)],
+    arrivals: &mut [Option<ArrivalInfo>],
+    local: usize,
+    rounds: u64,
+) -> Option<(u64, u64)> {
+    /// One cohort: its ports, its node, whether it holds an honest robot,
+    /// and the tail it shares (`None` for a robot in its head).
+    struct Cohort<'a> {
+        ports: &'a [Port],
+        node: NodeId,
+        honest: bool,
+        tail: Option<*const Port>,
+    }
+    let mut cohorts: Vec<Cohort<'_>> = Vec::new();
+    let mut members: Vec<(usize, usize)> = Vec::with_capacity(roles.len());
+    for (i, role) in roles {
+        let Role::Prelude(ports) = role else {
+            continue;
+        };
+        let prelude = &preludes[*i];
+        let slot = world.robot(*i);
+        let honest = slot.flavor == Flavor::Honest;
+        // The tail is indexed by the round, so two robots in one tail are
+        // at one offset in it.
+        let tail = (local >= prelude.head_len()).then(|| Arc::as_ptr(prelude.tail()).cast());
+        let joined = tail.and_then(|tail| {
+            cohorts
+                .iter()
+                .position(|c| c.tail == Some(tail) && c.node == slot.position)
+        });
+        let c = match joined {
+            Some(c) => {
+                cohorts[c].honest |= honest;
+                c
+            }
+            None => {
+                cohorts.push(Cohort {
+                    ports,
+                    node: slot.position,
+                    honest,
+                    tail,
+                });
+                cohorts.len() - 1
+            }
+        };
+        members.push((*i, c));
+    }
+    let graph = world.graph();
+    let mut ends = Vec::with_capacity(cohorts.len());
+    for c in &cohorts {
+        let (mut node, mut moves, mut arrival) = (c.node, 0u64, None);
+        for &port in c.ports {
+            if port >= graph.degree(node) {
+                if c.honest {
+                    return None;
+                }
+                arrival = None;
+                continue;
+            }
+            let (to, entry_port) = graph.neighbor(node, port);
+            arrival = Some(ArrivalInfo {
+                exit_port: port,
+                entry_port,
+            });
+            node = to;
+            moves += 1;
+        }
+        ends.push((node, moves, arrival));
+    }
+    let mut moved = 0;
+    for (i, c) in members {
+        let (node, moves, arrival) = ends[c];
+        world.relocate(i, node, moves);
+        arrivals[i] = arrival;
+        moved += moves;
+    }
+    Some((moved, cohorts.len() as u64 * rounds))
 }
 
 /// A mid-run mutation of the simulated world, applied between rounds via
@@ -214,7 +310,7 @@ pub struct Engine<M> {
     world: World,
     controllers: Vec<Box<dyn Controller<M>>>,
     /// Each robot's prelude, read once when it was seated.
-    preludes: Vec<Arc<[Port]>>,
+    preludes: Vec<Prelude>,
     /// The longest prelude any robot was seated with: from this epoch-local
     /// round on no robot is inside its prelude.
     longest_prelude: u64,
@@ -498,7 +594,15 @@ impl<M: Clone> Engine<M> {
         let mut busy: Option<u64> = None;
         for (i, c) in self.controllers.iter().enumerate() {
             let until = if self.walks(i, local) {
-                self.preludes[i].len() as u64
+                // A segment never crosses a head's end, so inside one
+                // every prelude robot walks its head or its tail.
+                let p = &self.preludes[i];
+                let head = p.head_len() as u64;
+                if local < head {
+                    head
+                } else {
+                    p.len() as u64
+                }
             } else if c.terminated() {
                 continue;
             } else if let Some(r) = c.idle_until() {
@@ -649,12 +753,14 @@ impl<M: Clone> Engine<M> {
             );
         }
         let mut roles: Vec<(usize, Role<'_, M>)> = Vec::with_capacity(controllers.len());
+        let mut walkers = 0u64;
         for (i, (c, p)) in controllers.iter_mut().zip(preludes.iter()).enumerate() {
             // A robot that stays keeps no arrival; prelude robots
             // overwrite theirs every round below, and solo robots see the
             // arrival their last stepped move left.
             if in_prelude(p, local) {
-                roles.push((i, Role::Prelude(&p[local as usize..])));
+                walkers += 1;
+                roles.push((i, Role::Prelude(p.stretch(local as usize, rounds as usize))));
             } else if c.terminated() || c.idle_until().is_some() {
                 arrivals[i] = None;
             } else {
@@ -662,72 +768,82 @@ impl<M: Clone> Engine<M> {
             }
         }
         let solo = roles.iter().any(|(_, role)| matches!(role, Role::Solo(_)));
-        let mut moved = 0u64;
+        // Without solo robots or a trace to keep in order, the prelude
+        // robots walk as cohorts; otherwise (and when an honest robot's
+        // port is invalid) the stretch runs round-major, robot order
+        // within a round, so the trace records events and the error names
+        // the robot and round exactly as stepping would.
+        let cohorts = if solo || config.record_trace {
+            None
+        } else {
+            walk_cohorts(world, preludes, &roles, arrivals, local as usize, rounds)
+        };
+        let (mut moved, walked) = cohorts.unwrap_or((0, walkers * rounds));
         let mut messages = 0u64;
-        // Round-major, robot order within a round: the trace records
-        // events exactly as stepping would.
-        for t in 0..rounds {
-            let round_now = start + t;
-            for (i, role) in roles.iter_mut() {
-                let i = *i;
-                let node = world.robot(i).position;
-                let degree = world.graph().degree(node);
-                let port = match role {
-                    Role::Prelude(ports) => ports[t as usize],
-                    Role::Solo(c) => {
-                        let mut obs = Observation {
-                            round: local + t,
-                            subround: 0,
-                            subrounds,
-                            degree,
-                            roster: &[],
-                            bulletin: &[],
-                            arrival: arrivals[i],
-                        };
-                        for sub in 0..subrounds {
-                            obs.subround = sub;
-                            if c.act(&obs).is_some() {
-                                messages += 1;
+        if cohorts.is_none() {
+            for t in 0..rounds {
+                let round_now = start + t;
+                for (i, role) in roles.iter_mut() {
+                    let i = *i;
+                    let node = world.robot(i).position;
+                    let degree = world.graph().degree(node);
+                    let port = match role {
+                        Role::Prelude(ports) => ports[t as usize],
+                        Role::Solo(c) => {
+                            let mut obs = Observation {
+                                round: local + t,
+                                subround: 0,
+                                subrounds,
+                                degree,
+                                roster: &[],
+                                bulletin: &[],
+                                arrival: arrivals[i],
+                            };
+                            for sub in 0..subrounds {
+                                obs.subround = sub;
+                                if c.act(&obs).is_some() {
+                                    messages += 1;
+                                }
+                                obs.arrival = None;
                             }
-                            obs.arrival = None;
-                        }
-                        match c.decide_move(&obs) {
-                            MoveChoice::Move(port) => port,
-                            MoveChoice::Stay => {
-                                arrivals[i] = None;
-                                continue;
+                            match c.decide_move(&obs) {
+                                MoveChoice::Move(port) => port,
+                                MoveChoice::Stay => {
+                                    arrivals[i] = None;
+                                    continue;
+                                }
                             }
                         }
+                    };
+                    if port >= degree {
+                        if world.robot(i).flavor == Flavor::Honest {
+                            *round = round_now;
+                            return Err(RunError::InvalidMove {
+                                robot: world.robot(i).id,
+                                node,
+                                port,
+                                degree,
+                            });
+                        }
+                        // Byzantine robots cannot teleport; clamp to Stay.
+                        arrivals[i] = None;
+                        continue;
                     }
-                };
-                if port >= degree {
-                    if world.robot(i).flavor == Flavor::Honest {
-                        *round = round_now;
-                        return Err(RunError::InvalidMove {
+                    let (exit_port, entry_port) = world.apply_move(i, port);
+                    arrivals[i] = Some(ArrivalInfo {
+                        exit_port,
+                        entry_port,
+                    });
+                    moved += 1;
+                    if config.record_trace {
+                        trace.events.push(Event::Moved {
+                            round: round_now,
                             robot: world.robot(i).id,
-                            node,
+                            from: node,
                             port,
-                            degree,
+                            to: world.robot(i).position,
                         });
                     }
-                    // Byzantine robots cannot teleport; clamp to Stay.
-                    arrivals[i] = None;
-                    continue;
-                }
-                let (exit_port, entry_port) = world.apply_move(i, port);
-                arrivals[i] = Some(ArrivalInfo {
-                    exit_port,
-                    entry_port,
-                });
-                moved += 1;
-                if config.record_trace {
-                    trace.events.push(Event::Moved {
-                        round: round_now,
-                        robot: world.robot(i).id,
-                        from: node,
-                        port,
-                        to: world.robot(i).position,
-                    });
                 }
             }
         }
@@ -742,6 +858,7 @@ impl<M: Clone> Engine<M> {
             }
             t.counters.subrounds += rounds * subrounds as u64;
             t.counters.moves += moved;
+            t.counters.prelude_walked += walked;
         }
         scratch.ready = false;
         *round = end;
@@ -961,7 +1078,7 @@ impl<M: Clone> Engine<M> {
         }
         if walking {
             for (choice, p) in choices.iter_mut().zip(preludes.iter()) {
-                if let Some(&port) = p.get(local_round as usize) {
+                if let Some(port) = p.port(local_round) {
                     *choice = MoveChoice::Move(port);
                 }
             }
@@ -1091,14 +1208,14 @@ mod tests {
     /// the round and arrival of every `act` call.
     struct Preluded {
         id: RobotId,
-        prelude: Arc<[Port]>,
+        prelude: Prelude,
         rounds: u64,
         calls: Rc<Cell<u64>>,
         seen: Rc<RefCell<Vec<(u64, Option<ArrivalInfo>)>>>,
     }
 
     impl Preluded {
-        fn new(id: u64, prelude: Vec<Port>, rounds: u64) -> Self {
+        fn new(id: u64, prelude: impl Into<Prelude>, rounds: u64) -> Self {
             Preluded {
                 id: RobotId(id),
                 prelude: prelude.into(),
@@ -1126,8 +1243,8 @@ mod tests {
         fn terminated(&self) -> bool {
             self.calls.get() >= self.rounds
         }
-        fn prelude(&self) -> Arc<[Port]> {
-            Arc::clone(&self.prelude)
+        fn prelude(&self) -> Prelude {
+            self.prelude.clone()
         }
     }
 
@@ -2008,6 +2125,149 @@ mod tests {
         assert_eq!(
             woke_at(EngineConfig::default().with_ff_overshoot(1)),
             Some(4)
+        );
+    }
+
+    /// `len` ports that lead from `from` to `to` on `g`, found by trying
+    /// every port sequence.
+    fn ports_between(g: &PortGraph, from: NodeId, to: NodeId, len: usize) -> Vec<Port> {
+        let mut ports = vec![0; len];
+        loop {
+            let mut cur = from;
+            let valid = ports.iter().all(|&p| {
+                let ok = p < g.degree(cur);
+                if ok {
+                    cur = g.neighbor(cur, p).0;
+                }
+                ok
+            });
+            if valid && cur == to {
+                return ports;
+            }
+            // Next sequence, as a counter in base 3 (ring degrees are 2).
+            let digit = ports.iter().position(|&p| p < 2).expect("a path exists");
+            ports[digit] += 1;
+            ports[..digit].fill(0);
+        }
+    }
+
+    /// What a run of the cohort cast leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct CohortRun {
+        positions: Vec<NodeId>,
+        odometers: Vec<u64>,
+        /// Each walker's `(round, arrival)` when first called.
+        seen: Vec<Vec<(u64, Option<ArrivalInfo>)>>,
+        metrics: (u64, u64),
+    }
+
+    /// Run the cohort cast on an 8-node ring: robot 1 walks a 12-port tail
+    /// from node 0 with no head; robots 2 and 3 walk 3- and 5-port heads
+    /// from nodes 2 and 6 that bring them to robot 1 when their heads end,
+    /// then the same tail; robot 4 walks the same tail from node 1 (an odd
+    /// node, so it never meets the others); two Byzantine robots on node 4
+    /// share a tail whose third port is invalid, clamped to a stay. A
+    /// sleeper keeps the run going. Returns the run and the prelude ports
+    /// the engine looked up.
+    fn run_cohort_cast(config: EngineConfig) -> (CohortRun, u64) {
+        let g = ring(8).unwrap();
+        let tail: Arc<[Port]> = vec![0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1].into();
+        let at = |round: usize| {
+            let mut cur = 0;
+            for &p in &tail[..round] {
+                cur = g.neighbor(cur, p).0;
+            }
+            cur
+        };
+        let head = |from, len| ports_between(&g, from, at(len), len);
+        let preludes = [
+            (1, 0, Prelude::from(Arc::clone(&tail))),
+            (2, 2, Prelude::new(head(2, 3), Arc::clone(&tail))),
+            (3, 6, Prelude::new(head(6, 5), Arc::clone(&tail))),
+            (4, 1, Prelude::from(Arc::clone(&tail))),
+        ];
+        let mut e: Engine<String> = Engine::new(g.clone(), config);
+        record(&mut e);
+        let mut logs = Vec::new();
+        for (id, start, prelude) in preludes {
+            let walker = Preluded::new(id, prelude, 1);
+            logs.push(walker.seen.clone());
+            e.add_robot(Flavor::Honest, start, Box::new(walker));
+        }
+        let clamped: Arc<[Port]> = vec![0, 0, 7, 1, 1, 0].into();
+        for id in [5, 6] {
+            let walker = Preluded::new(id, Arc::clone(&clamped), 1);
+            logs.push(walker.seen.clone());
+            e.add_robot(Flavor::WeakByzantine, 4, Box::new(walker));
+        }
+        e.add_robot(Flavor::Honest, 5, Box::new(Sleeper::new(7, 14, 1)));
+        let out = e.run_epoch(u64::MAX).unwrap();
+        let walked = e
+            .telemetry
+            .take()
+            .expect("recorder")
+            .counters
+            .prelude_walked;
+        let run = CohortRun {
+            positions: out.final_positions,
+            odometers: e.world().robots().iter().map(|r| r.moves).collect(),
+            seen: logs.iter().map(|l| l.borrow().clone()).collect(),
+            metrics: (out.metrics.messages, out.metrics.subrounds_executed),
+        };
+        (run, walked)
+    }
+
+    #[test]
+    fn cohorts_walk_merged_tails_once_and_match_stepping() {
+        let (bulk, walked) = run_cohort_cast(EngineConfig::default());
+        let (stepped, _) = run_cohort_cast(EngineConfig::default().without_fast_forward());
+        let (traced, walked_alone) = run_cohort_cast(EngineConfig::default().traced());
+        assert_eq!(bulk, stepped, "cohorts against stepping");
+        assert_eq!(traced, stepped, "per-robot segments against stepping");
+        assert_eq!(bulk.odometers, vec![12, 12, 12, 12, 5, 5, 0]);
+        assert_eq!(bulk.positions[..3], [bulk.positions[0]; 3]);
+        assert!(bulk
+            .seen
+            .iter()
+            .take(6)
+            .all(|s| s.len() == 1 && s[0].1.is_some()));
+        // Rounds 0-2: robots 1 and 4 on distinct nodes, 2 and 3 in their
+        // heads, the Byzantine pair together (5 walks); rounds 3-4: robot
+        // 2 has joined robot 1 (4 walks); round 5: so has robot 3 (3
+        // walks); round 6 is stepped, as the Byzantine pair's preludes
+        // have ended; rounds 7-11: robots 1-3 and robot 4 (2 walks).
+        assert_eq!(walked, 3 * 5 + 2 * 4 + 3 + 5 * 2);
+        assert_eq!(
+            walked_alone,
+            4 * 11 + 2 * 6,
+            "a trace walks every robot alone"
+        );
+    }
+
+    #[test]
+    fn honest_invalid_tail_port_fails_at_its_round() {
+        let run = |config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(ring(8).unwrap(), config);
+            let tail: Arc<[Port]> = vec![0, 1, 0, 1, 0, 0, 5, 0].into();
+            for id in [1, 2] {
+                let walker = Preluded::new(id, Arc::clone(&tail), 1);
+                e.add_robot(Flavor::Honest, 3, Box::new(walker));
+            }
+            let err = e.run_epoch(u64::MAX).unwrap_err();
+            (err, e.round(), e.world().positions())
+        };
+        let bulk = run(EngineConfig::default());
+        assert_eq!(bulk, run(EngineConfig::default().without_fast_forward()));
+        let (err, round, positions) = bulk;
+        assert_eq!(round, 6);
+        assert_eq!(
+            err,
+            RunError::InvalidMove {
+                robot: RobotId(1),
+                node: positions[0],
+                port: 5,
+                degree: 2,
+            }
         );
     }
 }

@@ -66,7 +66,10 @@
 //! active robot is idle past the current round or inside its prelude, the
 //! engine applies the stretch as a *segment*: positions, odometers,
 //! arrivals and trace `Moved` events advance per move, with no roster,
-//! bulletin or per-robot dispatch. Segment rounds count as executed
+//! bulletin or per-robot dispatch. A [`controller::Prelude`] is a short
+//! head of the robot's own and then a tail indexed by the round, shared by
+//! robots whose walks merged: robots past their head on one tail and one
+//! node form a cohort, and the engine walks the tail once per cohort. Segment rounds count as executed
 //! rounds in [`metrics::RunMetrics`] (with the segment's sub-round count,
 //! not skipped), so metrics equal a stepped run's;
 //! `EngineCounters::rounds_scripted` counts them. Like skipping, segments
@@ -109,7 +112,7 @@ pub mod trace;
 pub mod world;
 
 pub use config::EngineConfig;
-pub use controller::{Controller, MoveChoice};
+pub use controller::{Controller, MoveChoice, Prelude};
 pub use engine::{Engine, EpochOutcome, WorldEvent};
 pub use error::RunError;
 pub use ids::{Flavor, RobotId};

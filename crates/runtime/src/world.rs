@@ -94,6 +94,13 @@ impl World {
         (port, entry)
     }
 
+    /// Put robot `i` on `node` at the end of a walk of `moves` edge
+    /// traversals that the engine applied in bulk.
+    pub(crate) fn relocate(&mut self, i: usize, node: NodeId, moves: u64) {
+        self.robots[i].position = node;
+        self.robots[i].moves += moves;
+    }
+
     /// Register one more robot mid-run (a **join** event). Panics on an
     /// out-of-range node, matching [`World::new`]'s contract.
     pub fn add_robot(&mut self, id: RobotId, flavor: Flavor, node: NodeId) {

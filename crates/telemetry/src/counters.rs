@@ -55,6 +55,11 @@ pub struct EngineCounters {
     /// solo (see `Controller::solo_until` in `bd-runtime`); each segment
     /// also counts one [`EngineCounters::ff_jumps`].
     pub rounds_solo: u64,
+    /// Prelude ports the engine looked up inside segments: one per cohort
+    /// per round (robots past their head that share a tail and a node walk
+    /// as one cohort; see `Controller::prelude` in `bd-runtime`), plus
+    /// each head port of a robot walking alone.
+    pub prelude_walked: u64,
     /// Sub-rounds executed inside stepped rounds, plus the sub-rounds of
     /// every segment round (the segment's sub-round count per round).
     pub subrounds: u64,
@@ -86,6 +91,7 @@ impl EngineCounters {
             rounds_stepped: self.rounds_stepped - mark.rounds_stepped,
             rounds_scripted: self.rounds_scripted - mark.rounds_scripted,
             rounds_solo: self.rounds_solo - mark.rounds_solo,
+            prelude_walked: self.prelude_walked - mark.prelude_walked,
             subrounds: self.subrounds - mark.subrounds,
             dirty_hwm: self.dirty_hwm,
             roster_hwm: self.roster_hwm,
@@ -108,6 +114,7 @@ impl EngineCounters {
         self.rounds_stepped += other.rounds_stepped;
         self.rounds_scripted += other.rounds_scripted;
         self.rounds_solo += other.rounds_solo;
+        self.prelude_walked += other.prelude_walked;
         self.subrounds += other.subrounds;
         self.dirty_hwm = self.dirty_hwm.max(other.dirty_hwm);
         self.roster_hwm = self.roster_hwm.max(other.roster_hwm);

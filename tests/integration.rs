@@ -3,6 +3,7 @@
 
 use byzantine_dispersion::dispersion::runner::ByzPlacement;
 use byzantine_dispersion::exploration::sim::build_map_offline;
+use byzantine_dispersion::gathering::gathering_target;
 use byzantine_dispersion::gathering::route::gather_route;
 use byzantine_dispersion::graphs::iso::are_isomorphic_rooted;
 use byzantine_dispersion::graphs::navigate::follow_ports;
@@ -45,8 +46,8 @@ fn theorem1_pipeline_across_families() {
 fn gathering_then_map_construction_consistent() {
     let g = generators::erdos_renyi_connected(12, 0.3, 9).unwrap();
     let route = gather_route(&g, 5).unwrap();
-    let end = follow_ports(&g, 5, &route.ports).unwrap();
-    assert_eq!(end, route.end);
+    let end = follow_ports(&g, 5, &route.to_vec()).unwrap();
+    assert_eq!(end, gathering_target(&g).unwrap().target_node);
     let map = build_map_offline(&g, end).unwrap();
     assert!(are_isomorphic_rooted(&map.map, 0, &g, end));
 }
