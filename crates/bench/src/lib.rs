@@ -15,8 +15,8 @@
 //!
 //! All cells run on seeded Erdős–Rényi graphs (view-asymmetric w.h.p., so
 //! every row's precondition holds) and are embarrassingly parallel; sweeps
-//! batch through `BatchPlanner`, whose `rayon` fan-out the vendored offline
-//! stand-in runs sequentially.
+//! batch through `BatchPlanner`, which runs the cells on one worker thread
+//! per available core.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};

@@ -43,9 +43,8 @@
 //! * **[`session::BatchPlanner`]** — the multi-graph batch layer above
 //!   sessions: queue specs against heterogeneous graphs, share one session
 //!   per distinct `Arc`, and execute **largest cost first** (cost =
-//!   registry round budget × roster size) through the `rayon` API, which
-//!   the vendored offline stand-in runs sequentially. The bench sweeps run
-//!   on it.
+//!   registry round budget × roster size) on a scoped thread pool, one
+//!   worker per available core. The bench sweeps run on it.
 //!
 //! ```
 //! use bd_dispersion::adversaries::AdversaryKind;

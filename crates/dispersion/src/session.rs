@@ -4,9 +4,9 @@
 //!
 //! A [`Session`] wraps one `Arc<PortGraph>`. [`Session::run`] executes a
 //! single [`ScenarioSpec`]; [`Session::run_batch`] executes a slice of them
-//! through the `rayon` iterator API (the vendored offline stand-in runs it
-//! sequentially), all sharing the session's graph handle — the per-run
-//! graph clone the old monolithic runner paid is gone.
+//! on a scoped thread pool (one worker per available core), all sharing
+//! the session's graph handle — the per-run graph clone the old monolithic
+//! runner paid is gone.
 //!
 //! Every run, static or dynamic, on either engine, goes through the epoch
 //! surface: an engine is an [`EpochBackend`], and [`run_epoch`] is the one
@@ -35,7 +35,7 @@ use bd_runtime::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One engine seat of a planned scenario: the fault flavor the engine
@@ -380,7 +380,7 @@ impl Session {
         make: impl FnOnce(Arc<PortGraph>, EngineConfig) -> B,
     ) -> Result<(Outcome, Trace), DispersionError> {
         let plan = self.plan(spec)?;
-        self.run_planned(spec, plan, make)
+        self.run_planned(spec, &plan, make)
     }
 
     /// [`Session::run_with`] for a spec whose [`Plan`] was already
@@ -389,7 +389,7 @@ impl Session {
     fn run_planned<B: EpochBackend>(
         &self,
         spec: &ScenarioSpec,
-        plan: Plan,
+        plan: &Plan,
         make: impl FnOnce(Arc<PortGraph>, EngineConfig) -> B,
     ) -> Result<(Outcome, Trace), DispersionError> {
         let row = spec.algo.row();
@@ -412,21 +412,21 @@ impl Session {
 
         // Exact honest-termination round from the row's phase timeline;
         // the engine cap carries a small safety margin on top.
-        let run_end = row.round_budget(&plan);
+        let run_end = row.round_budget(plan);
         let mut backend = make(
             Arc::clone(&plan.graph),
             EngineConfig::with_max_rounds(run_end + 64),
         );
         if bd_telemetry::counters_enabled() {
             backend.set_phase_marks(
-                row.phase_schedule(&plan)
+                row.phase_schedule(plan)
                     .phases()
                     .iter()
                     .map(|(name, _, end)| (name.clone(), *end))
                     .collect(),
             );
         }
-        let (mut outcome, _) = run_epoch(&mut backend, spec, &plan, u64::MAX)?;
+        let (mut outcome, _) = run_epoch(&mut backend, spec, plan, u64::MAX)?;
         let trace = backend.into_trace();
         outcome.metrics.elapsed_micros = wall_start.elapsed().as_micros() as u64;
         Ok((outcome, trace))
@@ -452,10 +452,10 @@ impl Session {
 /// per distinct graph (keyed by content digest, with an `Arc`-identity
 /// fast path), estimates each cell's cost from
 /// the registry's round budget, and executes the cells **largest-first**
-/// through the `rayon` iterator API, so on a real thread pool the most
-/// expensive cells never straggle at the end of a sweep. The vendored
-/// offline `rayon` stand-in is sequential, so today the cells run one after
-/// another on the calling thread. Results come back in insertion order.
+/// on a scoped thread pool of `min(available cores, cells)` workers, so
+/// the most expensive cells never straggle at the end of a sweep. A
+/// one-cell batch runs on the calling thread. Results come back in
+/// insertion order.
 ///
 /// ```
 /// use bd_dispersion::adversaries::AdversaryKind;
@@ -571,33 +571,36 @@ impl BatchPlanner {
     }
 
     /// Plan and execute every queued cell. Planning runs first so each
-    /// cell's cost is known; execution then runs in descending cost order
-    /// (sequentially under the vendored `rayon` stand-in). Each cell fails
-    /// independently; the result vector is in [`BatchPlanner::add`] order.
+    /// cell's cost is known; execution then hands the cells out to the
+    /// pool in descending cost order. Each cell fails independently; the
+    /// result vector is in [`BatchPlanner::add`] order. A panic in any
+    /// cell reaches the caller.
     pub fn run(&self) -> Vec<Result<Outcome, DispersionError>> {
-        // Batch level of the span tree: one span over the whole fan-out,
-        // carrying any caller-attached tags (e.g. the request id).
+        // Batch level of the span tree: one span over the whole fan-out on
+        // the calling thread and one on every worker the run phase spawns,
+        // each carrying any caller-attached tags (e.g. the request id).
         let mut batch_args = vec![
             ("cells", self.cells.len().to_string()),
             ("graphs", self.sessions.len().to_string()),
         ];
         batch_args.extend(self.tags.iter().map(|(k, v)| (*k, v.clone())));
-        let _batch_span = bd_telemetry::spans::span_with("batch", "batch", batch_args);
+        let batch_span = || bd_telemetry::spans::span_with("batch", "batch", batch_args.clone());
+        let _batch_span = batch_span();
         // Phase 1: plan each cell (includes row `prepare`, reused by the
         // run below — nothing is planned twice).
-        let planned: Vec<Result<(Plan, u64), DispersionError>> = self
-            .cells
-            .par_iter()
-            .map(|(session, spec)| {
+        let planned = fan_out(
+            &self.cells,
+            || (),
+            |(session, spec)| {
                 self.sessions[*session].plan(spec).map(|plan| {
                     let cost = Self::cost(spec, &plan);
                     (plan, cost)
                 })
-            })
-            .collect();
+            },
+        );
 
         // Phase 2: order runnable cells by descending cost; ties keep
-        // insertion order so results stay deterministic.
+        // insertion order so the hand-out order is deterministic.
         let mut results: Vec<Option<Result<Outcome, DispersionError>>> =
             (0..self.cells.len()).map(|_| None).collect();
         let mut work: Vec<(usize, Plan, u64)> = Vec::new();
@@ -610,26 +613,74 @@ impl BatchPlanner {
         work.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
 
         // Phase 3: execute largest-first across the pool.
-        let ran: Vec<(usize, Result<Outcome, DispersionError>)> = work
-            .into_par_iter()
-            .map(|(idx, plan, _cost)| {
-                let (session, spec) = &self.cells[idx];
-                (
-                    idx,
-                    self.sessions[*session]
-                        .run_planned(spec, plan, Engine::<Msg>::new)
-                        .map(|(outcome, _)| outcome),
-                )
-            })
-            .collect();
-        for (idx, outcome) in ran {
-            results[idx] = Some(outcome);
+        let ran = fan_out(&work, batch_span, |(idx, plan, _cost)| {
+            let (session, spec) = &self.cells[*idx];
+            self.sessions[*session]
+                .run_planned(spec, plan, Engine::<Msg>::new)
+                .map(|(outcome, _)| outcome)
+        });
+        for ((idx, _, _), outcome) in work.iter().zip(ran) {
+            results[*idx] = Some(outcome);
         }
         results
             .into_iter()
             .map(|r| r.expect("every cell planned or errored"))
             .collect()
     }
+}
+
+/// Map `f` over `items` on `min(available cores, items.len())` scoped
+/// workers, the calling thread one of them, and return the results in
+/// `items` order. Workers claim items through one shared cursor, so the
+/// front of `items` starts first. Each spawned worker calls `enter` before
+/// its first item and holds the returned guard until it stops; the calling
+/// thread does not (it is already inside the caller's context). With one
+/// item, or one core, everything runs inline and nothing is spawned. A
+/// panic in `f` reaches the caller once every worker has stopped.
+fn fan_out<T: Sync, R: Send, G>(
+    items: &[T],
+    enter: impl Fn() -> G + Sync,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let width = match items.len() {
+        0 | 1 => 1,
+        len => std::thread::available_parallelism().map_or(1, |n| n.get().min(len)),
+    };
+    if width == 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..width)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _guard = enter();
+                    work()
+                })
+            })
+            .collect();
+        let mut done = work();
+        for handle in spawned {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -784,6 +835,32 @@ mod tests {
         assert!(matches!(results[0], Err(DispersionError::BadScenario(_))));
         assert!(results[1].as_ref().unwrap().dispersed);
         assert!(matches!(results[2], Err(DispersionError::BadScenario(_))));
+    }
+
+    #[test]
+    fn fan_out_reraises_a_panic_from_a_spawned_worker() {
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        if width < 2 {
+            return; // one core: everything runs inline, nothing is spawned
+        }
+        // Every worker blocks in its first item until all have one, so
+        // each worker holds exactly one item and every spawned one panics.
+        let items: Vec<usize> = (0..width).collect();
+        let all_started = std::sync::Barrier::new(width);
+        let caller = std::thread::current().id();
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(
+                &items,
+                || (),
+                |&i| {
+                    all_started.wait();
+                    assert_eq!(std::thread::current().id(), caller, "item {i} on a worker");
+                },
+            )
+        });
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("on a worker"), "{message}");
     }
 
     #[test]

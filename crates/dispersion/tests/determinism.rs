@@ -18,13 +18,28 @@
 //! 4. **Oracle equivalence** — the naive reference engine in `bd-oracle`
 //!    reproduces every cell of the matrix trajectory-for-trajectory
 //!    (see `crates/oracle` and VERIFICATION.md for what is compared).
+//! 5. **Pool equivalence** — a [`BatchPlanner`] batch run on the thread
+//!    pool returns, in `add` order, exactly what each cell returns when
+//!    run alone.
+//!
+//! Engine counters are process-global while switched on, so every test
+//! here serializes on one gate: a report drain then sees only its own
+//! test's engines.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
-use bd_dispersion::Session;
+use bd_dispersion::{BatchPlanner, DispersionError, Session};
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree};
 use bd_graphs::PortGraph;
 use bd_runtime::Engine;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests of this file (see the module docs).
+static GATE: Mutex<()> = Mutex::new(());
+
+fn locked() -> std::sync::MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Graph families every Table 1 precondition holds on (view-asymmetric;
 /// also used by the cross-crate integration suite).
@@ -87,6 +102,7 @@ fn matrix() -> Vec<(Algorithm, AdversaryKind, bool)> {
 
 #[test]
 fn identical_outcomes_across_reruns() {
+    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -106,6 +122,7 @@ fn identical_outcomes_across_reruns() {
 
 #[test]
 fn rounds_equal_registry_budget() {
+    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -123,6 +140,7 @@ fn rounds_equal_registry_budget() {
 /// fast-forwarded run must genuinely skip on every row with idle phases.
 #[test]
 fn fast_forward_changes_nothing_but_wall_clock() {
+    let _gate = locked();
     let session = Session::new(erdos_renyi_connected(11, 0.35, 6).unwrap());
     for (algo, kind, must_skip) in matrix() {
         let spec = cell(algo, session.graph(), kind, 3);
@@ -181,6 +199,7 @@ fn fast_forward_changes_nothing_but_wall_clock() {
 #[test]
 fn oracle_reproduces_the_conformance_matrix() {
     use bd_oracle::CellVerdict;
+    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -201,6 +220,7 @@ fn oracle_reproduces_the_conformance_matrix() {
 /// trajectories must also be fast-forward-invariant.
 #[test]
 fn fault_free_fast_forward_still_exact() {
+    let _gate = locked();
     let session = Session::new(erdos_renyi_connected(11, 0.35, 6).unwrap());
     for algo in Algorithm::table1() {
         let spec = ScenarioSpec::evaluation(algo, session.graph()).with_seed(9);
@@ -216,4 +236,69 @@ fn fault_free_fast_forward_still_exact() {
             "{label}"
         );
     }
+}
+
+/// The batch pool changes nothing but wall-clock. A batch over three
+/// graphs and three rows, with more cells than workers and one cell that
+/// cannot plan, returns in `add` order exactly what each cell's own
+/// `Session::run` returns (`Outcome` equality ignores `elapsed_micros`),
+/// the planning error at its index, and one engine report per runnable
+/// cell.
+#[test]
+fn pooled_batch_equals_each_cell_run_alone() {
+    let _gate = locked();
+    let rows = [
+        (Algorithm::GatheredThirdTh4, AdversaryKind::TokenHijacker),
+        (Algorithm::ArbitraryHalfTh2, AdversaryKind::Wanderer),
+        (Algorithm::StrongGatheredTh6, AdversaryKind::StrongSpoofer),
+    ];
+    let mut cells: Vec<(Arc<PortGraph>, ScenarioSpec)> = Vec::new();
+    for (_, graph) in families() {
+        let graph = Arc::new(graph);
+        for (algo, kind) in rows {
+            for seed in 0..2 {
+                cells.push((Arc::clone(&graph), cell(algo, &graph, kind, seed)));
+            }
+        }
+    }
+    let bad_at = 4;
+    let (graph, spec) = cells[0].clone();
+    cells.insert(bad_at, (graph, spec.with_robots(0)));
+
+    let expected: Vec<_> = cells
+        .iter()
+        .map(|(graph, spec)| Session::new(Arc::clone(graph)).run(spec))
+        .collect();
+    let mut planner = BatchPlanner::new();
+    for (graph, spec) in &cells {
+        planner.add(graph, spec.clone());
+    }
+    assert_eq!(planner.num_sessions(), 3);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        cells.len() > workers,
+        "{} cells do not outnumber {workers} workers",
+        cells.len()
+    );
+
+    let _ = bd_telemetry::drain_engine_reports();
+    bd_telemetry::enable_counters(true);
+    let results = planner.run();
+    bd_telemetry::enable_counters(false);
+    let reports = bd_telemetry::drain_engine_reports();
+
+    assert_eq!(results.len(), cells.len());
+    assert!(
+        matches!(results[bad_at], Err(DispersionError::BadScenario(_))),
+        "cell {bad_at}: {:?}",
+        results[bad_at]
+    );
+    for (idx, (got, want)) in results.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "cell {idx}: {:?}", cells[idx].1.algo);
+    }
+    assert_eq!(
+        reports.len(),
+        cells.len() - 1,
+        "one engine report per runnable cell"
+    );
 }

@@ -11,12 +11,13 @@
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
-use bd_dispersion::Session;
+use bd_dispersion::{BatchPlanner, Session};
 use bd_graphs::generators::erdos_renyi_connected;
 use bd_graphs::PortGraph;
 use bd_telemetry::{spans, SpanEvent};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Serializes span-recording tests: the recorder is process-global.
 static GATE: Mutex<()> = Mutex::new(());
@@ -140,6 +141,65 @@ fn trace_stream_is_deterministic_modulo_timestamps() {
     bd_telemetry::enable_spans(false);
     bd_telemetry::enable_counters(false);
     spans::drain();
+}
+
+/// A tagged batch across several graphs runs on the thread pool, and
+/// its trace still reads as one tree per thread: each thread's spans
+/// balance on their own, and every cell span sits directly under a batch
+/// span carrying the batch's args and tag — so a request id reaches every
+/// cell, whichever worker ran it.
+#[test]
+fn pooled_batch_nests_every_cell_under_a_tagged_batch_span() {
+    let _gate = locked();
+    let mut planner = BatchPlanner::new();
+    for (n, graph_seed) in [(9, 6), (11, 6), (12, 3)] {
+        let graph = Arc::new(erdos_renyi_connected(n, 0.35, graph_seed).unwrap());
+        for (algo, kind) in matrix().into_iter().skip(2).take(3) {
+            planner.add(&graph, cell(algo, &graph, kind, 5));
+        }
+    }
+    planner.tag("req", "00c0ffee00c0ffee".to_string());
+    bd_telemetry::enable_spans(true);
+    spans::drain();
+    let results = planner.run();
+    bd_telemetry::enable_spans(false);
+    let events = spans::drain();
+    assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+
+    let mut threads: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
+    for e in events {
+        threads.entry(e.tid).or_default().push(e);
+    }
+    let want_args = [
+        ("cells", "9".to_string()),
+        ("graphs", "3".to_string()),
+        ("req", "00c0ffee00c0ffee".to_string()),
+    ];
+    let mut cells = 0;
+    for (tid, events) in &threads {
+        assert_well_formed(events);
+        let mut open: Vec<&SpanEvent> = Vec::new();
+        for e in events {
+            match e.ph {
+                'B' => {
+                    if e.cat == "cell" {
+                        let parent = open
+                            .last()
+                            .unwrap_or_else(|| panic!("tid {tid}: cell {} outside a span", e.name));
+                        assert_eq!(parent.cat, "batch", "tid {tid}: cell {} parent", e.name);
+                        assert_eq!(parent.args, want_args, "tid {tid}: batch span args");
+                        cells += 1;
+                    }
+                    open.push(e);
+                }
+                'E' => {
+                    open.pop();
+                }
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(cells, 9, "every cell traced exactly once");
 }
 
 /// With recording disabled, a run emits nothing — the disabled path is a
