@@ -187,7 +187,11 @@ fn overhead_check() -> ! {
         bd_telemetry::enable_counters(enabled);
         let (rows, _) = table1_batch(true, 1, None);
         let _ = drain_engine_reports();
-        let engine_micros: u64 = rows.iter().flatten().map(|c| c.elapsed_micros).sum();
+        let engine_micros: u64 = rows
+            .iter()
+            .flatten()
+            .map(|c| c.metrics.elapsed_micros)
+            .sum();
         if iter > 0 {
             println!(
                 "iter {iter:>2} telemetry={:<8} quick table1 engine time {engine_micros:>9} us",

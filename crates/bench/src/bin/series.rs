@@ -118,7 +118,7 @@ fn main() {
                     // a representative cell's annotation (gather lengths
                     // vary with the seeded graph; the other phases depend
                     // only on n).
-                    "rounds_by_phase": at_n.first().map(|c| c.rounds_by_phase.clone()),
+                    "rounds_by_phase": at_n.first().map(|c| c.metrics.rounds_by_phase.clone()),
                 })
             );
         }

@@ -19,9 +19,9 @@
 //! per available core.
 
 use bd_dispersion::adversaries::AdversaryKind;
-use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
+use bd_dispersion::runner::{Algorithm, ByzPlacement, RunMetrics, ScenarioSpec};
 use bd_dispersion::Session;
-use bd_graphs::PortGraph;
+use bd_graphs::{NodeId, PortGraph};
 use bd_service::{CacheStats, CachedPlanner, ResultStore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -36,20 +36,14 @@ pub struct Cell {
     pub adversary: String,
     pub seed: u64,
     pub rounds: u64,
-    /// Rounds the engine fast-forwarded over (part of `rounds`). Nonzero
-    /// in adversarial sweeps since the adversary idle-horizon work; the
-    /// measured `rounds` are timeline-derived and unaffected.
-    pub rounds_skipped: u64,
-    pub total_moves: u64,
-    /// Measured wall-clock of the run, microseconds — the *real* per-cell
-    /// cost next to the planner's `round_budget × k` estimate. For cells
-    /// served from a result store this is the stored run's cost, not the
-    /// (near-zero) lookup time.
-    pub elapsed_micros: u64,
     pub dispersed: bool,
-    /// The run's rounds attributed to the row's phase schedule (clipped to
-    /// the rounds actually run) — `RunMetrics::rounds_by_phase` verbatim.
-    pub rounds_by_phase: Vec<(String, u64)>,
+    /// The run's engine metrics verbatim. `elapsed_micros` is the *real*
+    /// per-cell cost next to the planner's `round_budget × k` estimate;
+    /// for cells served from a result store it is the stored run's cost,
+    /// not the (near-zero) lookup time.
+    pub metrics: RunMetrics,
+    /// Final positions in robot order.
+    pub final_positions: Vec<NodeId>,
 }
 
 /// Sweep shape of one Table 1 row: the `n` grid and the adversary the row
@@ -297,11 +291,9 @@ fn cell_of(
             adversary: format!("{:?}", spec.adversary),
             seed: spec.seed,
             rounds: out.rounds,
-            rounds_skipped: out.metrics.rounds_skipped,
-            total_moves: out.metrics.total_moves,
-            elapsed_micros: out.metrics.elapsed_micros,
             dispersed: out.dispersed,
-            rounds_by_phase: out.metrics.rounds_by_phase,
+            metrics: out.metrics,
+            final_positions: out.final_positions,
         },
         Err(e) => panic!(
             "cell ({:?}, n={n}, k={}, f={}, seed={}) failed: {e}",
@@ -520,7 +512,7 @@ pub fn mean_rounds_by(cells: &[Cell], key: impl Fn(&Cell) -> usize) -> Vec<(usiz
 /// sweeps exercise the skip path (must be > 0 on every row with idle
 /// phases, while `mean_rounds` stays pinned to the timelines).
 pub fn mean_skipped_rounds(cells: &[Cell]) -> Vec<(usize, f64)> {
-    mean_by(cells, |c| c.n, |c| c.rounds_skipped as f64)
+    mean_by(cells, |c| c.n, |c| c.metrics.rounds_skipped as f64)
 }
 
 /// Mean rounds per `n` from a sweep.
@@ -534,7 +526,11 @@ pub fn mean_elapsed_micros(cells: &[Cell]) -> f64 {
     if cells.is_empty() {
         return 0.0;
     }
-    cells.iter().map(|c| c.elapsed_micros as f64).sum::<f64>() / cells.len() as f64
+    cells
+        .iter()
+        .map(|c| c.metrics.elapsed_micros as f64)
+        .sum::<f64>()
+        / cells.len() as f64
 }
 
 /// Mean of the planner's per-cell cost estimate (`rounds × k` robot-steps;
@@ -761,11 +757,9 @@ mod tests {
             adversary: "a".into(),
             seed,
             rounds,
-            rounds_skipped: 0,
-            total_moves: 5,
-            elapsed_micros: 7,
             dispersed,
-            rounds_by_phase: vec![("run".into(), rounds)],
+            metrics: RunMetrics::default(),
+            final_positions: Vec::new(),
         };
         let cells = vec![mk(8, 10, true, 0), mk(8, 20, false, 1)];
         assert_eq!(mean_rounds(&cells), vec![(8, 15.0)]);

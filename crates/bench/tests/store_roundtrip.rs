@@ -46,7 +46,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
             cold_rows
                 .iter()
                 .flatten()
-                .map(|c| c.rounds_skipped)
+                .map(|c| c.metrics.rounds_skipped)
                 .sum::<u64>()
         }
     );
@@ -89,7 +89,10 @@ fn sweep_k_round_trips_through_the_store() {
     assert_eq!((s2.hits, s2.misses, s2.rounds_simulated), (6, 0, 0));
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.elapsed_micros, b.elapsed_micros, "stored cost replays");
+        assert_eq!(
+            a.metrics.elapsed_micros, b.metrics.elapsed_micros,
+            "stored cost replays"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

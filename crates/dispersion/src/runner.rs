@@ -10,7 +10,7 @@
 use crate::adversaries::AdversaryKind;
 use crate::verify::VerifyReport;
 use bd_graphs::{NodeId, PortGraph};
-use bd_runtime::RunMetrics;
+pub use bd_runtime::RunMetrics;
 use serde::{Deserialize, Serialize};
 
 /// Table 1 algorithms (plus the non-Byzantine baseline). Each variant maps
