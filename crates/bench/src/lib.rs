@@ -504,7 +504,7 @@ fn mean_by(
 }
 
 /// Mean rounds grouped by an arbitrary cell key.
-pub fn mean_rounds_by(cells: &[Cell], key: impl Fn(&Cell) -> usize) -> Vec<(usize, f64)> {
+fn mean_rounds_by(cells: &[Cell], key: impl Fn(&Cell) -> usize) -> Vec<(usize, f64)> {
     mean_by(cells, key, |c| c.rounds as f64)
 }
 

@@ -58,7 +58,7 @@
 //!   idleness inside one), so the RNG stream position at every burst is
 //!   independent of how much was skipped elsewhere — roamer trajectories
 //!   are also deterministic under fast-forwarding. Inside a burst a roamer
-//!   is *solo* until the burst ends (`Controller::solo_until`): it reads
+//!   is *solo* until the burst ends (`Intent::Solo`): it reads
 //!   only its own round, degree and RNG — never the roster or bulletin —
 //!   so while every honest robot waits out a map-finding window the
 //!   engine applies the burst as a segment, calling the roamer without
@@ -74,7 +74,7 @@
 use crate::msg::{DumState, Msg};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, Prelude, RobotId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -134,7 +134,7 @@ impl AdversaryKind {
     /// Whether the strategy moves between nodes once active. Roaming
     /// strategies run on the burst grid (see the module docs); stationary
     /// ones act every round and report an unbounded idle horizon.
-    pub fn roams(self) -> bool {
+    pub(crate) fn roams(self) -> bool {
         matches!(
             self,
             AdversaryKind::FakeSettler
@@ -311,39 +311,26 @@ impl Controller<Msg> for AdversaryController {
         }
     }
 
-    fn idle_until(&self) -> Option<u64> {
+    /// Idle until activation. A stationary spammer is then idle for good:
+    /// its publications go unread in any skipped round and it never moves.
+    /// A roamer is idle up to its next burst and solo inside one: it reads
+    /// only its own round, degree and RNG, and nothing it publishes needs
+    /// a reader while every honest robot waits.
+    fn intent(&self, _round: u64) -> Intent {
         if self.round_seen < self.active_from {
-            return Some(self.active_from);
+            return Intent::Idle(self.active_from);
         }
         if !self.kind.roams() {
-            // Stationary spammer: its publications go unread in any skipped
-            // round and it never moves — skippable for as long as everyone
-            // else is idle.
-            return Some(u64::MAX);
+            return Intent::Idle(u64::MAX);
         }
-        // Roamer: `round_seen` is the last stepped round, so the engine is
-        // about to evaluate round `round_seen + 1`. Idle exactly up to the
-        // next burst.
+        // `round_seen` is the last stepped round, so the engine is about
+        // to evaluate round `round_seen + 1`.
         let next = self.round_seen + 1;
         if self.in_burst(next) {
-            None
+            Intent::Solo(self.burst_end(next))
         } else {
-            Some(self.next_burst_start(next))
+            Intent::Idle(self.next_burst_start(next))
         }
-    }
-
-    /// A roamer inside a burst reads only its own round, degree and RNG,
-    /// and nothing it publishes needs a reader while every honest robot
-    /// waits: solo until the burst ends. Gaps are covered by
-    /// [`Controller::idle_until`]; stationary kinds are never solo.
-    fn solo_until(&self) -> Option<u64> {
-        if !self.kind.roams() {
-            return None;
-        }
-        // As in `idle_until`: the engine is about to evaluate
-        // `round_seen + 1`.
-        let next = self.round_seen + 1;
-        (self.active(next) && self.in_burst(next)).then(|| self.burst_end(next))
     }
 
     /// The gather script: before activation the adversary reads,
@@ -445,11 +432,17 @@ impl Controller<Msg> for CrashWrapper {
         self.inner.decide_move(obs)
     }
 
-    fn idle_until(&self) -> Option<u64> {
-        if self.crashed() {
-            Some(u64::MAX)
-        } else {
-            self.inner.idle_until()
+    /// Idle for good once crashed; before that the inner controller's
+    /// idle horizon, and no other promise: the robot is registered
+    /// Byzantine, so it never needs to report itself done (a done inner
+    /// controller, which sessions never reach before the crash, is idle
+    /// for good too).
+    fn intent(&self, round: u64) -> Intent {
+        match self.inner.intent(round) {
+            _ if self.crashed() => Intent::Idle(u64::MAX),
+            Intent::Done => Intent::Idle(u64::MAX),
+            idle @ Intent::Idle(_) => idle,
+            _ => Intent::Act,
         }
     }
 
@@ -521,7 +514,7 @@ mod tests {
             Vec::new(),
             0,
         );
-        assert_eq!(a.idle_until(), Some(500));
+        assert_eq!(a.intent(0), Intent::Idle(500));
     }
 
     #[test]
@@ -536,7 +529,7 @@ mod tests {
             Vec::new(),
             0,
         );
-        assert_eq!(a.idle_until(), Some(u64::MAX));
+        assert_eq!(a.intent(0), Intent::Idle(u64::MAX));
     }
 
     #[test]
@@ -556,12 +549,12 @@ mod tests {
         assert!(a.in_burst(0) && a.in_burst(n as u64 - 1));
         assert!(!a.in_burst(n as u64) && !a.in_burst(4 * n as u64 - 1));
         assert!(a.in_burst(4 * n as u64));
-        // Inside a burst: no idleness claim. Outside: idle to the next
-        // burst start.
+        // Inside a burst: solo to its end. Outside: idle to the next burst
+        // start.
         a.round_seen = 2;
-        assert_eq!(a.idle_until(), None);
+        assert_eq!(a.intent(3), Intent::Solo(n as u64));
         a.round_seen = n as u64; // next evaluated round is n + 1
-        assert_eq!(a.idle_until(), Some(4 * n as u64));
+        assert_eq!(a.intent(n as u64 + 1), Intent::Idle(4 * n as u64));
     }
 
     #[test]
@@ -583,31 +576,33 @@ mod tests {
         // nothing meanwhile.
         let mut a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
         assert_eq!(a.prelude().to_vec(), [0; 3]);
-        // Before activation: idle, not solo.
-        assert_eq!(a.solo_until(), None);
-        assert_eq!(a.idle_until(), Some(100));
+        // Before activation: idle until it.
+        assert_eq!(a.intent(0), Intent::Idle(100));
+        // At activation the idle horizon is the round itself, so that
+        // round is stepped.
+        a.round_seen = 99;
+        assert_eq!(a.intent(100), Intent::Idle(100));
         // Inside a burst: solo until the burst's end, whichever round of it
         // the engine is about to evaluate.
-        for next in [100, 101, 100 + n - 1, 100 + 4 * n, 100 + 9 * n - 1] {
+        for next in [101, 100 + n - 1, 100 + 4 * n, 100 + 9 * n - 1] {
             a.round_seen = next - 1;
             let end = 100 + (next - 100) / (4 * n) * 4 * n + n;
-            assert_eq!(a.solo_until(), Some(end), "round {next}");
-            // No idle horizon past the round (at activation the horizon is
-            // the round itself, so that round is stepped).
-            assert!(a.idle_until().map_or(true, |r| r <= next));
+            assert_eq!(a.intent(next), Intent::Solo(end), "round {next}");
         }
         // Between bursts: idle, not solo.
         for next in [100 + n, 100 + 4 * n - 1, 100 + 5 * n] {
             a.round_seen = next - 1;
-            assert_eq!(a.solo_until(), None, "round {next}");
-            assert!(a.idle_until().is_some());
+            assert!(matches!(a.intent(next), Intent::Idle(_)), "round {next}");
         }
         // Stationary kinds are never solo.
         for kind in AdversaryKind::all().into_iter().filter(|k| !k.roams()) {
             let mut a = mk(kind, Vec::new(), 0);
             for round_seen in [0, 1, n, 4 * n] {
                 a.round_seen = round_seen;
-                assert_eq!(a.solo_until(), None, "{kind:?}");
+                assert!(
+                    matches!(a.intent(round_seen + 1), Intent::Idle(_)),
+                    "{kind:?}"
+                );
             }
         }
     }
@@ -641,6 +636,39 @@ mod tests {
         let gap = n as u64 + 1;
         assert!(a.act(&obs(gap)).is_none());
         assert_eq!(a.decide_move(&obs(gap)), MoveChoice::Stay);
+    }
+
+    #[test]
+    fn crash_wrapper_keeps_idle_promises_only_and_idles_for_good_after_the_crash() {
+        let wanderer = AdversaryController::new(
+            RobotId(9),
+            AdversaryKind::Wanderer,
+            8,
+            7,
+            Vec::new(),
+            0,
+            Vec::new(),
+            0,
+        );
+        let mut w = CrashWrapper::new(Box::new(wanderer), 50);
+        let roster = [RobotId(9)];
+        let obs = |round: u64| Observation::<Msg> {
+            round,
+            subround: 0,
+            subrounds: 1,
+            degree: 3,
+            roster: &roster,
+            bulletin: &[],
+            arrival: None,
+        };
+        // In a burst the wanderer is solo; the wrapper promises nothing.
+        assert_eq!(w.intent(1), Intent::Act);
+        // Between bursts the wanderer's idle horizon passes through.
+        w.act(&obs(9));
+        assert_eq!(w.intent(10), Intent::Idle(32));
+        // From the crash on the robot is idle for good.
+        w.act(&obs(50));
+        assert_eq!(w.intent(51), Intent::Idle(u64::MAX));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::timeline::Timeline;
 use bd_graphs::navigate::shortest_path_ports;
 use bd_graphs::traversal::dfs_tree;
 use bd_graphs::{NodeId, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, RobotId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -85,20 +85,19 @@ impl Controller<Msg> for BaselineController {
         }
     }
 
-    fn terminated(&self) -> bool {
-        // `round_seen + 1` so the observed honest-termination round equals
-        // the phase budget exactly (same convention as every other row).
-        self.round_seen + 1 >= self.budget && self.path.as_ref().is_some_and(|p| p.is_empty())
-    }
-
-    fn idle_until(&self) -> Option<u64> {
-        // Walk exhausted: idle to the phase's last round. Acting there
-        // flips `terminated`, so the measured rounds still equal the
-        // budget exactly.
-        if self.path.as_ref().is_some_and(|p| p.is_empty()) {
-            Some(self.budget.saturating_sub(1))
+    fn intent(&self, _round: u64) -> Intent {
+        if !self.path.as_ref().is_some_and(|p| p.is_empty()) {
+            Intent::Act
+        } else if self.round_seen + 1 >= self.budget {
+            // `round_seen + 1` so the observed honest-termination round
+            // equals the phase budget exactly (same convention as every
+            // other row).
+            Intent::Done
         } else {
-            None
+            // Walk exhausted: idle to the phase's last round. Acting there
+            // makes the robot done, so the measured rounds still equal the
+            // budget exactly.
+            Intent::Idle(self.budget.saturating_sub(1))
         }
     }
 }
@@ -177,6 +176,28 @@ mod tests {
             );
         }
         e.run_epoch(u64::MAX).unwrap().final_positions
+    }
+
+    #[test]
+    fn intent_idles_to_the_budget_once_the_walk_is_done() {
+        // On a 5-ring the budget is 7 rounds; the lowest ID settles at the
+        // start, so its walk is empty once the round-0 snapshot is taken.
+        let mut c = BaselineController::new(RobotId(1), ring(5).unwrap(), 0, 1);
+        assert_eq!(c.intent(0), Intent::Act, "no walk before the snapshot");
+        let roster = [RobotId(1), RobotId(2)];
+        let obs = |round| Observation::<Msg> {
+            round,
+            subround: 0,
+            subrounds: 1,
+            degree: 2,
+            roster: &roster,
+            bulletin: &[],
+            arrival: None,
+        };
+        c.act(&obs(0));
+        assert_eq!(c.intent(1), Intent::Idle(6));
+        c.act(&obs(6));
+        assert_eq!(c.intent(7), Intent::Done);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::timeline::dum_budget;
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, Prelude, RobotId};
 use std::collections::BTreeSet;
 
 /// Sorted, deduplicated roster — the ID snapshot every robot takes of the
@@ -82,14 +82,14 @@ pub struct GroupRunSpec {
 
 impl GroupRunSpec {
     /// Round at which construction must stop and everyone heads home.
-    pub fn work_deadline(&self) -> u64 {
+    pub(crate) fn work_deadline(&self) -> u64 {
         self.start + self.work
     }
 
     /// First round after construction and the walk home: the vote round
     /// under [`VoteRule::Quorum`], the run's end under
     /// [`VoteRule::OwnMap`].
-    pub fn walk_end(&self) -> u64 {
+    pub(crate) fn walk_end(&self) -> u64 {
         match self.vote {
             VoteRule::Quorum(_) => self.end - 2,
             VoteRule::OwnMap => self.end,
@@ -574,19 +574,19 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         MoveChoice::Stay
     }
 
-    fn terminated(&self) -> bool {
-        self.tail.scheduled() && self.round_seen + 1 >= self.tail.end()
-    }
-
-    fn idle_until(&self) -> Option<u64> {
+    fn intent(&self, _round: u64) -> Intent {
+        if self.tail.scheduled() && self.round_seen + 1 >= self.tail.end() {
+            return Intent::Done;
+        }
         if self.round_seen < self.snapshot_round {
-            return Some(self.snapshot_round);
+            return Intent::Idle(self.snapshot_round);
         }
         let round = self.round_seen;
         match self.runs.get(self.cursor).filter(|r| r.active(round)) {
             Some(run) => run.idle_until(round),
             None => self.tail.idle_until(round),
         }
+        .map_or(Intent::Act, Intent::Idle)
     }
 
     /// The gather script: gathering reads and publishes nothing.

@@ -160,6 +160,7 @@ impl TableRow for HalfRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bd_runtime::Intent;
 
     use bd_graphs::canonical::canonical_form;
     use bd_graphs::generators::{path, ring};
@@ -174,7 +175,7 @@ mod tests {
             Vec::new(),
             0,
         );
-        assert!(!c.terminated());
+        assert_ne!(c.intent(0), Intent::Done);
         assert_eq!(c.subrounds_wanted(0), 1);
         assert!(c.runs().is_empty());
     }

@@ -18,7 +18,7 @@ use crate::timeline::{dum_budget, Timeline};
 use bd_exploration::walks::{cover_walk_length, lockstep_walk, SharedWalk};
 use bd_graphs::quotient::quotient_graph;
 use bd_graphs::{NodeId, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, Prelude, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, Prelude, RobotId};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -109,8 +109,12 @@ impl Controller<Msg> for QuotientController {
         MoveChoice::Stay
     }
 
-    fn terminated(&self) -> bool {
-        self.round_seen + 1 >= self.dum_end
+    fn intent(&self, _round: u64) -> Intent {
+        if self.round_seen + 1 >= self.dum_end {
+            Intent::Done
+        } else {
+            Intent::Act
+        }
     }
 
     /// The `Find-Map` walk: no information flows during it.
@@ -224,6 +228,6 @@ mod tests {
         // Rounds before `dum_start` are the walking phase: one sub-round.
         assert_eq!(c.subrounds_wanted(0), 1);
         assert_eq!(c.subrounds_wanted(2), DumMachine::subrounds_needed(5));
-        assert!(!c.terminated());
+        assert_ne!(c.intent(0), Intent::Done);
     }
 }

@@ -21,7 +21,7 @@ use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, Timeline};
 use bd_graphs::{NodeId, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, RobotId};
 
 enum Phase {
     /// Walking around the ring, recording `(exit_port, entry_port)` pairs.
@@ -151,8 +151,12 @@ impl Controller<Msg> for RingOptController {
         }
     }
 
-    fn terminated(&self) -> bool {
-        self.round_seen + 1 >= self.dum_end
+    fn intent(&self, _round: u64) -> Intent {
+        if self.round_seen + 1 >= self.dum_end {
+            Intent::Done
+        } else {
+            Intent::Act
+        }
     }
 }
 

@@ -214,11 +214,12 @@ impl TableRow for SqrtRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bd_runtime::Intent;
 
     #[test]
     fn plan_unset_before_snapshot() {
         let c = SqrtController::new(RobotId(1), 16, 2, Vec::new(), 0);
-        assert!(!c.terminated());
+        assert_ne!(c.intent(0), Intent::Done);
         assert!(c.scheme().plan().is_none());
         assert_eq!(
             c.subrounds_wanted(1),
@@ -267,7 +268,7 @@ mod tests {
         c.snapshot(&ids);
         assert_eq!(c.tail().k_seen(), 16);
         assert_eq!(c.tail().capacity(), 2);
-        assert!(!c.terminated());
+        assert_ne!(c.intent(0), Intent::Done);
     }
 
     #[test]

@@ -120,11 +120,12 @@ impl TableRow for ThirdRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bd_runtime::Intent;
 
     #[test]
     fn runs_unset_before_snapshot() {
         let c = GroupPhaseController::with_scheme(RobotId(1), 9, ThirdScheme, Vec::new(), 0);
-        assert!(!c.terminated());
+        assert_ne!(c.intent(0), Intent::Done);
         assert!(c.runs().is_empty());
     }
 

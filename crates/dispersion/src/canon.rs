@@ -60,7 +60,7 @@ impl Fnv64 {
     }
 
     /// A hasher at a custom offset basis (the second digest stream).
-    pub fn with_basis(basis: u64) -> Self {
+    pub(crate) fn with_basis(basis: u64) -> Self {
         Fnv64(basis)
     }
 

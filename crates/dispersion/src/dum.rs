@@ -110,11 +110,6 @@ impl DumMachine {
         self.state == DumState::Settled
     }
 
-    /// The map node the robot settled at, if settled.
-    pub fn settled_at(&self) -> Option<NodeId> {
-        self.settled().then_some(self.pos)
-    }
-
     /// The blacklist accumulated so far (for inspection/tests).
     pub fn blacklist(&self) -> &BTreeSet<RobotId> {
         &self.br
@@ -445,6 +440,6 @@ mod tests {
         ));
         assert_eq!(m.act(&obs(1, &roster, &[])), None);
         assert_eq!(m.decide_move(), MoveChoice::Stay);
-        assert_eq!(m.settled_at(), Some(0));
+        assert!(m.settled());
     }
 }

@@ -151,17 +151,6 @@ impl TokenMapExplorer {
         self.err.as_ref()
     }
 
-    /// Identified node the agent currently stands on (meaningful whenever
-    /// the machine is between identifications, in particular at `Done`).
-    pub fn current_node(&self) -> usize {
-        self.cur
-    }
-
-    /// Number of identified nodes so far.
-    pub fn nodes_identified(&self) -> usize {
-        self.adj.len()
-    }
-
     /// Port path from the agent's current node back to the origin along the
     /// spanning tree (what the paper's robots use to "return to the node
     /// where they were gathered").
@@ -496,7 +485,6 @@ mod tests {
         });
         // Must cross the first unresolved port (0) together.
         assert_eq!(cmd, AgentCmd::MoveWithToken(0));
-        assert_eq!(x.nodes_identified(), 1);
     }
 
     #[test]

@@ -43,7 +43,10 @@ impl CanonicalForm {
 /// Requires `g` connected (every node reachable from `root`); panics
 /// otherwise, since a map with unreachable nodes is malformed by
 /// construction.
-pub fn canonical_form_with_labels(g: &PortGraph, root: NodeId) -> (CanonicalForm, Vec<NodeId>) {
+pub(crate) fn canonical_form_with_labels(
+    g: &PortGraph,
+    root: NodeId,
+) -> (CanonicalForm, Vec<NodeId>) {
     let n = g.n();
     let mut label = vec![usize::MAX; n];
     let mut order: Vec<NodeId> = Vec::with_capacity(n);

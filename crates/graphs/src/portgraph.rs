@@ -75,31 +75,13 @@ impl PortGraph {
         self.adj[v][p]
     }
 
-    /// Checked variant of [`PortGraph::neighbor`].
-    pub fn try_neighbor(&self, v: NodeId, p: Port) -> Result<(NodeId, Port), GraphError> {
-        if v >= self.n() {
-            return Err(GraphError::NodeOutOfRange {
-                node: v,
-                n: self.n(),
-            });
-        }
-        self.adj[v]
-            .get(p)
-            .copied()
-            .ok_or(GraphError::PortOutOfRange {
-                node: v,
-                port: p,
-                degree: self.adj[v].len(),
-            })
-    }
-
     /// Iterate over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         0..self.n()
     }
 
     /// Iterate over all `(node, port, neighbor, back_port)` directed edge slots.
-    pub fn port_entries(&self) -> impl Iterator<Item = (NodeId, Port, NodeId, Port)> + '_ {
+    pub(crate) fn port_entries(&self) -> impl Iterator<Item = (NodeId, Port, NodeId, Port)> + '_ {
         self.adj
             .iter()
             .enumerate()
@@ -329,20 +311,6 @@ mod tests {
         assert!(matches!(
             g.validate_connected(),
             Err(GraphError::Disconnected)
-        ));
-    }
-
-    #[test]
-    fn try_neighbor_bounds() {
-        let g = triangle();
-        assert!(g.try_neighbor(0, 0).is_ok());
-        assert!(matches!(
-            g.try_neighbor(0, 9),
-            Err(GraphError::PortOutOfRange { .. })
-        ));
-        assert!(matches!(
-            g.try_neighbor(7, 0),
-            Err(GraphError::NodeOutOfRange { .. })
         ));
     }
 

@@ -32,29 +32,6 @@ impl SpanningTree {
         }
         d
     }
-
-    /// Port path from the root to `v` (following tree edges downward).
-    pub fn path_from_root(&self, v: NodeId) -> Vec<Port> {
-        let mut rev = Vec::new();
-        let mut cur = v;
-        while let Some((u, p, _)) = self.parent[cur] {
-            rev.push(p);
-            cur = u;
-        }
-        rev.reverse();
-        rev
-    }
-
-    /// Port path from `v` back up to the root (following back-ports).
-    pub fn path_to_root(&self, v: NodeId) -> Vec<Port> {
-        let mut path = Vec::new();
-        let mut cur = v;
-        while let Some((u, _, q)) = self.parent[cur] {
-            path.push(q);
-            cur = u;
-        }
-        path
-    }
 }
 
 fn tree_from_parents(
@@ -158,7 +135,6 @@ pub fn euler_tour_ports(tree: &SpanningTree) -> Vec<Port> {
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi_connected, path, ring, star};
-    use crate::navigate::follow_ports;
 
     #[test]
     fn bfs_tree_covers_all_nodes() {
@@ -174,18 +150,6 @@ mod tests {
         let t = dfs_tree(&g, 5);
         assert_eq!(t.order.len(), 12);
         assert_eq!(t.root, 5);
-    }
-
-    #[test]
-    fn path_from_root_navigates_correctly() {
-        let g = ring(8).unwrap();
-        let t = bfs_tree(&g, 0);
-        for v in g.nodes() {
-            let ports = t.path_from_root(v);
-            assert_eq!(follow_ports(&g, 0, &ports).unwrap(), v);
-            let back = t.path_to_root(v);
-            assert_eq!(follow_ports(&g, v, &back).unwrap(), 0);
-        }
     }
 
     #[test]
@@ -218,7 +182,7 @@ mod tests {
         let g = path(6).unwrap();
         let t = bfs_tree(&g, 0);
         for v in g.nodes() {
-            assert_eq!(t.depth(v), t.path_from_root(v).len());
+            assert_eq!(t.depth(v), v, "path(6) numbers its nodes in order");
         }
     }
 }

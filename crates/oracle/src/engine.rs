@@ -18,8 +18,8 @@
 
 use bd_graphs::{NodeId, Port, PortGraph};
 use bd_runtime::{
-    ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, MoveChoice, Observation,
-    Prelude, Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
+    ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, Intent, MoveChoice,
+    Observation, Prelude, Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,6 +41,12 @@ impl<M> Seat<M> {
     /// inside its prelude.
     fn prelude_port(&self, round: u64) -> Option<Port> {
         self.prelude.port(round)
+    }
+
+    /// Whether the robot is past its prelude and done at epoch-local
+    /// `round`; the oracle asks its controller nothing else.
+    fn done(&self, round: u64) -> bool {
+        self.prelude_port(round).is_none() && self.controller.intent(round) == Intent::Done
     }
 }
 
@@ -98,10 +104,9 @@ impl<M: Clone> OracleEngine<M> {
     /// prelude has not.
     fn all_honest_terminated(&self) -> bool {
         let local_round = self.round - self.epoch_base;
-        self.seats.iter().all(|s| {
-            s.flavor != Flavor::Honest
-                || (s.prelude_port(local_round).is_none() && s.controller.terminated())
-        })
+        self.seats
+            .iter()
+            .all(|s| s.flavor != Flavor::Honest || s.done(local_round))
     }
 
     /// Rounds elapsed so far.
@@ -261,7 +266,7 @@ impl<M: Clone> OracleEngine<M> {
             .seats
             .iter()
             .zip(&walking)
-            .map(|(s, w)| w.is_none() && !s.controller.terminated())
+            .map(|(s, w)| w.is_none() && s.controller.intent(local_round) != Intent::Done)
             .collect();
 
         // Occupancy and sorted claimed-ID rosters, rebuilt wholesale.
@@ -407,10 +412,7 @@ impl<M: Clone> OracleEngine<M> {
         // Log first terminations, at the post-move position; a robot whose
         // prelude runs on into the next round is not asked.
         for i in 0..k {
-            if !self.terminated_logged[i]
-                && self.seats[i].prelude_port(local_round + 1).is_none()
-                && self.seats[i].controller.terminated()
-            {
+            if !self.terminated_logged[i] && self.seats[i].done(local_round + 1) {
                 self.terminated_logged[i] = true;
                 if self.config.record_trace {
                     self.trace.events.push(Event::Terminated {
@@ -455,8 +457,12 @@ mod tests {
                 MoveChoice::Stay
             }
         }
-        fn terminated(&self) -> bool {
-            self.step >= self.script.len()
+        fn intent(&self, _round: u64) -> Intent {
+            if self.step >= self.script.len() {
+                Intent::Done
+            } else {
+                Intent::Act
+            }
         }
     }
 

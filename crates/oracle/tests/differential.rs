@@ -29,8 +29,8 @@ use bd_graphs::generators::{erdos_renyi_connected, lollipop, ring};
 use bd_graphs::{NodeId, Port};
 use bd_oracle::{check_cell, run_fuzz, CellVerdict, FuzzConfig, OracleEngine};
 use bd_runtime::{
-    ArrivalInfo, Controller, Engine, EngineConfig, Event, Flavor, MoveChoice, Observation, Prelude,
-    RobotId, Trace,
+    ArrivalInfo, Controller, Engine, EngineConfig, Event, Flavor, Intent, MoveChoice, Observation,
+    Prelude, RobotId, Trace,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -212,8 +212,12 @@ impl Controller<Msg> for Walk {
         self.calls.borrow_mut().push(obs.round);
         MoveChoice::Stay
     }
-    fn terminated(&self) -> bool {
-        self.calls.borrow().len() >= 2 * self.rounds
+    fn intent(&self, _round: u64) -> Intent {
+        if self.calls.borrow().len() >= 2 * self.rounds {
+            Intent::Done
+        } else {
+            Intent::Act
+        }
     }
     fn prelude(&self) -> Prelude {
         self.prelude.clone()
@@ -259,15 +263,12 @@ impl Controller<Msg> for Roamer {
             None => MoveChoice::Stay,
         }
     }
-    fn idle_until(&self) -> Option<u64> {
+    fn intent(&self, _round: u64) -> Intent {
         match Roamer::burst_end(self.next) {
-            Some(_) => None,
-            None if self.next < 12 => Some(12),
-            None => Some(u64::MAX),
+            Some(end) => Intent::Solo(end),
+            None if self.next < 12 => Intent::Idle(12),
+            None => Intent::Idle(u64::MAX),
         }
-    }
-    fn solo_until(&self) -> Option<u64> {
-        Roamer::burst_end(self.next)
     }
 }
 
@@ -287,11 +288,12 @@ impl Controller<Msg> for Sleeper {
     fn decide_move(&mut self, _obs: &Observation<'_, Msg>) -> MoveChoice {
         MoveChoice::Stay
     }
-    fn terminated(&self) -> bool {
-        self.woke
-    }
-    fn idle_until(&self) -> Option<u64> {
-        (!self.woke).then_some(15)
+    fn intent(&self, _round: u64) -> Intent {
+        if self.woke {
+            Intent::Done
+        } else {
+            Intent::Idle(15)
+        }
     }
 }
 

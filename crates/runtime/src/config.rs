@@ -9,9 +9,9 @@ pub struct EngineConfig {
     pub max_rounds: u64,
     /// Record a full event trace (costs memory; off for benchmarks).
     pub record_trace: bool,
-    /// Fast-forward over rounds in which every active robot declares
-    /// idleness (see `Controller::idle_until`). On by default; conformance
-    /// tests turn it off to prove skipping changes no trajectory.
+    /// Skip and bulk-apply the rounds that need no stepping (see
+    /// [`crate::Intent`]). On by default; conformance tests turn it off to
+    /// prove fast-forwarding changes no trajectory.
     pub fast_forward: bool,
     /// **Fault injection, never a feature:** overshoot every fast-forward
     /// jump by this many rounds. `0` (the default, and the only value any

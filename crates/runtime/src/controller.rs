@@ -148,30 +148,10 @@ pub trait Controller<M> {
     /// Called after the final sub-round: choose where to move.
     fn decide_move(&mut self, obs: &Observation<'_, M>) -> MoveChoice;
 
-    /// Whether this robot has terminated (stays put and goes silent
-    /// forever). The engine stops once every *honest* robot terminates.
-    fn terminated(&self) -> bool {
-        false
-    }
-
-    /// The idle-fast-forward contract. Returning `Some(r)` promises: *if
-    /// the engine stops calling this controller until absolute round `r`,
-    /// nothing observable changes* — the robot would neither move nor read,
-    /// and anything it might have published would go unread (the engine
-    /// only skips rounds in which **every** active robot is idle, so no
-    /// bulletin of a skipped round has a reader). When all active robots
-    /// report idleness the engine jumps the round counter to the earliest
-    /// horizon and records the jump in `RunMetrics::rounds_skipped`.
-    ///
-    /// Honest controllers derive horizons from their phase timelines
-    /// (e.g. "construction finished; next action at the vote round").
-    /// Byzantine controllers may report any horizon consistent with their
-    /// *strategy* (an adversary that only acts on a burst grid is idle
-    /// until the next burst). Declaring idleness while actually wanting to
-    /// act is a controller bug; the determinism suite catches it by running
-    /// scenarios with fast-forward disabled and comparing trajectories.
-    fn idle_until(&self) -> Option<u64> {
-        None
+    /// What the robot does from epoch-local `round` on (see [`Intent`]).
+    /// The default, [`Intent::Act`], makes no promise.
+    fn intent(&self, _round: u64) -> Intent {
+        Intent::Act
     }
 
     /// The robot's *prelude*: the ports it leaves through in epoch-local
@@ -179,11 +159,10 @@ pub trait Controller<M> {
     /// communication-free walks (Theorem 1's `Find-Map`, the gathering
     /// walk of Theorems 2, 5 and 7). The engine reads it once, when it
     /// seats the robot, and moves the robot itself through those rounds,
-    /// stepped or not: it calls none of the controller's round methods
-    /// (`act`, `decide_move`, `subrounds_wanted`, `idle_until`,
-    /// `solo_until`) before round `len`, and asks `terminated` only once
-    /// the last prelude move is applied. So inside its prelude the robot
-    /// reads nothing, publishes nothing, requests no sub-rounds and cannot
+    /// stepped or not: before round `len` it calls none of the
+    /// controller's round methods (`act`, `decide_move`,
+    /// `subrounds_wanted`, `intent`). So inside its prelude the robot reads
+    /// nothing, publishes nothing, requests no sub-rounds and cannot
     /// terminate, and its state when first called is the state it was
     /// built in. Only a strong Byzantine robot's
     /// [`Controller::claimed_id`] is still read, to stamp rosters. The
@@ -193,54 +172,95 @@ pub trait Controller<M> {
     /// round. Walks that merge (the shared-seed walks from different
     /// starts, once two walkers meet) share one tail `Arc`, and an
     /// `Arc<[Port]>` converts into a prelude with no head, so robots handed
-    /// one walk share it too.
-    ///
-    /// # Segments
-    ///
-    /// When every active robot is idle past the current round, inside its
-    /// prelude, or solo ([`Controller::solo_until`]), the engine applies
-    /// the whole stretch as one *segment* instead of stepping it: it ends
-    /// at the shortest remaining prelude or head, the earliest solo
-    /// horizon, the earliest idle horizon, the epoch's stop round, the
-    /// round cap, and (when recording telemetry) the next phase mark. No
-    /// roster or bulletin is built inside a segment and idle robots are not
-    /// called, so an idle robot overlapping one must also be silent: the
-    /// engine counts no messages for it. The segment runs the sub-round
-    /// count the active robots outside their preludes request at its first
-    /// round, so every such request must stay constant within it (debug
-    /// builds assert the maximum does). Unlike skipped rounds, a segment's
-    /// rounds count as executed, so `RunMetrics` equal a stepped run's.
-    ///
-    /// In a segment with no solo robot and no trace recorded, the robots
-    /// past their head that hold one tail `Arc` and stand on one node form
-    /// a *cohort*: the engine walks the tail once and gives every member
-    /// the end node, the moves and the last arrival. A robot in its head
-    /// walks alone. Beside a solo robot, with a trace, or when an honest
-    /// robot's port is invalid, every robot walks alone, round-major in
-    /// robot order, so events and errors come out exactly as stepping's.
+    /// one walk share it too. How the engine applies preludes in bulk is
+    /// part of the [`Intent`] contract.
     fn prelude(&self) -> Prelude {
         Prelude::default()
     }
+}
 
-    /// The solo contract, the fast-forward promise beside
-    /// [`Controller::idle_until`] and [`Controller::prelude`]. Returning
-    /// `Some(r)` (epoch-local, like `idle_until`) promises that until round
-    /// `r` this robot reads only its own senses — the observation's
-    /// `round`, `subround`, `subrounds`, `degree` and `arrival`, never the
-    /// roster or the bulletin — that nothing it publishes needs a reader,
-    /// that its sub-round request stays constant, and that it does not
-    /// terminate. The engine asks only controllers past their prelude that
-    /// report no idle horizon.
-    ///
-    /// Inside a segment (see [`Controller::prelude`]) a solo robot is
-    /// still called: [`Controller::act`] once per sub-round, then
+/// A robot's answer to the one question the engine asks it each time it
+/// decides how to run the next stretch of rounds: what will you do from
+/// epoch-local round `round` on ([`Controller::intent`])? In the paper's
+/// synchronous model a robot in any round has terminated, waits out a
+/// window, walks without communicating, or communicates and moves; the
+/// first two and a walk that still decides are answers here, and a walk
+/// fixed in advance is data ([`Controller::prelude`]).
+///
+/// # When the engine asks
+///
+/// Once per drive-loop iteration, for every robot past its prelude: when
+/// an epoch starts, after every round or segment the engine runs, and
+/// after every idle skip (the round changed). Between two asks the engine
+/// calls none of the controller's `&mut` methods, so an answer holds until
+/// the next ask. A robot inside its prelude is never asked; it counts as
+/// acting. Horizons are epoch-local, like every round a controller sees;
+/// a horizon at or before `round` promises nothing.
+///
+/// # What the engine does with the answers
+///
+/// [`Intent::Done`] always counts: the run (or epoch) ends once every
+/// honest robot is done, and a done robot is never called again. The
+/// other promises are used only under `EngineConfig::fast_forward`:
+///
+/// * **Skip.** When no robot is inside its prelude and every robot is
+///   done or idle, the engine jumps the clock to the earliest idle horizon, calling no one;
+///   `RunMetrics::rounds_skipped` counts the jump. No robot acts in a
+///   skipped round, so no bulletin of one has a reader, which is what
+///   makes [`Intent::Idle`] checkable locally.
+/// * **Segment.** When every robot is done, idle, inside its prelude or
+///   solo, and at least one is not idle, the engine applies the stretch in
+///   bulk. It ends at the shortest remaining prelude or prelude head, the
+///   earliest solo horizon, the earliest idle horizon, the epoch's stop
+///   round, the round cap and (when recording telemetry) the next phase
+///   mark. No roster or bulletin is built and idle robots are not called,
+///   so an idle robot overlapping a segment must also be silent: the
+///   engine counts no messages for it. Prelude robots take their ports;
+///   solo robots are called as [`Intent::Solo`] says. The segment runs
+///   the sub-round count that the robots past their prelude and not done
+///   request at its first round, so every such request must stay constant
+///   inside it (debug builds assert the maximum does). Segment rounds
+///   count as executed, so `RunMetrics` equal a stepped run's;
+///   `EngineCounters::rounds_scripted` counts segments without a solo
+///   robot and `rounds_solo` those with one.
+/// * **Cohorts.** In a segment with no solo robot and no trace recorded,
+///   the robots past their prelude head that hold one tail `Arc` and stand
+///   on one node form a *cohort*: the engine walks the tail once and gives
+///   every member the end node, the moves and the last arrival. A robot in
+///   its head walks alone. Beside a solo robot, with a trace, or when an
+///   honest robot's port is invalid, every robot walks alone, round-major
+///   in robot order, so events and errors come out exactly as stepping's.
+///
+/// Every other round is stepped: every robot past its prelude and not
+/// done, idle or not, gets its roster and bulletin. Declaring a promise
+/// while actually wanting to act is a controller bug; the determinism
+/// suite and the oracle engine (which steps every round and asks only
+/// whether a robot is done) catch it by comparing trajectories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Intent {
+    /// Terminated: the robot stays put and goes silent forever.
+    Done,
+    /// Idle until the given round: if the engine stops calling the robot
+    /// until then, nothing observable changes. It would neither move nor
+    /// read, and anything it might publish would go unread. Honest
+    /// controllers derive the horizon from their phase timelines;
+    /// Byzantine ones from their strategy (an adversary that only acts on
+    /// a burst grid is idle until its next burst).
+    Idle(u64),
+    /// Solo until the given round: until then the robot reads only its own
+    /// senses (the observation's `round`, `subround`, `subrounds`, `degree`
+    /// and `arrival`, never the roster or the bulletin), nothing it
+    /// publishes needs a reader, its sub-round request stays constant, and
+    /// it does not terminate. Inside a segment it is still called:
+    /// [`Controller::act`] once per sub-round, then
     /// [`Controller::decide_move`], on an observation with an empty roster
-    /// and bulletin, its own node's degree and, at sub-round 0, the
-    /// arrival of its last move, exactly as stepping would hand it. Its
-    /// publications count as messages. The default, `None`, opts out.
-    fn solo_until(&self) -> Option<u64> {
-        None
-    }
+    /// and bulletin, its own node's degree and, at sub-round 0, the arrival
+    /// of its last move, exactly as stepping would hand it; its
+    /// publications count as messages. This reproduction's roaming
+    /// adversaries are solo in mid-burst.
+    Solo(u64),
+    /// No promise: the robot communicates and moves this round.
+    Act,
 }
 
 #[cfg(test)]
@@ -269,9 +289,8 @@ mod tests {
         let e = Echo { id: RobotId(9) };
         assert_eq!(e.claimed_id(), RobotId(9));
         assert_eq!(e.subrounds_wanted(0), 1);
-        assert!(!e.terminated());
+        assert_eq!(e.intent(0), Intent::Act, "controllers opt into promises");
         assert!(e.prelude().is_empty(), "controllers opt into preludes");
-        assert_eq!(e.solo_until(), None, "controllers opt into solo segments");
     }
 
     #[test]

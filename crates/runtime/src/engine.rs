@@ -20,47 +20,29 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
-//! Each robot's prelude ([`Controller::prelude`], read once when the
-//! robot is seated) is walked by the engine itself: inside it the robot's
-//! move is the prelude's port and its controller is not called, whether
-//! the round is stepped or not. Rounds that need no stepping bypass
-//! `Engine::step` altogether: an all-idle stretch is skipped, and a
-//! stretch where every active robot is idle, inside its prelude or solo
-//! ([`Controller::solo_until`]) is applied in bulk by
-//! `Engine::apply_segment`. It moves prelude robots straight through the
-//! [`World`], calls solo robots on their own senses (empty roster and
-//! bulletin, their own degree and arrival), never calls idle robots, and
-//! builds no roster or bulletin; the arenas are left stale for the next
-//! stepped round to rebuild. Segments end where a head does, so inside
-//! one every prelude robot walks its head or its tail; with no solo robot
-//! and no trace, robots past their head that share a tail `Arc` and a
-//! node walk it once as a cohort (`walk_cohorts`), so a gathering walk
-//! that all `k` robots merged into costs one walk, not `k`.
+//! Rounds that need no stepping bypass `Engine::step`: the engine asks
+//! every robot its [`Intent`] once per loop iteration, keeps the answers
+//! in the scratch, and skips or applies stretches in bulk
+//! (`Engine::apply_segment`) as the [`Intent`] contract describes. Every
+//! move, stepped or in bulk, goes through one routine
+//! (`Engine::apply_choice`, or `Engine::land` for a cohort's bulk walk),
+//! which keeps occupancy and the dirty list current, so switching between
+//! segments and stepped rounds rebuilds nothing.
 //!
 //! # Dynamic worlds: events and epochs
 //!
 //! A long-lived run is a sequence of **epochs** separated by
-//! [`WorldEvent`]s — robots joining or leaving, the graph being swapped
-//! for an edge failure or heal. [`Engine::apply_world_event`] is the
-//! single mutation primitive: it edits the [`World`] and the engine's
-//! parallel per-robot arrays, then invalidates the scratch arenas
-//! (`scratch.ready = false`), so the next stepped round lazily rebuilds
-//! occupancy, rosters, and the faking list from scratch —
-//! invalidate-and-rebuild *is* the coherence strategy, reusing the exact
-//! O(n + k) path `add_robot` has always used. [`Engine::begin_epoch`]
-//! reseats the whole cast through that primitive and snapshots-and-clears
-//! the metrics; [`Engine::run_epoch`] drives rounds to honest termination
-//! or a scheduled stop (a static run is one epoch stopped at `u64::MAX`,
-//! with `epoch_base` 0); [`Engine::into_trace`] ends the run and publishes
-//! the telemetry report; [`Engine::advance_to`] jumps the round clock
-//! across inter-epoch quiescence (after honest termination nothing
-//! observable happens until the next event, by the same argument that
-//! licenses idle fast-forwarding). The round clock, the cumulative trace,
-//! and the telemetry recorder persist across epochs; see `bd-dynamic` for
-//! the scheduling layer.
+//! [`WorldEvent`]s (robots joining or leaving, the graph swapped for an
+//! edge failure or heal), applied by [`Engine::apply_world_event`], the
+//! single mutation primitive. Every epoch ([`Engine::run_epoch`]) rebuilds
+//! the scratch arenas from the world before its first round, so events
+//! need no arena bookkeeping. A static run is one epoch stopped at
+//! `u64::MAX`. The round clock, the cumulative trace, and the telemetry
+//! recorder persist across epochs; see `bd-dynamic` for the scheduling
+//! layer.
 
 use crate::config::EngineConfig;
-use crate::controller::{Controller, MoveChoice, Prelude};
+use crate::controller::{Controller, Intent, MoveChoice, Prelude};
 use crate::error::RunError;
 use crate::ids::{Flavor, RobotId};
 use crate::metrics::RunMetrics;
@@ -71,20 +53,18 @@ use bd_graphs::{NodeId, Port, PortGraph};
 use bd_telemetry::EngineTelemetry;
 use std::sync::Arc;
 
-/// Per-round scratch arenas owned by the engine and reused across rounds.
-/// All node-indexed vectors have one slot per graph node; robot-indexed
-/// vectors one slot per robot. Invalidated (and lazily rebuilt) when the
-/// robot set changes.
+/// Scratch arenas owned by the engine and reused across rounds. All
+/// node-indexed vectors have one slot per graph node; robot-indexed
+/// vectors one slot per robot. Rebuilt from the world when an epoch
+/// starts, then kept current by every move.
 struct Scratch<M> {
-    /// Whether the arenas reflect the current robot set.
-    ready: bool,
     /// Robot indices at each node (order arbitrary; rosters sort).
     at_node: Vec<Vec<usize>>,
     /// Sorted claimed-ID roster per node; rebuilt only for dirty nodes.
     roster: Vec<Vec<RobotId>>,
     /// Per-node roster-stale flag, deduplicating `dirty_nodes`.
     dirty: Vec<bool>,
-    /// Queue of nodes whose roster must be rebuilt this round.
+    /// Queue of nodes whose roster must be rebuilt next stepped round.
     dirty_nodes: Vec<NodeId>,
     /// Robots whose flavor may fake IDs: their nodes re-sort every round.
     faking: Vec<usize>,
@@ -95,61 +75,59 @@ struct Scratch<M> {
     /// Per-sub-round publication queue (flushed after each sub-round so
     /// messages become visible in the *next* sub-round only).
     pending: Vec<(NodeId, Publication<M>)>,
+    /// Each robot's [`Controller::intent`] at the current round; `Act` for
+    /// a robot inside its prelude, which is not asked.
+    intents: Vec<Intent>,
     /// Per-robot activity mask for the round.
     active: Vec<bool>,
-    /// Per-robot move decisions for the round.
-    choices: Vec<MoveChoice>,
+    /// Whether every honest robot is done, read off `intents`.
+    all_done: bool,
+    /// What the engine may do from the current round, read off `intents`
+    /// and the preludes.
+    horizon: Horizon,
 }
 
-impl<M> Default for Scratch<M> {
-    fn default() -> Self {
+impl<M: Clone> Scratch<M> {
+    /// Empty arenas for `n` nodes and `k` robots.
+    fn new(n: usize, k: usize) -> Self {
         Scratch {
-            ready: false,
-            at_node: Vec::new(),
-            roster: Vec::new(),
-            dirty: Vec::new(),
+            at_node: vec![Vec::new(); n],
+            roster: vec![Vec::new(); n],
+            dirty: vec![false; n],
             dirty_nodes: Vec::new(),
             faking: Vec::new(),
-            bulletins: Vec::new(),
+            bulletins: vec![Vec::new(); n],
             touched: Vec::new(),
             pending: Vec::new(),
+            intents: vec![Intent::Act; k],
             active: Vec::new(),
-            choices: Vec::new(),
+            all_done: false,
+            horizon: Horizon::Step,
         }
     }
-}
 
-impl<M> Scratch<M> {
     /// Mark `node`'s roster stale (idempotent within a round).
-    fn mark_dirty(dirty: &mut [bool], dirty_nodes: &mut Vec<NodeId>, node: NodeId) {
-        if !dirty[node] {
-            dirty[node] = true;
-            dirty_nodes.push(node);
+    fn mark_dirty(&mut self, node: NodeId) {
+        if !self.dirty[node] {
+            self.dirty[node] = true;
+            self.dirty_nodes.push(node);
         }
     }
 }
 
 /// What the engine may do from the current round without stepping it
-/// (see [`Engine::drive`]).
+/// (see [`Engine::drive`]). Rounds are absolute.
+#[derive(Clone, Copy)]
 enum Horizon {
-    /// Some active robot acts this round: step it.
+    /// Some robot acts this round: step it.
     Step,
-    /// Every active robot is idle until at least this absolute round.
+    /// Every robot is done or idle until at least this absolute round.
     Idle(u64),
-    /// Every active robot is idle (until at least `idle`), inside its
+    /// Every robot is done, idle (until at least `idle`), inside its
     /// prelude or solo, and at least one is not idle. `busy` is the
     /// absolute round where the shortest remaining prelude or the earliest
     /// solo horizon ends.
     Segment { idle: u64, busy: u64 },
-}
-
-/// What an active robot does inside a segment (see
-/// [`Engine::apply_segment`]).
-enum Role<'a, M> {
-    /// Walks the rest of its prelude, one port per round.
-    Prelude(&'a [Port]),
-    /// Is called every round on its own senses.
-    Solo(&'a mut Box<dyn Controller<M>>),
 }
 
 /// The sub-round count of epoch-local `round`: the most any of the
@@ -170,102 +148,10 @@ fn in_prelude(prelude: &Prelude, round: u64) -> bool {
     round < prelude.len() as u64
 }
 
-/// Walk the segment's prelude robots through epoch-local rounds
-/// `local..local + rounds` in bulk: robots past their head that hold one
-/// tail `Arc` and stand on one node form a cohort, which is walked once
-/// and whose members then all get its end node, odometer increment and
-/// last arrival. A robot still in its head walks alone (the segment ends
-/// where its head does). A Byzantine robot's invalid port is clamped to a
-/// stay, as stepping would; an honest robot's makes this return `None`
-/// with nothing changed, so the caller steps the stretch per robot and
-/// raises the error at the exact robot and round. Otherwise returns the
-/// moves made and the prelude ports looked up (one per cohort per round).
-fn walk_cohorts<M>(
-    world: &mut World,
-    preludes: &[Prelude],
-    roles: &[(usize, Role<'_, M>)],
-    arrivals: &mut [Option<ArrivalInfo>],
-    local: usize,
-    rounds: u64,
-) -> Option<(u64, u64)> {
-    /// One cohort: its ports, its node, whether it holds an honest robot,
-    /// and the tail it shares (`None` for a robot in its head).
-    struct Cohort<'a> {
-        ports: &'a [Port],
-        node: NodeId,
-        honest: bool,
-        tail: Option<*const Port>,
-    }
-    let mut cohorts: Vec<Cohort<'_>> = Vec::new();
-    let mut members: Vec<(usize, usize)> = Vec::with_capacity(roles.len());
-    for (i, role) in roles {
-        let Role::Prelude(ports) = role else {
-            continue;
-        };
-        let prelude = &preludes[*i];
-        let slot = world.robot(*i);
-        let honest = slot.flavor == Flavor::Honest;
-        // The tail is indexed by the round, so two robots in one tail are
-        // at one offset in it.
-        let tail = (local >= prelude.head_len()).then(|| Arc::as_ptr(prelude.tail()).cast());
-        let joined = tail.and_then(|tail| {
-            cohorts
-                .iter()
-                .position(|c| c.tail == Some(tail) && c.node == slot.position)
-        });
-        let c = match joined {
-            Some(c) => {
-                cohorts[c].honest |= honest;
-                c
-            }
-            None => {
-                cohorts.push(Cohort {
-                    ports,
-                    node: slot.position,
-                    honest,
-                    tail,
-                });
-                cohorts.len() - 1
-            }
-        };
-        members.push((*i, c));
-    }
-    let graph = world.graph();
-    let mut ends = Vec::with_capacity(cohorts.len());
-    for c in &cohorts {
-        let (mut node, mut moves, mut arrival) = (c.node, 0u64, None);
-        for &port in c.ports {
-            if port >= graph.degree(node) {
-                if c.honest {
-                    return None;
-                }
-                arrival = None;
-                continue;
-            }
-            let (to, entry_port) = graph.neighbor(node, port);
-            arrival = Some(ArrivalInfo {
-                exit_port: port,
-                entry_port,
-            });
-            node = to;
-            moves += 1;
-        }
-        ends.push((node, moves, arrival));
-    }
-    let mut moved = 0;
-    for (i, c) in members {
-        let (node, moves, arrival) = ends[c];
-        world.relocate(i, node, moves);
-        arrivals[i] = arrival;
-        moved += moves;
-    }
-    Some((moved, cohorts.len() as u64 * rounds))
-}
-
 /// A mid-run mutation of the simulated world, applied between rounds via
 /// [`Engine::apply_world_event`]. Each variant keeps the engine's
-/// per-robot arrays and scratch arenas coherent; the `bd-dynamic` crate
-/// schedules these at exact round numbers.
+/// per-robot arrays coherent; the `bd-dynamic` crate schedules these at
+/// exact round numbers.
 pub enum WorldEvent<M> {
     /// A robot materializes at `node` and starts acting next round.
     Join {
@@ -348,7 +234,7 @@ impl<M: Clone> Engine<M> {
             terminated_logged: Vec::new(),
             metrics: RunMetrics::default(),
             trace: Trace::default(),
-            scratch: Scratch::default(),
+            scratch: Scratch::new(0, 0),
             telemetry: if bd_telemetry::counters_enabled() {
                 Some(EngineTelemetry::new(Vec::new()))
             } else {
@@ -377,15 +263,12 @@ impl<M: Clone> Engine<M> {
         self.controllers.push(controller);
         self.arrivals.push(None);
         self.terminated_logged.push(false);
-        // Robot set changed: rebuild the arenas lazily at the next step.
-        self.scratch.ready = false;
     }
 
     /// Apply one [`WorldEvent`] between rounds. The single mutation
     /// primitive for dynamic worlds: every variant edits the world and the
-    /// engine's parallel per-robot arrays in lockstep, then invalidates the
-    /// scratch arenas so the next stepped round rebuilds occupancy,
-    /// rosters, and the ID-faking list coherently.
+    /// engine's parallel per-robot arrays in lockstep; the next epoch
+    /// rebuilds occupancy, rosters, and the ID-faking list from them.
     pub fn apply_world_event(&mut self, event: WorldEvent<M>) -> Result<(), RunError> {
         match event {
             WorldEvent::Join {
@@ -428,12 +311,9 @@ impl<M: Clone> Engine<M> {
                 }
                 self.world.set_graph(graph);
                 // Arrival port pairs referred to the old graph's labeling.
-                for a in self.arrivals.iter_mut() {
-                    *a = None;
-                }
+                self.arrivals.fill(None);
             }
         }
-        self.scratch.ready = false;
         Ok(())
     }
 
@@ -510,44 +390,24 @@ impl<M: Clone> Engine<M> {
         self.trace
     }
 
-    /// (Re)build the scratch arenas from the current world. O(n + k); runs
-    /// once per run (and after every `add_robot`), never per round.
+    /// Build the scratch arenas from the current world and ask every robot
+    /// its intent. O(n + k); runs once per epoch, never per round.
     fn rebuild_scratch(&mut self) {
-        let n = self.world.graph().n();
-        let k = self.world.num_robots();
-        let s = &mut self.scratch;
-        s.at_node.resize_with(n, Vec::new);
-        s.roster.resize_with(n, Vec::new);
-        s.bulletins.resize_with(n, Vec::new);
-        s.dirty.clear();
-        s.dirty.resize(n, false);
-        s.dirty_nodes.clear();
-        s.touched.clear();
-        s.pending.clear();
-        for list in &mut s.at_node {
-            list.clear();
-        }
-        for roster in &mut s.roster {
-            roster.clear();
-        }
-        for bulletin in &mut s.bulletins {
-            bulletin.clear();
-        }
-        s.faking.clear();
-        for i in 0..k {
-            let robot = self.world.robot(i);
+        let mut s = Scratch::new(self.world.graph().n(), self.world.num_robots());
+        for (i, robot) in self.world.robots().iter().enumerate() {
             s.at_node[robot.position].push(i);
             if robot.flavor.can_fake_id() {
                 s.faking.push(i);
             }
         }
         // Every occupied node needs an initial roster.
-        for node in 0..n {
+        for node in 0..s.at_node.len() {
             if !s.at_node[node].is_empty() {
-                Scratch::<M>::mark_dirty(&mut s.dirty, &mut s.dirty_nodes, node);
+                s.mark_dirty(node);
             }
         }
-        s.ready = true;
+        self.scratch = s;
+        self.ask();
     }
 
     /// Read-only world access (for verifiers and tests).
@@ -560,18 +420,58 @@ impl<M: Clone> Engine<M> {
         self.round
     }
 
-    /// Whether every honest robot has terminated (none can inside its
-    /// prelude).
-    fn all_honest_terminated(&self) -> bool {
-        let local = self.round - self.epoch_base;
-        self.world
-            .robots()
-            .iter()
-            .zip(&self.controllers)
-            .enumerate()
-            .all(|(i, (slot, c))| {
-                slot.flavor != Flavor::Honest || (!self.walks(i, local) && c.terminated())
-            })
+    /// Ask every robot past its prelude its [`Intent`] at the current
+    /// round (the one place the engine asks), and read off the answers
+    /// whether every honest robot is done and what the engine may do next.
+    fn ask(&mut self) {
+        // Preludes and intents are epoch-local (controllers never see the
+        // absolute clock); horizons are shifted by the epoch base.
+        let base = self.epoch_base;
+        let local = self.round - base;
+        let (mut idle, mut busy, mut step, mut all_done) = (u64::MAX, None, false, true);
+        for i in 0..self.controllers.len() {
+            // The round a walking or solo robot stops being either.
+            let (intent, until) = if self.walks(i, local) {
+                // A segment never crosses a head's end, so inside one every
+                // prelude robot walks its head or its tail.
+                let p = &self.preludes[i];
+                let head = p.head_len() as u64;
+                (
+                    Intent::Act,
+                    Some(if local < head { head } else { p.len() as u64 }),
+                )
+            } else {
+                let intent = self.controllers[i].intent(local);
+                let until = match intent {
+                    Intent::Solo(r) if r > local => Some(r),
+                    Intent::Idle(r) => {
+                        idle = idle.min(r);
+                        None
+                    }
+                    Intent::Done => None,
+                    _ => {
+                        step = true;
+                        None
+                    }
+                };
+                (intent, until)
+            };
+            if let Some(until) = until {
+                busy = Some(busy.map_or(until, |b: u64| b.min(until)));
+            }
+            all_done &= intent == Intent::Done || self.world.robot(i).flavor != Flavor::Honest;
+            self.scratch.intents[i] = intent;
+        }
+        let idle = idle.saturating_add(base);
+        self.scratch.all_done = all_done;
+        self.scratch.horizon = match busy {
+            _ if step => Horizon::Step,
+            None => Horizon::Idle(idle),
+            Some(busy) => Horizon::Segment {
+                idle,
+                busy: busy.saturating_add(base),
+            },
+        };
     }
 
     /// Whether robot `i` is inside its prelude in epoch-local `round`; one
@@ -580,55 +480,13 @@ impl<M: Clone> Engine<M> {
         round < self.longest_prelude && in_prelude(&self.preludes[i], round)
     }
 
-    /// What the active robots let the engine do from the current round:
-    /// step it, skip to the earliest idle horizon (every robot idle), or
-    /// apply a segment (every robot idle, inside its prelude or solo).
-    /// Horizons are absolute.
-    fn horizon(&self) -> Horizon {
-        // Preludes, idle promises and solo horizons are epoch-local
-        // (controllers never see the absolute clock); shift them by the
-        // epoch base before comparing with `self.round`.
-        let epoch_base = self.epoch_base;
-        let local = self.round - epoch_base;
-        let mut idle = u64::MAX;
-        let mut busy: Option<u64> = None;
-        for (i, c) in self.controllers.iter().enumerate() {
-            let until = if self.walks(i, local) {
-                // A segment never crosses a head's end, so inside one
-                // every prelude robot walks its head or its tail.
-                let p = &self.preludes[i];
-                let head = p.head_len() as u64;
-                if local < head {
-                    head
-                } else {
-                    p.len() as u64
-                }
-            } else if c.terminated() {
-                continue;
-            } else if let Some(r) = c.idle_until() {
-                idle = idle.min(r.saturating_add(epoch_base));
-                continue;
-            } else {
-                match c.solo_until() {
-                    Some(r) if r > local => r,
-                    _ => return Horizon::Step,
-                }
-            };
-            let until = until.saturating_add(epoch_base);
-            busy = Some(busy.map_or(until, |b| b.min(until)));
-        }
-        match busy {
-            None => Horizon::Idle(idle),
-            Some(busy) => Horizon::Segment { idle, busy },
-        }
-    }
-
     /// The round loop behind [`Engine::run_epoch`]. Returns whether every
     /// honest robot terminated; `false` means the clock reached `stop_at`
     /// first.
     fn drive(&mut self, stop_at: u64) -> Result<bool, RunError> {
+        self.rebuild_scratch();
         loop {
-            if self.all_honest_terminated() {
+            if self.scratch.all_done {
                 return Ok(true);
             }
             if self.round >= stop_at {
@@ -642,29 +500,20 @@ impl<M: Clone> Engine<M> {
             if self.config.fast_forward {
                 // `ff_overshoot` is deliberately-injected breakage (0 in
                 // every real config): it pushes a jump or segment past the
-                // round the earliest idle robot acts in, losing that
-                // action — the bug class the oracle-differential harness
-                // must catch.
+                // round the earliest idle robot acts in, which the
+                // oracle-differential harness must catch.
                 let overshoot = self.config.ff_overshoot;
-                match self.horizon() {
+                match self.scratch.horizon {
                     Horizon::Step => {}
-                    // Skipped rounds are rounds in which *no* robot acts,
-                    // so no bulletin is ever read — which is exactly what
-                    // licenses controllers to declare idleness (see
-                    // `Controller::idle_until`).
                     Horizon::Idle(target) => {
                         // Never jump past a scheduled stop: the world
-                        // mutates there, which idle promises know nothing
-                        // about.
+                        // mutates there, which idle promises ignore.
                         let target = target.saturating_add(overshoot).min(stop_at);
                         if target > self.round + 1 {
                             if target >= self.config.max_rounds {
-                                // The earliest round any robot acts again
-                                // is already past the cap: the run cannot
-                                // finish. Error *now*, leaving `self.round`
-                                // at the true executed round instead of
-                                // silently teleporting it to the cap and
-                                // failing one iteration later.
+                                // No robot acts again before the cap: error
+                                // now, with the clock at the true executed
+                                // round rather than teleported to the cap.
                                 return Err(RunError::RoundLimit {
                                     limit: self.config.max_rounds,
                                 });
@@ -675,17 +524,13 @@ impl<M: Clone> Engine<M> {
                             }
                             self.metrics.rounds_skipped += target - self.round;
                             self.round = target;
+                            self.ask();
                             continue;
                         }
                     }
-                    // Segment rounds read no roster or bulletin and publish
-                    // nothing anyone reads, so they are applied without
-                    // rosters or bulletins (see `Controller::prelude`).
-                    // The segment stops where a stepped run could first
-                    // differ: a prelude's or solo horizon's end, an idle
-                    // robot's horizon, the stop round, the cap (the loop
-                    // head then raises `RoundLimit` exactly as stepping
-                    // would), and the next telemetry phase mark.
+                    // A segment stops where a stepped run could first
+                    // differ (see `Intent`); at the cap the loop head then
+                    // raises `RoundLimit` exactly as stepping would.
                     Horizon::Segment { idle, busy } => {
                         let mut end = busy
                             .min(idle.saturating_add(overshoot))
@@ -708,40 +553,91 @@ impl<M: Clone> Engine<M> {
         }
     }
 
-    /// Apply the segment `[self.round, end)` in bulk: every active robot
-    /// without an idle horizon is inside its prelude or solo (see
-    /// [`Engine::horizon`]), every other one stays put uncalled. Prelude
+    /// Put robot `i` on `to` after `moves` edge traversals, the last
+    /// leaving `arrival`: the one place a robot's position, odometer,
+    /// arrival and occupancy change.
+    fn land(&mut self, i: usize, to: NodeId, moves: u64, arrival: Option<ArrivalInfo>) {
+        let from = self.world.robot(i).position;
+        self.world.relocate(i, to, moves);
+        self.arrivals[i] = arrival;
+        if from != to {
+            // Only the two endpoint rosters go stale.
+            let s = &mut self.scratch;
+            let at = s.at_node[from].iter().position(|&r| r == i);
+            s.at_node[from].swap_remove(at.expect("robot indexed at its node"));
+            s.at_node[to].push(i);
+            s.mark_dirty(from);
+            s.mark_dirty(to);
+        }
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.counters.moves += moves;
+            t.counters.dirty_marks += if from != to { 2 } else { 0 };
+        }
+    }
+
+    /// Apply robot `i`'s move of absolute `round`, stepped or in a
+    /// segment. A stay clears its arrival; a move through an invalid port
+    /// is an error for an honest robot (the clock is left at `round`) and
+    /// a stay for a Byzantine one, which cannot teleport; any other move
+    /// lands the robot on the neighbor and is traced.
+    fn apply_choice(&mut self, i: usize, choice: MoveChoice, round: u64) -> Result<(), RunError> {
+        let slot = self.world.robot(i);
+        let (id, node) = (slot.id, slot.position);
+        let degree = self.world.graph().degree(node);
+        let port = match choice {
+            MoveChoice::Move(port) if port < degree => port,
+            MoveChoice::Move(port) if slot.flavor == Flavor::Honest => {
+                self.round = round;
+                return Err(RunError::InvalidMove {
+                    robot: id,
+                    node,
+                    port,
+                    degree,
+                });
+            }
+            _ => {
+                self.arrivals[i] = None;
+                return Ok(());
+            }
+        };
+        let (to, entry_port) = self.world.graph().neighbor(node, port);
+        let arrival = ArrivalInfo {
+            exit_port: port,
+            entry_port,
+        };
+        self.land(i, to, 1, Some(arrival));
+        if self.config.record_trace {
+            self.trace.events.push(Event::Moved {
+                round,
+                robot: id,
+                from: node,
+                port,
+                to,
+            });
+        }
+        Ok(())
+    }
+
+    /// Apply the segment `[self.round, end)` in bulk: every robot is done,
+    /// idle, inside its prelude or solo (see [`Horizon::Segment`]). Prelude
     /// robots take their ports; solo robots are called on their own
-    /// senses, round-major in robot order.
-    /// Positions, odometers, arrivals, the trace, termination records and
-    /// the run metrics end up exactly as stepping the segment would leave
-    /// them; rosters and bulletins are not touched, so the arenas are
-    /// marked stale for the next stepped round to rebuild.
+    /// senses, round-major in robot order; done and idle robots stay put
+    /// uncalled. Positions, odometers, arrivals, occupancy, the trace,
+    /// termination records and the run metrics end up exactly as stepping
+    /// the segment would leave them; no roster or bulletin is built.
     fn apply_segment(&mut self, end: u64) -> Result<(), RunError> {
         let start = self.round;
         let rounds = end - start;
         let local = start - self.epoch_base;
-        let Engine {
-            world,
-            controllers,
-            preludes,
-            config,
-            round,
-            arrivals,
-            metrics,
-            trace,
-            scratch,
-            telemetry,
-            ..
-        } = self;
         // The segment ends at the shortest remaining prelude, so the same
         // robots are called in every one of its rounds.
         let called = || {
-            controllers
+            self.controllers
                 .iter()
-                .zip(preludes.iter())
-                .filter(|(c, p)| !in_prelude(p, local) && !c.terminated())
-                .map(|(c, _)| c)
+                .zip(&self.preludes)
+                .zip(&self.scratch.intents)
+                .filter(|((_, p), &intent)| !in_prelude(p, local) && intent != Intent::Done)
+                .map(|((c, _), _)| c)
         };
         let subrounds = subrounds_at(called(), local);
         #[cfg(debug_assertions)]
@@ -752,104 +648,67 @@ impl<M: Clone> Engine<M> {
                 "the sub-round count changes inside a segment at round {r}"
             );
         }
-        let mut roles: Vec<(usize, Role<'_, M>)> = Vec::with_capacity(controllers.len());
-        let mut walkers = 0u64;
-        for (i, (c, p)) in controllers.iter_mut().zip(preludes.iter()).enumerate() {
+        // The robots that move: prelude robots and solo robots.
+        let mut movers = Vec::with_capacity(self.controllers.len());
+        let (mut walkers, mut solo) = (0u64, false);
+        for i in 0..self.controllers.len() {
             // A robot that stays keeps no arrival; prelude robots
-            // overwrite theirs every round below, and solo robots see the
+            // overwrite theirs every round, and solo robots see the
             // arrival their last stepped move left.
-            if in_prelude(p, local) {
+            if in_prelude(&self.preludes[i], local) {
                 walkers += 1;
-                roles.push((i, Role::Prelude(p.stretch(local as usize, rounds as usize))));
-            } else if c.terminated() || c.idle_until().is_some() {
-                arrivals[i] = None;
+            } else if matches!(self.scratch.intents[i], Intent::Solo(_)) {
+                solo = true;
             } else {
-                roles.push((i, Role::Solo(c)));
+                self.arrivals[i] = None;
+                continue;
             }
+            movers.push(i);
         }
-        let solo = roles.iter().any(|(_, role)| matches!(role, Role::Solo(_)));
         // Without solo robots or a trace to keep in order, the prelude
         // robots walk as cohorts; otherwise (and when an honest robot's
         // port is invalid) the stretch runs round-major, robot order
         // within a round, so the trace records events and the error names
         // the robot and round exactly as stepping would.
-        let cohorts = if solo || config.record_trace {
+        let cohorts = if solo || self.config.record_trace {
             None
         } else {
-            walk_cohorts(world, preludes, &roles, arrivals, local as usize, rounds)
+            self.walk_cohorts(local as usize, rounds)
         };
-        let (mut moved, walked) = cohorts.unwrap_or((0, walkers * rounds));
         let mut messages = 0u64;
         if cohorts.is_none() {
             for t in 0..rounds {
-                let round_now = start + t;
-                for (i, role) in roles.iter_mut() {
-                    let i = *i;
-                    let node = world.robot(i).position;
-                    let degree = world.graph().degree(node);
-                    let port = match role {
-                        Role::Prelude(ports) => ports[t as usize],
-                        Role::Solo(c) => {
-                            let mut obs = Observation {
-                                round: local + t,
-                                subround: 0,
-                                subrounds,
-                                degree,
-                                roster: &[],
-                                bulletin: &[],
-                                arrival: arrivals[i],
-                            };
-                            for sub in 0..subrounds {
-                                obs.subround = sub;
-                                if c.act(&obs).is_some() {
-                                    messages += 1;
-                                }
-                                obs.arrival = None;
+                for &i in &movers {
+                    let choice = if let Some(port) = self.preludes[i].port(local + t) {
+                        MoveChoice::Move(port)
+                    } else {
+                        let node = self.world.robot(i).position;
+                        let mut obs = Observation {
+                            round: local + t,
+                            subround: 0,
+                            subrounds,
+                            degree: self.world.graph().degree(node),
+                            roster: &[],
+                            bulletin: &[],
+                            arrival: self.arrivals[i],
+                        };
+                        let c = &mut self.controllers[i];
+                        for sub in 0..subrounds {
+                            obs.subround = sub;
+                            if c.act(&obs).is_some() {
+                                messages += 1;
                             }
-                            match c.decide_move(&obs) {
-                                MoveChoice::Move(port) => port,
-                                MoveChoice::Stay => {
-                                    arrivals[i] = None;
-                                    continue;
-                                }
-                            }
+                            obs.arrival = None;
                         }
+                        c.decide_move(&obs)
                     };
-                    if port >= degree {
-                        if world.robot(i).flavor == Flavor::Honest {
-                            *round = round_now;
-                            return Err(RunError::InvalidMove {
-                                robot: world.robot(i).id,
-                                node,
-                                port,
-                                degree,
-                            });
-                        }
-                        // Byzantine robots cannot teleport; clamp to Stay.
-                        arrivals[i] = None;
-                        continue;
-                    }
-                    let (exit_port, entry_port) = world.apply_move(i, port);
-                    arrivals[i] = Some(ArrivalInfo {
-                        exit_port,
-                        entry_port,
-                    });
-                    moved += 1;
-                    if config.record_trace {
-                        trace.events.push(Event::Moved {
-                            round: round_now,
-                            robot: world.robot(i).id,
-                            from: node,
-                            port,
-                            to: world.robot(i).position,
-                        });
-                    }
+                    self.apply_choice(i, choice, start + t)?;
                 }
             }
         }
-        metrics.messages += messages;
-        metrics.subrounds_executed += rounds * subrounds as u64;
-        if let Some(t) = telemetry.as_deref_mut() {
+        self.metrics.messages += messages;
+        self.metrics.subrounds_executed += rounds * subrounds as u64;
+        if let Some(t) = self.telemetry.as_deref_mut() {
             t.counters.ff_jumps += 1;
             if solo {
                 t.counters.rounds_solo += rounds;
@@ -857,23 +716,102 @@ impl<M: Clone> Engine<M> {
                 t.counters.rounds_scripted += rounds;
             }
             t.counters.subrounds += rounds * subrounds as u64;
-            t.counters.moves += moved;
-            t.counters.prelude_walked += walked;
+            t.counters.prelude_walked += cohorts.unwrap_or(walkers * rounds);
         }
-        scratch.ready = false;
-        *round = end;
+        self.round = end;
         self.log_terminations(end - 1);
         Ok(())
     }
 
-    /// Record `round` as the termination round of every robot reporting
-    /// terminated for the first time. Only robots whose prelude is behind
-    /// them after `round` are asked.
+    /// Walk the segment's prelude robots through epoch-local rounds
+    /// `local..local + rounds` in bulk: robots past their head that hold
+    /// one tail `Arc` and stand on one node form a cohort, which is walked
+    /// once and whose members then all land on its end node with its
+    /// moves and last arrival. A robot still in its head walks alone (the
+    /// segment ends where its head does). A Byzantine robot's invalid port
+    /// is clamped to a stay, as stepping would; an honest robot's makes
+    /// this return `None` with nothing changed, so the caller steps the
+    /// stretch per robot and raises the error at the exact robot and
+    /// round. Otherwise returns the prelude ports looked up (one per
+    /// cohort per round).
+    fn walk_cohorts(&mut self, local: usize, rounds: u64) -> Option<u64> {
+        /// One cohort: its ports, its node, whether it holds an honest robot,
+        /// and the tail it shares (`None` for a robot in its head).
+        struct Cohort<'a> {
+            ports: &'a [Port],
+            node: NodeId,
+            honest: bool,
+            tail: Option<*const Port>,
+        }
+        let mut cohorts: Vec<Cohort<'_>> = Vec::new();
+        let mut members: Vec<(usize, usize)> = Vec::new();
+        for (i, prelude) in self.preludes.iter().enumerate() {
+            if !in_prelude(prelude, local as u64) {
+                continue;
+            }
+            let slot = self.world.robot(i);
+            let honest = slot.flavor == Flavor::Honest;
+            // The tail is indexed by the round, so two robots in one tail
+            // are at one offset in it.
+            let tail = (local >= prelude.head_len()).then(|| Arc::as_ptr(prelude.tail()).cast());
+            let joined = tail.and_then(|tail| {
+                cohorts
+                    .iter()
+                    .position(|c| c.tail == Some(tail) && c.node == slot.position)
+            });
+            let c = match joined {
+                Some(c) => {
+                    cohorts[c].honest |= honest;
+                    c
+                }
+                None => {
+                    cohorts.push(Cohort {
+                        ports: prelude.stretch(local, rounds as usize),
+                        node: slot.position,
+                        honest,
+                        tail,
+                    });
+                    cohorts.len() - 1
+                }
+            };
+            members.push((i, c));
+        }
+        let graph = self.world.graph();
+        let mut ends = Vec::with_capacity(cohorts.len());
+        for c in &cohorts {
+            let (mut node, mut moves, mut arrival) = (c.node, 0u64, None);
+            for &port in c.ports {
+                if port >= graph.degree(node) {
+                    if c.honest {
+                        return None;
+                    }
+                    arrival = None;
+                    continue;
+                }
+                let (to, entry_port) = graph.neighbor(node, port);
+                arrival = Some(ArrivalInfo {
+                    exit_port: port,
+                    entry_port,
+                });
+                node = to;
+                moves += 1;
+            }
+            ends.push((node, moves, arrival));
+        }
+        for (i, c) in members {
+            let (node, moves, arrival) = ends[c];
+            self.land(i, node, moves, arrival);
+        }
+        Some(ends.len() as u64 * rounds)
+    }
+
+    /// Ask every robot its intent for the next round, and record `round`
+    /// (the one just run) as the termination round of every robot done
+    /// for the first time.
     fn log_terminations(&mut self, round: u64) {
-        let next = round + 1 - self.epoch_base;
+        self.ask();
         for i in 0..self.world.num_robots() {
-            let asked = !self.terminated_logged[i] && !self.walks(i, next);
-            if asked && self.controllers[i].terminated() {
+            if !self.terminated_logged[i] && self.scratch.intents[i] == Intent::Done {
                 self.terminated_logged[i] = true;
                 if self.config.record_trace {
                     let slot = self.world.robot(i);
@@ -891,137 +829,82 @@ impl<M: Clone> Engine<M> {
     /// movement. Runs entirely on the scratch arenas — the steady state
     /// allocates nothing.
     fn step(&mut self) -> Result<(), RunError> {
-        if !self.scratch.ready {
-            self.rebuild_scratch();
-        }
-        let nrobots = self.world.num_robots();
-        // Split borrows: every loop below borrows disjoint fields.
-        let Engine {
-            world,
-            controllers,
-            preludes,
-            longest_prelude,
-            config,
-            round,
-            epoch_base,
-            arrivals,
-            metrics,
-            trace,
-            scratch,
-            telemetry,
-            ..
-        } = self;
-        let Scratch {
-            at_node,
-            roster,
-            dirty,
-            dirty_nodes,
-            faking,
-            bulletins,
-            touched,
-            pending,
-            active,
-            choices,
-            ..
-        } = scratch;
-        let round_now = *round;
+        let (k, round) = (self.world.num_robots(), self.round);
         // Controllers live in *epoch-local* time: a cast seated by
         // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
-        // fresh run, so registry timelines and idle promises need no
-        // epoch awareness. The trace and telemetry keep the absolute
-        // clock. (`epoch_base` is 0 outside dynamic runs — the frames
-        // coincide.)
-        let local_round = round_now - *epoch_base;
+        // fresh run. The trace and telemetry keep the absolute clock.
+        let local = round - self.epoch_base;
         // Observability: `None` when disabled — every instrumentation site
-        // below is a branch on this local `Option` and nothing more. Close
-        // any phase boundary reached (single compare; crossings are rare,
-        // and fast-forward jumps close several at once).
-        let mut telem = telemetry.as_deref_mut();
+        // below is a branch on this `Option` and nothing more. Close any
+        // phase boundary reached (fast-forward jumps close several at once).
+        let mut telem = self.telemetry.as_deref_mut();
         if let Some(t) = telem.as_mut() {
-            if round_now >= t.next_mark {
-                t.on_round(round_now);
+            if round >= t.next_mark {
+                t.on_round(round);
             }
         }
-
-        // Active = called this round: not terminated and past its prelude.
-        // Terminated robots stay put silently and prelude robots walk
-        // their ports uncalled, but both are *physically* present (they
-        // appear in rosters). Once the longest prelude has ended this costs
-        // one compare per round.
-        let walking = local_round < *longest_prelude;
-        active.clear();
-        active.extend(
-            controllers
+        // Active = called this round: not done and past its prelude. Done
+        // robots stay put silently and prelude robots walk their ports
+        // uncalled, but both are *physically* present (they appear in
+        // rosters). Once the longest prelude has ended this costs one
+        // compare per robot.
+        let walking = local < self.longest_prelude;
+        let (world, controllers, s) = (&self.world, &mut self.controllers, &mut self.scratch);
+        s.active.clear();
+        s.active.extend(
+            self.preludes
                 .iter()
-                .zip(preludes.iter())
-                .map(|(c, p)| !(walking && in_prelude(p, local_round) || c.terminated())),
+                .zip(&s.intents)
+                .map(|(p, &intent)| !(walking && in_prelude(p, local) || intent == Intent::Done)),
         );
 
-        // Rosters: nodes whose occupancy changed last round are already in
-        // the dirty queue; nodes hosting ID-faking robots re-sort every
-        // round because their claimed IDs may have changed.
-        for &i in faking.iter() {
-            Scratch::<M>::mark_dirty(dirty, dirty_nodes, world.robot(i).position);
+        // Rosters: nodes whose occupancy changed since the last stepped
+        // round are already in the dirty queue; nodes hosting ID-faking
+        // robots re-sort every round because their claimed IDs may have
+        // changed.
+        for f in 0..s.faking.len() {
+            s.mark_dirty(world.robot(s.faking[f]).position);
         }
-        for &node in dirty_nodes.iter() {
-            let r = &mut roster[node];
+        for &node in &s.dirty_nodes {
+            let r = &mut s.roster[node];
             r.clear();
-            for &i in &at_node[node] {
-                let slot = world.robot(i);
-                r.push(if slot.flavor.can_fake_id() {
-                    controllers[i].claimed_id()
-                } else {
-                    slot.id
-                });
-            }
+            r.extend(
+                s.at_node[node]
+                    .iter()
+                    .map(|&i| shown_id(world, controllers, i)),
+            );
             r.sort_unstable();
-            dirty[node] = false;
-        }
-        if let Some(t) = telem.as_mut() {
-            t.counters.roster_resorts += dirty_nodes.len() as u64;
-            for &node in dirty_nodes.iter() {
-                let len = roster[node].len() as u64;
-                t.counters.roster_entries += len;
-                if len > t.counters.roster_hwm {
-                    t.counters.roster_hwm = len;
-                }
+            s.dirty[node] = false;
+            if let Some(t) = telem.as_mut() {
+                t.counters.roster_resorts += 1;
+                t.counters.roster_entries += r.len() as u64;
+                t.counters.roster_hwm = t.counters.roster_hwm.max(r.len() as u64);
             }
         }
-        dirty_nodes.clear();
+        s.dirty_nodes.clear();
 
         // Sub-round communication. Run as many sub-rounds as any active
         // robot requests (walking phases request 1, so this stays cheap).
-        let subrounds = subrounds_at(
-            controllers
-                .iter()
-                .zip(active.iter())
-                .filter_map(|(c, &a)| a.then_some(c)),
-            local_round,
-        );
+        let called = controllers.iter().zip(&s.active);
+        let subrounds = subrounds_at(called.filter_map(|(c, &a)| a.then_some(c)), local);
         for sub in 0..subrounds {
-            pending.clear();
-            for i in 0..nrobots {
-                if !active[i] {
+            for i in 0..k {
+                if !s.active[i] {
                     continue;
                 }
                 let node = world.robot(i).position;
                 let obs = Observation {
-                    round: local_round,
+                    round: local,
                     subround: sub,
                     subrounds,
                     degree: world.graph().degree(node),
-                    roster: &roster[node],
-                    bulletin: &bulletins[node],
-                    arrival: if sub == 0 { arrivals[i] } else { None },
+                    roster: &s.roster[node],
+                    bulletin: &s.bulletins[node],
+                    arrival: if sub == 0 { self.arrivals[i] } else { None },
                 };
                 if let Some(body) = controllers[i].act(&obs) {
-                    let slot = world.robot(i);
-                    let sender = if slot.flavor.can_fake_id() {
-                        controllers[i].claimed_id()
-                    } else {
-                        slot.id
-                    };
-                    pending.push((
+                    let sender = shown_id(world, controllers, i);
+                    s.pending.push((
                         node,
                         Publication {
                             sender,
@@ -1031,138 +914,84 @@ impl<M: Clone> Engine<M> {
                     ));
                 }
             }
-            metrics.messages += pending.len() as u64;
-            metrics.subrounds_executed += 1;
+            let held = s.pending.len() as u64;
+            self.metrics.messages += held;
+            self.metrics.subrounds_executed += 1;
             if let Some(t) = telem.as_mut() {
                 t.counters.subrounds += 1;
-                t.counters.bulletin_writes += pending.len() as u64;
-                t.counters.bulletin_reads += active.iter().filter(|&&a| a).count() as u64;
-                let held = pending.len() as u64;
-                if held > t.counters.bulletin_hwm {
-                    t.counters.bulletin_hwm = held;
-                }
+                t.counters.bulletin_writes += held;
+                t.counters.bulletin_reads += s.active.iter().filter(|&&a| a).count() as u64;
+                t.counters.bulletin_hwm = t.counters.bulletin_hwm.max(held);
             }
             // Flush after the loop: messages published in sub-round `s`
             // become visible in sub-round `s + 1`, never within `s`.
-            for (node, publication) in pending.drain(..) {
-                if bulletins[node].is_empty() {
-                    touched.push(node);
+            for (node, publication) in s.pending.drain(..) {
+                if s.bulletins[node].is_empty() {
+                    s.touched.push(node);
                 }
-                bulletins[node].push(publication);
-            }
-            // Skip remaining sub-rounds if the round has gone silent and no
-            // robot asked for more than one sub-round anyway.
-            if subrounds == 1 {
-                break;
+                s.bulletins[node].push(publication);
             }
         }
 
-        // Movement decisions, then simultaneous application.
-        choices.clear();
-        for i in 0..nrobots {
-            if !active[i] {
-                choices.push(MoveChoice::Stay);
-                continue;
-            }
-            let node = world.robot(i).position;
-            let obs = Observation {
-                round: local_round,
-                subround: subrounds.saturating_sub(1),
-                subrounds,
-                degree: world.graph().degree(node),
-                roster: &roster[node],
-                bulletin: &bulletins[node],
-                arrival: None,
+        // Movement: every robot decides on the rosters and bulletins the
+        // round started with (a move changes neither), so deciding and
+        // moving robot by robot is simultaneous movement.
+        for i in 0..k {
+            let prelude = if walking {
+                self.preludes[i].port(local)
+            } else {
+                None
             };
-            choices.push(controllers[i].decide_move(&obs));
-        }
-        if walking {
-            for (choice, p) in choices.iter_mut().zip(preludes.iter()) {
-                if let Some(port) = p.port(local_round) {
-                    *choice = MoveChoice::Move(port);
+            let choice = match prelude {
+                Some(port) => MoveChoice::Move(port),
+                None if !self.scratch.active[i] => MoveChoice::Stay,
+                None => {
+                    let slot = self.world.robot(i);
+                    let s = &self.scratch;
+                    let obs = Observation {
+                        round: local,
+                        subround: subrounds.saturating_sub(1),
+                        subrounds,
+                        degree: self.world.graph().degree(slot.position),
+                        roster: &s.roster[slot.position],
+                        bulletin: &s.bulletins[slot.position],
+                        arrival: None,
+                    };
+                    let choice = self.controllers[i].decide_move(&obs);
+                    if choice == MoveChoice::Stay && self.config.record_trace {
+                        let (robot, at) = (slot.id, slot.position);
+                        self.trace.events.push(Event::Stayed { round, robot, at });
+                    }
+                    choice
                 }
-            }
+            };
+            self.apply_choice(i, choice, round)?;
         }
-
-        for i in 0..nrobots {
-            let node = world.robot(i).position;
-            let degree = world.graph().degree(node);
-            match choices[i] {
-                MoveChoice::Stay => {
-                    arrivals[i] = None;
-                    if config.record_trace && active[i] {
-                        trace.events.push(Event::Stayed {
-                            round: round_now,
-                            robot: world.robot(i).id,
-                            at: node,
-                        });
-                    }
-                }
-                MoveChoice::Move(port) => {
-                    if port >= degree {
-                        if world.robot(i).flavor == Flavor::Honest {
-                            return Err(RunError::InvalidMove {
-                                robot: world.robot(i).id,
-                                node,
-                                port,
-                                degree,
-                            });
-                        }
-                        // Byzantine robots cannot teleport; clamp to Stay.
-                        arrivals[i] = None;
-                        continue;
-                    }
-                    let (exit_port, entry_port) = world.apply_move(i, port);
-                    arrivals[i] = Some(ArrivalInfo {
-                        exit_port,
-                        entry_port,
-                    });
-                    let to = world.robot(i).position;
-                    // Incremental occupancy update: only the two endpoint
-                    // rosters go stale.
-                    let from_list = &mut at_node[node];
-                    let pos = from_list
-                        .iter()
-                        .position(|&r| r == i)
-                        .expect("robot indexed at its node");
-                    from_list.swap_remove(pos);
-                    at_node[to].push(i);
-                    Scratch::<M>::mark_dirty(dirty, dirty_nodes, node);
-                    Scratch::<M>::mark_dirty(dirty, dirty_nodes, to);
-                    if let Some(t) = telem.as_mut() {
-                        t.counters.moves += 1;
-                        t.counters.dirty_marks += 2;
-                    }
-                    if config.record_trace {
-                        trace.events.push(Event::Moved {
-                            round: round_now,
-                            robot: world.robot(i).id,
-                            from: node,
-                            port,
-                            to,
-                        });
-                    }
-                }
-            }
-        }
-
         // Reset the bulletins through the touched list (O(publishing
         // nodes), not O(n)) so the next round starts clean.
-        if let Some(t) = telem.as_mut() {
-            t.counters.bulletin_clears += touched.len() as u64;
+        let s = &mut self.scratch;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.counters.bulletin_clears += s.touched.len() as u64;
             t.counters.rounds_stepped += 1;
-            let depth = dirty_nodes.len() as u64;
-            if depth > t.counters.dirty_hwm {
-                t.counters.dirty_hwm = depth;
-            }
+            t.counters.dirty_hwm = t.counters.dirty_hwm.max(s.dirty_nodes.len() as u64);
         }
-        for node in touched.drain(..) {
-            bulletins[node].clear();
+        for node in s.touched.drain(..) {
+            s.bulletins[node].clear();
         }
-
-        *round += 1;
-        self.log_terminations(round_now);
+        self.round += 1;
+        self.log_terminations(round);
         Ok(())
+    }
+}
+
+/// The ID robot `i` shows in rosters and on the bulletin: the one its
+/// controller claims when its flavor may fake IDs, else its true one.
+fn shown_id<M>(world: &World, controllers: &[Box<dyn Controller<M>>], i: usize) -> RobotId {
+    let slot = world.robot(i);
+    if slot.flavor.can_fake_id() {
+        controllers[i].claimed_id()
+    } else {
+        slot.id
     }
 }
 
@@ -1197,8 +1026,17 @@ mod tests {
                 MoveChoice::Stay
             }
         }
-        fn terminated(&self) -> bool {
-            self.step >= self.script.len()
+        fn intent(&self, _round: u64) -> Intent {
+            done_if(self.step >= self.script.len())
+        }
+    }
+
+    /// `Done` if `done`, else `Act`.
+    fn done_if(done: bool) -> Intent {
+        if done {
+            Intent::Done
+        } else {
+            Intent::Act
         }
     }
 
@@ -1240,8 +1078,8 @@ mod tests {
             self.calls.set(self.calls.get() + 1);
             MoveChoice::Stay
         }
-        fn terminated(&self) -> bool {
-            self.calls.get() >= self.rounds
+        fn intent(&self, _round: u64) -> Intent {
+            done_if(self.calls.get() >= self.rounds)
         }
         fn prelude(&self) -> Prelude {
             self.prelude.clone()
@@ -1285,11 +1123,11 @@ mod tests {
         fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
             MoveChoice::Stay
         }
-        fn terminated(&self) -> bool {
-            self.woke.get().is_some()
-        }
-        fn idle_until(&self) -> Option<u64> {
-            self.woke.get().is_none().then_some(self.wake)
+        fn intent(&self, _round: u64) -> Intent {
+            match self.woke.get() {
+                Some(_) => Intent::Done,
+                None => Intent::Idle(self.wake),
+            }
         }
     }
 
@@ -1344,13 +1182,14 @@ mod tests {
             self.next = obs.round + 1;
             MoveChoice::Move((obs.round as usize + self.entry) % obs.degree)
         }
-        fn terminated(&self) -> bool {
-            self.next > self.last
-        }
-        fn solo_until(&self) -> Option<u64> {
-            (self.solo.0..self.solo.1)
-                .contains(&self.next)
-                .then_some(self.solo.1)
+        fn intent(&self, round: u64) -> Intent {
+            if self.next > self.last {
+                Intent::Done
+            } else if (self.solo.0..self.solo.1).contains(&round) {
+                Intent::Solo(self.solo.1)
+            } else {
+                Intent::Act
+            }
         }
     }
 
@@ -1381,8 +1220,8 @@ mod tests {
             self.rounds += 1;
             MoveChoice::Stay
         }
-        fn terminated(&self) -> bool {
-            self.rounds >= 1
+        fn intent(&self, _round: u64) -> Intent {
+            done_if(self.rounds >= 1)
         }
     }
 
@@ -1599,8 +1438,7 @@ mod tests {
                 step: 0,
             }),
         );
-        e.step().unwrap();
-        e.step().unwrap();
+        assert!(!e.run_epoch(2).unwrap().terminated);
         // Robot 2 leaves; a newcomer joins on node 5.
         e.apply_world_event(WorldEvent::Leave { id: RobotId(2) })
             .unwrap();
@@ -1618,8 +1456,7 @@ mod tests {
         let swap = std::sync::Arc::new(oriented_ring(6).unwrap());
         e.apply_world_event(WorldEvent::Graph { graph: swap })
             .unwrap();
-        e.step().unwrap();
-        e.step().unwrap();
+        assert!(e.run_epoch(4).unwrap().terminated);
         // Seating order after the churn: robot 1 (walked 4 steps from 0),
         // robot 3 (walked 1 step from 5).
         assert_eq!(e.world().positions(), vec![4, 0]);
@@ -1804,8 +1641,8 @@ mod tests {
                 self.done = true;
                 MoveChoice::Stay
             }
-            fn terminated(&self) -> bool {
-                self.done
+            fn intent(&self, _round: u64) -> Intent {
+                done_if(self.done)
             }
         }
         let g = ring(4).unwrap();
@@ -1939,6 +1776,60 @@ mod tests {
         // fast-forwarding one applies the preludes as segments.
         assert_eq!((fast.calls, stepped.calls), ((1, 1), (1, 1)));
         assert_eq!((fast.rounds_scripted, stepped.rounds_scripted), (4, 0));
+    }
+
+    /// Idle until round `wake`; then logs the roster it is handed and
+    /// terminates. (Stepping calls it before `wake` too.)
+    struct Watcher {
+        wake: u64,
+        roster: Rc<RefCell<Option<Vec<RobotId>>>>,
+    }
+
+    impl Controller<String> for Watcher {
+        fn id(&self) -> RobotId {
+            RobotId(9)
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            if obs.round >= self.wake {
+                self.roster.replace(Some(obs.roster.to_vec()));
+            }
+            None
+        }
+        fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
+            MoveChoice::Stay
+        }
+        fn intent(&self, _round: u64) -> Intent {
+            match *self.roster.borrow() {
+                Some(_) => Intent::Done,
+                None => Intent::Idle(self.wake),
+            }
+        }
+    }
+
+    #[test]
+    fn segments_keep_occupancy_current() {
+        // On node 3 of an oriented ring, a watcher idle until round 3 sees
+        // the roster of the first stepped round: robot 1 walked in by a
+        // three-port prelude and robot 2 walked out by a one-port prelude
+        // (then terminated), both in segments.
+        let roster_at_wake = |config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(oriented_ring(7).unwrap(), config);
+            record(&mut e);
+            e.add_robot(Flavor::Honest, 0, Box::new(Preluded::new(1, vec![0; 3], 1)));
+            e.add_robot(Flavor::Honest, 3, Box::new(Preluded::new(2, vec![0], 0)));
+            let roster = Rc::default();
+            let watcher = Watcher {
+                wake: 3,
+                roster: Rc::clone(&roster),
+            };
+            e.add_robot(Flavor::Honest, 3, Box::new(watcher));
+            e.run_epoch(u64::MAX).unwrap();
+            (roster.take(), rounds_scripted(&mut e))
+        };
+        let bulk = roster_at_wake(EngineConfig::default());
+        assert_eq!(bulk, (Some(vec![RobotId(1), RobotId(9)]), 3));
+        let stepped = roster_at_wake(EngineConfig::default().without_fast_forward());
+        assert_eq!(bulk.0, stepped.0);
     }
 
     #[test]
@@ -2126,6 +2017,79 @@ mod tests {
             woke_at(EngineConfig::default().with_ff_overshoot(1)),
             Some(4)
         );
+    }
+
+    /// Counts the [`Controller::intent`] calls of the controller it wraps.
+    struct Counted {
+        inner: Box<dyn Controller<String>>,
+        asked: Rc<Cell<u64>>,
+    }
+
+    impl Controller<String> for Counted {
+        fn id(&self) -> RobotId {
+            self.inner.id()
+        }
+        fn subrounds_wanted(&self, round: u64) -> usize {
+            self.inner.subrounds_wanted(round)
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            self.inner.act(obs)
+        }
+        fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+            self.inner.decide_move(obs)
+        }
+        fn intent(&self, round: u64) -> Intent {
+            self.asked.set(self.asked.get() + 1);
+            self.inner.intent(round)
+        }
+        fn prelude(&self) -> Prelude {
+            self.inner.prelude()
+        }
+    }
+
+    #[test]
+    fn each_robot_is_asked_once_per_loop_iteration() {
+        // An actor walking two ports, a robot walking a five-port prelude,
+        // a roamer solo in rounds 3-8 and a sleeper idle until 14: the
+        // engine steps rounds 0-2, 5 and 9-11, applies the segments [3, 5)
+        // and [6, 9), skips [12, 14) and steps round 14.
+        let g = ring(7).unwrap();
+        let mut e: Engine<String> = Engine::new(g, EngineConfig::default());
+        record(&mut e);
+        let actor = Walker {
+            id: RobotId(1),
+            script: vec![0, 1],
+            step: 0,
+        };
+        let cast: [(Flavor, Box<dyn Controller<String>>); 4] = [
+            (Flavor::Honest, Box::new(actor)),
+            (Flavor::Honest, Box::new(Preluded::new(2, vec![0; 5], 1))),
+            (Flavor::WeakByzantine, Box::new(Roamer::new(3, (3, 9), 11))),
+            (Flavor::Honest, Box::new(Sleeper::new(4, 14, 1))),
+        ];
+        let mut asked = Vec::new();
+        for (node, (flavor, inner)) in cast.into_iter().enumerate() {
+            let counted = Counted {
+                inner,
+                asked: Rc::default(),
+            };
+            asked.push(Rc::clone(&counted.asked));
+            e.add_robot(flavor, 2 * node, Box::new(counted));
+        }
+        let out = e.run_epoch(u64::MAX).unwrap();
+        assert_eq!(out.metrics.rounds, 15);
+        let c = e.telemetry.take().expect("recorder").counters;
+        assert_eq!(
+            (c.rounds_stepped, c.rounds_solo, c.rounds_skipped),
+            (8, 5, 2)
+        );
+        // One ask when the epoch starts, then one after each step, segment
+        // and skip: the loop's iterations. The prelude walker is not asked
+        // while the next round is inside its prelude: at the start and
+        // after steps 0-2.
+        let iterations = 1 + c.rounds_stepped + c.ff_jumps;
+        let asked: Vec<u64> = asked.iter().map(|a| a.get()).collect();
+        assert_eq!(asked, [iterations, iterations - 4, iterations, iterations]);
     }
 
     /// `len` ports that lead from `from` to `to` on `g`, found by trying

@@ -38,11 +38,6 @@ pub enum Flavor {
 }
 
 impl Flavor {
-    /// True for either Byzantine flavor.
-    pub fn is_byzantine(self) -> bool {
-        !matches!(self, Flavor::Honest)
-    }
-
     /// True if the engine lets this robot choose its claimed ID.
     pub fn can_fake_id(self) -> bool {
         matches!(self, Flavor::StrongByzantine)
@@ -93,8 +88,6 @@ mod tests {
 
     #[test]
     fn flavor_predicates() {
-        assert!(!Flavor::Honest.is_byzantine());
-        assert!(Flavor::WeakByzantine.is_byzantine());
         assert!(!Flavor::WeakByzantine.can_fake_id());
         assert!(Flavor::StrongByzantine.can_fake_id());
     }

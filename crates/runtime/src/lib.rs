@@ -35,61 +35,22 @@
 //! through a touched list. The steady-state round performs **zero heap
 //! allocation**; see the `engine` module docs for the layout.
 //!
-//! ## The idle-fast-forward contract
+//! ## Fast-forward: one question per robot
 //!
-//! [`controller::Controller::idle_until`] lets a controller promise that
-//! skipping its `act`/`decide_move` calls until a given round changes
-//! nothing observable. When **every** active robot reports a horizon the
-//! engine jumps straight to the earliest one ([`EngineConfig::fast_forward`]
-//! gates this; [`metrics::RunMetrics::rounds_skipped`] records it). Because
-//! only all-idle rounds are skipped, no skipped round has a bulletin
-//! reader — which is what makes the promise checkable locally: a robot
-//! need only guarantee it would neither move nor read. Honest controllers
-//! derive horizons from their phase timelines; adversary controllers
-//! declare horizons consistent with their strategy (see
-//! `bd-dispersion`'s `adversaries` module for the burst-grid design).
-//! Measured rounds are timeline-derived, so fast-forwarding never drifts
-//! them — the determinism suite replays scenarios with the feature
-//! disabled and asserts bit-identical trajectories.
-//!
-//! ## Preludes
-//!
-//! The paper's communication-free walks (Theorem 1's `Find-Map`, the
-//! gathering walk of Theorems 2, 5 and 7) are data, not behaviour:
-//! [`controller::Controller::prelude`] hands the engine the ports a robot
-//! leaves through in epoch-local rounds `0..len`. The engine reads it once
-//! when it seats the robot and from then on owns the walk: inside its
-//! prelude the robot moves through those ports and its controller is not
-//! called, so it reads nothing, publishes nothing and requests no
-//! sub-rounds. Stepped rounds (and the oracle engine, which restates the
-//! rule naively) take the prelude's port as the robot's move. When every
-//! active robot is idle past the current round or inside its prelude, the
-//! engine applies the stretch as a *segment*: positions, odometers,
-//! arrivals and trace `Moved` events advance per move, with no roster,
-//! bulletin or per-robot dispatch. A [`controller::Prelude`] is a short
-//! head of the robot's own and then a tail indexed by the round, shared by
-//! robots whose walks merged: robots past their head on one tail and one
-//! node form a cohort, and the engine walks the tail once per cohort. Segment rounds count as executed
-//! rounds in [`metrics::RunMetrics`] (with the segment's sub-round count,
-//! not skipped), so metrics equal a stepped run's;
-//! `EngineCounters::rounds_scripted` counts them. Like skipping, segments
-//! run only under [`EngineConfig::fast_forward`] and honour
-//! `ff_overshoot`.
-//!
-//! ## Solo robots
-//!
-//! The other promise, [`controller::Controller::solo_until`], covers a
-//! robot that keeps deciding but reads only its own senses (round,
-//! sub-round, degree, arrival — never the roster or the bulletin) and
-//! whose publications need no reader: this reproduction's roaming
-//! adversaries in mid-burst while every honest robot waits out a
-//! map-finding window. A segment also runs when some active robots are
-//! solo: the engine calls each solo robot's `act` once per sub-round and
-//! then `decide_move`, on an observation with an empty roster and
-//! bulletin, round-major in robot order, and still builds no roster or
-//! bulletin and calls no idle robot. The segment ends at the earliest
-//! solo horizon too; its messages count in `RunMetrics`, and
-//! `EngineCounters::rounds_solo` counts its rounds.
+//! Rounds that need no stepping are not stepped. The engine asks every
+//! robot one question, [`controller::Controller::intent`]: done, idle
+//! until a round, solo (deciding on its own senses only) until a round,
+//! or acting. The paper's communication-free walks (Theorem 1's
+//! `Find-Map`, the gathering walk of Theorems 2, 5 and 7) are data
+//! instead: [`controller::Controller::prelude`] hands the engine the ports
+//! a robot leaves through in its first rounds, and the engine walks them
+//! without calling the robot. From the answers and the preludes the
+//! engine skips all-idle stretches and applies stretches of idle, walking
+//! and solo robots in bulk, with no roster or bulletin; measured rounds
+//! and every `RunMetrics` field equal a stepped run's, and the
+//! determinism suite replays scenarios with
+//! [`EngineConfig::fast_forward`] off to check that. The contract is
+//! documented once, on [`controller::Intent`].
 //!
 //! ## Instrumentation
 //!
@@ -112,7 +73,7 @@ pub mod trace;
 pub mod world;
 
 pub use config::EngineConfig;
-pub use controller::{Controller, MoveChoice, Prelude};
+pub use controller::{Controller, Intent, MoveChoice, Prelude};
 pub use engine::{Engine, EpochOutcome, WorldEvent};
 pub use error::RunError;
 pub use ids::{Flavor, RobotId};

@@ -57,11 +57,6 @@ impl<'a, M> Observation<'a, M> {
     pub fn from_sender(&self, id: RobotId) -> impl Iterator<Item = &Publication<M>> + '_ {
         self.bulletin.iter().filter(move |p| p.sender == id)
     }
-
-    /// Number of co-located robots (including self).
-    pub fn colocated_count(&self) -> usize {
-        self.roster.len()
-    }
 }
 
 #[cfg(test)]
@@ -99,6 +94,5 @@ mod tests {
         };
         let bodies: Vec<_> = obs.from_sender(RobotId(1)).map(|p| p.body).collect();
         assert_eq!(bodies, vec!["a", "c"]);
-        assert_eq!(obs.colocated_count(), 2);
     }
 }

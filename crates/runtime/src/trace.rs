@@ -137,16 +137,13 @@ impl Trace {
             }
         }
     }
-    /// All events of one robot, in order.
-    pub fn of_robot(&self, id: RobotId) -> impl Iterator<Item = &Event> + '_ {
-        self.events.iter().filter(move |e| e.robot() == id)
-    }
-
     /// The per-round move decisions of one robot: `Some(port)` when it
     /// moved, `None` when it stayed. Index 0 is the robot's first recorded
     /// round. Used by the replay adversary of Theorem 8.
     pub fn move_script(&self, id: RobotId) -> Vec<Option<Port>> {
-        self.of_robot(id)
+        self.events
+            .iter()
+            .filter(|e| e.robot() == id)
             .filter_map(|e| match *e {
                 Event::Moved { port, .. } => Some(Some(port)),
                 Event::Stayed { .. } => Some(None),

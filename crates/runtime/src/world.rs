@@ -1,7 +1,7 @@
 //! Physical state of the simulation: who is where on the graph.
 
 use crate::ids::{Flavor, RobotId};
-use bd_graphs::{NodeId, Port, PortGraph};
+use bd_graphs::{NodeId, PortGraph};
 use std::sync::Arc;
 
 /// One robot's physical record.
@@ -61,11 +61,6 @@ impl World {
         &self.graph
     }
 
-    /// A shared handle to the graph (O(1), no copy).
-    pub fn graph_handle(&self) -> Arc<PortGraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// Number of robots.
     pub fn num_robots(&self) -> usize {
         self.robots.len()
@@ -79,19 +74,6 @@ impl World {
     /// Slot of robot `i` (setup index).
     pub fn robot(&self, i: usize) -> &RobotSlot {
         &self.robots[i]
-    }
-
-    /// Apply a move for robot `i` through `port`. Returns the
-    /// `(exit_port, entry_port)` pair the robot learns.
-    ///
-    /// Invalid ports are a *robot* error, not a simulator error: the paper's
-    /// model has no such move, so the engine validates before calling this.
-    pub fn apply_move(&mut self, i: usize, port: Port) -> (Port, Port) {
-        let from = self.robots[i].position;
-        let (to, entry) = self.graph.neighbor(from, port);
-        self.robots[i].position = to;
-        self.robots[i].moves += 1;
-        (port, entry)
     }
 
     /// Put robot `i` on `node` at the end of a walk of `moves` edge
@@ -142,19 +124,6 @@ impl World {
     pub fn positions(&self) -> Vec<NodeId> {
         self.robots.iter().map(|r| r.position).collect()
     }
-
-    /// Nodes occupied by at least one honest robot, with the honest robots
-    /// on each (used by the dispersion verifier).
-    pub fn honest_occupancy(&self) -> Vec<(NodeId, Vec<RobotId>)> {
-        let mut per_node: std::collections::BTreeMap<NodeId, Vec<RobotId>> =
-            std::collections::BTreeMap::new();
-        for r in &self.robots {
-            if r.flavor == Flavor::Honest {
-                per_node.entry(r.position).or_default().push(r.id);
-            }
-        }
-        per_node.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -173,15 +142,9 @@ mod tests {
             ],
         );
         assert_eq!(w.positions(), vec![0, 2]);
-        let (exit, entry) = w.apply_move(0, 0);
-        assert_eq!(exit, 0);
-        assert_eq!(w.robot(0).position, 1);
-        assert_eq!(w.robot(0).moves, 1);
-        // Ring built by insertion order: edge (0,1) has port 0 on both sides
-        // for node 0 -> 1? Entry port is whatever the graph says; verify
-        // consistency instead of hardcoding.
-        let g = w.graph().clone();
-        assert_eq!(g.neighbor(1, entry), (0, 0));
+        w.relocate(0, 3, 2);
+        assert_eq!((w.robot(0).position, w.robot(0).moves), (3, 2));
+        assert_eq!(w.positions(), vec![3, 2]);
     }
 
     #[test]
@@ -189,22 +152,5 @@ mod tests {
     fn bad_placement_panics() {
         let g = ring(4).unwrap();
         let _ = World::new(g, vec![(RobotId(1), Flavor::Honest, 9)]);
-    }
-
-    #[test]
-    fn honest_occupancy_ignores_byzantine() {
-        let g = ring(6).unwrap();
-        let w = World::new(
-            g,
-            vec![
-                (RobotId(1), Flavor::Honest, 3),
-                (RobotId(2), Flavor::StrongByzantine, 3),
-                (RobotId(3), Flavor::Honest, 3),
-            ],
-        );
-        let occ = w.honest_occupancy();
-        assert_eq!(occ.len(), 1);
-        assert_eq!(occ[0].0, 3);
-        assert_eq!(occ[0].1, vec![RobotId(1), RobotId(3)]);
     }
 }

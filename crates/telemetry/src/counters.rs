@@ -52,7 +52,7 @@ pub struct EngineCounters {
     /// [`EngineCounters::ff_jumps`].
     pub rounds_scripted: u64,
     /// Rounds applied in bulk as segments in which at least one robot is
-    /// solo (see `Controller::solo_until` in `bd-runtime`); each segment
+    /// solo (see `Intent::Solo` in `bd-runtime`); each segment
     /// also counts one [`EngineCounters::ff_jumps`].
     pub rounds_solo: u64,
     /// Prelude ports the engine looked up inside segments: one per cohort
@@ -77,7 +77,7 @@ impl EngineCounters {
     /// The change since `mark`: cumulative fields subtract; high-water
     /// marks carry the *current* (cumulative) maximum, since a maximum
     /// has no meaningful delta.
-    pub fn delta_since(&self, mark: &EngineCounters) -> EngineCounters {
+    pub(crate) fn delta_since(&self, mark: &EngineCounters) -> EngineCounters {
         EngineCounters {
             moves: self.moves - mark.moves,
             bulletin_writes: self.bulletin_writes - mark.bulletin_writes,

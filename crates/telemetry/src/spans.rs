@@ -158,7 +158,7 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 
 /// Render one event as a Chrome trace event JSON object (no trailing
 /// newline).
-pub fn to_json(event: &SpanEvent) -> String {
+pub(crate) fn to_json(event: &SpanEvent) -> String {
     let mut line = String::with_capacity(96);
     line.push_str("{\"name\":\"");
     escape_into(&mut line, &event.name);
