@@ -200,14 +200,15 @@ pub trait Controller<M> {
 /// # What the engine does with the answers
 ///
 /// [`Intent::Done`] always counts: the run (or epoch) ends once every
-/// honest robot is done, and a done robot is never called again. The
-/// other promises are used only under `EngineConfig::fast_forward`:
+/// honest robot is done, and a done robot's round methods are never
+/// called again. The other promises are used only under
+/// `EngineConfig::fast_forward`:
 ///
 /// * **Skip.** When no robot is inside its prelude and every robot is
-///   done or idle, the engine jumps the clock to the earliest idle horizon, calling no one;
-///   `RunMetrics::rounds_skipped` counts the jump. No robot acts in a
-///   skipped round, so no bulletin of one has a reader, which is what
-///   makes [`Intent::Idle`] checkable locally.
+///   done or idle, the engine jumps the clock to the earliest idle
+///   horizon, calling no one; `RunMetrics::rounds_skipped` counts the
+///   jump. No robot acts in a skipped round, so no bulletin of one has a
+///   reader, which is what makes [`Intent::Idle`] checkable locally.
 /// * **Segment.** When every robot is done, idle, inside its prelude or
 ///   solo, and at least one is not idle, the engine applies the stretch in
 ///   bulk. It ends at the shortest remaining prelude or prelude head, the

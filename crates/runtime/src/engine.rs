@@ -26,7 +26,8 @@
 //! (`Engine::apply_segment`) as the [`Intent`] contract describes. Every
 //! move, stepped or in bulk, goes through one routine
 //! (`Engine::apply_choice`, or `Engine::land` for a cohort's bulk walk),
-//! which keeps occupancy and the dirty list current, so switching between
+//! and `Engine::reindex` keeps occupancy and the dirty list current after
+//! every stepped move and at every segment's end, so switching between
 //! segments and stepped rounds rebuilds nothing.
 //!
 //! # Dynamic worlds: events and epochs
@@ -554,24 +555,33 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Put robot `i` on `to` after `moves` edge traversals, the last
-    /// leaving `arrival`: the one place a robot's position, odometer,
-    /// arrival and occupancy change.
+    /// leaving `arrival`: the one place a robot's position, odometer and
+    /// arrival change. The occupancy index follows in [`Engine::reindex`].
     fn land(&mut self, i: usize, to: NodeId, moves: u64, arrival: Option<ArrivalInfo>) {
-        let from = self.world.robot(i).position;
         self.world.relocate(i, to, moves);
         self.arrivals[i] = arrival;
-        if from != to {
-            // Only the two endpoint rosters go stale.
-            let s = &mut self.scratch;
-            let at = s.at_node[from].iter().position(|&r| r == i);
-            s.at_node[from].swap_remove(at.expect("robot indexed at its node"));
-            s.at_node[to].push(i);
-            s.mark_dirty(from);
-            s.mark_dirty(to);
-        }
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.counters.moves += moves;
-            t.counters.dirty_marks += if from != to { 2 } else { 0 };
+        }
+    }
+
+    /// Move robot `i`, which stood on `from`, to its current node in the
+    /// occupancy index: only those two rosters go stale. A stepped round
+    /// reindexes every robot it moves; a segment, which reads no roster,
+    /// reindexes each robot it moved once, at its end.
+    fn reindex(&mut self, i: usize, from: NodeId) {
+        let to = self.world.robot(i).position;
+        if from == to {
+            return;
+        }
+        let s = &mut self.scratch;
+        let at = s.at_node[from].iter().position(|&r| r == i);
+        s.at_node[from].swap_remove(at.expect("robot indexed at its node"));
+        s.at_node[to].push(i);
+        s.mark_dirty(from);
+        s.mark_dirty(to);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.counters.dirty_marks += 2;
         }
     }
 
@@ -648,7 +658,7 @@ impl<M: Clone> Engine<M> {
                 "the sub-round count changes inside a segment at round {r}"
             );
         }
-        // The robots that move: prelude robots and solo robots.
+        // The robots that move, prelude and solo ones, with their nodes.
         let mut movers = Vec::with_capacity(self.controllers.len());
         let (mut walkers, mut solo) = (0u64, false);
         for i in 0..self.controllers.len() {
@@ -663,7 +673,7 @@ impl<M: Clone> Engine<M> {
                 self.arrivals[i] = None;
                 continue;
             }
-            movers.push(i);
+            movers.push((i, self.world.robot(i).position));
         }
         // Without solo robots or a trace to keep in order, the prelude
         // robots walk as cohorts; otherwise (and when an honest robot's
@@ -678,7 +688,7 @@ impl<M: Clone> Engine<M> {
         let mut messages = 0u64;
         if cohorts.is_none() {
             for t in 0..rounds {
-                for &i in &movers {
+                for &(i, _) in &movers {
                     let choice = if let Some(port) = self.preludes[i].port(local + t) {
                         MoveChoice::Move(port)
                     } else {
@@ -705,6 +715,9 @@ impl<M: Clone> Engine<M> {
                     self.apply_choice(i, choice, start + t)?;
                 }
             }
+        }
+        for (i, from) in movers {
+            self.reindex(i, from);
         }
         self.metrics.messages += messages;
         self.metrics.subrounds_executed += rounds * subrounds as u64;
@@ -965,7 +978,9 @@ impl<M: Clone> Engine<M> {
                     choice
                 }
             };
+            let from = self.world.robot(i).position;
             self.apply_choice(i, choice, round)?;
+            self.reindex(i, from);
         }
         // Reset the bulletins through the touched list (O(publishing
         // nodes), not O(n)) so the next round starts clean.
