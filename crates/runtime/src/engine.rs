@@ -101,7 +101,7 @@ impl<M: Clone> Scratch<M> {
             touched: Vec::new(),
             pending: Vec::new(),
             intents: vec![Intent::Act; k],
-            active: Vec::new(),
+            active: vec![false; k],
             all_done: false,
             horizon: Horizon::Step,
         }
@@ -142,11 +142,6 @@ fn subrounds_at<'a, M: 'a>(
         .max()
         .unwrap_or(1)
         .max(1)
-}
-
-/// Whether epoch-local `round` lies inside `prelude`.
-fn in_prelude(prelude: &Prelude, round: u64) -> bool {
-    round < prelude.len() as u64
 }
 
 /// A mid-run mutation of the simulated world, applied between rounds via
@@ -236,11 +231,7 @@ impl<M: Clone> Engine<M> {
             metrics: RunMetrics::default(),
             trace: Trace::default(),
             scratch: Scratch::new(0, 0),
-            telemetry: if bd_telemetry::counters_enabled() {
-                Some(EngineTelemetry::new(Vec::new()))
-            } else {
-                None
-            },
+            telemetry: bd_telemetry::counters_enabled().then(|| EngineTelemetry::new(Vec::new())),
         }
     }
 
@@ -397,14 +388,10 @@ impl<M: Clone> Engine<M> {
         let mut s = Scratch::new(self.world.graph().n(), self.world.num_robots());
         for (i, robot) in self.world.robots().iter().enumerate() {
             s.at_node[robot.position].push(i);
+            // Every occupied node needs an initial roster.
+            s.mark_dirty(robot.position);
             if robot.flavor.can_fake_id() {
                 s.faking.push(i);
-            }
-        }
-        // Every occupied node needs an initial roster.
-        for node in 0..s.at_node.len() {
-            if !s.at_node[node].is_empty() {
-                s.mark_dirty(node);
             }
         }
         self.scratch = s;
@@ -431,37 +418,39 @@ impl<M: Clone> Engine<M> {
         let local = self.round - base;
         let (mut idle, mut busy, mut step, mut all_done) = (u64::MAX, None, false, true);
         for i in 0..self.controllers.len() {
-            // The round a walking or solo robot stops being either.
-            let (intent, until) = if self.walks(i, local) {
-                // A segment never crosses a head's end, so inside one every
-                // prelude robot walks its head or its tail.
-                let p = &self.preludes[i];
-                let head = p.head_len() as u64;
-                (
-                    Intent::Act,
-                    Some(if local < head { head } else { p.len() as u64 }),
-                )
+            let walks = self.walks(i, local);
+            let intent = if walks {
+                Intent::Act
             } else {
-                let intent = self.controllers[i].intent(local);
-                let until = match intent {
-                    Intent::Solo(r) if r > local => Some(r),
-                    Intent::Idle(r) => {
-                        idle = idle.min(r);
-                        None
-                    }
-                    Intent::Done => None,
-                    _ => {
-                        step = true;
-                        None
-                    }
-                };
-                (intent, until)
+                self.controllers[i].intent(local)
             };
-            if let Some(until) = until {
-                busy = Some(busy.map_or(until, |b: u64| b.min(until)));
-            }
-            all_done &= intent == Intent::Done || self.world.robot(i).flavor != Flavor::Honest;
             self.scratch.intents[i] = intent;
+            all_done &= intent == Intent::Done || self.world.robot(i).flavor != Flavor::Honest;
+            // The round a walking or solo robot stops being either. A
+            // segment never crosses a head's end, so inside one every
+            // prelude robot walks its head or its tail.
+            let until = match intent {
+                _ if walks => {
+                    let p = &self.preludes[i];
+                    let head = p.head_len() as u64;
+                    if local < head {
+                        head
+                    } else {
+                        p.len() as u64
+                    }
+                }
+                Intent::Solo(r) if r > local => r,
+                Intent::Idle(r) => {
+                    idle = idle.min(r);
+                    continue;
+                }
+                Intent::Done => continue,
+                _ => {
+                    step = true;
+                    continue;
+                }
+            };
+            busy = Some(busy.map_or(until, |b: u64| b.min(until)));
         }
         let idle = idle.saturating_add(base);
         self.scratch.all_done = all_done;
@@ -478,13 +467,18 @@ impl<M: Clone> Engine<M> {
     /// Whether robot `i` is inside its prelude in epoch-local `round`; one
     /// compare once the longest prelude has ended.
     fn walks(&self, i: usize, round: u64) -> bool {
-        round < self.longest_prelude && in_prelude(&self.preludes[i], round)
+        round < self.longest_prelude && round < self.preludes[i].len() as u64
     }
 
     /// The round loop behind [`Engine::run_epoch`]. Returns whether every
     /// honest robot terminated; `false` means the clock reached `stop_at`
     /// first.
     fn drive(&mut self, stop_at: u64) -> Result<bool, RunError> {
+        // `ff_overshoot` is deliberately-injected breakage (0 in every real
+        // config): it pushes a jump or segment past the round the earliest
+        // idle robot acts in, which the oracle-differential harness must
+        // catch.
+        let (limit, overshoot) = (self.config.max_rounds, self.config.ff_overshoot);
         self.rebuild_scratch();
         loop {
             if self.scratch.all_done {
@@ -493,17 +487,10 @@ impl<M: Clone> Engine<M> {
             if self.round >= stop_at {
                 return Ok(false);
             }
-            if self.round >= self.config.max_rounds {
-                return Err(RunError::RoundLimit {
-                    limit: self.config.max_rounds,
-                });
+            if self.round >= limit {
+                return Err(RunError::RoundLimit { limit });
             }
             if self.config.fast_forward {
-                // `ff_overshoot` is deliberately-injected breakage (0 in
-                // every real config): it pushes a jump or segment past the
-                // round the earliest idle robot acts in, which the
-                // oracle-differential harness must catch.
-                let overshoot = self.config.ff_overshoot;
                 match self.scratch.horizon {
                     Horizon::Step => {}
                     Horizon::Idle(target) => {
@@ -511,13 +498,11 @@ impl<M: Clone> Engine<M> {
                         // mutates there, which idle promises ignore.
                         let target = target.saturating_add(overshoot).min(stop_at);
                         if target > self.round + 1 {
-                            if target >= self.config.max_rounds {
+                            if target >= limit {
                                 // No robot acts again before the cap: error
                                 // now, with the clock at the true executed
                                 // round rather than teleported to the cap.
-                                return Err(RunError::RoundLimit {
-                                    limit: self.config.max_rounds,
-                                });
+                                return Err(RunError::RoundLimit { limit });
                             }
                             if let Some(t) = self.telemetry.as_deref_mut() {
                                 t.counters.ff_jumps += 1;
@@ -536,7 +521,7 @@ impl<M: Clone> Engine<M> {
                         let mut end = busy
                             .min(idle.saturating_add(overshoot))
                             .min(stop_at)
-                            .min(self.config.max_rounds);
+                            .min(limit);
                         if let Some(t) = self.telemetry.as_deref_mut() {
                             if self.round >= t.next_mark {
                                 t.on_round(self.round);
@@ -642,12 +627,9 @@ impl<M: Clone> Engine<M> {
         // The segment ends at the shortest remaining prelude, so the same
         // robots are called in every one of its rounds.
         let called = || {
-            self.controllers
-                .iter()
-                .zip(&self.preludes)
-                .zip(&self.scratch.intents)
-                .filter(|((_, p), &intent)| !in_prelude(p, local) && intent != Intent::Done)
-                .map(|((c, _), _)| c)
+            (0..self.controllers.len())
+                .filter(|&i| !self.walks(i, local) && self.scratch.intents[i] != Intent::Done)
+                .map(|i| &self.controllers[i])
         };
         let subrounds = subrounds_at(called(), local);
         #[cfg(debug_assertions)]
@@ -665,7 +647,7 @@ impl<M: Clone> Engine<M> {
             // A robot that stays keeps no arrival; prelude robots
             // overwrite theirs every round, and solo robots see the
             // arrival their last stepped move left.
-            if in_prelude(&self.preludes[i], local) {
+            if self.walks(i, local) {
                 walkers += 1;
             } else if matches!(self.scratch.intents[i], Intent::Solo(_)) {
                 solo = true;
@@ -680,11 +662,10 @@ impl<M: Clone> Engine<M> {
         // port is invalid) the stretch runs round-major, robot order
         // within a round, so the trace records events and the error names
         // the robot and round exactly as stepping would.
-        let cohorts = if solo || self.config.record_trace {
-            None
-        } else {
-            self.walk_cohorts(local as usize, rounds)
-        };
+        let bulk = !solo && !self.config.record_trace;
+        let cohorts = bulk
+            .then(|| self.walk_cohorts(local as usize, rounds))
+            .flatten();
         let mut messages = 0u64;
         if cohorts.is_none() {
             for t in 0..rounds {
@@ -759,7 +740,7 @@ impl<M: Clone> Engine<M> {
         let mut cohorts: Vec<Cohort<'_>> = Vec::new();
         let mut members: Vec<(usize, usize)> = Vec::new();
         for (i, prelude) in self.preludes.iter().enumerate() {
-            if !in_prelude(prelude, local as u64) {
+            if !self.walks(i, local as u64) {
                 continue;
             }
             let slot = self.world.robot(i);
@@ -847,6 +828,14 @@ impl<M: Clone> Engine<M> {
         // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
         // fresh run. The trace and telemetry keep the absolute clock.
         let local = round - self.epoch_base;
+        // Active = called this round: not done and past its prelude. Done
+        // robots stay put silently and prelude robots walk their ports
+        // uncalled, but both are *physically* present (they appear in
+        // rosters).
+        for i in 0..k {
+            self.scratch.active[i] =
+                !self.walks(i, local) && self.scratch.intents[i] != Intent::Done;
+        }
         // Observability: `None` when disabled — every instrumentation site
         // below is a branch on this `Option` and nothing more. Close any
         // phase boundary reached (fast-forward jumps close several at once).
@@ -856,20 +845,8 @@ impl<M: Clone> Engine<M> {
                 t.on_round(round);
             }
         }
-        // Active = called this round: not done and past its prelude. Done
-        // robots stay put silently and prelude robots walk their ports
-        // uncalled, but both are *physically* present (they appear in
-        // rosters). Once the longest prelude has ended this costs one
-        // compare per robot.
         let walking = local < self.longest_prelude;
         let (world, controllers, s) = (&self.world, &mut self.controllers, &mut self.scratch);
-        s.active.clear();
-        s.active.extend(
-            self.preludes
-                .iter()
-                .zip(&s.intents)
-                .map(|(p, &intent)| !(walking && in_prelude(p, local) || intent == Intent::Done)),
-        );
 
         // Rosters: nodes whose occupancy changed since the last stepped
         // round are already in the dirty queue; nodes hosting ID-faking
