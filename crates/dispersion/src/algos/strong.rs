@@ -142,8 +142,8 @@ impl GroupTail for RankWalk {
     }
 
     /// Once the path is used up, idle to the phase's last round (acting
-    /// there flips `terminated`, so the fast-forwarded round count equals
-    /// the budget exactly).
+    /// there makes the robot `Intent::Done`, so the fast-forwarded round
+    /// count equals the budget exactly).
     fn idle_until(&self, round: u64) -> Option<u64> {
         (round >= self.start && self.path.as_ref().is_some_and(|p| p.is_empty()))
             .then(|| self.end.saturating_sub(1))
