@@ -20,28 +20,14 @@
 //! Usage: `cargo run --release -p bd-bench --bin golden` (takes no
 //! arguments; an unknown argument exits 2)
 
-use bd_bench::{reject_unknown_flags, run_series_cells, table1_sweeps, SeriesCoord};
+use bd_bench::{reject_unknown_flags, run_series_cells, table1_coords};
 use bd_dispersion::canon::Fnv64;
-use bd_dispersion::runner::ByzPlacement;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     reject_unknown_flags("golden", &args, &[], &[]);
-    let mut coords = Vec::new();
-    for sweep in table1_sweeps() {
-        for &n in sweep.ns {
-            for seed in (1000..1003).chain(2000..2003) {
-                coords.push(SeriesCoord {
-                    algo: sweep.algo,
-                    n,
-                    f: sweep.algo.tolerance(n),
-                    adversary: sweep.adversary,
-                    placement: ByzPlacement::Random,
-                    seed,
-                });
-            }
-        }
-    }
+    let seeds = [1000, 1001, 1002, 2000, 2001, 2002];
+    let coords = table1_coords(false, &seeds);
     let (cells, _) = run_series_cells(&coords, None);
     println!(
         "# row\tn\tseed\trounds\tdispersed\tmetrics.rounds\ttotal_moves\tmax_moves_per_robot\t\

@@ -35,8 +35,8 @@
 #![allow(unsafe_code)]
 
 use bd_bench::{
-    bench_graph, reject_unknown_flags, run_spec_cell, starting_config, table1_batch, table1_sweeps,
-    Cell,
+    bench_graph, reject_unknown_flags, run_series_cells, run_spec_cell, starting_config,
+    table1_coords, table1_sweeps, Cell,
 };
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::Session;
@@ -185,13 +185,9 @@ fn overhead_check() -> ! {
     // failing the check on very fast machines.
     let passed = bd_bench::overhead_check("profile: telemetry", 500, |enabled, iter| {
         bd_telemetry::enable_counters(enabled);
-        let (rows, _) = table1_batch(true, 1, None);
+        let (cells, _) = run_series_cells(&table1_coords(true, &[1000]), None);
         let _ = drain_engine_reports();
-        let engine_micros: u64 = rows
-            .iter()
-            .flatten()
-            .map(|c| c.metrics.elapsed_micros)
-            .sum();
+        let engine_micros: u64 = cells.iter().map(|c| c.metrics.elapsed_micros).sum();
         if iter > 0 {
             println!(
                 "iter {iter:>2} telemetry={:<8} quick table1 engine time {engine_micros:>9} us",

@@ -7,7 +7,7 @@
 //!   kind for the Theorem 3 pipeline;
 //! * **Series D** — the §5 capacity regime: rounds and success per robot
 //!   bin `k ∈ {n/2, n, 2n}` for every DUM-based row, batched on one shared
-//!   graph per row via `Session::run_batch`.
+//!   graph per row.
 //!
 //! With `--store DIR`, every batch reads/writes a content-addressed
 //! [`bd_service::ResultStore`] and the run ends with one
@@ -22,8 +22,7 @@
 
 use bd_bench::{
     mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, reject_unknown_flags,
-    run_series_cells, store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args,
-    SeriesCoord,
+    run_series_cells, store_from_args, success_rate, trace_out_from_args, SeriesCoord,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};
@@ -37,7 +36,6 @@ fn main() {
     let store = store_from_args("series", &args);
     let store = store.as_ref();
     let trace = trace_out_from_args("series", &args);
-    bd_telemetry::init_from_env();
     let mut totals = CacheStats::default();
     let mut fold = |stats: Option<CacheStats>| {
         if let Some(s) = stats {
@@ -90,7 +88,11 @@ fn main() {
         } else {
             ns.to_vec()
         };
-        let (cells, stats) = sweep_n(algo, &ns, |n| algo.tolerance(n), kind, reps, store);
+        let coords: Vec<SeriesCoord> = ns
+            .iter()
+            .flat_map(|&n| (0..reps).map(move |rep| SeriesCoord::new(algo, n, kind, 1000 + rep)))
+            .collect();
+        let (cells, stats) = run_series_cells(&coords, store);
         fold(stats);
         let skipped = mean_skipped_rounds(&cells);
         for (n, rounds) in mean_rounds(&cells) {
@@ -144,12 +146,9 @@ fn main() {
         .flat_map(|&(algo, ref fs)| {
             fs.iter().flat_map(move |&f| {
                 (0..reps).map(move |r| SeriesCoord {
-                    algo,
-                    n,
                     f,
-                    adversary: AdversaryKind::Wanderer,
                     placement: ByzPlacement::LowIds,
-                    seed: 2000 + r,
+                    ..SeriesCoord::new(algo, n, AdversaryKind::Wanderer, 2000 + r)
                 })
             })
         })
@@ -192,12 +191,8 @@ fn main() {
         .iter()
         .flat_map(|&kind| {
             (0..reps).map(move |r| SeriesCoord {
-                algo: Algorithm::GatheredHalfTh3,
-                n,
                 f,
-                adversary: kind,
-                placement: ByzPlacement::Random,
-                seed: 3000 + r,
+                ..SeriesCoord::new(Algorithm::GatheredHalfTh3, n, kind, 3000 + r)
             })
         })
         .collect();
@@ -222,8 +217,7 @@ fn main() {
     }
 
     // Series D: the §5 capacity regime — k ∈ {n/2, n, 2n} bins for every
-    // DUM-based row, at the row's (n, k) tolerance, one shared graph per
-    // row (Session::run_batch).
+    // DUM-based row, at the row's (n, k) tolerance, all on one graph.
     let n = if quick { 6 } else { 8 };
     let ks = [n / 2, n, 2 * n];
     for (algo, kind) in [
@@ -232,7 +226,18 @@ fn main() {
         (Algorithm::ArbitrarySqrtTh5, AdversaryKind::TokenHijacker),
         (Algorithm::Baseline, AdversaryKind::Squatter),
     ] {
-        let (cells, stats) = sweep_k(algo, n, &ks, kind, reps, store);
+        let coords: Vec<SeriesCoord> = ks
+            .iter()
+            .flat_map(|&k| {
+                (0..reps).map(move |rep| SeriesCoord {
+                    k,
+                    f: algo.row().tolerance(n, k),
+                    graph_seed: 1000,
+                    ..SeriesCoord::new(algo, n, kind, 4000 + rep)
+                })
+            })
+            .collect();
+        let (cells, stats) = run_series_cells(&coords, store);
         fold(stats);
         for (k, rounds) in mean_rounds_by_k(&cells) {
             let bin = cells.iter().filter(|c| c.k == k);

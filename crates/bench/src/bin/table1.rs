@@ -22,8 +22,8 @@
 //! (an unknown argument exits 2)
 
 use bd_bench::{
-    mean_cost_estimate, mean_elapsed_micros, mean_rounds, reject_unknown_flags, store_from_args,
-    success_rate, table1_batch, table1_sweeps, trace_out_from_args,
+    mean_cost_estimate, mean_elapsed_micros, mean_rounds, reject_unknown_flags, run_series_cells,
+    store_from_args, success_rate, table1_coords, table1_sweeps, trace_out_from_args,
 };
 use bd_dispersion::impossibility::replay_experiment;
 use bd_exploration::cost::fit_exponent;
@@ -35,7 +35,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let store = store_from_args("table1", &args);
     let trace = trace_out_from_args("table1", &args);
-    bd_telemetry::init_from_env();
     let reps: u64 = if quick { 2 } else { 3 };
 
     println!("Reproducing Table 1 of 'Byzantine Dispersion on Graphs' (IPDPS 2021)");
@@ -56,8 +55,14 @@ fn main() {
     );
     // All rows run as one multi-graph batch: the planner shares a session
     // per distinct graph and schedules the most expensive cells first.
-    let (per_row, stats) = table1_batch(quick, reps, store.as_ref());
-    for (serial, (sweep, cells)) in table1_sweeps().iter().zip(&per_row).enumerate() {
+    let seeds: Vec<u64> = (1000..1000 + reps).collect();
+    let (cells, stats) = run_series_cells(&table1_coords(quick, &seeds), store.as_ref());
+    let mut rest = &cells[..];
+    for (serial, sweep) in table1_sweeps().iter().enumerate() {
+        // Each row's cells are contiguous, in sweep order.
+        let len = rest.iter().take_while(|c| c.algo == rest[0].algo).count();
+        let (cells, tail) = rest.split_at(len);
+        rest = tail;
         let row = sweep.algo.row();
         let means = mean_rounds(cells);
         let fit = fit_exponent(&means);

@@ -252,20 +252,15 @@ impl GraphCache {
 fn queue_cell(
     planner: &mut CachedPlanner<'_>,
     cache: &mut GraphCache,
-    algo: Algorithm,
-    n: usize,
-    f: usize,
-    adversary: AdversaryKind,
-    placement: ByzPlacement,
-    seed: u64,
+    c: &SeriesCoord,
 ) -> ScenarioSpec {
-    let graph = cache.get(n, seed);
-    let spec = starting_config(algo, &graph)
-        .with_byzantine(f, adversary)
-        .with_placement(placement)
-        .with_seed(seed);
-    let k = spec.num_robots;
-    let spec = if f > algo.row().tolerance(n, k) {
+    let graph = cache.get(c.n, c.graph_seed);
+    let spec = starting_config(c.algo, &graph)
+        .with_robots(c.k)
+        .with_byzantine(c.f, c.adversary)
+        .with_placement(c.placement)
+        .with_seed(c.seed);
+    let spec = if c.f > c.algo.row().tolerance(c.n, c.k) {
         spec.overloaded()
     } else {
         spec
@@ -307,91 +302,20 @@ pub fn run_spec_cell(session: &Session, spec: &ScenarioSpec) -> Cell {
     cell_of(spec, session.graph().n(), session.run(spec))
 }
 
-/// Sweep `n` values with `reps` seeds each through the [`CachedPlanner`]:
-/// every cell's graph is a shared handle, and the pool executes cells
-/// largest-first (biggest `n` never straggles at the tail of the sweep).
-///
-/// With a [`ResultStore`], stored cells replay without simulating and
-/// fresh cells write back; the second element is then the batch's
-/// [`CacheStats`]. Without one it is `None`. Store I/O failures panic: a
-/// half-written benchmark cache is a harness failure, not a measurement.
-pub fn sweep_n(
-    algo: Algorithm,
-    ns: &[usize],
-    f_of_n: impl Fn(usize) -> usize + Sync,
-    adversary: AdversaryKind,
-    reps: u64,
-    store: Option<&ResultStore>,
-) -> (Vec<Cell>, Option<CacheStats>) {
-    let mut planner = CachedPlanner::new(store);
-    let mut cache = GraphCache::new();
-    let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
-    for &n in ns {
-        for rep in 0..reps {
-            let spec = queue_cell(
-                &mut planner,
-                &mut cache,
-                algo,
-                n,
-                f_of_n(n),
-                adversary,
-                ByzPlacement::Random,
-                1000 + rep,
-            );
-            meta.push((spec, n));
-        }
-    }
-    let (results, stats) = planner.run().expect("result store I/O");
-    let cells = results
-        .into_iter()
-        .zip(meta)
-        .map(|(result, (spec, n))| cell_of(&spec, n, result))
-        .collect();
-    (cells, store.map(|_| stats))
-}
-
-/// The whole Table 1 sweep as **one** multi-graph batch: all rows' cells
-/// queued on a single [`CachedPlanner`] (graphs of every size side by side)
-/// and executed largest-cost-first. Returns per-sweep cell vectors in
-/// [`table1_sweeps`] order.
-///
-/// The optional [`ResultStore`] is the opt-in `table1 --store DIR` path.
-/// On a warm store the whole table replays with **zero rounds simulated**
-/// (the stats say so); outcomes are the exact stored `Outcome`s, so
-/// full-mode BASELINES stay byte-identical.
-pub fn table1_batch(
-    quick: bool,
-    reps: u64,
-    store: Option<&ResultStore>,
-) -> (Vec<Vec<Cell>>, Option<CacheStats>) {
-    let sweeps = table1_sweeps();
-    let mut planner = CachedPlanner::new(store);
-    let mut cache = GraphCache::new();
-    let mut meta: Vec<(usize, ScenarioSpec, usize)> = Vec::new();
-    for (serial, sweep) in sweeps.iter().enumerate() {
-        let ns = if quick { sweep.quick_ns } else { sweep.ns };
-        for &n in ns {
-            for rep in 0..reps {
-                let spec = queue_cell(
-                    &mut planner,
-                    &mut cache,
-                    sweep.algo,
-                    n,
-                    sweep.algo.tolerance(n),
-                    sweep.adversary,
-                    ByzPlacement::Random,
-                    1000 + rep,
-                );
-                meta.push((serial, spec, n));
+/// The Table 1 grid as sweep coordinates, in [`table1_sweeps`] order:
+/// every row's `n` grid (`quick` or full) at the row's maximum tolerance
+/// against its adversary, one cell per seed in `seeds`. Each row's
+/// coordinates are contiguous.
+pub fn table1_coords(quick: bool, seeds: &[u64]) -> Vec<SeriesCoord> {
+    let mut coords = Vec::new();
+    for sweep in table1_sweeps() {
+        for &n in if quick { sweep.quick_ns } else { sweep.ns } {
+            for &seed in seeds {
+                coords.push(SeriesCoord::new(sweep.algo, n, sweep.adversary, seed));
             }
         }
     }
-    let mut rows: Vec<Vec<Cell>> = sweeps.iter().map(|_| Vec::new()).collect();
-    let (results, stats) = planner.run().expect("result store I/O");
-    for (result, (serial, spec, n)) in results.into_iter().zip(meta) {
-        rows[serial].push(cell_of(&spec, n, result));
-    }
-    (rows, store.map(|_| stats))
+    coords
 }
 
 /// One sweep coordinate for [`run_series_cells`], as data, so
@@ -402,85 +326,61 @@ pub struct SeriesCoord {
     pub algo: Algorithm,
     /// Graph size.
     pub n: usize,
+    /// Robot count (`k ≠ n` opens the §5 capacity regime).
+    pub k: usize,
     /// Byzantine contingent.
     pub f: usize,
     /// Adversary strategy.
     pub adversary: AdversaryKind,
     /// Byzantine ID placement.
     pub placement: ByzPlacement,
-    /// Cell seed (also the graph seed).
+    /// Cell seed.
     pub seed: u64,
+    /// Seed of the [`bench_graph`] the cell runs on.
+    pub graph_seed: u64,
+}
+
+impl SeriesCoord {
+    /// `k = n` robots, `f` at the row's maximum tolerance, random
+    /// Byzantine placement, on the graph seeded with the cell seed.
+    pub fn new(algo: Algorithm, n: usize, adversary: AdversaryKind, seed: u64) -> Self {
+        SeriesCoord {
+            algo,
+            n,
+            k: n,
+            f: algo.tolerance(n),
+            adversary,
+            placement: ByzPlacement::Random,
+            seed,
+            graph_seed: seed,
+        }
+    }
 }
 
 /// Run an arbitrary list of sweep coordinates as one [`CachedPlanner`]
-/// batch: graphs are shared per `(n, seed)` coordinate, cells execute
-/// largest-cost-first, and results come back in `coords` order. The
-/// optional [`ResultStore`] works as in [`sweep_n`].
+/// batch: graphs are shared per `(n, graph_seed)` coordinate, and the
+/// pool executes cells largest-cost-first (the biggest `n` never
+/// straggles at the tail), while results come back in `coords` order.
+///
+/// With a [`ResultStore`], stored cells replay without simulating and
+/// fresh cells write back; the second element is then the batch's
+/// [`CacheStats`]. Without one it is `None`. Store I/O failures panic: a
+/// half-written benchmark cache is a harness failure, not a measurement.
 pub fn run_series_cells(
     coords: &[SeriesCoord],
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, Option<CacheStats>) {
     let mut planner = CachedPlanner::new(store);
     let mut cache = GraphCache::new();
-    let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
-    for c in coords {
-        let spec = queue_cell(
-            &mut planner,
-            &mut cache,
-            c.algo,
-            c.n,
-            c.f,
-            c.adversary,
-            c.placement,
-            c.seed,
-        );
-        meta.push((spec, c.n));
-    }
-    let (results, stats) = planner.run().expect("result store I/O");
-    let cells = results
-        .into_iter()
-        .zip(meta)
-        .map(|(result, (spec, n))| cell_of(&spec, n, result))
-        .collect();
-    (cells, store.map(|_| stats))
-}
-
-/// Sweep robot-count bins on one shared graph: for each `k` in `ks`,
-/// `reps` seeded cells of `algo` at the row's `(n, k)` tolerance, all
-/// batched through one planner on one `Arc<PortGraph>`. The §5 capacity
-/// regime (`k ≠ n`) made measurable. The optional [`ResultStore`] works
-/// as in [`sweep_n`].
-pub fn sweep_k(
-    algo: Algorithm,
-    n: usize,
-    ks: &[usize],
-    adversary: AdversaryKind,
-    reps: u64,
-    store: Option<&ResultStore>,
-) -> (Vec<Cell>, Option<CacheStats>) {
-    let graph = Arc::new(bench_graph(n, 1000));
-    let mut planner = CachedPlanner::new(store);
-    let specs: Vec<ScenarioSpec> = ks
+    let specs: Vec<ScenarioSpec> = coords
         .iter()
-        .flat_map(|&k| {
-            let graph = &graph;
-            (0..reps).map(move |rep| {
-                let f = algo.row().tolerance(n, k);
-                starting_config(algo, graph)
-                    .with_robots(k)
-                    .with_byzantine(f, adversary)
-                    .with_seed(4000 + rep)
-            })
-        })
+        .map(|c| queue_cell(&mut planner, &mut cache, c))
         .collect();
-    for spec in &specs {
-        planner.add(&graph, spec.clone());
-    }
     let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
-        .zip(&specs)
-        .map(|(res, spec)| cell_of(spec, n, res))
+        .zip(coords.iter().zip(&specs))
+        .map(|(result, (c, spec))| cell_of(spec, c.n, result))
         .collect();
     (cells, store.map(|_| stats))
 }
@@ -615,22 +515,7 @@ mod tests {
     }
 
     /// One coordinate as a one-cell batch.
-    fn one_cell(
-        algo: Algorithm,
-        n: usize,
-        f: usize,
-        adversary: AdversaryKind,
-        placement: ByzPlacement,
-        seed: u64,
-    ) -> Cell {
-        let coord = SeriesCoord {
-            algo,
-            n,
-            f,
-            adversary,
-            placement,
-            seed,
-        };
+    fn one_cell(coord: SeriesCoord) -> Cell {
         let (mut cells, stats) = run_series_cells(&[coord], None);
         assert!(stats.is_none(), "no store, no cache stats");
         cells.remove(0)
@@ -638,14 +523,12 @@ mod tests {
 
     #[test]
     fn run_cell_smoke() {
-        let c = one_cell(
+        let c = one_cell(SeriesCoord::new(
             Algorithm::Baseline,
             8,
-            0,
             AdversaryKind::Squatter,
-            ByzPlacement::Random,
             5,
-        );
+        ));
         assert!(c.dispersed);
         assert!(c.rounds > 0);
     }
@@ -672,33 +555,34 @@ mod tests {
     fn beyond_tolerance_probe_is_overloaded_and_runs() {
         let n = 9;
         let f = Algorithm::GatheredThirdTh4.tolerance(n) + 1;
-        let c = one_cell(
-            Algorithm::GatheredThirdTh4,
-            n,
+        let c = one_cell(SeriesCoord {
             f,
-            AdversaryKind::Wanderer,
-            ByzPlacement::LowIds,
-            3,
-        );
+            placement: ByzPlacement::LowIds,
+            ..SeriesCoord::new(Algorithm::GatheredThirdTh4, n, AdversaryKind::Wanderer, 3)
+        });
         assert_eq!(c.f, f, "probe cell records the overloaded f");
     }
 
     #[test]
     fn sweep_k_covers_all_bins_on_one_graph() {
-        let (cells, stats) = sweep_k(
-            Algorithm::Baseline,
-            8,
-            &[4, 8, 16],
-            AdversaryKind::Squatter,
-            2,
-            None,
-        );
+        let coords: Vec<SeriesCoord> = [4usize, 8, 16]
+            .into_iter()
+            .flat_map(|k| {
+                (0..2).map(move |rep| SeriesCoord {
+                    k,
+                    graph_seed: 1000,
+                    ..SeriesCoord::new(Algorithm::Baseline, 8, AdversaryKind::Squatter, 4000 + rep)
+                })
+            })
+            .collect();
+        let (cells, stats) = run_series_cells(&coords, None);
         assert!(stats.is_none());
         assert_eq!(cells.len(), 6);
         for k in [4usize, 8, 16] {
             let bin: Vec<_> = cells.iter().filter(|c| c.k == k).collect();
             assert_eq!(bin.len(), 2, "k = {k}");
             assert!(bin.iter().all(|c| c.dispersed), "k = {k}");
+            assert!(bin.iter().all(|c| c.n == 8 && c.f == 0), "k = {k}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! an accidental complexity regression (e.g. a phase machine silently
 //! re-running work) fails loudly rather than just slowing sweeps down.
 
-use bd_bench::{mean_rounds, success_rate, sweep_n};
+use bd_bench::{mean_rounds, run_series_cells, success_rate, SeriesCoord};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_exploration::cost::fit_exponent;
@@ -18,14 +18,11 @@ use bd_exploration::cost::fit_exponent;
 fn sqrt_row_fit_exponent_within_target_band() {
     let algo = Algorithm::ArbitrarySqrtTh5;
     let ns = [9usize, 12, 16];
-    let (cells, _) = sweep_n(
-        algo,
-        &ns,
-        |n| algo.tolerance(n),
-        AdversaryKind::TokenHijacker,
-        1,
-        None,
-    );
+    let coords: Vec<SeriesCoord> = ns
+        .iter()
+        .map(|&n| SeriesCoord::new(algo, n, AdversaryKind::TokenHijacker, 1000))
+        .collect();
+    let (cells, _) = run_series_cells(&coords, None);
     assert!(
         (success_rate(&cells) - 1.0).abs() < f64::EPSILON,
         "sqrt row must disperse every cell"
@@ -43,14 +40,11 @@ fn sqrt_row_fit_exponent_within_target_band() {
 fn third_row_fit_exponent_stays_cubic() {
     let algo = Algorithm::GatheredThirdTh4;
     let ns = [9usize, 12, 16];
-    let (cells, _) = sweep_n(
-        algo,
-        &ns,
-        |n| algo.tolerance(n),
-        AdversaryKind::TokenHijacker,
-        1,
-        None,
-    );
+    let coords: Vec<SeriesCoord> = ns
+        .iter()
+        .map(|&n| SeriesCoord::new(algo, n, AdversaryKind::TokenHijacker, 1000))
+        .collect();
+    let (cells, _) = run_series_cells(&coords, None);
     assert!((success_rate(&cells) - 1.0).abs() < f64::EPSILON);
     let fit = fit_exponent(&mean_rounds(&cells));
     assert!(

@@ -4,7 +4,7 @@
 //! identical table, because cached outcomes are the exact stored
 //! `Outcome`s.
 
-use bd_bench::{sweep_k, table1_batch};
+use bd_bench::{run_series_cells, table1_coords, SeriesCoord};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_service::ResultStore;
@@ -21,16 +21,17 @@ fn second_quick_table1_run_simulates_zero_rounds() {
     let dir = tmpdir("table1");
     let store = ResultStore::open(&dir).unwrap();
 
-    let (cold_rows, cold_stats) = table1_batch(true, 1, Some(&store));
+    let coords = table1_coords(true, &[1000]);
+    let (cold_cells, cold_stats) = run_series_cells(&coords, Some(&store));
     let cold_stats = cold_stats.expect("store path reports stats");
-    let cells: u64 = cold_rows.iter().map(|r| r.len() as u64).sum();
+    let cells = cold_cells.len() as u64;
     assert_eq!(cold_stats.misses, cells, "cold store simulates everything");
     assert_eq!(cold_stats.hits, 0);
     assert!(cold_stats.rounds_simulated > 0);
 
     // Same invocation again — in the same process here; the daemon restart
     // suite proves the journal serves across processes too.
-    let (warm_rows, warm_stats) = table1_batch(true, 1, Some(&store));
+    let (warm_cells, warm_stats) = run_series_cells(&coords, Some(&store));
     let warm_stats = warm_stats.expect("store path reports stats");
     assert_eq!(warm_stats.hits, cells, "warm store serves every cell");
     assert_eq!(warm_stats.misses, 0);
@@ -43,9 +44,8 @@ fn second_quick_table1_run_simulates_zero_rounds() {
         cold_stats.rounds_simulated + {
             // Saved rounds count the *measured* rounds of stored cells, which
             // include fast-forwarded ones; recompute from the table.
-            cold_rows
+            cold_cells
                 .iter()
-                .flatten()
                 .map(|c| c.metrics.rounds_skipped)
                 .sum::<u64>()
         }
@@ -53,13 +53,11 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 
     // The replayed table is the stored table, cell for cell (wall-clock
     // travels with the stored outcome, so even elapsed_micros matches).
-    for (cold_row, warm_row) in cold_rows.iter().zip(&warm_rows) {
-        for (a, b) in cold_row.iter().zip(warm_row) {
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(b).unwrap()
-            );
-        }
+    for (a, b) in cold_cells.iter().zip(&warm_cells) {
+        assert_eq!(
+            serde_json::to_string(a).unwrap(),
+            serde_json::to_string(b).unwrap()
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -68,23 +66,20 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 fn sweep_k_round_trips_through_the_store() {
     let dir = tmpdir("sweepk");
     let store = ResultStore::open(&dir).unwrap();
-    let (cold, s1) = sweep_k(
-        Algorithm::Baseline,
-        8,
-        &[4, 8, 16],
-        AdversaryKind::Squatter,
-        2,
-        Some(&store),
-    );
+    // Capacity bins on one graph, as the series bin's Series D runs them.
+    let coords: Vec<SeriesCoord> = [4, 8, 16]
+        .into_iter()
+        .flat_map(|k| {
+            (0..2).map(move |rep| SeriesCoord {
+                k,
+                graph_seed: 1000,
+                ..SeriesCoord::new(Algorithm::Baseline, 8, AdversaryKind::Squatter, 4000 + rep)
+            })
+        })
+        .collect();
+    let (cold, s1) = run_series_cells(&coords, Some(&store));
     assert_eq!(s1.unwrap().misses, 6);
-    let (warm, s2) = sweep_k(
-        Algorithm::Baseline,
-        8,
-        &[4, 8, 16],
-        AdversaryKind::Squatter,
-        2,
-        Some(&store),
-    );
+    let (warm, s2) = run_series_cells(&coords, Some(&store));
     let s2 = s2.unwrap();
     assert_eq!((s2.hits, s2.misses, s2.rounds_simulated), (6, 0, 0));
     for (a, b) in cold.iter().zip(&warm) {

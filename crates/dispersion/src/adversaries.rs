@@ -165,8 +165,6 @@ pub struct AdversaryController {
     /// §4's distinct-ID counting is sized against).
     coalition_index: usize,
     garbage: CanonicalForm,
-    round_seen: u64,
-    acted_rounds: u64,
 }
 
 impl AdversaryController {
@@ -196,8 +194,6 @@ impl AdversaryController {
             // Lexicographically minimal nontrivial form: a garbage map that
             // wins any deterministic tie-break it manages to reach quorum in.
             garbage: canonical_form(&bd_graphs::generators::path(2).expect("edge"), 0),
-            round_seen: 0,
-            acted_rounds: 0,
         }
     }
 
@@ -251,11 +247,9 @@ impl Controller<Msg> for AdversaryController {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
         if !self.active(obs.round) || obs.subround != 0 || !self.in_burst(obs.round) {
             return None;
         }
-        self.acted_rounds += 1;
         match self.kind {
             AdversaryKind::Squatter | AdversaryKind::FakeSettler => Some(Msg::State {
                 state: DumState::Settled,
@@ -287,7 +281,6 @@ impl Controller<Msg> for AdversaryController {
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
         if !self.active(obs.round) || obs.degree == 0 || !self.in_burst(obs.round) {
             return MoveChoice::Stay;
         }
@@ -296,10 +289,10 @@ impl Controller<Msg> for AdversaryController {
             | AdversaryKind::LiarFlags
             | AdversaryKind::Crowd
             | AdversaryKind::MapLiar => false,
-            AdversaryKind::FakeSettler => self.round_seen % 3 == 0,
+            AdversaryKind::FakeSettler => obs.round % 3 == 0,
             AdversaryKind::Silent | AdversaryKind::Wanderer => true,
             AdversaryKind::CrashMidway => false,
-            AdversaryKind::TokenHijacker => self.round_seen % 2 == 0,
+            AdversaryKind::TokenHijacker => obs.round % 2 == 0,
             // The spoofing coalition camps at the gathering node: its votes
             // must land on the bulletin everyone reads.
             AdversaryKind::StrongSpoofer => false,
@@ -316,20 +309,15 @@ impl Controller<Msg> for AdversaryController {
     /// A roamer is idle up to its next burst and solo inside one: it reads
     /// only its own round, degree and RNG, and nothing it publishes needs
     /// a reader while every honest robot waits.
-    fn intent(&self, _round: u64) -> Intent {
-        if self.round_seen < self.active_from {
-            return Intent::Idle(self.active_from);
-        }
-        if !self.kind.roams() {
-            return Intent::Idle(u64::MAX);
-        }
-        // `round_seen` is the last stepped round, so the engine is about
-        // to evaluate round `round_seen + 1`.
-        let next = self.round_seen + 1;
-        if self.in_burst(next) {
-            Intent::Solo(self.burst_end(next))
+    fn intent(&self, round: u64) -> Intent {
+        if !self.active(round) {
+            Intent::Idle(self.active_from)
+        } else if !self.kind.roams() {
+            Intent::Idle(u64::MAX)
+        } else if self.in_burst(round) {
+            Intent::Solo(self.burst_end(round))
         } else {
-            Intent::Idle(self.next_burst_start(next))
+            Intent::Idle(self.next_burst_start(round))
         }
     }
 
@@ -382,21 +370,17 @@ impl Controller<Msg> for ReplayController {
 pub struct CrashWrapper {
     inner: Box<dyn Controller<Msg>>,
     crash_at: u64,
-    round_seen: u64,
 }
 
 impl CrashWrapper {
     /// Crash `inner` at absolute round `crash_at`.
     pub fn new(inner: Box<dyn Controller<Msg>>, crash_at: u64) -> Self {
-        CrashWrapper {
-            inner,
-            crash_at,
-            round_seen: 0,
-        }
+        CrashWrapper { inner, crash_at }
     }
 
-    fn crashed(&self) -> bool {
-        self.round_seen >= self.crash_at
+    /// Whether the robot has halted by `round`.
+    fn crashed(&self, round: u64) -> bool {
+        round >= self.crash_at
     }
 }
 
@@ -406,9 +390,9 @@ impl Controller<Msg> for CrashWrapper {
     }
 
     fn subrounds_wanted(&self, round: u64) -> usize {
-        // `round > crash_at`, not `>=`: the crash lands *during* round
-        // `crash_at` (the `act` call updates `round_seen` first), so that
-        // round's sub-round request still comes from the inner controller.
+        // `round > crash_at`, not `>=`: the robot is silent and still in
+        // round `crash_at`, but that round's sub-round request still comes
+        // from the inner controller, as the crash lands inside the round.
         if round > self.crash_at {
             1
         } else {
@@ -417,16 +401,14 @@ impl Controller<Msg> for CrashWrapper {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
-        if self.crashed() {
+        if self.crashed(obs.round) {
             return None;
         }
         self.inner.act(obs)
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
-        if self.crashed() {
+        if self.crashed(obs.round) {
             return MoveChoice::Stay;
         }
         self.inner.decide_move(obs)
@@ -438,8 +420,10 @@ impl Controller<Msg> for CrashWrapper {
     /// controller, which sessions never reach before the crash, is idle
     /// for good too).
     fn intent(&self, round: u64) -> Intent {
+        if self.crashed(round) {
+            return Intent::Idle(u64::MAX);
+        }
         match self.inner.intent(round) {
-            _ if self.crashed() => Intent::Idle(u64::MAX),
             Intent::Done => Intent::Idle(u64::MAX),
             idle @ Intent::Idle(_) => idle,
             _ => Intent::Act,
@@ -535,7 +519,7 @@ mod tests {
     #[test]
     fn roamer_bursts_on_the_grid() {
         let n = 8usize;
-        let mut a = AdversaryController::new(
+        let a = AdversaryController::new(
             RobotId(9),
             AdversaryKind::Wanderer,
             n,
@@ -551,9 +535,7 @@ mod tests {
         assert!(a.in_burst(4 * n as u64));
         // Inside a burst: solo to its end. Outside: idle to the next burst
         // start.
-        a.round_seen = 2;
         assert_eq!(a.intent(3), Intent::Solo(n as u64));
-        a.round_seen = n as u64; // next evaluated round is n + 1
         assert_eq!(a.intent(n as u64 + 1), Intent::Idle(4 * n as u64));
     }
 
@@ -574,35 +556,30 @@ mod tests {
         };
         // The gather script is the prelude: the engine walks it and asks
         // nothing meanwhile.
-        let mut a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
+        let a = mk(AdversaryKind::Wanderer, vec![0; 3], 100);
         assert_eq!(a.prelude().to_vec(), [0; 3]);
         // Before activation: idle until it.
         assert_eq!(a.intent(0), Intent::Idle(100));
-        // At activation the idle horizon is the round itself, so that
-        // round is stepped.
-        a.round_seen = 99;
-        assert_eq!(a.intent(100), Intent::Idle(100));
+        assert_eq!(a.intent(99), Intent::Idle(100));
+        // The activation round opens the first burst, so it is solo too,
+        // whatever the controller was last called in.
+        assert_eq!(a.intent(100), Intent::Solo(100 + n));
         // Inside a burst: solo until the burst's end, whichever round of it
-        // the engine is about to evaluate.
-        for next in [101, 100 + n - 1, 100 + 4 * n, 100 + 9 * n - 1] {
-            a.round_seen = next - 1;
-            let end = 100 + (next - 100) / (4 * n) * 4 * n + n;
-            assert_eq!(a.intent(next), Intent::Solo(end), "round {next}");
+        // is asked about.
+        for round in [101, 100 + n - 1, 100 + 4 * n, 100 + 9 * n - 1] {
+            let end = 100 + (round - 100) / (4 * n) * 4 * n + n;
+            assert_eq!(a.intent(round), Intent::Solo(end), "round {round}");
         }
-        // Between bursts: idle, not solo.
-        for next in [100 + n, 100 + 4 * n - 1, 100 + 5 * n] {
-            a.round_seen = next - 1;
-            assert!(matches!(a.intent(next), Intent::Idle(_)), "round {next}");
+        // Between bursts: idle until the next one, not solo.
+        for round in [100 + n, 100 + 4 * n - 1, 100 + 5 * n] {
+            let next = 100 + ((round - 100) / (4 * n) + 1) * 4 * n;
+            assert_eq!(a.intent(round), Intent::Idle(next), "round {round}");
         }
         // Stationary kinds are never solo.
         for kind in AdversaryKind::all().into_iter().filter(|k| !k.roams()) {
-            let mut a = mk(kind, Vec::new(), 0);
-            for round_seen in [0, 1, n, 4 * n] {
-                a.round_seen = round_seen;
-                assert!(
-                    matches!(a.intent(round_seen + 1), Intent::Idle(_)),
-                    "{kind:?}"
-                );
+            let a = mk(kind, Vec::new(), 0);
+            for round in [0, 1, n, 4 * n] {
+                assert_eq!(a.intent(round), Intent::Idle(u64::MAX), "{kind:?}");
             }
         }
     }
@@ -650,25 +627,19 @@ mod tests {
             Vec::new(),
             0,
         );
-        let mut w = CrashWrapper::new(Box::new(wanderer), 50);
-        let roster = [RobotId(9)];
-        let obs = |round: u64| Observation::<Msg> {
-            round,
-            subround: 0,
-            subrounds: 1,
-            degree: 3,
-            roster: &roster,
-            bulletin: &[],
-            arrival: None,
-        };
+        // Nothing is ever called but `intent`: each answer depends on the
+        // asked round alone.
+        let w = CrashWrapper::new(Box::new(wanderer), 50);
         // In a burst the wanderer is solo; the wrapper promises nothing.
         assert_eq!(w.intent(1), Intent::Act);
+        assert_eq!(w.intent(33), Intent::Act);
         // Between bursts the wanderer's idle horizon passes through.
-        w.act(&obs(9));
         assert_eq!(w.intent(10), Intent::Idle(32));
-        // From the crash on the robot is idle for good.
-        w.act(&obs(50));
-        assert_eq!(w.intent(51), Intent::Idle(u64::MAX));
+        assert_eq!(w.intent(49), Intent::Idle(64));
+        // From the crash round on the robot is idle for good.
+        for round in [50, 51, 64, 1000] {
+            assert_eq!(w.intent(round), Intent::Idle(u64::MAX), "round {round}");
+        }
     }
 
     #[test]

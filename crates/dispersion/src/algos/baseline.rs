@@ -31,7 +31,6 @@ pub struct BaselineController {
     path: Option<VecDeque<usize>>,
     /// Phase budget: all robots terminate together at this round.
     budget: u64,
-    round_seen: u64,
 }
 
 impl BaselineController {
@@ -53,7 +52,6 @@ impl BaselineController {
             capacity: capacity.max(1),
             path: None,
             budget,
-            round_seen: 0,
         }
     }
 }
@@ -64,7 +62,6 @@ impl Controller<Msg> for BaselineController {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
         if obs.round == 0 && obs.subround == 0 && self.path.is_none() {
             // Snapshot: rank among co-located claimed IDs.
             let ids = crate::algos::common::snapshot_ids(obs.roster);
@@ -85,19 +82,15 @@ impl Controller<Msg> for BaselineController {
         }
     }
 
-    fn intent(&self, _round: u64) -> Intent {
+    /// Acting until the walk is exhausted, then idle until the budget,
+    /// where every robot is done: the measured rounds equal the budget.
+    fn intent(&self, round: u64) -> Intent {
         if !self.path.as_ref().is_some_and(|p| p.is_empty()) {
             Intent::Act
-        } else if self.round_seen + 1 >= self.budget {
-            // `round_seen + 1` so the observed honest-termination round
-            // equals the phase budget exactly (same convention as every
-            // other row).
+        } else if round >= self.budget {
             Intent::Done
         } else {
-            // Walk exhausted: idle to the phase's last round. Acting there
-            // makes the robot done, so the measured rounds still equal the
-            // budget exactly.
-            Intent::Idle(self.budget.saturating_sub(1))
+            Intent::Idle(self.budget)
         }
     }
 }
@@ -195,8 +188,8 @@ mod tests {
             arrival: None,
         };
         c.act(&obs(0));
-        assert_eq!(c.intent(1), Intent::Idle(6));
-        c.act(&obs(6));
+        assert_eq!(c.intent(1), Intent::Idle(7));
+        assert_eq!(c.intent(6), Intent::Idle(7));
         assert_eq!(c.intent(7), Intent::Done);
     }
 

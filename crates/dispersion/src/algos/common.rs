@@ -249,7 +249,7 @@ impl GroupRun {
             Some(RunRole::Bystander) => true,
             None => false,
         };
-        if finished && self.spec.walk_end() > round + 1 {
+        if finished && self.spec.walk_end() > round {
             return Some(self.spec.walk_end());
         }
         None
@@ -443,7 +443,6 @@ pub struct GroupPhaseController<S: GroupScheme> {
     /// the active run is found without a search.
     cursor: usize,
     tail: S::Tail,
-    round_seen: u64,
 }
 
 impl<S: GroupScheme> GroupPhaseController<S> {
@@ -468,7 +467,6 @@ impl<S: GroupScheme> GroupPhaseController<S> {
             runs: Vec::new(),
             cursor: 0,
             tail: S::Tail::pending(id, n),
-            round_seen: 0,
         }
     }
 
@@ -533,7 +531,6 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
         if obs.round == self.snapshot_round && !self.tail.scheduled() && obs.subround == 0 {
             let ids = snapshot_ids(obs.roster);
             self.snapshot(&ids);
@@ -564,7 +561,6 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
         if let Some(run) = self.run_at(obs.round) {
             return run.decide_move(obs.round, obs.degree);
         }
@@ -574,15 +570,14 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
         MoveChoice::Stay
     }
 
-    fn intent(&self, _round: u64) -> Intent {
-        if self.tail.scheduled() && self.round_seen + 1 >= self.tail.end() {
+    fn intent(&self, round: u64) -> Intent {
+        if self.tail.scheduled() && round >= self.tail.end() {
             return Intent::Done;
         }
-        if self.round_seen < self.snapshot_round {
+        if round < self.snapshot_round {
             return Intent::Idle(self.snapshot_round);
         }
-        let round = self.round_seen;
-        match self.runs.get(self.cursor).filter(|r| r.active(round)) {
+        match self.runs[self.cursor..].iter().find(|r| r.active(round)) {
             Some(run) => run.idle_until(round),
             None => self.tail.idle_until(round),
         }

@@ -55,7 +55,6 @@ pub struct QuotientController {
     dum: Option<DumMachine>,
     setup_map: Option<(Arc<PortGraph>, NodeId)>,
     n: usize,
-    round_seen: u64,
 }
 
 impl QuotientController {
@@ -70,7 +69,6 @@ impl QuotientController {
             dum: Some(DumMachine::new(id, setup.map.clone(), setup.pos_after_walk)),
             setup_map: Some((setup.map, setup.pos_after_walk)),
             n,
-            round_seen: 0,
         }
     }
 
@@ -93,7 +91,6 @@ impl Controller<Msg> for QuotientController {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
         if self.in_dum(obs.round) {
             let _ = self.setup_map.take();
             return self.dum.as_mut().expect("dum machine").act(obs);
@@ -102,15 +99,14 @@ impl Controller<Msg> for QuotientController {
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
         if self.in_dum(obs.round) {
             return self.dum.as_mut().expect("dum machine").decide_move();
         }
         MoveChoice::Stay
     }
 
-    fn intent(&self, _round: u64) -> Intent {
-        if self.round_seen + 1 >= self.dum_end {
+    fn intent(&self, round: u64) -> Intent {
+        if round >= self.dum_end {
             Intent::Done
         } else {
             Intent::Act

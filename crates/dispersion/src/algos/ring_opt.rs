@@ -41,7 +41,6 @@ pub struct RingOptController {
     phase: Phase,
     dum_start: u64,
     dum_end: u64,
-    round_seen: u64,
 }
 
 impl RingOptController {
@@ -58,7 +57,6 @@ impl RingOptController {
             },
             dum_start,
             dum_end: dum_start + dum_budget(n),
-            round_seen: 0,
         }
     }
 
@@ -94,7 +92,6 @@ impl Controller<Msg> for RingOptController {
     }
 
     fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
-        self.round_seen = obs.round;
         // Record the entry port of the previous step.
         if let Phase::Mapping {
             steps_done,
@@ -123,7 +120,6 @@ impl Controller<Msg> for RingOptController {
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.round_seen = obs.round;
         let dum_active = self.in_dum(obs.round);
         match &mut self.phase {
             Phase::Mapping {
@@ -151,8 +147,8 @@ impl Controller<Msg> for RingOptController {
         }
     }
 
-    fn intent(&self, _round: u64) -> Intent {
-        if self.round_seen + 1 >= self.dum_end {
+    fn intent(&self, round: u64) -> Intent {
+        if round >= self.dum_end {
             Intent::Done
         } else {
             Intent::Act

@@ -31,7 +31,6 @@ use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::ids::generate_ids;
 use bd_runtime::{
     Controller, Engine, EngineConfig, EpochOutcome, Flavor, RobotId, RunError, RunMetrics, Trace,
-    WorldEvent,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,7 +185,7 @@ impl EpochBackend for Engine<Msg> {
     }
 
     fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
-        self.apply_world_event(WorldEvent::Graph { graph })
+        Engine::set_graph(self, graph)
     }
 
     fn round(&self) -> u64 {

@@ -12,11 +12,14 @@
 //!   adversary switch, verification-capacity change), validated against
 //!   the graph and the base scenario before anything runs;
 //! * [`session::DynamicSession`] — runs plan → events → re-verify
-//!   **epochs**: each scheduled event round ends an epoch, the world
-//!   mutates through the engine's `apply_world_event` hook, the next
-//!   epoch is re-planned from the registry (fresh round budget on the
-//!   mutated topology) and independently verified, yielding one
-//!   [`session::EpochReport`] per epoch;
+//!   **epochs**: each scheduled event round ends an epoch, and
+//!   `DynamicSession::run_with` applies the batch itself (cast changes to
+//!   its inhabitant bookkeeping, topology changes through
+//!   `EpochBackend::set_graph`; no engine has a per-event hook). The
+//!   next epoch is re-planned from the registry (fresh round budget on
+//!   the mutated topology), reseated with `begin_epoch` and
+//!   independently verified, yielding one [`session::EpochReport`] per
+//!   epoch;
 //! * every epoch runs through `bd-dispersion`'s per-epoch pipeline
 //!   (`run_epoch`) on any `EpochBackend` — the engine surface that crate's
 //!   session module defines for the fast arena engine and `bd-oracle`

@@ -3,12 +3,15 @@
 //! A [`DynamicSession`] runs a [`DynamicSpec`] as a sequence of
 //! **epochs**. Epoch 0 is the base scenario verbatim. Every scheduled
 //! event round ends the running epoch exactly there; the batch of events
-//! at that round applies in list order to the quiescent world (through
-//! the engine's world-event hook, so scratch arenas stay coherent); and
-//! the next epoch is planned afresh from the registry — fresh round
+//! at that round applies in list order to the quiescent world, here in
+//! [`DynamicSession::run_with`] and not through an engine hook: joins
+//! and leaves edit the session's inhabitant bookkeeping, and edge
+//! failures and heals swap the graph through [`EpochBackend::set_graph`].
+//! The next epoch is then planned afresh from the registry — fresh round
 //! budget, fresh phase schedule, fresh controllers — on whatever topology
-//! and cast the batch left behind. Each epoch is independently verified
-//! and reported as an [`EpochReport`].
+//! and cast the batch left behind, and `begin_epoch` reseats the whole
+//! cast. Each epoch is independently verified and reported as an
+//! [`EpochReport`].
 //!
 //! Each epoch runs through `bd-dispersion`'s one per-epoch pipeline,
 //! [`run_epoch`], on any [`EpochBackend`] — the fast arena engine or the

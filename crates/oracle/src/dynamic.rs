@@ -19,7 +19,7 @@ use bd_dispersion::registry::StartRequirement;
 use bd_dispersion::{EpochBackend, Msg, RosterEntry};
 use bd_dynamic::{DynamicOutcome, DynamicSession, DynamicSpec, EventKind, EventSchedule};
 use bd_graphs::PortGraph;
-use bd_runtime::{Engine, EngineConfig, EpochOutcome, RunError, Trace, WorldEvent};
+use bd_runtime::{Engine, EngineConfig, EpochOutcome, RunError, Trace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
@@ -42,7 +42,7 @@ impl EpochBackend for OracleEngine<Msg> {
     }
 
     fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
-        self.apply_world_event(WorldEvent::Graph { graph })
+        OracleEngine::set_graph(self, graph)
     }
 
     fn round(&self) -> u64 {

@@ -19,7 +19,7 @@
 use bd_graphs::{NodeId, Port, PortGraph};
 use bd_runtime::{
     ArrivalInfo, Controller, EngineConfig, EpochOutcome, Event, Flavor, Intent, MoveChoice,
-    Observation, Prelude, Publication, RobotId, RunError, RunMetrics, Trace, WorldEvent,
+    Observation, Prelude, Publication, RobotId, RunError, RunMetrics, Trace,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ impl<M> Seat<M> {
 }
 
 /// The naive reference engine. Mirrors the `bd_runtime::Engine` public
-/// surface (`new` / `add_robot` / `begin_epoch` / `run_epoch` /
+/// surface (`new` / `add_robot` / `begin_epoch` / `set_graph` / `run_epoch` /
 /// `into_trace`) and its observable semantics, and nothing about its
 /// implementation.
 pub struct OracleEngine<M> {
@@ -114,71 +114,45 @@ impl<M: Clone> OracleEngine<M> {
         self.round
     }
 
-    /// Apply one [`WorldEvent`] between rounds — the same hook (and the
-    /// same observable semantics) as `bd_runtime::Engine::apply_world_event`,
-    /// restated naively: there are no arenas to invalidate because every
-    /// round rebuilds from scratch anyway.
-    pub fn apply_world_event(&mut self, event: WorldEvent<M>) -> Result<(), RunError> {
-        match event {
-            WorldEvent::Join {
-                flavor,
-                node,
-                controller,
-            } => {
-                if node >= self.graph.n() {
-                    return Err(RunError::BadScenario(format!(
-                        "join targets nonexistent node {node} (graph has {} nodes)",
-                        self.graph.n()
-                    )));
-                }
-                self.add_robot(flavor, node, controller);
-            }
-            WorldEvent::Leave { id } => {
-                let i = self.seats.iter().position(|s| s.id == id).ok_or_else(|| {
-                    RunError::BadScenario(format!("no robot with true ID {id} to remove"))
-                })?;
-                self.seats.remove(i);
-                self.arrivals.remove(i);
-                self.terminated_logged.remove(i);
-            }
-            WorldEvent::Graph { graph } => {
-                if let Some(s) = self.seats.iter().find(|s| s.position >= graph.n()) {
-                    return Err(RunError::BadScenario(format!(
-                        "robot {} on node {} would be stranded outside the {}-node \
-                         replacement graph",
-                        s.id,
-                        s.position,
-                        graph.n()
-                    )));
-                }
-                self.graph = graph;
-                for a in self.arrivals.iter_mut() {
-                    *a = None;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Reseat the whole cast for a new epoch and snapshot-and-clear the
-    /// metrics, mirroring `bd_runtime::Engine::begin_epoch`.
+    /// metrics, mirroring `bd_runtime::Engine::begin_epoch` (a seat off
+    /// the graph is a scenario error).
     pub fn begin_epoch<I>(&mut self, seats: I) -> Result<(), RunError>
     where
         I: IntoIterator<Item = (Flavor, NodeId, Box<dyn Controller<M>>)>,
     {
-        while let Some(last) = self.seats.last() {
-            let id = last.id;
-            self.apply_world_event(WorldEvent::Leave { id })?;
-        }
+        self.seats.clear();
+        self.arrivals.clear();
+        self.terminated_logged.clear();
         for (flavor, node, controller) in seats {
-            self.apply_world_event(WorldEvent::Join {
-                flavor,
-                node,
-                controller,
-            })?;
+            if node >= self.graph.n() {
+                return Err(RunError::BadScenario(format!(
+                    "seat on nonexistent node {node} (graph has {} nodes)",
+                    self.graph.n()
+                )));
+            }
+            self.add_robot(flavor, node, controller);
         }
         self.metrics = RunMetrics::default();
         self.epoch_base = self.round;
+        Ok(())
+    }
+
+    /// Swap the graph between epochs, mirroring
+    /// `bd_runtime::Engine::set_graph`: a graph that would strand a robot
+    /// is refused, and arrival port pairs are forgotten.
+    pub fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
+        if let Some(s) = self.seats.iter().find(|s| s.position >= graph.n()) {
+            return Err(RunError::BadScenario(format!(
+                "robot {} on node {} would be stranded outside the {}-node \
+                 replacement graph",
+                s.id,
+                s.position,
+                graph.n()
+            )));
+        }
+        self.graph = graph;
+        self.arrivals.fill(None);
         Ok(())
     }
 

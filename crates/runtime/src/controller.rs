@@ -148,8 +148,9 @@ pub trait Controller<M> {
     /// Called after the final sub-round: choose where to move.
     fn decide_move(&mut self, obs: &Observation<'_, M>) -> MoveChoice;
 
-    /// What the robot does from epoch-local `round` on (see [`Intent`]).
-    /// The default, [`Intent::Act`], makes no promise.
+    /// What the robot does from epoch-local `round` on, the round the
+    /// engine is about to run (see [`Intent`]). The default,
+    /// [`Intent::Act`], makes no promise.
     fn intent(&self, _round: u64) -> Intent {
         Intent::Act
     }
@@ -191,9 +192,14 @@ pub trait Controller<M> {
 ///
 /// Once per drive-loop iteration, for every robot past its prelude: when
 /// an epoch starts, after every round or segment the engine runs, and
-/// after every idle skip (the round changed). Between two asks the engine
-/// calls none of the controller's `&mut` methods, so an answer holds until
-/// the next ask. A robot inside its prelude is never asked; it counts as
+/// after every idle skip (the round changed). `round` is the round the
+/// engine is about to run, and the answer is for that round. The engine
+/// owns the clock: a controller answers from `round` and its protocol
+/// state and keeps no clock of its own, because skips and segments call
+/// nothing, so the round a controller was last called in says nothing
+/// about the round it is asked about. Between two asks the engine calls
+/// none of the controller's `&mut` methods, so an answer holds until the
+/// next ask. A robot inside its prelude is never asked; it counts as
 /// acting. Horizons are epoch-local, like every round a controller sees;
 /// a horizon at or before `round` promises nothing.
 ///

@@ -30,17 +30,16 @@
 //! every stepped move and at every segment's end, so switching between
 //! segments and stepped rounds rebuilds nothing.
 //!
-//! # Dynamic worlds: events and epochs
+//! # Dynamic worlds: epochs
 //!
-//! A long-lived run is a sequence of **epochs** separated by
-//! [`WorldEvent`]s (robots joining or leaving, the graph swapped for an
-//! edge failure or heal), applied by [`Engine::apply_world_event`], the
-//! single mutation primitive. Every epoch ([`Engine::run_epoch`]) rebuilds
-//! the scratch arenas from the world before its first round, so events
-//! need no arena bookkeeping. A static run is one epoch stopped at
+//! A long-lived run is a sequence of **epochs**. Between two of them the
+//! engine changes in exactly two ways: [`Engine::begin_epoch`] reseats the
+//! whole cast, and [`Engine::set_graph`] swaps the graph for an edge
+//! failure or heal. Every epoch ([`Engine::run_epoch`]) rebuilds the
+//! scratch arenas from the world before its first round, so neither
+//! change needs arena bookkeeping. A static run is one epoch stopped at
 //! `u64::MAX`. The round clock, the cumulative trace, and the telemetry
-//! recorder persist across epochs; see `bd-dynamic` for the scheduling
-//! layer.
+//! recorder persist across epochs; `bd-dynamic` schedules the changes.
 
 use crate::config::EngineConfig;
 use crate::controller::{Controller, Intent, MoveChoice, Prelude};
@@ -144,34 +143,6 @@ fn subrounds_at<'a, M: 'a>(
         .max(1)
 }
 
-/// A mid-run mutation of the simulated world, applied between rounds via
-/// [`Engine::apply_world_event`]. Each variant keeps the engine's
-/// per-robot arrays coherent; the `bd-dynamic` crate schedules these at
-/// exact round numbers.
-pub enum WorldEvent<M> {
-    /// A robot materializes at `node` and starts acting next round.
-    Join {
-        /// Fault flavor of the newcomer.
-        flavor: Flavor,
-        /// Node it appears on.
-        node: NodeId,
-        /// Its controller (the true ID is taken from it).
-        controller: Box<dyn Controller<M>>,
-    },
-    /// The robot with true identity `id` vanishes from the world.
-    Leave {
-        /// True ID of the leaver (claimed IDs cannot be targeted).
-        id: RobotId,
-    },
-    /// The graph is replaced — an edge failed or healed. Every robot must
-    /// still stand on a valid node; arrival port memory is cleared because
-    /// it referred to the old labeling.
-    Graph {
-        /// The replacement graph.
-        graph: Arc<PortGraph>,
-    },
-}
-
 /// The result of driving one epoch ([`Engine::run_epoch`]), read off a
 /// still-running engine with metrics snapshot-and-cleared so the next
 /// epoch starts counting from zero. A static run is one epoch stopped at
@@ -193,7 +164,7 @@ pub struct Engine<M> {
     controllers: Vec<Box<dyn Controller<M>>>,
     /// Each robot's prelude, read once when it was seated.
     preludes: Vec<Prelude>,
-    /// The longest prelude any robot was seated with: from this epoch-local
+    /// The longest prelude in the current cast: from this epoch-local
     /// round on no robot is inside its prelude.
     longest_prelude: u64,
     config: EngineConfig,
@@ -257,80 +228,51 @@ impl<M: Clone> Engine<M> {
         self.terminated_logged.push(false);
     }
 
-    /// Apply one [`WorldEvent`] between rounds. The single mutation
-    /// primitive for dynamic worlds: every variant edits the world and the
-    /// engine's parallel per-robot arrays in lockstep; the next epoch
-    /// rebuilds occupancy, rosters, and the ID-faking list from them.
-    pub fn apply_world_event(&mut self, event: WorldEvent<M>) -> Result<(), RunError> {
-        match event {
-            WorldEvent::Join {
-                flavor,
-                node,
-                controller,
-            } => {
-                if node >= self.world.graph().n() {
-                    return Err(RunError::BadScenario(format!(
-                        "join targets nonexistent node {node} (graph has {} nodes)",
-                        self.world.graph().n()
-                    )));
-                }
-                self.add_robot(flavor, node, controller);
-            }
-            WorldEvent::Leave { id } => {
-                let i = self
-                    .world
-                    .robots()
-                    .iter()
-                    .position(|r| r.id == id)
-                    .ok_or_else(|| {
-                        RunError::BadScenario(format!("no robot with true ID {id} to remove"))
-                    })?;
-                self.world.remove_robot(i);
-                self.controllers.remove(i);
-                self.preludes.remove(i);
-                self.arrivals.remove(i);
-                self.terminated_logged.remove(i);
-            }
-            WorldEvent::Graph { graph } => {
-                if let Some(r) = self.world.robots().iter().find(|r| r.position >= graph.n()) {
-                    return Err(RunError::BadScenario(format!(
-                        "robot {} on node {} would be stranded outside the {}-node \
-                         replacement graph",
-                        r.id,
-                        r.position,
-                        graph.n()
-                    )));
-                }
-                self.world.set_graph(graph);
-                // Arrival port pairs referred to the old graph's labeling.
-                self.arrivals.fill(None);
-            }
-        }
-        Ok(())
-    }
-
     /// Reseat the whole cast for a new epoch: every current robot leaves,
-    /// the given seats join (all through [`Engine::apply_world_event`]),
-    /// and the metrics are snapshot-and-cleared so per-epoch measurements
-    /// never accumulate across topology changes. The round clock, the
-    /// cumulative trace, and the telemetry recorder persist.
+    /// the given seats join in order, and the metrics are
+    /// snapshot-and-cleared so per-epoch measurements never accumulate
+    /// across topology changes. A seat on a node outside the graph is a
+    /// scenario error. The round clock, the graph, the cumulative trace,
+    /// and the telemetry recorder persist.
     pub fn begin_epoch<I>(&mut self, seats: I) -> Result<(), RunError>
     where
         I: IntoIterator<Item = (Flavor, NodeId, Box<dyn Controller<M>>)>,
     {
-        while let Some(last) = self.world.robots().last() {
-            let id = last.id;
-            self.apply_world_event(WorldEvent::Leave { id })?;
-        }
+        self.world.clear_robots();
+        self.controllers.clear();
+        self.preludes.clear();
+        self.longest_prelude = 0;
+        self.arrivals.clear();
+        self.terminated_logged.clear();
         for (flavor, node, controller) in seats {
-            self.apply_world_event(WorldEvent::Join {
-                flavor,
-                node,
-                controller,
-            })?;
+            let n = self.world.graph().n();
+            if node >= n {
+                return Err(RunError::BadScenario(format!(
+                    "seat on nonexistent node {node} (graph has {n} nodes)"
+                )));
+            }
+            self.add_robot(flavor, node, controller);
         }
         self.metrics = RunMetrics::default();
         self.epoch_base = self.round;
+        Ok(())
+    }
+
+    /// Swap the graph between epochs (an edge failed or healed). Refuses a
+    /// graph that would strand a seated robot outside it; arrival port
+    /// pairs are cleared because they referred to the old labeling.
+    pub fn set_graph(&mut self, graph: Arc<PortGraph>) -> Result<(), RunError> {
+        if let Some(r) = self.world.robots().iter().find(|r| r.position >= graph.n()) {
+            return Err(RunError::BadScenario(format!(
+                "robot {} on node {} would be stranded outside the {}-node \
+                 replacement graph",
+                r.id,
+                r.position,
+                graph.n()
+            )));
+        }
+        self.world.set_graph(graph);
+        self.arrivals.fill(None);
         Ok(())
     }
 
@@ -510,7 +452,7 @@ impl<M: Clone> Engine<M> {
                             }
                             self.metrics.rounds_skipped += target - self.round;
                             self.round = target;
-                            self.ask();
+                            self.log_terminations(target - 1);
                             continue;
                         }
                     }
@@ -800,8 +742,8 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Ask every robot its intent for the next round, and record `round`
-    /// (the one just run) as the termination round of every robot done
-    /// for the first time.
+    /// (the last one run or skipped) as the termination round of every
+    /// robot done for the first time.
     fn log_terminations(&mut self, round: u64) {
         self.ask();
         for i in 0..self.world.num_robots() {
@@ -1408,90 +1350,109 @@ mod tests {
 
     #[test]
     fn world_events_keep_arenas_coherent_mid_run() {
-        // Step a cast, churn it with every event class, step again: the
-        // lazily rebuilt arenas must agree with the mutated world.
+        // Step a cast, swap the graph and reseat a new cast where the old
+        // one stood, step again: the arenas rebuilt at the epoch start
+        // must agree with the changed world.
         let g = oriented_ring(6).unwrap();
         let mut e: Engine<String> = Engine::new(g, EngineConfig::default().traced());
-        e.add_robot(
-            Flavor::Honest,
-            0,
+        let walker = |id, script: Vec<Port>| -> Box<dyn Controller<String>> {
             Box::new(Walker {
-                id: RobotId(1),
-                script: vec![0, 0, 0, 0],
+                id: RobotId(id),
+                script,
                 step: 0,
-            }),
-        );
-        e.add_robot(
-            Flavor::Honest,
-            3,
-            Box::new(Walker {
-                id: RobotId(2),
-                script: vec![0],
-                step: 0,
-            }),
-        );
-        assert!(!e.run_epoch(2).unwrap().terminated);
-        // Robot 2 leaves; a newcomer joins on node 5.
-        e.apply_world_event(WorldEvent::Leave { id: RobotId(2) })
-            .unwrap();
-        e.apply_world_event(WorldEvent::Join {
-            flavor: Flavor::Honest,
-            node: 5,
-            controller: Box::new(Walker {
-                id: RobotId(3),
-                script: vec![0],
-                step: 0,
-            }),
-        })
-        .unwrap();
-        // The graph is swapped for an identical copy (labels coherent).
-        let swap = std::sync::Arc::new(oriented_ring(6).unwrap());
-        e.apply_world_event(WorldEvent::Graph { graph: swap })
-            .unwrap();
-        assert!(e.run_epoch(4).unwrap().terminated);
-        // Seating order after the churn: robot 1 (walked 4 steps from 0),
-        // robot 3 (walked 1 step from 5).
-        assert_eq!(e.world().positions(), vec![4, 0]);
-        assert_eq!(e.world().robot(0).id, RobotId(1));
-        assert_eq!(e.world().robot(1).id, RobotId(3));
-        assert_eq!(e.round(), 4);
-        // Unknown leaver and out-of-range join are scenario errors.
-        assert!(e
-            .apply_world_event(WorldEvent::Leave { id: RobotId(77) })
-            .is_err());
-        let g2: Engine<String> = Engine::new(ring(4).unwrap(), EngineConfig::default());
-        drop(g2);
-        assert!(e
-            .apply_world_event(WorldEvent::Join {
-                flavor: Flavor::Honest,
-                node: 99,
-                controller: Box::new(Walker {
-                    id: RobotId(9),
-                    script: vec![],
-                    step: 0,
-                }),
             })
-            .is_err());
+        };
+        e.begin_epoch([
+            (Flavor::Honest, 0, walker(1, vec![0; 4])),
+            (Flavor::Honest, 3, walker(2, vec![0])),
+        ])
+        .unwrap();
+        assert!(!e.run_epoch(2).unwrap().terminated);
+        assert_eq!(e.world().positions(), vec![2, 4]);
+        // The graph is swapped for an identical copy (labels coherent),
+        // then a cast of two replaces the old one: one robot where robot
+        // 1 stood, one on node 5.
+        e.set_graph(Arc::new(oriented_ring(6).unwrap())).unwrap();
+        e.begin_epoch([
+            (Flavor::Honest, 2, walker(3, vec![0, 0])),
+            (Flavor::Honest, 5, walker(4, vec![0])),
+        ])
+        .unwrap();
+        assert!(e.run_epoch(u64::MAX).unwrap().terminated);
+        assert_eq!(e.world().positions(), vec![4, 0]);
+        assert_eq!(e.world().robot(0).id, RobotId(3));
+        assert_eq!(e.world().robot(1).id, RobotId(4));
+        assert_eq!(e.round(), 4);
+        // A seat outside the graph is a scenario error.
+        assert!(matches!(
+            e.begin_epoch([(Flavor::Honest, 99, walker(9, vec![]))]),
+            Err(RunError::BadScenario(_))
+        ));
     }
 
     #[test]
     fn graph_swap_refuses_to_strand_robots() {
         let g = ring(6).unwrap();
         let mut e: Engine<String> = Engine::new(g, EngineConfig::default());
-        e.add_robot(
-            Flavor::Honest,
-            5,
-            Box::new(Walker {
-                id: RobotId(1),
-                script: vec![],
-                step: 0,
-            }),
-        );
-        let smaller = std::sync::Arc::new(ring(4).unwrap());
+        let walker: Box<dyn Controller<String>> = Box::new(Walker {
+            id: RobotId(1),
+            script: vec![],
+            step: 0,
+        });
+        e.begin_epoch([(Flavor::Honest, 5, walker)]).unwrap();
         assert!(matches!(
-            e.apply_world_event(WorldEvent::Graph { graph: smaller }),
+            e.set_graph(Arc::new(ring(4).unwrap())),
             Err(RunError::BadScenario(_))
         ));
+        assert_eq!(
+            e.world().graph().n(),
+            6,
+            "the refused graph is not installed"
+        );
+    }
+
+    #[test]
+    fn an_idle_skip_records_the_terminations_it_reaches() {
+        /// Idle until round `wake`, done from it on: it never acts.
+        struct Napper(u64);
+        impl Controller<String> for Napper {
+            fn id(&self) -> RobotId {
+                RobotId(1)
+            }
+            fn act(&mut self, _obs: &Observation<'_, String>) -> Option<String> {
+                None
+            }
+            fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
+                MoveChoice::Stay
+            }
+            fn intent(&self, round: u64) -> Intent {
+                if round >= self.0 {
+                    Intent::Done
+                } else {
+                    Intent::Idle(self.0)
+                }
+            }
+        }
+        let run = |config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(ring(4).unwrap(), config.traced());
+            e.add_robot(Flavor::Honest, 2, Box::new(Napper(7)));
+            let out = e.run_epoch(u64::MAX).unwrap();
+            let ends: Vec<Event> = e
+                .into_trace()
+                .events
+                .into_iter()
+                .filter(|ev| matches!(ev, Event::Terminated { .. }))
+                .collect();
+            (out.metrics.rounds, ends)
+        };
+        let skipped = run(EngineConfig::default());
+        let ended = Event::Terminated {
+            round: 6,
+            robot: RobotId(1),
+            at: 2,
+        };
+        assert_eq!(skipped, (7, vec![ended]));
+        assert_eq!(skipped, run(EngineConfig::default().without_fast_forward()));
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod world;
 
 pub use config::EngineConfig;
 pub use controller::{Controller, Intent, MoveChoice, Prelude};
-pub use engine::{Engine, EpochOutcome, WorldEvent};
+pub use engine::{Engine, EpochOutcome};
 pub use error::RunError;
 pub use ids::{Flavor, RobotId};
 pub use metrics::RunMetrics;

@@ -83,8 +83,8 @@ impl World {
         self.robots[i].moves += moves;
     }
 
-    /// Register one more robot mid-run (a **join** event). Panics on an
-    /// out-of-range node, matching [`World::new`]'s contract.
+    /// Register one more robot. Panics on an out-of-range node, matching
+    /// [`World::new`]'s contract.
     pub fn add_robot(&mut self, id: RobotId, flavor: Flavor, node: NodeId) {
         assert!(
             node < self.graph.n(),
@@ -98,25 +98,14 @@ impl World {
         });
     }
 
-    /// Remove robot `i` (setup index) from the world (a **leave** event),
-    /// returning its final slot. Robots after `i` shift down one index —
-    /// the engine re-aligns its parallel per-robot arrays the same way.
-    pub fn remove_robot(&mut self, i: usize) -> RobotSlot {
-        self.robots.remove(i)
+    /// Remove every robot (a new epoch reseats the whole cast).
+    pub(crate) fn clear_robots(&mut self) {
+        self.robots.clear();
     }
 
-    /// Swap in a new graph (an **edge fail/heal** epoch). Every robot must
-    /// still stand on a valid node; the caller validates positions first
-    /// (node count never shrinks below an occupied node).
-    pub fn set_graph(&mut self, graph: Arc<PortGraph>) {
-        for r in &self.robots {
-            assert!(
-                r.position < graph.n(),
-                "robot {} stranded on node {} outside the new graph",
-                r.id,
-                r.position
-            );
-        }
+    /// Swap in a new graph (an **edge fail/heal** epoch). The engine has
+    /// already checked that every robot still stands on a valid node.
+    pub(crate) fn set_graph(&mut self, graph: Arc<PortGraph>) {
         self.graph = graph;
     }
 

@@ -73,15 +73,6 @@ pub fn spans_enabled() -> bool {
     SPANS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable counter recording when `BD_TELEMETRY` is set (to anything but
-/// `0`) — the bins call this so sweeps can be instrumented without a
-/// flag.
-pub fn init_from_env() {
-    if std::env::var_os("BD_TELEMETRY").is_some_and(|v| v != "0") {
-        enable_counters(true);
-    }
-}
-
 /// Global allocation odometer. The stack's own builds never touch it;
 /// `bd-bench --bin profile` installs a counting `GlobalAlloc` that calls
 /// [`note_alloc`] on every allocation, and the engine recorder snapshots
