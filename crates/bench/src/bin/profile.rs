@@ -18,9 +18,12 @@
 //!   `cover_walk`/`gather` phase's rounds are scripted (applied in bulk),
 //!   every `gather` phase moves robots at least twice per prelude port the
 //!   engine looked up (`walked=`: merged gathering walks share a tail and
-//!   are walked once per cohort), and at least 60% of the rounds not
+//!   are walked once per cohort), at least 60% of the rounds not
 //!   skipped in every `pairing`/`replicate` phase are solo (roaming
-//!   adversaries applied in bulk while every honest robot waits);
+//!   adversaries applied in bulk while every honest robot waits), and
+//!   `GatheredHalfTh3` serves fewer than `k` observations
+//!   (`bulletin_reads`) per stepped round (robots idle in a pairing
+//!   window are not called);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -242,7 +245,7 @@ fn main() {
             failures.push("phase attribution below 90%".to_string());
         }
         for (cell, report) in &profiled {
-            failures.extend(round_accounting(&cell.algo, report));
+            failures.extend(round_accounting(cell, report));
         }
         for failure in &failures {
             eprintln!("profile: {failure}");
@@ -258,12 +261,27 @@ fn main() {
 /// stepped, skipped, scripted or solo exactly once; the walks that need no
 /// communication (`cover_walk`, `gather`) are at least 90% scripted; the
 /// gathering walk makes at least two moves per prelude port looked up
-/// (which fails if plans stop sharing tails among merged walks); and the
+/// (which fails if plans stop sharing tails among merged walks); the
 /// map-finding windows (`pairing`, `replicate`) are at least 60% solo
-/// among the rounds not skipped.
-fn round_accounting(algo: &str, report: &EngineReport) -> Vec<String> {
-    let t = &report.total;
+/// among the rounds not skipped; and `GatheredHalfTh3`'s stepped rounds
+/// serve fewer than `k` observations each on average, which fails if
+/// robots waiting out a pairing window are called again.
+fn round_accounting(cell: &Cell, report: &EngineReport) -> Vec<String> {
+    let (algo, t) = (&cell.algo, &report.total);
     let mut failures = Vec::new();
+    if algo == "GatheredHalfTh3" {
+        let reads = t.bulletin_reads as f64 / t.rounds_stepped.max(1) as f64;
+        println!(
+            "check: {algo} serves {reads:.1} observations per stepped round (k = {})",
+            cell.k
+        );
+        if reads >= cell.k as f64 {
+            failures.push(format!(
+                "{algo}: {} bulletin reads over {} stepped rounds = {reads:.1} per round >= k = {}",
+                t.bulletin_reads, t.rounds_stepped, cell.k
+            ));
+        }
+    }
     let accounted = t.rounds_stepped + t.rounds_skipped + t.rounds_scripted + t.rounds_solo;
     if accounted != report.rounds {
         failures.push(format!(

@@ -43,13 +43,12 @@
 //!   round; their entire observable footprint is physical presence (which
 //!   skipping never hides — rosters are built from positions) plus
 //!   publications, which are unread in any skipped round (the engine skips
-//!   only rounds in which *every* robot is idle). They report an unbounded
-//!   horizon and their trajectories are bit-identical with or without
-//!   fast-forwarding. They are idle but not silent, so they must never
-//!   overlap a segment (below), where an idle robot's messages would go
-//!   uncounted. Today that holds because a cast has one adversary kind
-//!   and activation starts after gathering: no roamer or prelude runs
-//!   beside an active spammer.
+//!   only rounds in which no robot acts). Once active they are beacons
+//!   for good (`Intent::Beacon(u64::MAX)`): skippable like idle robots,
+//!   but not silent, so the engine calls them in every stepped round and
+//!   steps instead of running a segment beside one, where their messages
+//!   would go uncounted. Their trajectories are bit-identical with or
+//!   without fast-forwarding.
 //! * **Roamers** (FakeSettler, Silent, Wanderer, TokenHijacker) act on a
 //!   **burst grid**: active during the first `n` rounds of every `4n`-round
 //!   block after activation, provably idle (stationary, silent, no RNG
@@ -133,7 +132,7 @@ impl AdversaryKind {
 
     /// Whether the strategy moves between nodes once active. Roaming
     /// strategies run on the burst grid (see the module docs); stationary
-    /// ones act every round and report an unbounded idle horizon.
+    /// ones publish every round and are beacons for good.
     pub(crate) fn roams(self) -> bool {
         matches!(
             self,
@@ -304,16 +303,20 @@ impl Controller<Msg> for AdversaryController {
         }
     }
 
-    /// Idle until activation. A stationary spammer is then idle for good:
-    /// its publications go unread in any skipped round and it never moves.
-    /// A roamer is idle up to its next burst and solo inside one: it reads
-    /// only its own round, degree and RNG, and nothing it publishes needs
-    /// a reader while every honest robot waits.
+    /// Idle until activation. A stationary spammer is then a beacon for
+    /// good: it never moves, and its publications go unread in any skipped
+    /// round but are counted in every stepped one. A roamer is idle up to
+    /// its next burst and solo inside one: it reads only its own round,
+    /// degree and RNG, and nothing it publishes needs a reader while every
+    /// honest robot waits. A bare `CrashMidway` controller, which neither
+    /// moves nor publishes, is idle for good.
     fn intent(&self, round: u64) -> Intent {
         if !self.active(round) {
             Intent::Idle(self.active_from)
-        } else if !self.kind.roams() {
+        } else if self.kind == AdversaryKind::CrashMidway {
             Intent::Idle(u64::MAX)
+        } else if !self.kind.roams() {
+            Intent::Beacon(u64::MAX)
         } else if self.in_burst(round) {
             Intent::Solo(self.burst_end(round))
         } else {
@@ -513,7 +516,7 @@ mod tests {
             Vec::new(),
             0,
         );
-        assert_eq!(a.intent(0), Intent::Idle(u64::MAX));
+        assert_eq!(a.intent(0), Intent::Beacon(u64::MAX));
     }
 
     #[test]
@@ -575,11 +578,17 @@ mod tests {
             let next = 100 + ((round - 100) / (4 * n) + 1) * 4 * n;
             assert_eq!(a.intent(round), Intent::Idle(next), "round {round}");
         }
-        // Stationary kinds are never solo.
+        // Stationary kinds are never solo: once active the spammers publish
+        // in place for good, and a bare crash-fault robot is silent.
         for kind in AdversaryKind::all().into_iter().filter(|k| !k.roams()) {
             let a = mk(kind, Vec::new(), 0);
+            let expected = if kind == AdversaryKind::CrashMidway {
+                Intent::Idle(u64::MAX)
+            } else {
+                Intent::Beacon(u64::MAX)
+            };
             for round in [0, 1, n, 4 * n] {
-                assert_eq!(a.intent(round), Intent::Idle(u64::MAX), "{kind:?}");
+                assert_eq!(a.intent(round), expected, "{kind:?}");
             }
         }
     }

@@ -237,6 +237,10 @@ pub struct TokenFollower {
     instruction_timeout: u64,
     /// See `AgentDriver::first_call_done`.
     first_call_done: bool,
+    /// The instruction round's support, `(port, member)` with `None` for
+    /// a release: reused across rounds, so tallying allocates nothing once
+    /// it has grown.
+    tally: Vec<(Option<Port>, RobotId)>,
 }
 
 impl TokenFollower {
@@ -259,6 +263,7 @@ impl TokenFollower {
             idle_gap: 0,
             instruction_timeout,
             first_call_done: false,
+            tally: Vec::new(),
         }
     }
 
@@ -276,34 +281,34 @@ impl TokenFollower {
         if obs.subround != 1 || self.returning.is_some() {
             return None;
         }
-        // Collect support per proposed port for the current step, plus
-        // release announcements.
-        let mut support: std::collections::BTreeMap<Port, BTreeSet<RobotId>> = Default::default();
-        let mut done_support: BTreeSet<RobotId> = BTreeSet::new();
-        for p in obs.bulletin {
+        // Tally the distinct agent-group members behind each proposed port
+        // of the current step and behind a release; releases sort first,
+        // then ports lowest first.
+        let InstructionSpec { members, threshold } = &self.instructions;
+        self.tally.clear();
+        for p in obs.bulletin.iter().filter(|p| members.contains(&p.sender)) {
             match p.body {
                 Msg::TokenGo { port, step } if step == self.step && port < obs.degree => {
-                    support.entry(port).or_default().insert(p.sender);
+                    self.tally.push((Some(port), p.sender));
                 }
-                Msg::RunDone => {
-                    done_support.insert(p.sender);
-                }
+                Msg::RunDone => self.tally.push((None, p.sender)),
                 _ => {}
             }
         }
-        let InstructionSpec { members, threshold } = &self.instructions;
-        let accepted = |s: &BTreeSet<RobotId>| {
-            s.iter().filter(|r| members.contains(r)).count() >= (*threshold).max(1)
-        };
-        if accepted(&done_support) {
+        self.tally.sort_unstable();
+        self.tally.dedup();
+        // Sorted, so a quorum behind one key fills a window of the tally.
+        let quorum = (*threshold).max(1);
+        let first = self
+            .tally
+            .windows(quorum)
+            .find(|w| w[0].0 == w[quorum - 1].0)
+            .map(|w| w[0].0);
+        if first == Some(None) {
             self.go_home();
             return None;
         }
-        let chosen = support
-            .iter()
-            .find(|(_, s)| accepted(s))
-            .map(|(&port, _)| port);
-        if let Some(port) = chosen {
+        if let Some(port) = first.flatten() {
             self.planned = Some(port);
             self.step += 1;
             self.idle_gap = 0;
@@ -465,6 +470,58 @@ mod tests {
         };
         let _ = t.act(&obs);
         assert_eq!(t.decide_move(), MoveChoice::Move(0));
+    }
+
+    #[test]
+    fn follower_takes_a_release_first_then_the_lowest_port() {
+        let follower = || {
+            TokenFollower::new(InstructionSpec {
+                members: group(&[1, 2, 3]),
+                threshold: 2,
+            })
+        };
+        let mk = |sender: u64, body| bd_runtime::observation::Publication {
+            sender: RobotId(sender),
+            subround: 0,
+            body,
+        };
+        let go = |port| Msg::TokenGo { port, step: 0 };
+        let roster = [RobotId(1), RobotId(2), RobotId(3)];
+        let act = |t: &mut TokenFollower, bulletin: &[_]| {
+            t.act(&Observation {
+                round: 0,
+                subround: 1,
+                subrounds: 2,
+                degree: 3,
+                roster: &roster,
+                bulletin,
+                arrival: None,
+            })
+        };
+        // Ports 2 and 1 both reach quorum; port 1, the lowest, wins. A
+        // repeated sender counts once, so port 0 does not.
+        let mut t = follower();
+        let bulletin = [
+            mk(1, go(2)),
+            mk(2, go(2)),
+            mk(3, go(1)),
+            mk(2, go(1)),
+            mk(1, go(0)),
+            mk(1, go(0)),
+        ];
+        act(&mut t, &bulletin);
+        assert_eq!(t.decide_move(), MoveChoice::Move(1));
+        // A release with quorum beats any instruction.
+        let mut t = follower();
+        let bulletin = [
+            mk(1, go(0)),
+            mk(2, go(0)),
+            mk(3, Msg::RunDone),
+            mk(1, Msg::RunDone),
+        ];
+        act(&mut t, &bulletin);
+        assert_eq!(t.decide_move(), MoveChoice::Stay);
+        assert!(t.finished(), "released before any move: home already");
     }
 
     #[test]

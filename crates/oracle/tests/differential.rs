@@ -226,10 +226,9 @@ impl Controller<Msg> for Walk {
 
 /// Roams in the bursts `[0, 3)` and `[12, 15)`: publishes and moves on its
 /// own senses, solo until the burst ends, idle between and after bursts.
-/// Logs the rounds it was handed an empty roster in, which only a segment
-/// does.
+/// Answers `intent` from the asked round alone. Logs the rounds it was
+/// handed an empty roster in, which only a segment does.
 struct Roamer {
-    next: u64,
     calls: Calls,
     unrostered: Calls,
 }
@@ -257,16 +256,15 @@ impl Controller<Msg> for Roamer {
         })
     }
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        self.next = obs.round + 1;
         match Roamer::burst_end(obs.round) {
             Some(_) => MoveChoice::Move(obs.round as usize % obs.degree),
             None => MoveChoice::Stay,
         }
     }
-    fn intent(&self, _round: u64) -> Intent {
-        match Roamer::burst_end(self.next) {
+    fn intent(&self, round: u64) -> Intent {
+        match Roamer::burst_end(round) {
             Some(end) => Intent::Solo(end),
-            None if self.next < 12 => Intent::Idle(12),
+            None if round < 12 => Intent::Idle(12),
             None => Intent::Idle(u64::MAX),
         }
     }
@@ -358,7 +356,6 @@ fn run_prelude_cast(
             Flavor::WeakByzantine,
             7,
             Box::new(Roamer {
-                next: 0,
                 calls: Rc::clone(&logs[3]),
                 unrostered: Rc::clone(&unrostered),
             }),

@@ -195,13 +195,13 @@ pub trait Controller<M> {
 /// after every idle skip (the round changed). `round` is the round the
 /// engine is about to run, and the answer is for that round. The engine
 /// owns the clock: a controller answers from `round` and its protocol
-/// state and keeps no clock of its own, because skips and segments call
-/// nothing, so the round a controller was last called in says nothing
-/// about the round it is asked about. Between two asks the engine calls
-/// none of the controller's `&mut` methods, so an answer holds until the
-/// next ask. A robot inside its prelude is never asked; it counts as
-/// acting. Horizons are epoch-local, like every round a controller sees;
-/// a horizon at or before `round` promises nothing.
+/// state and keeps no clock of its own, because skips, segments and idle
+/// rounds call nothing, so the round a controller was last called in
+/// says nothing about the round it is asked about. Between two asks the
+/// engine calls none of the controller's `&mut` methods, so an answer
+/// holds until the next ask. A robot inside its prelude is never asked;
+/// it counts as acting. Horizons are epoch-local, like every round a
+/// controller sees; a horizon at or before `round` promises nothing.
 ///
 /// # What the engine does with the answers
 ///
@@ -211,25 +211,25 @@ pub trait Controller<M> {
 /// `EngineConfig::fast_forward`:
 ///
 /// * **Skip.** When no robot is inside its prelude and every robot is
-///   done or idle, the engine jumps the clock to the earliest idle
-///   horizon, calling no one; `RunMetrics::rounds_skipped` counts the
-///   jump. No robot acts in a skipped round, so no bulletin of one has a
-///   reader, which is what makes [`Intent::Idle`] checkable locally.
+///   done, idle or a beacon, the engine jumps the clock to the earliest
+///   idle or beacon horizon, calling no one; `RunMetrics::rounds_skipped`
+///   counts the jump. No robot acts in a skipped round, so no bulletin of
+///   one has a reader, and a beacon's publications in it go uncounted.
 /// * **Segment.** When every robot is done, idle, inside its prelude or
 ///   solo, and at least one is not idle, the engine applies the stretch in
 ///   bulk. It ends at the shortest remaining prelude or prelude head, the
 ///   earliest solo horizon, the earliest idle horizon, the epoch's stop
 ///   round, the round cap and (when recording telemetry) the next phase
-///   mark. No roster or bulletin is built and idle robots are not called,
-///   so an idle robot overlapping a segment must also be silent: the
-///   engine counts no messages for it. Prelude robots take their ports;
-///   solo robots are called as [`Intent::Solo`] says. The segment runs
-///   the sub-round count that the robots past their prelude and not done
-///   request at its first round, so every such request must stay constant
-///   inside it (debug builds assert the maximum does). Segment rounds
-///   count as executed, so `RunMetrics` equal a stepped run's;
-///   `EngineCounters::rounds_scripted` counts segments without a solo
-///   robot and `rounds_solo` those with one.
+///   mark. No roster or bulletin is built and idle robots are not called.
+///   A beacon never joins a segment: beside one the engine steps instead,
+///   so every publication outside a skip is counted. Prelude robots take
+///   their ports; solo robots are called as [`Intent::Solo`] says. The
+///   segment runs the sub-round count that the robots past their prelude
+///   and not done request at its first round, so every such request must
+///   stay constant inside it (debug builds assert the maximum does).
+///   Segment rounds count as executed, so `RunMetrics` equal a stepped
+///   run's; `EngineCounters::rounds_scripted` counts segments without a
+///   solo robot and `rounds_solo` those with one.
 /// * **Cohorts.** In a segment with no solo robot and no trace recorded,
 ///   the robots past their prelude head that hold one tail `Arc` and stand
 ///   on one node form a *cohort*: the engine walks the tail once and gives
@@ -237,23 +237,37 @@ pub trait Controller<M> {
 ///   its head walks alone. Beside a solo robot, with a trace, or when an
 ///   honest robot's port is invalid, every robot walks alone, round-major
 ///   in robot order, so events and errors come out exactly as stepping's.
+/// * **Silence.** Every other round is stepped: every robot past its
+///   prelude and not done gets its roster and bulletin unless it is idle,
+///   which is not called at all. The round's sub-round count is still the
+///   most that any robot past its prelude and not done requests, idle or
+///   not, so `subrounds_executed` does not depend on who is called.
 ///
-/// Every other round is stepped: every robot past its prelude and not
-/// done, idle or not, gets its roster and bulletin. Declaring a promise
-/// while actually wanting to act is a controller bug; the determinism
-/// suite and the oracle engine (which steps every round and asks only
-/// whether a robot is done) catch it by comparing trajectories.
+/// Declaring a promise while actually wanting to act is a controller bug;
+/// the determinism suite and the oracle engine (which steps every round,
+/// calls every robot past its prelude and not done, and asks only whether
+/// a robot is done) catch it by comparing trajectories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intent {
     /// Terminated: the robot stays put and goes silent forever.
     Done,
-    /// Idle until the given round: if the engine stops calling the robot
-    /// until then, nothing observable changes. It would neither move nor
-    /// read, and anything it might publish would go unread. Honest
-    /// controllers derive the horizon from their phase timelines;
-    /// Byzantine ones from their strategy (an adversary that only acts on
-    /// a burst grid is idle until its next burst).
+    /// Idle until the given round: silent. Until then the robot neither
+    /// moves, reads nor publishes, so the engine calls none of its
+    /// [`Controller::act`] and [`Controller::decide_move`] before that
+    /// round, stepped rounds included; only its
+    /// [`Controller::subrounds_wanted`] still counts. Honest controllers
+    /// derive the horizon from their phase timelines; Byzantine ones from
+    /// their strategy (an adversary that only acts on a burst grid is idle
+    /// until its next burst).
     Idle(u64),
+    /// A beacon until the given round: the robot stays put and may
+    /// publish, and a round it is not called in leaves its later behavior
+    /// unchanged. So the engine may skip it together with every other
+    /// robot, when no bulletin has a reader; but since its publications
+    /// may have readers in any other round, it is called in every stepped
+    /// round and never joins a segment: the engine steps instead. This
+    /// reproduction's stationary spammers are beacons once active.
+    Beacon(u64),
     /// Solo until the given round: until then the robot reads only its own
     /// senses (the observation's `round`, `subround`, `subrounds`, `degree`
     /// and `arrival`, never the roster or the bulletin), nothing it

@@ -23,7 +23,11 @@
 //! Rounds that need no stepping bypass `Engine::step`: the engine asks
 //! every robot its [`Intent`] once per loop iteration, keeps the answers
 //! in the scratch, and skips or applies stretches in bulk
-//! (`Engine::apply_segment`) as the [`Intent`] contract describes. Every
+//! (`Engine::apply_segment`) as the [`Intent`] contract describes. A
+//! stepped round calls only the robots that act or publish: an idle robot
+//! is silent, so it gets no observation and its move is a stay, while a
+//! beacon is called like an acting robot and makes the engine step
+//! rather than run a segment beside it. Every
 //! move, stepped or in bulk, goes through one routine
 //! (`Engine::apply_choice`, or `Engine::land` for a cohort's bulk walk),
 //! and `Engine::reindex` keeps occupancy and the dirty list current after
@@ -78,7 +82,8 @@ struct Scratch<M> {
     /// Each robot's [`Controller::intent`] at the current round; `Act` for
     /// a robot inside its prelude, which is not asked.
     intents: Vec<Intent>,
-    /// Per-robot activity mask for the round.
+    /// Per-robot mask of the robots a stepped round calls: past their
+    /// prelude, not done and (under fast-forward) not idle.
     active: Vec<bool>,
     /// Whether every honest robot is done, read off `intents`.
     all_done: bool,
@@ -121,26 +126,15 @@ impl<M: Clone> Scratch<M> {
 enum Horizon {
     /// Some robot acts this round: step it.
     Step,
-    /// Every robot is done or idle until at least this absolute round.
+    /// Every robot is done, idle or a beacon until at least this absolute
+    /// round.
     Idle(u64),
     /// Every robot is done, idle (until at least `idle`), inside its
-    /// prelude or solo, and at least one is not idle. `busy` is the
+    /// prelude or solo, and at least one is not idle; none is a beacon.
+    /// `busy` is the
     /// absolute round where the shortest remaining prelude or the earliest
     /// solo horizon ends.
     Segment { idle: u64, busy: u64 },
-}
-
-/// The sub-round count of epoch-local `round`: the most any of the
-/// `called` robots requests, at least one.
-fn subrounds_at<'a, M: 'a>(
-    called: impl Iterator<Item = &'a Box<dyn Controller<M>>>,
-    round: u64,
-) -> usize {
-    called
-        .map(|c| c.subrounds_wanted(round))
-        .max()
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// The result of driving one epoch ([`Engine::run_epoch`]), read off a
@@ -358,7 +352,8 @@ impl<M: Clone> Engine<M> {
         // absolute clock); horizons are shifted by the epoch base.
         let base = self.epoch_base;
         let local = self.round - base;
-        let (mut idle, mut busy, mut step, mut all_done) = (u64::MAX, None, false, true);
+        let (mut idle, mut busy, mut step, mut beacon, mut all_done) =
+            (u64::MAX, None, false, false, true);
         for i in 0..self.controllers.len() {
             let walks = self.walks(i, local);
             let intent = if walks {
@@ -386,6 +381,13 @@ impl<M: Clone> Engine<M> {
                     idle = idle.min(r);
                     continue;
                 }
+                // A beacon is skipped like an idle robot but never joins a
+                // segment, where its messages would go uncounted.
+                Intent::Beacon(r) if r > local => {
+                    idle = idle.min(r);
+                    beacon = true;
+                    continue;
+                }
                 Intent::Done => continue,
                 _ => {
                     step = true;
@@ -397,7 +399,7 @@ impl<M: Clone> Engine<M> {
         let idle = idle.saturating_add(base);
         self.scratch.all_done = all_done;
         self.scratch.horizon = match busy {
-            _ if step => Horizon::Step,
+            _ if step || (beacon && busy.is_some()) => Horizon::Step,
             None => Horizon::Idle(idle),
             Some(busy) => Horizon::Segment {
                 idle,
@@ -410,6 +412,17 @@ impl<M: Clone> Engine<M> {
     /// compare once the longest prelude has ended.
     fn walks(&self, i: usize, round: u64) -> bool {
         round < self.longest_prelude && round < self.preludes[i].len() as u64
+    }
+
+    /// The sub-round count of epoch-local `round`: the most any robot past
+    /// its prelude and not done requests, idle or not, at least one.
+    fn subrounds_at(&self, round: u64) -> usize {
+        (0..self.controllers.len())
+            .filter(|&i| !self.walks(i, round) && self.scratch.intents[i] != Intent::Done)
+            .map(|i| self.controllers[i].subrounds_wanted(round))
+            .max()
+            .unwrap_or(1)
+            .max(1)
     }
 
     /// The round loop behind [`Engine::run_epoch`]. Returns whether every
@@ -567,17 +580,12 @@ impl<M: Clone> Engine<M> {
         let rounds = end - start;
         let local = start - self.epoch_base;
         // The segment ends at the shortest remaining prelude, so the same
-        // robots are called in every one of its rounds.
-        let called = || {
-            (0..self.controllers.len())
-                .filter(|&i| !self.walks(i, local) && self.scratch.intents[i] != Intent::Done)
-                .map(|i| &self.controllers[i])
-        };
-        let subrounds = subrounds_at(called(), local);
+        // robots request sub-rounds in every one of its rounds.
+        let subrounds = self.subrounds_at(local);
         #[cfg(debug_assertions)]
         for r in local..local + rounds {
             debug_assert_eq!(
-                subrounds_at(called(), r),
+                self.subrounds_at(r),
                 subrounds,
                 "the sub-round count changes inside a segment at round {r}"
             );
@@ -770,14 +778,18 @@ impl<M: Clone> Engine<M> {
         // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
         // fresh run. The trace and telemetry keep the absolute clock.
         let local = round - self.epoch_base;
-        // Active = called this round: not done and past its prelude. Done
-        // robots stay put silently and prelude robots walk their ports
-        // uncalled, but both are *physically* present (they appear in
-        // rosters).
+        // Active = called this round: past its prelude, not done and, under
+        // fast-forward, not idle. Done and idle robots stay put silently and
+        // prelude robots walk their ports uncalled, but all are
+        // *physically* present (they appear in rosters). The sub-round
+        // count does not depend on who is called.
+        let silence = self.config.fast_forward;
         for i in 0..k {
-            self.scratch.active[i] =
-                !self.walks(i, local) && self.scratch.intents[i] != Intent::Done;
+            let intent = self.scratch.intents[i];
+            let idle = silence && matches!(intent, Intent::Idle(r) if r > local);
+            self.scratch.active[i] = !self.walks(i, local) && intent != Intent::Done && !idle;
         }
+        let subrounds = self.subrounds_at(local);
         // Observability: `None` when disabled — every instrumentation site
         // below is a branch on this `Option` and nothing more. Close any
         // phase boundary reached (fast-forward jumps close several at once).
@@ -815,10 +827,8 @@ impl<M: Clone> Engine<M> {
         }
         s.dirty_nodes.clear();
 
-        // Sub-round communication. Run as many sub-rounds as any active
-        // robot requests (walking phases request 1, so this stays cheap).
-        let called = controllers.iter().zip(&s.active);
-        let subrounds = subrounds_at(called.filter_map(|(c, &a)| a.then_some(c)), local);
+        // Sub-round communication (walking phases request 1 sub-round, so
+        // this stays cheap).
         for sub in 0..subrounds {
             for i in 0..k {
                 if !s.active[i] {
@@ -1972,10 +1982,22 @@ mod tests {
         );
     }
 
-    /// Counts the [`Controller::intent`] calls of the controller it wraps.
+    /// Counts the [`Controller::intent`] calls of the controller it wraps
+    /// and logs the round of each of its `act` and `decide_move` calls.
     struct Counted {
         inner: Box<dyn Controller<String>>,
         asked: Rc<Cell<u64>>,
+        called: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Counted {
+        fn new(inner: impl Controller<String> + 'static) -> Self {
+            Counted {
+                inner: Box::new(inner),
+                asked: Rc::default(),
+                called: Rc::default(),
+            }
+        }
     }
 
     impl Controller<String> for Counted {
@@ -1986,9 +2008,11 @@ mod tests {
             self.inner.subrounds_wanted(round)
         }
         fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            self.called.borrow_mut().push(obs.round);
             self.inner.act(obs)
         }
         fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+            self.called.borrow_mut().push(obs.round);
             self.inner.decide_move(obs)
         }
         fn intent(&self, round: u64) -> Intent {
@@ -2014,18 +2038,20 @@ mod tests {
             script: vec![0, 1],
             step: 0,
         };
-        let cast: [(Flavor, Box<dyn Controller<String>>); 4] = [
-            (Flavor::Honest, Box::new(actor)),
-            (Flavor::Honest, Box::new(Preluded::new(2, vec![0; 5], 1))),
-            (Flavor::WeakByzantine, Box::new(Roamer::new(3, (3, 9), 11))),
-            (Flavor::Honest, Box::new(Sleeper::new(4, 14, 1))),
+        let cast = [
+            (Flavor::Honest, Counted::new(actor)),
+            (
+                Flavor::Honest,
+                Counted::new(Preluded::new(2, vec![0; 5], 1)),
+            ),
+            (
+                Flavor::WeakByzantine,
+                Counted::new(Roamer::new(3, (3, 9), 11)),
+            ),
+            (Flavor::Honest, Counted::new(Sleeper::new(4, 14, 1))),
         ];
         let mut asked = Vec::new();
-        for (node, (flavor, inner)) in cast.into_iter().enumerate() {
-            let counted = Counted {
-                inner,
-                asked: Rc::default(),
-            };
+        for (node, (flavor, counted)) in cast.into_iter().enumerate() {
             asked.push(Rc::clone(&counted.asked));
             e.add_robot(flavor, 2 * node, Box::new(counted));
         }
@@ -2043,6 +2069,141 @@ mod tests {
         let iterations = 1 + c.rounds_stepped + c.ff_jumps;
         let asked: Vec<u64> = asked.iter().map(|a| a.get()).collect();
         assert_eq!(asked, [iterations, iterations - 4, iterations, iterations]);
+    }
+
+    /// Publishes its round at sub-round 0 of every round it is called in
+    /// and never moves: a beacon for good.
+    struct Beacon(RobotId);
+
+    impl Controller<String> for Beacon {
+        fn id(&self) -> RobotId {
+            self.0
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            (obs.subround == 0).then(|| format!("at {}", obs.round))
+        }
+        fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
+            MoveChoice::Stay
+        }
+        fn intent(&self, _round: u64) -> Intent {
+            Intent::Beacon(u64::MAX)
+        }
+    }
+
+    /// What a run of a counted cast leaves behind: `(messages,
+    /// subrounds_executed)`, positions, the rounds each robot was called
+    /// in, and `(rounds_stepped, rounds_solo, bulletin_reads)`.
+    type CountedRun = ((u64, u64), Vec<NodeId>, Vec<Vec<u64>>, (u64, u64, u64));
+
+    /// Run `cast` (flavor, start node, controller) on a 7-node ring with a
+    /// recorder attached.
+    fn run_counted(config: EngineConfig, cast: Vec<(Flavor, NodeId, Counted)>) -> CountedRun {
+        let mut e: Engine<String> = Engine::new(ring(7).unwrap(), config);
+        record(&mut e);
+        let mut called = Vec::new();
+        for (flavor, node, counted) in cast {
+            called.push(Rc::clone(&counted.called));
+            e.add_robot(flavor, node, Box::new(counted));
+        }
+        let out = e.run_epoch(u64::MAX).unwrap();
+        let c = e.telemetry.take().expect("recorder").counters;
+        (
+            (out.metrics.messages, out.metrics.subrounds_executed),
+            out.final_positions,
+            called.iter().map(|c| c.take()).collect(),
+            (c.rounds_stepped, c.rounds_solo, c.bulletin_reads),
+        )
+    }
+
+    #[test]
+    fn idle_robots_are_not_called_in_stepped_rounds() {
+        // An actor walks six ports (rounds 0-5, every one stepped) beside
+        // a sleeper idle until round 4 that asks for two sub-rounds.
+        let run = |config| {
+            let actor = Walker {
+                id: RobotId(1),
+                script: vec![0, 1, 1, 0, 0, 1],
+                step: 0,
+            };
+            run_counted(
+                config,
+                vec![
+                    (Flavor::Honest, 0, Counted::new(actor)),
+                    (Flavor::Honest, 3, Counted::new(Sleeper::new(2, 4, 2))),
+                ],
+            )
+        };
+        let (metrics, positions, called, counters) = run(EngineConfig::default());
+        let stepped = run(EngineConfig::default().without_fast_forward());
+        assert_eq!((metrics, &positions), (stepped.0, &stepped.1));
+        // The sleeper is first called at its horizon; it wakes, stays and
+        // terminates there. Only stepping without the promises calls it
+        // before.
+        assert_eq!(called[1], [4, 4, 4]);
+        assert_eq!(stepped.2[1].first(), Some(&0));
+        // Its two-sub-round request counts while it is idle all the same:
+        // rounds 0-4 run two sub-rounds, round 5 (after it is done) one.
+        assert_eq!(metrics, (0, 5 * 2 + 1));
+        // Only the actor is served before round 4, then both robots in
+        // round 4 and the actor alone in round 5.
+        assert_eq!(counters, (6, 0, 4 * 2 + 2 * 2 + 1));
+    }
+
+    #[test]
+    fn beacons_are_called_in_every_stepped_round() {
+        // An actor walks five ports (rounds 0-4) beside a beacon: every
+        // round is stepped and the beacon publishes in each.
+        let run = |config| {
+            let actor = Walker {
+                id: RobotId(1),
+                script: vec![0, 1, 0, 1, 0],
+                step: 0,
+            };
+            run_counted(
+                config,
+                vec![
+                    (Flavor::Honest, 0, Counted::new(actor)),
+                    (Flavor::WeakByzantine, 3, Counted::new(Beacon(RobotId(2)))),
+                ],
+            )
+        };
+        let (metrics, positions, called, counters) = run(EngineConfig::default());
+        let stepped = run(EngineConfig::default().without_fast_forward());
+        assert_eq!(
+            (metrics, &positions, &called),
+            (stepped.0, &stepped.1, &stepped.2)
+        );
+        assert_eq!(called[1], [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        assert_eq!(metrics, (5, 5), "one beacon message a round");
+        assert_eq!(counters, (5, 0, 10));
+    }
+
+    #[test]
+    fn a_beacon_beside_a_solo_roamer_makes_the_engine_step() {
+        // A roamer solo in rounds 0-9 and acting in 10-12, a beacon, and a
+        // sleeper idle until 14 that keeps the run going: beside the
+        // beacon no segment runs, so every round is stepped and every
+        // beacon message is counted.
+        let run = |config| {
+            run_counted(
+                config,
+                vec![
+                    (
+                        Flavor::WeakByzantine,
+                        6,
+                        Counted::new(Roamer::new(1, (0, 10), 12)),
+                    ),
+                    (Flavor::WeakByzantine, 2, Counted::new(Beacon(RobotId(2)))),
+                    (Flavor::Honest, 0, Counted::new(Sleeper::new(3, 14, 1))),
+                ],
+            )
+        };
+        let (metrics, positions, called, counters) = run(EngineConfig::default());
+        let stepped = run(EngineConfig::default().without_fast_forward());
+        assert_eq!((metrics, &positions), (stepped.0, &stepped.1));
+        assert_eq!(called[..2], stepped.2[..2], "roamer and beacon calls");
+        assert_eq!(metrics, (13 + 15, 15), "13 roamer and 15 beacon messages");
+        assert_eq!((counters.0, counters.1), (15, 0), "stepped, not solo");
     }
 
     /// `len` ports that lead from `from` to `to` on `g`, found by trying

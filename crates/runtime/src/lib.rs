@@ -39,14 +39,16 @@
 //!
 //! Rounds that need no stepping are not stepped. The engine asks every
 //! robot one question, [`controller::Controller::intent`]: done, idle
-//! until a round, solo (deciding on its own senses only) until a round,
-//! or acting. The paper's communication-free walks (Theorem 1's
+//! (silent) until a round, a beacon (stationary, publishing) until a
+//! round, solo (deciding on its own senses only) until a round, or
+//! acting. The paper's communication-free walks (Theorem 1's
 //! `Find-Map`, the gathering walk of Theorems 2, 5 and 7) are data
 //! instead: [`controller::Controller::prelude`] hands the engine the ports
 //! a robot leaves through in its first rounds, and the engine walks them
 //! without calling the robot. From the answers and the preludes the
-//! engine skips all-idle stretches and applies stretches of idle, walking
-//! and solo robots in bulk, with no roster or bulletin; measured rounds
+//! engine skips all-idle stretches, calls no idle robot in a stepped
+//! round, and applies stretches of idle, walking and solo robots in bulk,
+//! with no roster or bulletin; measured rounds
 //! and every `RunMetrics` field equal a stepped run's, and the
 //! determinism suite replays scenarios with
 //! [`EngineConfig::fast_forward`] off to check that. The contract is
