@@ -141,12 +141,12 @@ impl GroupTail for RankWalk {
         }
     }
 
-    /// Once the path is used up, idle to the phase's last round (acting
-    /// there makes the robot `Intent::Done`, so the fast-forwarded round
-    /// count equals the budget exactly).
+    /// Once the path is used up, idle to the phase's end, where the robot
+    /// is `Intent::Done` (an idle skip records the termination as
+    /// stepping would, so the round count equals the budget exactly).
     fn idle_until(&self, round: u64) -> Option<u64> {
         (round >= self.start && self.path.as_ref().is_some_and(|p| p.is_empty()))
-            .then(|| self.end.saturating_sub(1))
+            .then_some(self.end)
     }
 }
 

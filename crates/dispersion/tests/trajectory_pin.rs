@@ -70,12 +70,12 @@ const PINS: &[Pin] = &[
     Pin { algo: GatheredHalfTh3, n: 9, k: 9, adversary: Crowd, f: None, seed: 2, rounds: 131261, total_moves: 10251, max_moves_per_robot: 1711, messages: 19326, subrounds_executed: 11955, rounds_skipped: 125517, final_positions: &[0, 0, 5, 1, 2, 0, 3, 6, 0] },
     Pin { algo: GatheredThirdTh4, n: 9, k: 9, adversary: TokenHijacker, f: None, seed: 1, rounds: 17939, total_moves: 7269, max_moves_per_robot: 2495, messages: 9727, subrounds_executed: 10475, rounds_skipped: 12935, final_positions: &[3, 4, 0, 4, 1, 2, 3, 5, 8] },
     Pin { algo: GatheredThirdTh4, n: 9, k: 12, adversary: MapLiar, f: None, seed: 2, rounds: 17939, total_moves: 4560, max_moves_per_robot: 458, messages: 2918, subrounds_executed: 2421, rounds_skipped: 17040, final_positions: &[0, 0, 0, 5, 5, 1, 1, 2, 2, 3, 3, 0] },
-    Pin { algo: StrongArbitraryTh7, n: 8, k: 8, adversary: StrongSpoofer, f: None, seed: 1, rounds: 12440, total_moves: 66282, max_moves_per_robot: 8331, messages: 301, subrounds_executed: 8549, rounds_skipped: 4068, final_positions: &[0, 4, 5, 2, 6, 7, 0, 1] },
-    Pin { algo: StrongGatheredTh6, n: 8, k: 8, adversary: StrongSpoofer, f: None, seed: 1, rounds: 4239, total_moves: 730, max_moves_per_robot: 137, messages: 301, subrounds_executed: 355, rounds_skipped: 4061, final_positions: &[0, 4, 5, 2, 6, 7, 0, 1] },
-    Pin { algo: StrongGatheredTh6, n: 12, k: 16, adversary: Crowd, f: None, seed: 1, rounds: 13971, total_moves: 4360, max_moves_per_robot: 418, messages: 1774, subrounds_executed: 1045, rounds_skipped: 13448, final_positions: &[0, 4, 5, 0, 11, 2, 1, 7, 8, 6, 10, 3, 0, 4, 0, 9] },
+    Pin { algo: StrongArbitraryTh7, n: 8, k: 8, adversary: StrongSpoofer, f: None, seed: 1, rounds: 12440, total_moves: 66282, max_moves_per_robot: 8331, messages: 300, subrounds_executed: 8547, rounds_skipped: 4069, final_positions: &[0, 4, 5, 2, 6, 7, 0, 1] },
+    Pin { algo: StrongGatheredTh6, n: 8, k: 8, adversary: StrongSpoofer, f: None, seed: 1, rounds: 4239, total_moves: 730, max_moves_per_robot: 137, messages: 300, subrounds_executed: 353, rounds_skipped: 4062, final_positions: &[0, 4, 5, 2, 6, 7, 0, 1] },
+    Pin { algo: StrongGatheredTh6, n: 12, k: 16, adversary: Crowd, f: None, seed: 1, rounds: 13971, total_moves: 4360, max_moves_per_robot: 418, messages: 1772, subrounds_executed: 1043, rounds_skipped: 13449, final_positions: &[0, 4, 5, 0, 11, 2, 1, 7, 8, 6, 10, 3, 0, 4, 0, 9] },
     Pin { algo: QuotientTh1, n: 8, k: 8, adversary: Squatter, f: Some(0), seed: 2, rounds: 8240, total_moves: 65566, max_moves_per_robot: 8201, messages: 392, subrounds_executed: 8672, rounds_skipped: 0, final_positions: &[3, 1, 5, 0, 6, 2, 7, 4] },
     Pin { algo: ArbitrarySqrtTh5, n: 9, k: 9, adversary: CrashMidway, f: None, seed: 2, rounds: 29613, total_moves: 108985, max_moves_per_robot: 12126, messages: 955, subrounds_executed: 13930, rounds_skipped: 17049, final_positions: &[0, 0, 5, 1, 2, 3, 6, 7, 4] },
-    Pin { algo: StrongArbitraryTh7, n: 8, k: 12, adversary: StrongSpoofer, f: None, seed: 2, rounds: 12440, total_moves: 99637, max_moves_per_robot: 8355, messages: 419, subrounds_executed: 8602, rounds_skipped: 4041, final_positions: &[0, 0, 5, 6, 1, 2, 3, 4, 7, 0, 5, 6] },
+    Pin { algo: StrongArbitraryTh7, n: 8, k: 12, adversary: StrongSpoofer, f: None, seed: 2, rounds: 12440, total_moves: 99637, max_moves_per_robot: 8355, messages: 418, subrounds_executed: 8600, rounds_skipped: 4042, final_positions: &[0, 0, 5, 6, 1, 2, 3, 4, 7, 0, 5, 6] },
     Pin { algo: GatheredHalfTh3, n: 8, k: 8, adversary: FakeSettler, f: None, seed: 1, rounds: 59241, total_moves: 19165, max_moves_per_robot: 4939, messages: 45529, subrounds_executed: 33707, rounds_skipped: 42579, final_positions: &[0, 4, 2, 4, 5, 1, 5, 5] },
     Pin { algo: GatheredThirdTh4, n: 12, k: 12, adversary: Wanderer, f: None, seed: 1, rounds: 41927, total_moves: 38916, max_moves_per_robot: 10488, messages: 32985, subrounds_executed: 24157, rounds_skipped: 30232, final_positions: &[0, 4, 2, 2, 3, 1, 5, 7, 7, 6, 5, 8] },
     Pin { algo: ArbitrarySqrtTh5, n: 9, k: 12, adversary: Wanderer, f: None, seed: 3, rounds: 29613, total_moves: 148412, max_moves_per_robot: 16156, messages: 5580, subrounds_executed: 22342, rounds_skipped: 12921, final_positions: &[0, 0, 1, 1, 2, 4, 2, 4, 4, 5, 5, 8] },
