@@ -9,9 +9,10 @@ pub struct EngineConfig {
     pub max_rounds: u64,
     /// Record a full event trace (costs memory; off for benchmarks).
     pub record_trace: bool,
-    /// Skip and bulk-apply the rounds that need no stepping (see
-    /// [`crate::Intent`]). On by default; conformance tests turn it off to
-    /// prove fast-forwarding changes no trajectory.
+    /// Skip and bulk-apply the rounds that need no stepping, and call no
+    /// idle robot in a stepped round (see [`crate::Intent`]). On by
+    /// default; conformance tests turn it off to prove fast-forwarding
+    /// changes no trajectory.
     pub fast_forward: bool,
     /// **Fault injection, never a feature:** overshoot every fast-forward
     /// jump by this many rounds. `0` (the default, and the only value any
@@ -47,7 +48,8 @@ impl EngineConfig {
         self
     }
 
-    /// Disable round fast-forwarding: every round is stepped, idle or not.
+    /// Disable round fast-forwarding: every round is stepped, and every
+    /// robot past its prelude and not done is called, idle or not.
     /// Trajectories must not change — the determinism suite runs scenarios
     /// both ways and asserts identical outcomes.
     pub fn without_fast_forward(mut self) -> Self {

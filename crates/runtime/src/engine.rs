@@ -131,9 +131,8 @@ enum Horizon {
     Idle(u64),
     /// Every robot is done, idle (until at least `idle`), inside its
     /// prelude or solo, and at least one is not idle; none is a beacon.
-    /// `busy` is the
-    /// absolute round where the shortest remaining prelude or the earliest
-    /// solo horizon ends.
+    /// `busy` is the absolute round where the shortest remaining prelude or
+    /// the earliest solo horizon ends.
     Segment { idle: u64, busy: u64 },
 }
 
