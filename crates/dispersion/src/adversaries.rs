@@ -673,6 +673,7 @@ mod tests {
     #[test]
     fn crash_wrapper_clips_the_inner_script_at_the_crash() {
         use bd_runtime::{Engine, EngineConfig, Flavor};
+        use std::sync::Arc;
         // A faithful robot with ten gather ports ahead of it, crashing at
         // round `crash_at`.
         let walker = |crash_at| {
@@ -695,13 +696,11 @@ mod tests {
             "a later crash clips nothing"
         );
 
-        // On an engine, bulk and stepped runs leave the crashed robot at
-        // its fourth node; a silent honest bystander keeps the run going.
-        let final_positions = |config: EngineConfig| {
-            let mut e: Engine<Msg> =
-                Engine::new(bd_graphs::generators::oriented_ring(16).unwrap(), config);
-            e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker(4)));
-            let bystander = AdversaryController::new(
+        // On the engine, which applies the clipped prelude in bulk, and on
+        // the oracle, which steps every round, the crashed robot ends at its
+        // fourth node; a silent honest bystander keeps the run going.
+        let bystander = || {
+            Box::new(AdversaryController::new(
                 RobotId(2),
                 AdversaryKind::CrashMidway,
                 16,
@@ -710,14 +709,16 @@ mod tests {
                 0,
                 Vec::new(),
                 0,
-            );
-            e.add_robot(Flavor::Honest, 8, Box::new(bystander));
-            e.run_epoch(12).unwrap().final_positions
+            ))
         };
-        assert_eq!(final_positions(EngineConfig::default()), vec![4, 8]);
-        assert_eq!(
-            final_positions(EngineConfig::default().without_fast_forward()),
-            vec![4, 8]
-        );
+        let g = Arc::new(bd_graphs::generators::oriented_ring(16).unwrap());
+        let mut e: Engine<Msg> = Engine::new(Arc::clone(&g), EngineConfig::default());
+        e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker(4)));
+        e.add_robot(Flavor::Honest, 8, bystander());
+        assert_eq!(e.run_epoch(12).unwrap().final_positions, vec![4, 8]);
+        let mut e = bd_oracle::OracleEngine::<Msg>::new(g, EngineConfig::default());
+        e.add_robot(Flavor::WeakByzantine, 0, Box::new(walker(4)));
+        e.add_robot(Flavor::Honest, 8, bystander());
+        assert_eq!(e.run_epoch(12).unwrap().final_positions, vec![4, 8]);
     }
 }

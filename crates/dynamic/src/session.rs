@@ -236,8 +236,8 @@ impl DynamicSession {
     /// Run `spec` on the [`EpochBackend`] `make` builds from the epoch-0
     /// graph and the default config with trace recording on. This is the
     /// full epoch loop; callers tune through `make`, e.g.
-    /// `|g, c| Engine::new(g, c.without_fast_forward())`, or pass
-    /// `OracleEngine::new` to run the reference engine.
+    /// `|g, c| Engine::new(g, c.with_ff_overshoot(1))` for a sabotaged
+    /// engine, or pass `OracleEngine::new` to run the reference engine.
     pub fn run_with<B: EpochBackend>(
         &self,
         spec: &DynamicSpec,

@@ -1,4 +1,4 @@
-//! Determinism and fast-forward conformance for event-scheduled worlds.
+//! Determinism and oracle conformance for event-scheduled worlds.
 //!
 //! The static engine's conformance gates (see
 //! `crates/dispersion/tests/determinism.rs`) extend to dynamic sessions
@@ -8,10 +8,10 @@
 //!    outcomes: every epoch's rounds, positions, metrics, and the
 //!    cumulative trace. Epoch transitions (seat rebuilds, graph swaps,
 //!    arena resets) hold no state that leaks between runs.
-//! 2. **Fast-forward conformance** — stepping every round reproduces the
-//!    fast-forwarded trajectory epoch for epoch. Fast-forward promises are
-//!    made in *epoch-local* time and translated by the engine; this suite
-//!    is the gate on that translation.
+//! 2. **Oracle conformance** — the naive engine in `bd-oracle`, which
+//!    steps every round, reproduces the fast engine's trajectory epoch for
+//!    epoch. Intent horizons are *epoch-local* and translated by the
+//!    engine; this suite is the gate on that translation.
 //! 3. **Replay fidelity** — a `bdtr1` document exported from a live run
 //!    re-executes to the byte-identical outcome (the property CI's replay
 //!    smoke drives end to end).
@@ -24,7 +24,7 @@ use bd_dispersion::runner::{Algorithm, ScenarioSpec};
 use bd_dynamic::{replay, DynamicSession, DynamicSpec, EventKind, EventSchedule, ReplayVerdict};
 use bd_graphs::generators::{erdos_renyi_connected, random_tree};
 use bd_graphs::PortGraph;
-use bd_runtime::Engine;
+use bd_oracle::CellVerdict;
 
 /// The first edge whose removal keeps `graph` connected — the edge the
 /// topology event class fails and heals.
@@ -249,46 +249,19 @@ fn double_runs_are_identical() {
     }
 }
 
-/// Property 2: disabling fast-forward (every round stepped) reproduces
-/// the fast-forwarded trajectory epoch for epoch. Work measures
-/// (`rounds_skipped`, `subrounds_executed`) are the only legal difference.
+/// Property 2: the oracle engine, stepping every round, reproduces every
+/// row: each epoch's clock, termination and outcome, the cumulative trace
+/// and the final round clock (`bd_oracle::check_dynamic_cell`). Work
+/// measures (`rounds_skipped`, `subrounds_executed`) are the only legal
+/// difference.
 #[test]
-fn fast_forward_changes_no_trajectory() {
+fn oracle_reproduces_every_row() {
     for row in matrix() {
         let session = DynamicSession::new(row.graph.clone());
-        let label = row.label;
-        let fast = session.run(&row.spec).unwrap();
-        let slow = session
-            .run_with(&row.spec, |g, c| Engine::new(g, c.without_fast_forward()))
-            .unwrap();
-        assert_eq!(fast.epochs.len(), slow.epochs.len(), "{label}: epochs");
-        if let Some(d) = fast.trace.first_divergence(&slow.trace) {
-            panic!("{label}: fast-forward altered the trajectory: {d}");
+        match bd_oracle::check_dynamic_cell(&session, &row.spec, |c| c) {
+            CellVerdict::Match { .. } => {}
+            verdict => panic!("{}: {verdict:?}", row.label),
         }
-        for (f, s) in fast.epochs.iter().zip(&slow.epochs) {
-            let e = f.epoch;
-            assert_eq!(f.start_round, s.start_round, "{label}/epoch{e}");
-            assert_eq!(f.end_round, s.end_round, "{label}/epoch{e}");
-            assert_eq!(f.terminated, s.terminated, "{label}/epoch{e}");
-            assert_eq!(f.outcome.rounds, s.outcome.rounds, "{label}/epoch{e}");
-            assert_eq!(
-                f.outcome.final_positions, s.outcome.final_positions,
-                "{label}/epoch{e}: positions"
-            );
-            assert_eq!(
-                f.outcome.metrics.total_moves, s.outcome.metrics.total_moves,
-                "{label}/epoch{e}: move totals"
-            );
-            assert_eq!(
-                f.outcome.metrics.max_moves_per_robot, s.outcome.metrics.max_moves_per_robot,
-                "{label}/epoch{e}: per-robot move totals"
-            );
-            assert_eq!(
-                s.outcome.metrics.rounds_skipped, 0,
-                "{label}/epoch{e}: slow path skipped"
-            );
-        }
-        assert_eq!(fast.total_rounds, slow.total_rounds, "{label}: total");
     }
 }
 

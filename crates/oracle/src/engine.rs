@@ -69,9 +69,8 @@ pub struct OracleEngine<M> {
 }
 
 impl<M: Clone> OracleEngine<M> {
-    /// An engine over `graph` with no robots yet. `config.fast_forward`
-    /// and `config.ff_overshoot` are ignored: the oracle steps every round
-    /// by construction.
+    /// An engine over `graph` with no robots yet. `config.ff_overshoot`
+    /// is ignored: the oracle steps every round by construction.
     pub fn new(graph: impl Into<Arc<PortGraph>>, config: EngineConfig) -> Self {
         OracleEngine {
             graph: graph.into(),

@@ -1,19 +1,12 @@
 //! Engine configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Knobs for a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Hard cap on rounds; exceeded means [`crate::RunError::RoundLimit`].
     pub max_rounds: u64,
     /// Record a full event trace (costs memory; off for benchmarks).
     pub record_trace: bool,
-    /// Skip and bulk-apply the rounds that need no stepping, and call no
-    /// idle robot in a stepped round (see [`crate::Intent`]). On by
-    /// default; conformance tests turn it off to prove fast-forwarding
-    /// changes no trajectory.
-    pub fast_forward: bool,
     /// **Fault injection, never a feature:** overshoot every fast-forward
     /// jump by this many rounds. `0` (the default, and the only value any
     /// production path uses) is the correct engine; any other value
@@ -27,7 +20,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_rounds: 50_000_000,
             record_trace: false,
-            fast_forward: true,
             ff_overshoot: 0,
         }
     }
@@ -45,15 +37,6 @@ impl EngineConfig {
     /// Enable trace recording.
     pub fn traced(mut self) -> Self {
         self.record_trace = true;
-        self
-    }
-
-    /// Disable round fast-forwarding: every round is stepped, and every
-    /// robot past its prelude and not done is called, idle or not.
-    /// Trajectories must not change — the determinism suite runs scenarios
-    /// both ways and asserts identical outcomes.
-    pub fn without_fast_forward(mut self) -> Self {
-        self.fast_forward = false;
         self
     }
 

@@ -205,10 +205,9 @@ pub trait Controller<M> {
 ///
 /// # What the engine does with the answers
 ///
-/// [`Intent::Done`] always counts: the run (or epoch) ends once every
+/// [`Intent::Done`] ends a robot: the run (or epoch) ends once every
 /// honest robot is done, and a done robot's round methods are never
-/// called again. The other promises are used only under
-/// `EngineConfig::fast_forward`:
+/// called again. The engine uses the other promises as follows:
 ///
 /// * **Skip.** When no robot is inside its prelude and every robot is
 ///   done, idle or a beacon, the engine jumps the clock to the earliest
@@ -244,9 +243,9 @@ pub trait Controller<M> {
 ///   not, so `subrounds_executed` does not depend on who is called.
 ///
 /// Declaring a promise while actually wanting to act is a controller bug;
-/// the determinism suite and the oracle engine (which steps every round,
-/// calls every robot past its prelude and not done, and asks only whether
-/// a robot is done) catch it by comparing trajectories.
+/// the oracle engine (which steps every round, calls every robot past its
+/// prelude and not done, and asks only whether a robot is done) catches it
+/// by comparing trajectories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intent {
     /// Terminated: the robot stays put and goes silent forever.

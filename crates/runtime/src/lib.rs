@@ -48,11 +48,10 @@
 //! without calling the robot. From the answers and the preludes the
 //! engine skips all-idle stretches, calls no idle robot in a stepped
 //! round, and applies stretches of idle, walking and solo robots in bulk,
-//! with no roster or bulletin; measured rounds
-//! and every `RunMetrics` field equal a stepped run's, and the
-//! determinism suite replays scenarios with
-//! [`EngineConfig::fast_forward`] off to check that. The contract is
-//! documented once, on [`controller::Intent`].
+//! with no roster or bulletin; trajectories and measured rounds equal a
+//! stepped run's, and the differential suite of the `bd-oracle` crate
+//! checks that against a naive engine that steps every round. The
+//! contract is documented once, on [`controller::Intent`].
 //!
 //! ## Instrumentation
 //!
