@@ -23,7 +23,9 @@
 //!   adversaries applied in bulk while every honest robot waits), and
 //!   `GatheredHalfTh3` serves fewer than `k` observations
 //!   (`bulletin_reads`) per stepped round (robots idle in a pairing
-//!   window are not called);
+//!   window are not called) and makes fewer `Controller::solo` calls
+//!   (`solo_calls`) than it has solo rounds (each roamer runs a whole
+//!   segment in one call);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -123,12 +125,13 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         );
     }
     println!(
-        "  totals: stepped={} skipped={} scripted={} solo={} walked={} bulletin w/r={}/{} \
-         resorts={} dirty_hwm={} roster_hwm={} bulletin_hwm={}",
+        "  totals: stepped={} skipped={} scripted={} solo={} solo_calls={} walked={} \
+         bulletin w/r={}/{} resorts={} dirty_hwm={} roster_hwm={} bulletin_hwm={}",
         report.total.rounds_stepped,
         report.total.rounds_skipped,
         report.total.rounds_scripted,
         report.total.rounds_solo,
+        report.total.solo_calls,
         report.total.prelude_walked,
         report.total.bulletin_writes,
         report.total.bulletin_reads,
@@ -265,7 +268,9 @@ fn main() {
 /// map-finding windows (`pairing`, `replicate`) are at least 60% solo
 /// among the rounds not skipped; and `GatheredHalfTh3`'s stepped rounds
 /// serve fewer than `k` observations each on average, which fails if
-/// robots waiting out a pairing window are called again.
+/// robots waiting out a pairing window are called again, and its
+/// `Controller::solo` calls stay below its solo rounds, which fails if
+/// roamers are called once per round instead of once per segment.
 fn round_accounting(cell: &Cell, report: &EngineReport) -> Vec<String> {
     let (algo, t) = (&cell.algo, &report.total);
     let mut failures = Vec::new();
@@ -279,6 +284,16 @@ fn round_accounting(cell: &Cell, report: &EngineReport) -> Vec<String> {
             failures.push(format!(
                 "{algo}: {} bulletin reads over {} stepped rounds = {reads:.1} per round >= k = {}",
                 t.bulletin_reads, t.rounds_stepped, cell.k
+            ));
+        }
+        println!(
+            "check: {algo} makes {} solo calls over {} solo rounds",
+            t.solo_calls, t.rounds_solo
+        );
+        if t.solo_calls >= t.rounds_solo {
+            failures.push(format!(
+                "{algo}: {} solo calls >= {} solo rounds",
+                t.solo_calls, t.rounds_solo
             ));
         }
     }

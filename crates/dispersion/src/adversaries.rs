@@ -60,8 +60,12 @@
 //!   is *solo* until the burst ends (`Intent::Solo`): it reads
 //!   only its own round, degree and RNG — never the roster or bulletin —
 //!   so while every honest robot waits out a map-finding window the
-//!   engine applies the burst as a segment, calling the roamer without
-//!   building a roster or bulletin.
+//!   engine applies the burst as a segment, building no roster or
+//!   bulletin, and hands the roamer the whole stretch in one
+//!   `Controller::solo` call. The override checks the activity and burst
+//!   gates once, then runs each round through the per-kind helpers that
+//!   `act` and `decide_move` use too, so it draws from the RNG in the
+//!   order they would.
 //!
 //! An adversary's gather script is its prelude (`Controller::prelude`):
 //! the engine walks it without calling the controller, exactly as it
@@ -73,11 +77,12 @@
 use crate::msg::{DumState, Msg};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, Intent, MoveChoice, Observation, Prelude, RobotId};
+use bd_runtime::{Controller, Intent, MoveChoice, Observation, Prelude, RobotId, SoloWalk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The adversary strategies available to scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -211,6 +216,63 @@ impl AdversaryController {
         (round - self.active_from) % block < self.n as u64
     }
 
+    /// What an active robot publishes in a round it acts in, at
+    /// sub-round 0 on a node of `degree` (drawing from the RNG as its kind
+    /// needs).
+    fn publish(&mut self, degree: usize) -> Option<Msg> {
+        match self.kind {
+            AdversaryKind::Squatter | AdversaryKind::FakeSettler => Some(Msg::State {
+                state: DumState::Settled,
+                flag: false,
+            }),
+            AdversaryKind::Silent | AdversaryKind::CrashMidway => None,
+            AdversaryKind::Wanderer => Some(Msg::State {
+                state: DumState::ToBeSettled,
+                flag: self.rng.gen_bool(0.5),
+            }),
+            AdversaryKind::LiarFlags | AdversaryKind::Crowd => Some(Msg::State {
+                state: DumState::ToBeSettled,
+                flag: true,
+            }),
+            AdversaryKind::TokenHijacker => Some(Msg::TokenGo {
+                port: self.rng.gen_range(0..degree.max(1)),
+                step: self.rng.gen_range(0..4),
+            }),
+            AdversaryKind::MapLiar => Some(Msg::MapVote {
+                form: self.garbage.clone(),
+            }),
+            // The coalition votes its identical garbage form every round:
+            // forging the map quorum is the decisive attack on §4 (forged
+            // TokenGo instructions are blocked by the same counting rule).
+            AdversaryKind::StrongSpoofer => Some(Msg::MapVote {
+                form: self.garbage.clone(),
+            }),
+        }
+    }
+
+    /// Where an active robot moves in `round`, a round it acts in, from a
+    /// node of `degree` (a roamer draws its port from the RNG).
+    fn roam(&mut self, round: u64, degree: usize) -> MoveChoice {
+        let roams = match self.kind {
+            AdversaryKind::Squatter
+            | AdversaryKind::LiarFlags
+            | AdversaryKind::Crowd
+            | AdversaryKind::MapLiar => false,
+            AdversaryKind::FakeSettler => round % 3 == 0,
+            AdversaryKind::Silent | AdversaryKind::Wanderer => true,
+            AdversaryKind::CrashMidway => false,
+            AdversaryKind::TokenHijacker => round % 2 == 0,
+            // The spoofing coalition camps at the gathering node: its votes
+            // must land on the bulletin everyone reads.
+            AdversaryKind::StrongSpoofer => false,
+        };
+        if roams && degree > 0 {
+            MoveChoice::Move(self.rng.gen_range(0..degree))
+        } else {
+            MoveChoice::Stay
+        }
+    }
+
     /// First burst round at or after `round` (call with an active,
     /// out-of-burst round).
     fn next_burst_start(&self, round: u64) -> u64 {
@@ -249,58 +311,39 @@ impl Controller<Msg> for AdversaryController {
         if !self.active(obs.round) || obs.subround != 0 || !self.in_burst(obs.round) {
             return None;
         }
-        match self.kind {
-            AdversaryKind::Squatter | AdversaryKind::FakeSettler => Some(Msg::State {
-                state: DumState::Settled,
-                flag: false,
-            }),
-            AdversaryKind::Silent | AdversaryKind::CrashMidway => None,
-            AdversaryKind::Wanderer => Some(Msg::State {
-                state: DumState::ToBeSettled,
-                flag: self.rng.gen_bool(0.5),
-            }),
-            AdversaryKind::LiarFlags | AdversaryKind::Crowd => Some(Msg::State {
-                state: DumState::ToBeSettled,
-                flag: true,
-            }),
-            AdversaryKind::TokenHijacker => Some(Msg::TokenGo {
-                port: self.rng.gen_range(0..obs.degree.max(1)),
-                step: self.rng.gen_range(0..4),
-            }),
-            AdversaryKind::MapLiar => Some(Msg::MapVote {
-                form: self.garbage.clone(),
-            }),
-            // The coalition votes its identical garbage form every round:
-            // forging the map quorum is the decisive attack on §4 (forged
-            // TokenGo instructions are blocked by the same counting rule).
-            AdversaryKind::StrongSpoofer => Some(Msg::MapVote {
-                form: self.garbage.clone(),
-            }),
-        }
+        self.publish(obs.degree)
     }
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
-        if !self.active(obs.round) || obs.degree == 0 || !self.in_burst(obs.round) {
+        if !self.active(obs.round) || !self.in_burst(obs.round) {
             return MoveChoice::Stay;
         }
-        let roam = match self.kind {
-            AdversaryKind::Squatter
-            | AdversaryKind::LiarFlags
-            | AdversaryKind::Crowd
-            | AdversaryKind::MapLiar => false,
-            AdversaryKind::FakeSettler => obs.round % 3 == 0,
-            AdversaryKind::Silent | AdversaryKind::Wanderer => true,
-            AdversaryKind::CrashMidway => false,
-            AdversaryKind::TokenHijacker => obs.round % 2 == 0,
-            // The spoofing coalition camps at the gathering node: its votes
-            // must land on the bulletin everyone reads.
-            AdversaryKind::StrongSpoofer => false,
-        };
-        if roam {
-            MoveChoice::Move(self.rng.gen_range(0..obs.degree))
-        } else {
-            MoveChoice::Stay
+        self.roam(obs.round, obs.degree)
+    }
+
+    /// A roamer's burst, or a stretch of one, in one call: every round
+    /// lies inside the burst the robot answered [`Intent::Solo`] in, so
+    /// the activity and burst gates hold throughout. Each round publishes
+    /// and moves through the same helpers as `act` (at sub-round 0; the
+    /// later sub-rounds publish nothing) and `decide_move`, drawing from
+    /// the RNG in the same order.
+    fn solo(&mut self, rounds: Range<u64>, _subrounds: usize, walk: &mut SoloWalk<'_>) -> u64 {
+        debug_assert!(
+            self.kind.roams() && self.active(rounds.start) && self.in_burst(rounds.start),
+            "solo outside a burst at round {}",
+            rounds.start
+        );
+        debug_assert!(
+            rounds.end <= self.burst_end(rounds.start),
+            "solo past the burst"
+        );
+        let mut messages = 0;
+        for round in rounds {
+            let degree = walk.degree();
+            messages += u64::from(self.publish(degree).is_some());
+            walk.take(self.roam(round, degree));
         }
+        messages
     }
 
     /// Idle until activation. A stationary spammer is then a beacon for
@@ -622,6 +665,67 @@ mod tests {
         let gap = n as u64 + 1;
         assert!(a.act(&obs(gap)).is_none());
         assert_eq!(a.decide_move(&obs(gap)), MoveChoice::Stay);
+    }
+
+    #[test]
+    fn solo_runs_a_burst_as_act_and_decide_move_would() {
+        use bd_runtime::ArrivalInfo;
+        use rand::RngCore;
+        let g = bd_graphs::generators::lollipop(4, 3).unwrap();
+        let (n, active_from, subrounds) = (8u64, 5u64, 2usize);
+        let arrival = Some(ArrivalInfo {
+            exit_port: 0,
+            entry_port: 1,
+        });
+        for kind in AdversaryKind::all().into_iter().filter(|k| k.roams()) {
+            let mk = || {
+                AdversaryController::new(
+                    RobotId(9),
+                    kind,
+                    n as usize,
+                    7,
+                    Vec::new(),
+                    active_from,
+                    Vec::new(),
+                    0,
+                )
+            };
+            // From a burst's start and from mid-burst, in the first burst
+            // and a later one, to the burst's end.
+            for from in [active_from, active_from + 3, active_from + 4 * n + 5] {
+                let (mut solo, mut stepped) = (mk(), mk());
+                let end = solo.burst_end(from);
+                let mut walk = SoloWalk::new(&g, 6, arrival);
+                let messages = solo.solo(from..end, subrounds, &mut walk);
+                let (mut node, mut sent) = (6, 0u64);
+                for round in from..end {
+                    let degree = g.degree(node);
+                    let obs = |subround| Observation::<Msg> {
+                        round,
+                        subround,
+                        subrounds,
+                        degree,
+                        roster: &[],
+                        bulletin: &[],
+                        arrival: None,
+                    };
+                    for sub in 0..subrounds {
+                        sent += u64::from(stepped.act(&obs(sub)).is_some());
+                    }
+                    if let MoveChoice::Move(port) = stepped.decide_move(&obs(subrounds - 1)) {
+                        node = g.neighbor(node, port).0;
+                    }
+                }
+                let what = format!("{kind:?} from round {from}");
+                assert_eq!(walk.end().0, node, "{what}: position");
+                assert_eq!(messages, sent, "{what}: messages");
+                assert_eq!(
+                    solo.rng.next_u64(),
+                    stepped.rng.next_u64(),
+                    "{what}: next RNG draw"
+                );
+            }
+        }
     }
 
     #[test]

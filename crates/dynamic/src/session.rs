@@ -227,17 +227,19 @@ impl DynamicSession {
         Ok(())
     }
 
-    /// Run `spec` on the fast arena engine with the default config (trace
-    /// recording on — replay equality needs it).
+    /// Run `spec` on the fast arena engine with the default config and
+    /// trace recording on (replay equality needs it).
     pub fn run(&self, spec: &DynamicSpec) -> Result<DynamicOutcome, DynamicError> {
-        self.run_with(spec, Engine::<Msg>::new)
+        self.run_with(spec, |g, c| Engine::<Msg>::new(g, c.traced()))
     }
 
     /// Run `spec` on the [`EpochBackend`] `make` builds from the epoch-0
-    /// graph and the default config with trace recording on. This is the
+    /// graph and the default config, which records no trace. This is the
     /// full epoch loop; callers tune through `make`, e.g.
+    /// `|g, c| Engine::new(g, c.traced())` to record the trace,
     /// `|g, c| Engine::new(g, c.with_ff_overshoot(1))` for a sabotaged
-    /// engine, or pass `OracleEngine::new` to run the reference engine.
+    /// engine, or `|g, c| OracleEngine::new(g, c.traced())` to run the
+    /// reference engine.
     pub fn run_with<B: EpochBackend>(
         &self,
         spec: &DynamicSpec,
@@ -245,7 +247,7 @@ impl DynamicSession {
     ) -> Result<DynamicOutcome, DynamicError> {
         self.validate(spec)?;
         let row = spec.base.algo.row();
-        let mut backend = make(Arc::clone(&self.graph), EngineConfig::default().traced());
+        let mut backend = make(Arc::clone(&self.graph), EngineConfig::default());
 
         // Whole-run world state, mutated between epochs.
         let plan0 = Session::new(Arc::clone(&self.graph)).plan(&spec.base)?;

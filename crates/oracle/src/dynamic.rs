@@ -67,7 +67,7 @@ pub fn check_dynamic_cell(
     judge(
         session.run_with(spec, |g, c| Engine::new(g, tune(c).traced())),
         session.run_with(spec, |g, c| Engine::new(g, tune(c))),
-        session.run_with(spec, OracleEngine::new),
+        session.run_with(spec, |g, c| OracleEngine::new(g, c.traced())),
     )
 }
 
@@ -294,6 +294,29 @@ mod tests {
         let verdict = check_dynamic_cell(&session, &spec, |c| c);
         assert!(verdict.agreed(), "unexpected divergence: {verdict:?}");
         assert!(matches!(verdict, CellVerdict::Match { .. }));
+    }
+
+    #[test]
+    fn one_fast_leg_runs_untraced() {
+        let g = ring(8).unwrap();
+        let spec = DynamicSpec {
+            base: ScenarioSpec::arbitrary(Algorithm::Baseline, &g)
+                .with_robots(6)
+                .with_seed(7),
+            schedule: EventSchedule::default().with(3, EventKind::EdgeFail { u: 0, v: 1 }),
+        };
+        let traced = std::cell::RefCell::new(Vec::new());
+        let verdict = check_dynamic_cell(&DynamicSession::new(g), &spec, |c| {
+            traced.borrow_mut().push(c.record_trace);
+            c
+        });
+        assert!(verdict.agreed(), "{verdict:?}");
+        let traced = traced.into_inner();
+        assert_eq!(traced.len(), 2, "one tune per fast leg");
+        assert!(
+            traced.contains(&false),
+            "the untraced leg must record no trace: {traced:?}"
+        );
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn static_cell_is_one_epoch_on_both_engines() {
                 ),
                 (
                     session.run_with(&base, |g, c| OracleEngine::new(g, c.traced())),
-                    dynamic.run_with(&spec, OracleEngine::new),
+                    dynamic.run_with(&spec, |g, c| OracleEngine::new(g, c.traced())),
                 ),
             ];
             for (static_run, dynamic_run) in runs {
@@ -251,8 +251,9 @@ impl Controller<Msg> for Walk {
 /// Follows a fixed plan: from each listed round on, the listed intent,
 /// answered from the asked round alone. In a round it acts or is solo in
 /// it publishes at sub-round 0 and leaves through a port derived from the
-/// round, its node's degree and the port it last arrived by; as a beacon
-/// it publishes and stays. It logs every `act` call of a round it is not
+/// round, its node's degree and the port it last arrived by, or through a
+/// port its node does not have in a round listed in `invalid`; as a
+/// beacon it publishes and stays. It logs every `act` call of a round it is not
 /// idle in (the oracle calls it in idle rounds too, where it does
 /// nothing), and the rounds it was handed an empty roster in, which only
 /// a segment does.
@@ -260,6 +261,7 @@ struct Scripted {
     id: RobotId,
     plan: Vec<(u64, Intent)>,
     subrounds: usize,
+    invalid: Vec<u64>,
     entry: usize,
     seen: Seen,
     unrostered: Calls,
@@ -271,6 +273,7 @@ impl Scripted {
             id: RobotId(id),
             plan: plan.to_vec(),
             subrounds: 1,
+            invalid: Vec::new(),
             entry: 0,
             seen,
             unrostered: Calls::default(),
@@ -323,6 +326,9 @@ impl Controller<Msg> for Scripted {
     }
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         match self.at(obs.round) {
+            Intent::Act | Intent::Solo(_) if self.invalid.contains(&obs.round) => {
+                MoveChoice::Move(obs.degree)
+            }
             Intent::Act | Intent::Solo(_) => {
                 MoveChoice::Move((obs.round as usize + self.entry) % obs.degree)
             }
@@ -808,6 +814,84 @@ fn solo_segments_agree_with_the_oracle() {
                     ..Scripted::new(2, &sleeper(wake), s)
                 })
         });
+    }
+}
+
+/// Solo robots that run whole segments in one call, on both engines: two
+/// Byzantine roamers with different solo horizons, so each segment ends
+/// at the earlier one; a roamer whose ports in two solo rounds are
+/// invalid, taken as stays; a roamer beside honest walkers that share a
+/// tail, so cohorts and solo calls run in one segment; and an honest solo
+/// robot, which makes the fast engine call every solo robot one round at
+/// a time, once with an invalid port, which fails at its round.
+#[test]
+fn solo_calls_agree_with_the_oracle() {
+    let napper = |wake| {
+        move |s| Scripted {
+            subrounds: 2,
+            ..Scripted::new(9, &sleeper(wake), s)
+        }
+    };
+    // Segments [0, 4), [6, 7) and [8, 9); rounds 4, 5 and 7 are stepped.
+    let early = [
+        (0, Intent::Solo(4)),
+        (4, Intent::Act),
+        (6, Intent::Solo(9)),
+        (9, Intent::Done),
+    ];
+    let late = [(0, Intent::Solo(7)), (7, Intent::Act), (8, Intent::Done)];
+    let run = agree(lollipop(4, 3).unwrap(), EngineConfig::default(), || {
+        Cast::until(u64::MAX)
+            .seat(Flavor::WeakByzantine, 6, |s| Scripted::new(1, &early, s))
+            .seat(Flavor::WeakByzantine, 2, |s| Scripted::new(2, &late, s))
+            .seat(Flavor::Honest, 0, napper(9))
+    });
+    assert_eq!(run.odometers, [9, 8, 1]);
+
+    let roamer = [(0, Intent::Solo(6)), (6, Intent::Act), (8, Intent::Done)];
+    let run = agree(lollipop(4, 3).unwrap(), EngineConfig::default(), || {
+        Cast::until(u64::MAX)
+            .seat(Flavor::WeakByzantine, 6, |s| Scripted {
+                invalid: vec![1, 4],
+                ..Scripted::new(1, &roamer, s)
+            })
+            .seat(Flavor::Honest, 0, napper(8))
+    });
+    assert_eq!(run.odometers, [6, 1], "two of eight moves clamped");
+
+    let g = ring(8).unwrap();
+    let tail: Arc<[Port]> = vec![0, 1, 1, 0, 0, 1].into();
+    let run = agree(g.clone(), EngineConfig::default(), || {
+        Cast::until(u64::MAX)
+            .seat(Flavor::Honest, 0, |s| Walk::new(1, Arc::clone(&tail), 2, s))
+            .seat(Flavor::Honest, 0, |s| Walk::new(2, Arc::clone(&tail), 2, s))
+            .seat(Flavor::WeakByzantine, 4, |s| Scripted::new(3, &roamer, s))
+    });
+    assert_eq!(run.odometers, [6, 6, 8]);
+
+    let honest = [(0, Intent::Solo(6)), (6, Intent::Done)];
+    for invalid in [vec![], vec![3]] {
+        let run = agree(lollipop(4, 3).unwrap(), EngineConfig::default(), || {
+            Cast::until(u64::MAX)
+                .seat(Flavor::WeakByzantine, 6, |s| Scripted::new(1, &roamer, s))
+                .seat(Flavor::Honest, 2, |s| Scripted {
+                    invalid: invalid.clone(),
+                    ..Scripted::new(2, &honest, s)
+                })
+                .seat(Flavor::Honest, 0, napper(7))
+        });
+        if invalid.is_empty() {
+            assert_eq!(run.odometers, [8, 6, 1]);
+        } else {
+            assert_eq!(run.round, 3);
+            assert!(matches!(
+                run.epochs[..],
+                [Err(RunError::InvalidMove {
+                    robot: RobotId(2),
+                    ..
+                })]
+            ));
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //! Byzantine.
 
 use crate::ids::RobotId;
-use crate::observation::Observation;
-use bd_graphs::Port;
+use crate::observation::{ArrivalInfo, Observation};
+use bd_graphs::{NodeId, Port, PortGraph};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A robot's movement decision at the end of a round.
@@ -178,6 +179,114 @@ pub trait Controller<M> {
     fn prelude(&self) -> Prelude {
         Prelude::default()
     }
+
+    /// Run epoch-local `rounds` of a segment in which the robot is solo
+    /// ([`Intent::Solo`]), moving through `walk`, and return how many
+    /// messages it published. Every round of the range lies before the
+    /// horizon the robot answered, and each has `subrounds` sub-rounds.
+    /// The engine calls this once per solo robot per segment, or once per
+    /// round when it must keep stepping's order (a trace is recorded, or
+    /// an honest robot is solo).
+    ///
+    /// The default runs each round as stepping would hand it to the
+    /// robot: [`Controller::act`] once per sub-round, then
+    /// [`Controller::decide_move`], on an observation with an empty roster
+    /// and bulletin, the walk's degree and, at sub-round 0 only, the
+    /// walk's arrival; the move goes to [`SoloWalk::take`]. An override
+    /// must leave the robot, the walk and the count exactly as the default
+    /// would.
+    fn solo(&mut self, rounds: Range<u64>, subrounds: usize, walk: &mut SoloWalk<'_>) -> u64 {
+        let mut messages = 0;
+        for round in rounds {
+            let mut obs = Observation {
+                round,
+                subround: 0,
+                subrounds,
+                degree: walk.degree(),
+                roster: &[],
+                bulletin: &[],
+                arrival: walk.arrival(),
+            };
+            for sub in 0..subrounds {
+                obs.subround = sub;
+                messages += u64::from(self.act(&obs).is_some());
+                obs.arrival = None;
+            }
+            walk.take(self.decide_move(&obs));
+        }
+        messages
+    }
+}
+
+/// A solo robot's walk through a segment ([`Controller::solo`]): all it
+/// senses of the world (its node's degree and the arrival of its last
+/// move) and the one way it moves ([`SoloWalk::take`]). The engine starts
+/// one on the robot's node and lands the robot where it ends; it applies
+/// every other move, stepped or walked from a prelude, through a walk
+/// too, so one rule decides what a port does.
+#[derive(Debug)]
+pub struct SoloWalk<'g> {
+    graph: &'g PortGraph,
+    node: NodeId,
+    degree: usize,
+    moves: u64,
+    arrival: Option<ArrivalInfo>,
+    /// The node and port of the first move through an invalid port, which
+    /// was taken as a stay; an error for an honest robot.
+    pub(crate) invalid: Option<(NodeId, Port)>,
+}
+
+impl<'g> SoloWalk<'g> {
+    /// A walk from `node` on `graph`, whose first round sees `arrival`.
+    pub fn new(graph: &'g PortGraph, node: NodeId, arrival: Option<ArrivalInfo>) -> Self {
+        SoloWalk {
+            graph,
+            node,
+            degree: graph.degree(node),
+            moves: 0,
+            arrival,
+            invalid: None,
+        }
+    }
+
+    /// The degree of the node the robot stands on.
+    pub fn degree(&self) -> usize {
+        self.degree
+    }
+
+    /// The arrival of the robot's last move, `None` after a stay.
+    pub fn arrival(&self) -> Option<ArrivalInfo> {
+        self.arrival
+    }
+
+    /// Take one round's move. A stay, or a move through a port the node
+    /// does not have (a Byzantine robot cannot teleport), leaves the robot
+    /// in place and clears its arrival; any other move crosses the edge.
+    pub fn take(&mut self, choice: MoveChoice) {
+        match choice {
+            MoveChoice::Move(port) if port < self.degree => {
+                let (to, entry_port) = self.graph.neighbor(self.node, port);
+                self.arrival = Some(ArrivalInfo {
+                    exit_port: port,
+                    entry_port,
+                });
+                self.node = to;
+                self.degree = self.graph.degree(to);
+                self.moves += 1;
+            }
+            MoveChoice::Move(port) => {
+                self.invalid.get_or_insert((self.node, port));
+                self.arrival = None;
+            }
+            MoveChoice::Stay => self.arrival = None,
+        }
+    }
+
+    /// Where the walk ended: the node, the edges crossed and the last
+    /// arrival.
+    pub fn end(self) -> (NodeId, u64, Option<ArrivalInfo>) {
+        (self.node, self.moves, self.arrival)
+    }
 }
 
 /// A robot's answer to the one question the engine asks it each time it
@@ -222,20 +331,24 @@ pub trait Controller<M> {
 ///   mark. No roster or bulletin is built and idle robots are not called.
 ///   A beacon never joins a segment: beside one the engine steps instead,
 ///   so every publication outside a skip is counted. Prelude robots take
-///   their ports; solo robots are called as [`Intent::Solo`] says. The
+///   their ports; solo robots run through [`Controller::solo`]. The
 ///   segment runs the sub-round count that the robots past their prelude
 ///   and not done request at its first round, so every such request must
 ///   stay constant inside it (debug builds assert the maximum does).
 ///   Segment rounds count as executed, so `RunMetrics` equal a stepped
 ///   run's; `EngineCounters::rounds_scripted` counts segments without a
 ///   solo robot and `rounds_solo` those with one.
-/// * **Cohorts.** In a segment with no solo robot and no trace recorded,
-///   the robots past their prelude head that hold one tail `Arc` and stand
-///   on one node form a *cohort*: the engine walks the tail once and gives
-///   every member the end node, the moves and the last arrival. A robot in
-///   its head walks alone. Beside a solo robot, with a trace, or when an
-///   honest robot's port is invalid, every robot walks alone, round-major
-///   in robot order, so events and errors come out exactly as stepping's.
+/// * **Cohorts and bursts.** In a segment with no honest solo robot and
+///   no trace recorded, the robots past their prelude head that hold one
+///   tail `Arc` and stand on one node form a *cohort*: the engine walks
+///   the tail once and gives every member the end node, the moves and the
+///   last arrival. A robot in its head walks alone. Then each solo robot
+///   runs the whole segment in one [`Controller::solo`] call. With a
+///   trace, beside an honest solo robot, or when an honest robot's port
+///   is invalid, the segment runs round-major in robot order instead:
+///   every prelude robot walks alone and each solo robot gets one
+///   [`Controller::solo`] call per round, so events and errors come out
+///   exactly as stepping's.
 /// * **Silence.** Every other round is stepped: every robot past its
 ///   prelude and not done gets its roster and bulletin unless it is idle,
 ///   which is not called at all. The round's sub-round count is still the
@@ -271,13 +384,11 @@ pub enum Intent {
     /// senses (the observation's `round`, `subround`, `subrounds`, `degree`
     /// and `arrival`, never the roster or the bulletin), nothing it
     /// publishes needs a reader, its sub-round request stays constant, and
-    /// it does not terminate. Inside a segment it is still called:
-    /// [`Controller::act`] once per sub-round, then
-    /// [`Controller::decide_move`], on an observation with an empty roster
-    /// and bulletin, its own node's degree and, at sub-round 0, the arrival
-    /// of its last move, exactly as stepping would hand it; its
-    /// publications count as messages. This reproduction's roaming
-    /// adversaries are solo in mid-burst.
+    /// it does not terminate. Inside a segment the engine hands it a
+    /// [`SoloWalk`] and calls [`Controller::solo`] over a range of rounds
+    /// that all lie before that horizon; the robot's publications count
+    /// as messages. This reproduction's roaming adversaries are solo in
+    /// mid-burst.
     Solo(u64),
     /// No promise: the robot communicates and moves this round.
     Act,

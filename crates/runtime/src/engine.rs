@@ -28,11 +28,14 @@
 //! is silent, so it gets no observation and its move is a stay, while a
 //! beacon is called like an acting robot and makes the engine step
 //! rather than run a segment beside it. Every
-//! move, stepped or in bulk, goes through one routine
-//! (`Engine::apply_choice`, or `Engine::land` for a cohort's bulk walk),
-//! and `Engine::reindex` keeps occupancy and the dirty list current after
-//! every stepped move and at every segment's end, so switching between
-//! segments and stepped rounds rebuilds nothing.
+//! move, stepped or in bulk, goes through one routine,
+//! [`SoloWalk::take`]: a stepped robot's or a lone prelude walker's one
+//! move (`Engine::apply_choice`), a solo robot's rounds inside
+//! [`Controller::solo`], and a cohort's bulk walk. `Engine::land` writes
+//! where each walk ended, and `Engine::reindex` keeps occupancy and the
+//! dirty list current after every stepped move and at every segment's
+//! end, so switching between segments and stepped rounds rebuilds
+//! nothing.
 //!
 //! # Dynamic worlds: epochs
 //!
@@ -46,7 +49,7 @@
 //! recorder persist across epochs; `bd-dynamic` schedules the changes.
 
 use crate::config::EngineConfig;
-use crate::controller::{Controller, Intent, MoveChoice, Prelude};
+use crate::controller::{Controller, Intent, MoveChoice, Prelude, SoloWalk};
 use crate::error::RunError;
 use crate::ids::{Flavor, RobotId};
 use crate::metrics::RunMetrics;
@@ -55,6 +58,7 @@ use crate::trace::{Event, Trace};
 use crate::world::World;
 use bd_graphs::{NodeId, Port, PortGraph};
 use bd_telemetry::EngineTelemetry;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Scratch arenas owned by the engine and reused across rounds. All
@@ -85,6 +89,9 @@ struct Scratch<M> {
     /// Per-robot mask of the robots a stepped round calls: past their
     /// prelude, not done and not idle.
     active: Vec<bool>,
+    /// The robots a segment moves, prelude and solo ones, with the nodes
+    /// they started it on.
+    movers: Vec<(usize, NodeId)>,
     /// Whether every honest robot is done, read off `intents`.
     all_done: bool,
     /// What the engine may do from the current round, read off `intents`
@@ -106,6 +113,7 @@ impl<M: Clone> Scratch<M> {
             pending: Vec::new(),
             intents: vec![Intent::Act; k],
             active: vec![false; k],
+            movers: Vec::with_capacity(k),
             all_done: false,
             horizon: Horizon::Step,
         }
@@ -525,55 +533,63 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Apply robot `i`'s move of absolute `round`, stepped or in a
-    /// segment. A stay clears its arrival; a move through an invalid port
-    /// is an error for an honest robot (the clock is left at `round`) and
-    /// a stay for a Byzantine one, which cannot teleport; any other move
-    /// lands the robot on the neighbor and is traced.
+    /// segment: one [`SoloWalk::take`], landed by [`Engine::land_walk`].
     fn apply_choice(&mut self, i: usize, choice: MoveChoice, round: u64) -> Result<(), RunError> {
+        let from = self.world.robot(i).position;
+        let mut walk = SoloWalk::new(self.world.graph(), from, None);
+        walk.take(choice);
+        let invalid = walk.invalid;
+        self.land_walk(i, from, walk.end(), invalid, round)
+    }
+
+    /// Land robot `i`, which stood on `from`, where its walk from absolute
+    /// `round` on ended (`end`, read off [`SoloWalk::end`]). A move
+    /// through an invalid port (`invalid`) was taken as a stay, which is
+    /// all a Byzantine robot gets (it cannot teleport); for an honest
+    /// robot it is an error instead, and the robot stays where it was
+    /// with the clock left at `round`. A traced walk covers one round, and
+    /// its move is traced.
+    fn land_walk(
+        &mut self,
+        i: usize,
+        from: NodeId,
+        (to, moves, arrival): (NodeId, u64, Option<ArrivalInfo>),
+        invalid: Option<(NodeId, Port)>,
+        round: u64,
+    ) -> Result<(), RunError> {
         let slot = self.world.robot(i);
-        let (id, node) = (slot.id, slot.position);
-        let degree = self.world.graph().degree(node);
-        let port = match choice {
-            MoveChoice::Move(port) if port < degree => port,
-            MoveChoice::Move(port) if slot.flavor == Flavor::Honest => {
-                self.round = round;
-                return Err(RunError::InvalidMove {
-                    robot: id,
-                    node,
-                    port,
-                    degree,
-                });
-            }
-            _ => {
-                self.arrivals[i] = None;
-                return Ok(());
-            }
-        };
-        let (to, entry_port) = self.world.graph().neighbor(node, port);
-        let arrival = ArrivalInfo {
-            exit_port: port,
-            entry_port,
-        };
-        self.land(i, to, 1, Some(arrival));
-        if self.config.record_trace {
-            self.trace.events.push(Event::Moved {
-                round,
-                robot: id,
-                from: node,
+        if let (Flavor::Honest, Some((node, port))) = (slot.flavor, invalid) {
+            self.round = round;
+            return Err(RunError::InvalidMove {
+                robot: slot.id,
+                node,
                 port,
-                to,
+                degree: self.world.graph().degree(node),
             });
         }
+        if self.config.record_trace && moves > 0 {
+            let port = arrival.expect("a move leaves an arrival").exit_port;
+            let robot = slot.id;
+            let moved = Event::Moved {
+                round,
+                robot,
+                from,
+                port,
+                to,
+            };
+            self.trace.events.push(moved);
+        }
+        self.land(i, to, moves, arrival);
         Ok(())
     }
 
     /// Apply the segment `[self.round, end)` in bulk: every robot is done,
     /// idle, inside its prelude or solo (see [`Horizon::Segment`]). Prelude
-    /// robots take their ports; solo robots are called on their own
-    /// senses, round-major in robot order; done and idle robots stay put
-    /// uncalled. Positions, odometers, arrivals, occupancy, the trace,
-    /// termination records and the run metrics end up exactly as stepping
-    /// the segment would leave them; no roster or bulletin is built.
+    /// robots take their ports; solo robots run through
+    /// [`Controller::solo`]; done and idle robots stay put uncalled.
+    /// Positions, odometers, arrivals, occupancy, the trace, termination
+    /// records and the run metrics end up exactly as stepping the segment
+    /// would leave them; no roster or bulletin is built.
     fn apply_segment(&mut self, end: u64) -> Result<(), RunError> {
         let start = self.round;
         let rounds = end - start;
@@ -590,63 +606,51 @@ impl<M: Clone> Engine<M> {
             );
         }
         // The robots that move, prelude and solo ones, with their nodes.
-        let mut movers = Vec::with_capacity(self.controllers.len());
-        let (mut walkers, mut solo) = (0u64, false);
+        self.scratch.movers.clear();
+        let (mut walkers, mut solo, mut honest_solo) = (0u64, false, false);
         for i in 0..self.controllers.len() {
             // A robot that stays keeps no arrival; prelude robots
             // overwrite theirs every round, and solo robots see the
             // arrival their last stepped move left.
+            let slot = self.world.robot(i);
             if self.walks(i, local) {
                 walkers += 1;
             } else if matches!(self.scratch.intents[i], Intent::Solo(_)) {
                 solo = true;
+                honest_solo |= slot.flavor == Flavor::Honest;
             } else {
                 self.arrivals[i] = None;
                 continue;
             }
-            movers.push((i, self.world.robot(i).position));
+            self.scratch.movers.push((i, slot.position));
         }
-        // Without solo robots or a trace to keep in order, the prelude
-        // robots walk as cohorts; otherwise (and when an honest robot's
-        // port is invalid) the stretch runs round-major, robot order
-        // within a round, so the trace records events and the error names
-        // the robot and round exactly as stepping would.
-        let bulk = !solo && !self.config.record_trace;
+        // Without an honest solo robot or a trace to keep in order, the
+        // prelude robots walk as cohorts and each solo robot runs the
+        // whole stretch in one call. Otherwise (and when an honest
+        // robot's port is invalid) the stretch runs round-major, robot
+        // order within a round, so the trace records events and the error
+        // names the robot and round exactly as stepping would.
+        let bulk = !honest_solo && !self.config.record_trace;
         let cohorts = bulk
             .then(|| self.walk_cohorts(local as usize, rounds))
             .flatten();
-        let mut messages = 0u64;
-        if cohorts.is_none() {
-            for t in 0..rounds {
-                for &(i, _) in &movers {
-                    let choice = if let Some(port) = self.preludes[i].port(local + t) {
-                        MoveChoice::Move(port)
-                    } else {
-                        let node = self.world.robot(i).position;
-                        let mut obs = Observation {
-                            round: local + t,
-                            subround: 0,
-                            subrounds,
-                            degree: self.world.graph().degree(node),
-                            roster: &[],
-                            bulletin: &[],
-                            arrival: self.arrivals[i],
-                        };
-                        let c = &mut self.controllers[i];
-                        for sub in 0..subrounds {
-                            obs.subround = sub;
-                            if c.act(&obs).is_some() {
-                                messages += 1;
-                            }
-                            obs.arrival = None;
-                        }
-                        c.decide_move(&obs)
-                    };
-                    self.apply_choice(i, choice, start + t)?;
+        let (mut messages, mut calls) = (0u64, 0u64);
+        let len = if cohorts.is_some() { rounds } else { 1 };
+        for t in (0..rounds).step_by(len as usize) {
+            for m in 0..self.scratch.movers.len() {
+                let i = self.scratch.movers[m].0;
+                match self.preludes[i].port(local + t) {
+                    Some(_) if cohorts.is_some() => {}
+                    Some(port) => self.apply_choice(i, MoveChoice::Move(port), start + t)?,
+                    None => {
+                        messages += self.run_solo(i, local + t..local + t + len, subrounds)?;
+                        calls += 1;
+                    }
                 }
             }
         }
-        for (i, from) in movers {
+        for m in 0..self.scratch.movers.len() {
+            let (i, from) = self.scratch.movers[m];
             self.reindex(i, from);
         }
         self.metrics.messages += messages;
@@ -658,12 +662,39 @@ impl<M: Clone> Engine<M> {
             } else {
                 t.counters.rounds_scripted += rounds;
             }
+            t.counters.solo_calls += calls;
             t.counters.subrounds += rounds * subrounds as u64;
             t.counters.prelude_walked += cohorts.unwrap_or(walkers * rounds);
         }
         self.round = end;
         self.log_terminations(end - 1);
         Ok(())
+    }
+
+    /// Run solo robot `i` through epoch-local `rounds` of a segment in one
+    /// [`Controller::solo`] call and land it where its walk ends (see
+    /// [`Engine::land_walk`]); returns the messages it published. An
+    /// honest or traced robot must be handed one round per call, so that
+    /// an error or a traced move names its round.
+    fn run_solo(
+        &mut self,
+        i: usize,
+        rounds: Range<u64>,
+        subrounds: usize,
+    ) -> Result<u64, RunError> {
+        let round = rounds.start + self.epoch_base;
+        let slot = self.world.robot(i);
+        debug_assert!(
+            rounds.end - rounds.start == 1
+                || !(self.config.record_trace || slot.flavor == Flavor::Honest),
+            "a traced or honest solo robot runs one round per call"
+        );
+        let from = slot.position;
+        let mut walk = SoloWalk::new(self.world.graph(), from, self.arrivals[i]);
+        let messages = self.controllers[i].solo(rounds, subrounds, &mut walk);
+        let invalid = walk.invalid;
+        self.land_walk(i, from, walk.end(), invalid, round)?;
+        Ok(messages)
     }
 
     /// Walk the segment's prelude robots through epoch-local rounds
@@ -719,27 +750,16 @@ impl<M: Clone> Engine<M> {
             };
             members.push((i, c));
         }
-        let graph = self.world.graph();
         let mut ends = Vec::with_capacity(cohorts.len());
         for c in &cohorts {
-            let (mut node, mut moves, mut arrival) = (c.node, 0u64, None);
+            let mut walk = SoloWalk::new(self.world.graph(), c.node, None);
             for &port in c.ports {
-                if port >= graph.degree(node) {
-                    if c.honest {
-                        return None;
-                    }
-                    arrival = None;
-                    continue;
-                }
-                let (to, entry_port) = graph.neighbor(node, port);
-                arrival = Some(ArrivalInfo {
-                    exit_port: port,
-                    entry_port,
-                });
-                node = to;
-                moves += 1;
+                walk.take(MoveChoice::Move(port));
             }
-            ends.push((node, moves, arrival));
+            if c.honest && walk.invalid.is_some() {
+                return None;
+            }
+            ends.push(walk.end());
         }
         for (i, c) in members {
             let (node, moves, arrival) = ends[c];
@@ -1921,6 +1941,26 @@ mod tests {
         let run = run_solo_cast(capped, Roamer::new(1, (0, 10), 12), 20, u64::MAX);
         assert!(matches!(run.out, Err(RunError::RoundLimit { limit: 4 })));
         assert_eq!((run.round, run.odometers), (4, vec![4, 0]));
+    }
+
+    #[test]
+    fn a_solo_robot_runs_a_segment_in_one_call_unless_traced_or_honest() {
+        // A roamer solo in rounds 3-8 beside a sleeper idle until 12: the
+        // segment [3, 9) is one call in bulk, six when it must keep
+        // stepping's order.
+        let counted = |flavor, config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(lollipop(4, 3).unwrap(), config);
+            record(&mut e);
+            e.add_robot(flavor, 6, Box::new(Roamer::new(1, (3, 9), 11)));
+            e.add_robot(Flavor::Honest, 0, Box::new(Sleeper::new(2, 12, 2)));
+            e.run_epoch(u64::MAX).unwrap();
+            let c = e.telemetry.take().expect("recorder").counters;
+            (c.rounds_solo, c.solo_calls)
+        };
+        let (byzantine, default) = (Flavor::WeakByzantine, EngineConfig::default);
+        assert_eq!(counted(byzantine, default()), (6, 1));
+        assert_eq!(counted(byzantine, default().traced()), (6, 6));
+        assert_eq!(counted(Flavor::Honest, default()), (6, 6));
     }
 
     #[test]

@@ -48,10 +48,11 @@
 //! without calling the robot. From the answers and the preludes the
 //! engine skips all-idle stretches, calls no idle robot in a stepped
 //! round, and applies stretches of idle, walking and solo robots in bulk,
-//! with no roster or bulletin; trajectories and measured rounds equal a
-//! stepped run's, and the differential suite of the `bd-oracle` crate
-//! checks that against a naive engine that steps every round. The
-//! contract is documented once, on [`controller::Intent`].
+//! with no roster or bulletin (a solo robot runs its whole stretch in one
+//! [`controller::Controller::solo`] call); trajectories and measured
+//! rounds equal a stepped run's, and the differential suite of the
+//! `bd-oracle` crate checks that against a naive engine that steps every
+//! round. The contract is documented once, on [`controller::Intent`].
 //!
 //! ## Instrumentation
 //!
@@ -74,7 +75,7 @@ pub mod trace;
 pub mod world;
 
 pub use config::EngineConfig;
-pub use controller::{Controller, Intent, MoveChoice, Prelude};
+pub use controller::{Controller, Intent, MoveChoice, Prelude, SoloWalk};
 pub use engine::{Engine, EpochOutcome};
 pub use error::RunError;
 pub use ids::{Flavor, RobotId};

@@ -55,6 +55,10 @@ pub struct EngineCounters {
     /// solo (see `Intent::Solo` in `bd-runtime`); each segment
     /// also counts one [`EngineCounters::ff_jumps`].
     pub rounds_solo: u64,
+    /// `Controller::solo` calls made inside segments (see `bd-runtime`):
+    /// one per solo robot per segment run in bulk, one per solo robot per
+    /// round of a segment run round-major.
+    pub solo_calls: u64,
     /// Prelude ports the engine looked up inside segments: one per cohort
     /// per round (robots past their head that share a tail and a node walk
     /// as one cohort; see `Controller::prelude` in `bd-runtime`), plus
@@ -91,6 +95,7 @@ impl EngineCounters {
             rounds_stepped: self.rounds_stepped - mark.rounds_stepped,
             rounds_scripted: self.rounds_scripted - mark.rounds_scripted,
             rounds_solo: self.rounds_solo - mark.rounds_solo,
+            solo_calls: self.solo_calls - mark.solo_calls,
             prelude_walked: self.prelude_walked - mark.prelude_walked,
             subrounds: self.subrounds - mark.subrounds,
             dirty_hwm: self.dirty_hwm,
@@ -114,6 +119,7 @@ impl EngineCounters {
         self.rounds_stepped += other.rounds_stepped;
         self.rounds_scripted += other.rounds_scripted;
         self.rounds_solo += other.rounds_solo;
+        self.solo_calls += other.solo_calls;
         self.prelude_walked += other.prelude_walked;
         self.subrounds += other.subrounds;
         self.dirty_hwm = self.dirty_hwm.max(other.dirty_hwm);
