@@ -669,62 +669,101 @@ mod tests {
 
     #[test]
     fn solo_runs_a_burst_as_act_and_decide_move_would() {
-        use bd_runtime::ArrivalInfo;
+        use bd_graphs::NodeId;
+        use bd_runtime::{Engine, EngineConfig, Flavor};
         use rand::RngCore;
-        let g = bd_graphs::generators::lollipop(4, 3).unwrap();
-        let (n, active_from, subrounds) = (8u64, 5u64, 2usize);
-        let arrival = Some(ArrivalInfo {
-            exit_port: 0,
-            entry_port: 1,
-        });
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use std::sync::Arc;
+        // A roamer the test can still read after seating it, asking for
+        // two sub-rounds a round.
+        struct Shared(Rc<RefCell<AdversaryController>>);
+        impl Controller<Msg> for Shared {
+            fn id(&self) -> RobotId {
+                self.0.borrow().id()
+            }
+            fn subrounds_wanted(&self, _round: u64) -> usize {
+                2
+            }
+            fn act(&mut self, obs: &Observation<'_, Msg>) -> Option<Msg> {
+                self.0.borrow_mut().act(obs)
+            }
+            fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
+                self.0.borrow_mut().decide_move(obs)
+            }
+            fn intent(&self, round: u64) -> Intent {
+                self.0.borrow().intent(round)
+            }
+            fn solo(
+                &mut self,
+                rounds: Range<u64>,
+                subrounds: usize,
+                walk: &mut SoloWalk<'_>,
+            ) -> u64 {
+                self.0.borrow_mut().solo(rounds, subrounds, walk)
+            }
+        }
+        // The engine hands each stretch of a burst to `solo` in one call;
+        // the oracle calls `act` and `decide_move` every round. The
+        // honest bystander is idle until round 8, so the first burst
+        // [5, 13) runs from its start and again from mid-burst; the run
+        // ends inside the second burst [37, 45).
+        let g = Arc::new(bd_graphs::generators::lollipop(4, 3).unwrap());
+        let (n, active_from, stop) = (8, 5, 40);
         for kind in AdversaryKind::all().into_iter().filter(|k| k.roams()) {
-            let mk = || {
-                AdversaryController::new(
+            let cast = || {
+                let roamer = Rc::new(RefCell::new(AdversaryController::new(
                     RobotId(9),
                     kind,
-                    n as usize,
+                    n,
                     7,
                     Vec::new(),
                     active_from,
                     Vec::new(),
                     0,
-                )
-            };
-            // From a burst's start and from mid-burst, in the first burst
-            // and a later one, to the burst's end.
-            for from in [active_from, active_from + 3, active_from + 4 * n + 5] {
-                let (mut solo, mut stepped) = (mk(), mk());
-                let end = solo.burst_end(from);
-                let mut walk = SoloWalk::new(&g, 6, arrival);
-                let messages = solo.solo(from..end, subrounds, &mut walk);
-                let (mut node, mut sent) = (6, 0u64);
-                for round in from..end {
-                    let degree = g.degree(node);
-                    let obs = |subround| Observation::<Msg> {
-                        round,
-                        subround,
-                        subrounds,
-                        degree,
-                        roster: &[],
-                        bulletin: &[],
-                        arrival: None,
-                    };
-                    for sub in 0..subrounds {
-                        sent += u64::from(stepped.act(&obs(sub)).is_some());
-                    }
-                    if let MoveChoice::Move(port) = stepped.decide_move(&obs(subrounds - 1)) {
-                        node = g.neighbor(node, port).0;
-                    }
-                }
-                let what = format!("{kind:?} from round {from}");
-                assert_eq!(walk.end().0, node, "{what}: position");
-                assert_eq!(messages, sent, "{what}: messages");
-                assert_eq!(
-                    solo.rng.next_u64(),
-                    stepped.rng.next_u64(),
-                    "{what}: next RNG draw"
+                )));
+                let bystander = AdversaryController::new(
+                    RobotId(2),
+                    AdversaryKind::CrashMidway,
+                    n,
+                    7,
+                    Vec::new(),
+                    8,
+                    Vec::new(),
+                    0,
                 );
+                let seats: [(Flavor, NodeId, Box<dyn Controller<Msg>>); 2] = [
+                    (
+                        Flavor::WeakByzantine,
+                        6,
+                        Box::new(Shared(Rc::clone(&roamer))),
+                    ),
+                    (Flavor::Honest, 0, Box::new(bystander)),
+                ];
+                (roamer, seats)
+            };
+            let end = |roamer: Rc<RefCell<AdversaryController>>, out: bd_runtime::EpochOutcome| {
+                let m = out.metrics;
+                let next = roamer.borrow_mut().rng.next_u64();
+                (out.final_positions, m.messages, m.total_moves, next)
+            };
+            let (roamer, seats) = cast();
+            let mut e: Engine<Msg> = Engine::new(Arc::clone(&g), EngineConfig::default());
+            for (flavor, node, c) in seats {
+                e.add_robot(flavor, node, c);
             }
+            let solo = end(roamer, e.run_epoch(stop).unwrap());
+            let (roamer, seats) = cast();
+            let mut e =
+                bd_oracle::OracleEngine::<Msg>::new(Arc::clone(&g), EngineConfig::default());
+            for (flavor, node, c) in seats {
+                e.add_robot(flavor, node, c);
+            }
+            let stepped = end(roamer, e.run_epoch(stop).unwrap());
+            assert_eq!(
+                solo, stepped,
+                "{kind:?}: positions, messages, moves and next RNG draw"
+            );
         }
     }
 

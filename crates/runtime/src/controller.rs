@@ -227,10 +227,18 @@ pub trait Controller<M> {
 #[derive(Debug)]
 pub struct SoloWalk<'g> {
     graph: &'g PortGraph,
-    node: NodeId,
-    degree: usize,
-    moves: u64,
-    arrival: Option<ArrivalInfo>,
+    end: WalkEnd,
+}
+
+/// Where a [`SoloWalk`] ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkEnd {
+    /// The node the robot stands on.
+    pub(crate) node: NodeId,
+    /// The edges crossed.
+    pub(crate) moves: u64,
+    /// The arrival of the last round's move, `None` after a stay.
+    pub(crate) arrival: Option<ArrivalInfo>,
     /// The node and port of the first move through an invalid port, which
     /// was taken as a stay; an error for an honest robot.
     pub(crate) invalid: Option<(NodeId, Port)>,
@@ -238,54 +246,52 @@ pub struct SoloWalk<'g> {
 
 impl<'g> SoloWalk<'g> {
     /// A walk from `node` on `graph`, whose first round sees `arrival`.
-    pub fn new(graph: &'g PortGraph, node: NodeId, arrival: Option<ArrivalInfo>) -> Self {
-        SoloWalk {
-            graph,
+    pub(crate) fn new(graph: &'g PortGraph, node: NodeId, arrival: Option<ArrivalInfo>) -> Self {
+        let end = WalkEnd {
             node,
-            degree: graph.degree(node),
             moves: 0,
             arrival,
             invalid: None,
-        }
+        };
+        SoloWalk { graph, end }
     }
 
     /// The degree of the node the robot stands on.
     pub fn degree(&self) -> usize {
-        self.degree
+        self.graph.degree(self.end.node)
     }
 
     /// The arrival of the robot's last move, `None` after a stay.
     pub fn arrival(&self) -> Option<ArrivalInfo> {
-        self.arrival
+        self.end.arrival
     }
 
     /// Take one round's move. A stay, or a move through a port the node
     /// does not have (a Byzantine robot cannot teleport), leaves the robot
     /// in place and clears its arrival; any other move crosses the edge.
     pub fn take(&mut self, choice: MoveChoice) {
+        let end = &mut self.end;
         match choice {
-            MoveChoice::Move(port) if port < self.degree => {
-                let (to, entry_port) = self.graph.neighbor(self.node, port);
-                self.arrival = Some(ArrivalInfo {
+            MoveChoice::Move(port) if port < self.graph.degree(end.node) => {
+                let (to, entry_port) = self.graph.neighbor(end.node, port);
+                end.arrival = Some(ArrivalInfo {
                     exit_port: port,
                     entry_port,
                 });
-                self.node = to;
-                self.degree = self.graph.degree(to);
-                self.moves += 1;
+                end.node = to;
+                end.moves += 1;
             }
             MoveChoice::Move(port) => {
-                self.invalid.get_or_insert((self.node, port));
-                self.arrival = None;
+                end.invalid.get_or_insert((end.node, port));
+                end.arrival = None;
             }
-            MoveChoice::Stay => self.arrival = None,
+            MoveChoice::Stay => end.arrival = None,
         }
     }
 
-    /// Where the walk ended: the node, the edges crossed and the last
-    /// arrival.
-    pub fn end(self) -> (NodeId, u64, Option<ArrivalInfo>) {
-        (self.node, self.moves, self.arrival)
+    /// Where the walk ended.
+    pub(crate) fn end(self) -> WalkEnd {
+        self.end
     }
 }
 

@@ -49,7 +49,7 @@
 //! recorder persist across epochs; `bd-dynamic` schedules the changes.
 
 use crate::config::EngineConfig;
-use crate::controller::{Controller, Intent, MoveChoice, Prelude, SoloWalk};
+use crate::controller::{Controller, Intent, MoveChoice, Prelude, SoloWalk, WalkEnd};
 use crate::error::RunError;
 use crate::ids::{Flavor, RobotId};
 use crate::metrics::RunMetrics;
@@ -501,14 +501,14 @@ impl<M: Clone> Engine<M> {
         }
     }
 
-    /// Put robot `i` on `to` after `moves` edge traversals, the last
-    /// leaving `arrival`: the one place a robot's position, odometer and
-    /// arrival change. The occupancy index follows in [`Engine::reindex`].
-    fn land(&mut self, i: usize, to: NodeId, moves: u64, arrival: Option<ArrivalInfo>) {
-        self.world.relocate(i, to, moves);
-        self.arrivals[i] = arrival;
+    /// Put robot `i` where a walk ended (its node, edges crossed and last
+    /// arrival): the one place a robot's position, odometer and arrival
+    /// change. The occupancy index follows in [`Engine::reindex`].
+    fn land(&mut self, i: usize, end: &WalkEnd) {
+        self.world.relocate(i, end.node, end.moves);
+        self.arrivals[i] = end.arrival;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.counters.moves += moves;
+            t.counters.moves += end.moves;
         }
     }
 
@@ -538,27 +538,24 @@ impl<M: Clone> Engine<M> {
         let from = self.world.robot(i).position;
         let mut walk = SoloWalk::new(self.world.graph(), from, None);
         walk.take(choice);
-        let invalid = walk.invalid;
-        self.land_walk(i, from, walk.end(), invalid, round)
+        self.land_walk(i, from, walk.end(), round)
     }
 
     /// Land robot `i`, which stood on `from`, where its walk from absolute
-    /// `round` on ended (`end`, read off [`SoloWalk::end`]). A move
-    /// through an invalid port (`invalid`) was taken as a stay, which is
-    /// all a Byzantine robot gets (it cannot teleport); for an honest
-    /// robot it is an error instead, and the robot stays where it was
-    /// with the clock left at `round`. A traced walk covers one round, and
-    /// its move is traced.
+    /// `round` on ended. A move through an invalid port was taken as a
+    /// stay, which is all a Byzantine robot gets (it cannot teleport); for
+    /// an honest robot it is an error instead, and the robot stays where
+    /// it was with the clock left at `round`. A traced walk covers one
+    /// round, and its move is traced.
     fn land_walk(
         &mut self,
         i: usize,
         from: NodeId,
-        (to, moves, arrival): (NodeId, u64, Option<ArrivalInfo>),
-        invalid: Option<(NodeId, Port)>,
+        end: WalkEnd,
         round: u64,
     ) -> Result<(), RunError> {
         let slot = self.world.robot(i);
-        if let (Flavor::Honest, Some((node, port))) = (slot.flavor, invalid) {
+        if let (Flavor::Honest, Some((node, port))) = (slot.flavor, end.invalid) {
             self.round = round;
             return Err(RunError::InvalidMove {
                 robot: slot.id,
@@ -567,19 +564,18 @@ impl<M: Clone> Engine<M> {
                 degree: self.world.graph().degree(node),
             });
         }
-        if self.config.record_trace && moves > 0 {
-            let port = arrival.expect("a move leaves an arrival").exit_port;
-            let robot = slot.id;
+        if self.config.record_trace && end.moves > 0 {
+            let port = end.arrival.expect("a move leaves an arrival").exit_port;
             let moved = Event::Moved {
                 round,
-                robot,
+                robot: slot.id,
                 from,
                 port,
-                to,
+                to: end.node,
             };
             self.trace.events.push(moved);
         }
-        self.land(i, to, moves, arrival);
+        self.land(i, &end);
         Ok(())
     }
 
@@ -692,8 +688,7 @@ impl<M: Clone> Engine<M> {
         let from = slot.position;
         let mut walk = SoloWalk::new(self.world.graph(), from, self.arrivals[i]);
         let messages = self.controllers[i].solo(rounds, subrounds, &mut walk);
-        let invalid = walk.invalid;
-        self.land_walk(i, from, walk.end(), invalid, round)?;
+        self.land_walk(i, from, walk.end(), round)?;
         Ok(messages)
     }
 
@@ -756,14 +751,14 @@ impl<M: Clone> Engine<M> {
             for &port in c.ports {
                 walk.take(MoveChoice::Move(port));
             }
-            if c.honest && walk.invalid.is_some() {
+            let end = walk.end();
+            if c.honest && end.invalid.is_some() {
                 return None;
             }
-            ends.push(walk.end());
+            ends.push(end);
         }
         for (i, c) in members {
-            let (node, moves, arrival) = ends[c];
-            self.land(i, node, moves, arrival);
+            self.land(i, &ends[c]);
         }
         Some(ends.len() as u64 * rounds)
     }
