@@ -25,7 +25,9 @@
 //!   (`bulletin_reads`) per stepped round (robots idle in a pairing
 //!   window are not called) and makes fewer `Controller::solo` calls
 //!   (`solo_calls`) than it has solo rounds (each roamer runs a whole
-//!   segment in one call);
+//!   segment in one call) and fewer `Controller::intent` asks (`asks=`)
+//!   than `k` per drive-loop iteration (a robot whose answer still holds
+//!   is not asked again);
 //! * `--overhead-check` — run the quick Table 1 batch alternately with
 //!   telemetry enabled and disabled (interleaved A/B, best-of-3 per
 //!   side) and assert the enabled minimum stays within 5% (plus a 500us
@@ -125,7 +127,7 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         );
     }
     println!(
-        "  totals: stepped={} skipped={} scripted={} solo={} solo_calls={} walked={} \
+        "  totals: stepped={} skipped={} scripted={} solo={} solo_calls={} walked={} asks={} \
          bulletin w/r={}/{} resorts={} dirty_hwm={} roster_hwm={} bulletin_hwm={}",
         report.total.rounds_stepped,
         report.total.rounds_skipped,
@@ -133,6 +135,7 @@ fn print_report(cell: &Cell, report: &EngineReport) {
         report.total.rounds_solo,
         report.total.solo_calls,
         report.total.prelude_walked,
+        report.total.intent_asks,
         report.total.bulletin_writes,
         report.total.bulletin_reads,
         report.total.roster_resorts,
@@ -270,7 +273,9 @@ fn main() {
 /// serve fewer than `k` observations each on average, which fails if
 /// robots waiting out a pairing window are called again, and its
 /// `Controller::solo` calls stay below its solo rounds, which fails if
-/// roamers are called once per round instead of once per segment.
+/// roamers are called once per round instead of once per segment, and
+/// its intent asks stay below `k` per drive-loop iteration, which fails
+/// if every robot is asked every iteration.
 fn round_accounting(cell: &Cell, report: &EngineReport) -> Vec<String> {
     let (algo, t) = (&cell.algo, &report.total);
     let mut failures = Vec::new();
@@ -294,6 +299,19 @@ fn round_accounting(cell: &Cell, report: &EngineReport) -> Vec<String> {
             failures.push(format!(
                 "{algo}: {} solo calls >= {} solo rounds",
                 t.solo_calls, t.rounds_solo
+            ));
+        }
+        // The drive loop's iterations: the epoch's start, then every
+        // stepped round, segment and skip.
+        let iterations = 1 + t.rounds_stepped + t.ff_jumps;
+        println!(
+            "check: {algo} makes {} intent asks over {iterations} loop iterations (k = {})",
+            t.intent_asks, cell.k
+        );
+        if t.intent_asks >= cell.k as u64 * iterations {
+            failures.push(format!(
+                "{algo}: {} intent asks >= k = {} x {iterations} loop iterations",
+                t.intent_asks, cell.k
             ));
         }
     }

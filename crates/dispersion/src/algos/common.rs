@@ -163,14 +163,14 @@ impl GroupRun {
                     obs.degree,
                     self.n,
                     TokenSpec {
-                        members: self.spec.token.clone(),
+                        members: self.spec.token.iter().copied().collect(),
                         presence_threshold: self.spec.presence_threshold,
                     },
                 ))
             } else if self.spec.token.contains(&self.me) {
                 RunRole::Token(TokenFollower::with_timeout(
                     InstructionSpec {
-                        members: self.spec.agents.clone(),
+                        members: self.spec.agents.iter().copied().collect(),
                         threshold: self.spec.instr_threshold,
                     },
                     8 * self.n as u64 + 16,

@@ -17,28 +17,29 @@ use crate::msg::Msg;
 use bd_exploration::token_map::{AgentCmd, Percept, TokenMapExplorer};
 use bd_graphs::{Port, PortGraph};
 use bd_runtime::{MoveChoice, Observation, RobotId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Whom the agent treats as "the token": it "is present" iff at least
 /// `presence_threshold` distinct members are co-located (§3.2, §4). A
 /// pairing (§3.1) is the one-member group with threshold 1.
 #[derive(Debug, Clone)]
 pub struct TokenSpec {
-    pub members: BTreeSet<RobotId>,
+    /// The token group, sorted and without repeats.
+    pub members: Vec<RobotId>,
     pub presence_threshold: usize,
 }
 
 impl TokenSpec {
     fn present(&self, roster: &[RobotId]) -> bool {
-        // The roster is sorted, so repeated claims of one ID are adjacent
-        // and count once.
-        let mut distinct = 0;
-        let mut last = None;
+        // Roster and members are both sorted, so one merge walk counts the
+        // members present, and repeated claims of one ID, adjacent in the
+        // roster, count once.
+        let (mut distinct, mut members) = (0, self.members.iter().peekable());
         for &r in roster {
-            if last != Some(r) && self.members.contains(&r) {
+            while members.next_if(|&&m| m < r).is_some() {}
+            if members.next_if_eq(&&r).is_some() {
                 distinct += 1;
             }
-            last = Some(r);
         }
         distinct >= self.presence_threshold
     }
@@ -49,7 +50,8 @@ impl TokenSpec {
 /// token obeys its one partner).
 #[derive(Debug, Clone)]
 pub struct InstructionSpec {
-    pub members: BTreeSet<RobotId>,
+    /// The agent group, sorted and without repeats.
+    pub members: Vec<RobotId>,
     pub threshold: usize,
 }
 
@@ -286,7 +288,8 @@ impl TokenFollower {
         // then ports lowest first.
         let InstructionSpec { members, threshold } = &self.instructions;
         self.tally.clear();
-        for p in obs.bulletin.iter().filter(|p| members.contains(&p.sender)) {
+        let member = |sender| members.binary_search(sender).is_ok();
+        for p in obs.bulletin.iter().filter(|p| member(&p.sender)) {
             match p.body {
                 Msg::TokenGo { port, step } if step == self.step && port < obs.degree => {
                     self.tally.push((Some(port), p.sender));
@@ -357,7 +360,7 @@ fn reverse_of(entry_log: &[Port]) -> VecDeque<Port> {
 mod tests {
     use super::*;
 
-    fn group(members: &[u64]) -> BTreeSet<RobotId> {
+    fn group(members: &[u64]) -> Vec<RobotId> {
         members.iter().map(|&i| RobotId(i)).collect()
     }
 

@@ -897,9 +897,11 @@ fn solo_calls_agree_with_the_oracle() {
 
 /// Idle robots and beacons on both engines, none skipped: an actor beside
 /// a sleeper that asks for two sub-rounds while idle, which the fast
-/// engine does not call before it wakes; an actor beside a beacon, called
-/// in every round; and a solo roamer beside a beacon and a sleeper, where
-/// the fast engine steps every round instead of running segments.
+/// engine does not call before it wakes; an actor beside a robot that
+/// moves and then idles through stepped rounds, which are its stays and
+/// clear its arrival; an actor beside a beacon, called in every round;
+/// and a solo roamer beside a beacon and a sleeper, where the fast
+/// engine steps every round instead of running segments.
 #[test]
 fn idle_robots_and_beacons_agree_with_the_oracle() {
     let beacon = [(0, Intent::Beacon(u64::MAX))];
@@ -913,6 +915,21 @@ fn idle_robots_and_beacons_agree_with_the_oracle() {
                 ..Scripted::new(2, &sleeper(4), s)
             })
     });
+    let mover = [
+        (0, Intent::Act),
+        (1, Intent::Idle(4)),
+        (4, Intent::Act),
+        (5, Intent::Done),
+    ];
+    let run = agree(ring(7).unwrap(), EngineConfig::default(), || {
+        Cast::until(u64::MAX)
+            .seat(Flavor::Honest, 0, |s| {
+                Scripted::new(1, &[(0, Intent::Act), (6, Intent::Done)], s)
+            })
+            .seat(Flavor::Honest, 3, |s| Scripted::new(2, &mover, s))
+    });
+    let arrivals: Vec<_> = run.seen[1].iter().map(|c| (c.0, c.2)).collect();
+    assert_eq!(arrivals, [(0, None), (4, None)]);
     agree(ring(7).unwrap(), EngineConfig::default(), || {
         Cast::until(u64::MAX)
             .seat(Flavor::Honest, 0, |s| {

@@ -305,18 +305,29 @@ impl<'g> SoloWalk<'g> {
 ///
 /// # When the engine asks
 ///
-/// Once per drive-loop iteration, for every robot past its prelude: when
-/// an epoch starts, after every round or segment the engine runs, and
-/// after every idle skip (the round changed). `round` is the round the
-/// engine is about to run, and the answer is for that round. The engine
-/// owns the clock: a controller answers from `round` and its protocol
-/// state and keeps no clock of its own, because skips, segments and idle
-/// rounds call nothing, so the round a controller was last called in
-/// says nothing about the round it is asked about. Between two asks the
-/// engine calls none of the controller's `&mut` methods, so an answer
-/// holds until the next ask. A robot inside its prelude is never asked;
-/// it counts as acting. Horizons are epoch-local, like every round a
-/// controller sees; a horizon at or before `round` promises nothing.
+/// At most once per drive-loop iteration (when an epoch starts, after
+/// every round or segment the engine runs, and after every idle skip),
+/// and only a robot past its prelude whose last answer no longer holds.
+/// `round` is the round the engine is about to run, and the answer is
+/// for that round. The engine owns the clock: a controller answers from
+/// `round` and its protocol state and keeps no clock of its own, because
+/// skips, segments and idle rounds call nothing, so the round a
+/// controller was last called in says nothing about the round it is
+/// asked about. Horizons are epoch-local, like every round a controller
+/// sees; a horizon at or before `round` promises nothing.
+///
+/// An answer is a promise the engine holds the robot to without asking
+/// again: [`Intent::Done`] holds for good, and [`Intent::Idle`],
+/// [`Intent::Beacon`] and [`Intent::Solo`] hold until their horizon, even
+/// though the engine calls a beacon in stepped rounds and a solo robot
+/// through [`Controller::solo`] meanwhile. So the engine asks again only
+/// a robot that answered [`Intent::Act`] (every iteration), one whose
+/// horizon has arrived, and one whose prelude has just ended (a robot
+/// inside its prelude is never asked; it counts as acting). Asked again
+/// before the horizon (as every robot is when an epoch starts), a
+/// controller must answer at least what it promised: the same variant
+/// with a horizon no earlier, or `Done` again. Debug builds re-ask every
+/// held promise after every iteration and assert exactly that.
 ///
 /// # What the engine does with the answers
 ///
@@ -357,14 +368,16 @@ impl<'g> SoloWalk<'g> {
 ///   exactly as stepping's.
 /// * **Silence.** Every other round is stepped: every robot past its
 ///   prelude and not done gets its roster and bulletin unless it is idle,
-///   which is not called at all. The round's sub-round count is still the
+///   which is not called at all; the round visits only the robots it
+///   calls and the prelude walkers. The round's sub-round count is still the
 ///   most that any robot past its prelude and not done requests, idle or
 ///   not, so `subrounds_executed` does not depend on who is called.
 ///
 /// Declaring a promise while actually wanting to act is a controller bug;
 /// the oracle engine (which steps every round, calls every robot past its
 /// prelude and not done, and asks only whether a robot is done) catches it
-/// by comparing trajectories.
+/// by comparing trajectories, and debug builds of this engine catch a
+/// later answer that breaks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Intent {
     /// Terminated: the robot stays put and goes silent forever.

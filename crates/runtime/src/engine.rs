@@ -20,17 +20,20 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
-//! Rounds that need no stepping bypass `Engine::step`: the engine asks
-//! every robot its [`Intent`] once per loop iteration, keeps the answers
-//! in the scratch, and skips or applies stretches in bulk
-//! (`Engine::apply_segment`) as the [`Intent`] contract describes. A
-//! stepped round calls only the robots that act or publish: an idle robot
-//! is silent, so it gets no observation and its move is a stay, while a
-//! beacon is called like an acting robot and makes the engine step
-//! rather than run a segment beside it. Every
-//! move, stepped or in bulk, goes through one routine,
-//! [`SoloWalk::take`]: a stepped robot's or a lone prelude walker's one
-//! move (`Engine::apply_choice`), a solo robot's rounds inside
+//! Rounds that need no stepping bypass `Engine::step`: the engine keeps
+//! each robot's [`Intent`] in the scratch and, once per loop iteration,
+//! asks again only the robots whose answer no longer holds (an `Act`, a
+//! horizon that has arrived, or a prelude that has just ended; `Done`
+//! holds for good). From the answers it skips or applies stretches in
+//! bulk (`Engine::apply_segment`) as the [`Intent`] contract describes.
+//! A stepped round lists the robots it calls once, those that act or
+//! publish, and visits only them and the prelude walkers: an idle or
+//! done robot is silent, so it gets no observation and only its arrival
+//! is cleared, while a beacon is called like an acting robot and makes
+//! the engine step rather than run a segment beside it. Every move,
+//! stepped or in bulk, goes through one routine, [`SoloWalk::take`]: a
+//! stepped robot's or a lone prelude walker's one move
+//! (`Engine::apply_choice`), a solo robot's rounds inside
 //! [`Controller::solo`], and a cohort's bulk walk. `Engine::land` writes
 //! where each walk ended, and `Engine::reindex` keeps occupancy and the
 //! dirty list current after every stepped move and at every segment's
@@ -83,14 +86,20 @@ struct Scratch<M> {
     /// Per-sub-round publication queue (flushed after each sub-round so
     /// messages become visible in the *next* sub-round only).
     pending: Vec<(NodeId, Publication<M>)>,
-    /// Each robot's [`Controller::intent`] at the current round; `Act` for
-    /// a robot inside its prelude, which is not asked.
+    /// Each robot's last [`Controller::intent`] answer, which holds until
+    /// its horizon (`Done` for good); `Act` for a robot inside its
+    /// prelude, which is not asked.
     intents: Vec<Intent>,
-    /// Per-robot mask of the robots a stepped round calls: past their
-    /// prelude, not done and not idle.
-    active: Vec<bool>,
-    /// The robots a segment moves, prelude and solo ones, with the nodes
-    /// they started it on.
+    /// Each robot's real asks, which the debug-build promise check does
+    /// not add to.
+    #[cfg(test)]
+    asked: Vec<u64>,
+    /// The robots a stepped round calls: past their prelude, not done and
+    /// not idle, in index order.
+    called: Vec<usize>,
+    /// The robots a segment or a stepped round moves, with the nodes they
+    /// started it on: in a segment the prelude and solo ones, in a stepped
+    /// round the called ones and the prelude walkers, in index order.
     movers: Vec<(usize, NodeId)>,
     /// Whether every honest robot is done, read off `intents`.
     all_done: bool,
@@ -112,7 +121,9 @@ impl<M: Clone> Scratch<M> {
             touched: Vec::new(),
             pending: Vec::new(),
             intents: vec![Intent::Act; k],
-            active: vec![false; k],
+            #[cfg(test)]
+            asked: vec![0; k],
+            called: Vec::with_capacity(k),
             movers: Vec::with_capacity(k),
             all_done: false,
             horizon: Horizon::Step,
@@ -338,7 +349,7 @@ impl<M: Clone> Engine<M> {
             }
         }
         self.scratch = s;
-        self.ask();
+        self.ask(None);
     }
 
     /// Read-only world access (for verifiers and tests).
@@ -351,21 +362,41 @@ impl<M: Clone> Engine<M> {
         self.round
     }
 
-    /// Ask every robot past its prelude its [`Intent`] at the current
-    /// round (the one place the engine asks), and read off the answers
-    /// whether every honest robot is done and what the engine may do next.
-    fn ask(&mut self) {
+    /// Ask every robot past its prelude whose last answer no longer holds
+    /// (see [`holds`]) its [`Intent`] at the current round (the one place
+    /// the engine asks), and read off the answers whether every honest
+    /// robot is done and what the engine may do next. `ended` is the last
+    /// round run or skipped, if any: it is recorded as the termination
+    /// round of every robot done for the first time. Debug builds re-ask
+    /// every held promise too and assert that it still holds at least as
+    /// long ([`outlasts`]).
+    fn ask(&mut self, ended: Option<u64>) {
         // Preludes and intents are epoch-local (controllers never see the
         // absolute clock); horizons are shifted by the epoch base.
         let base = self.epoch_base;
         let local = self.round - base;
         let (mut idle, mut busy, mut step, mut beacon, mut all_done) =
             (u64::MAX, None, false, false, true);
+        let mut asks = 0;
         for i in 0..self.controllers.len() {
             let walks = self.walks(i, local);
+            let held = self.scratch.intents[i];
             let intent = if walks {
                 Intent::Act
+            } else if holds(held, local) {
+                debug_assert!(
+                    outlasts(self.controllers[i].intent(local), held),
+                    "robot {} answered {held:?} but at round {local} answers {:?}",
+                    self.world.robot(i).id,
+                    self.controllers[i].intent(local),
+                );
+                held
             } else {
+                asks += 1;
+                #[cfg(test)]
+                {
+                    self.scratch.asked[i] += 1;
+                }
                 self.controllers[i].intent(local)
             };
             self.scratch.intents[i] = intent;
@@ -395,13 +426,21 @@ impl<M: Clone> Engine<M> {
                     beacon = true;
                     continue;
                 }
-                Intent::Done => continue,
+                Intent::Done => {
+                    if let Some(round) = ended {
+                        self.log_termination(i, round);
+                    }
+                    continue;
+                }
                 _ => {
                     step = true;
                     continue;
                 }
             };
             busy = Some(busy.map_or(until, |b: u64| b.min(until)));
+        }
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.counters.intent_asks += asks;
         }
         let idle = idle.saturating_add(base);
         self.scratch.all_done = all_done;
@@ -473,7 +512,7 @@ impl<M: Clone> Engine<M> {
                         // Every robot stays through a skip; a stay clears its arrival.
                         self.arrivals.fill(None);
                         self.round = target;
-                        self.log_terminations(target - 1);
+                        self.ask(Some(target - 1));
                         continue;
                     }
                 }
@@ -663,7 +702,7 @@ impl<M: Clone> Engine<M> {
             t.counters.prelude_walked += cohorts.unwrap_or(walkers * rounds);
         }
         self.round = end;
-        self.log_terminations(end - 1);
+        self.ask(Some(end - 1));
         Ok(())
     }
 
@@ -763,23 +802,21 @@ impl<M: Clone> Engine<M> {
         Some(ends.len() as u64 * rounds)
     }
 
-    /// Ask every robot its intent for the next round, and record `round`
-    /// (the last one run or skipped) as the termination round of every
-    /// robot done for the first time.
-    fn log_terminations(&mut self, round: u64) {
-        self.ask();
-        for i in 0..self.world.num_robots() {
-            if !self.terminated_logged[i] && self.scratch.intents[i] == Intent::Done {
-                self.terminated_logged[i] = true;
-                if self.config.record_trace {
-                    let slot = self.world.robot(i);
-                    self.trace.events.push(Event::Terminated {
-                        round,
-                        robot: slot.id,
-                        at: slot.position,
-                    });
-                }
-            }
+    /// Record absolute `round` (the last one run or skipped) as the
+    /// termination round of robot `i`, done, unless it is recorded
+    /// already.
+    fn log_termination(&mut self, i: usize, round: u64) {
+        if self.terminated_logged[i] {
+            return;
+        }
+        self.terminated_logged[i] = true;
+        if self.config.record_trace {
+            let slot = self.world.robot(i);
+            self.trace.events.push(Event::Terminated {
+                round,
+                robot: slot.id,
+                at: slot.position,
+            });
         }
     }
 
@@ -787,20 +824,31 @@ impl<M: Clone> Engine<M> {
     /// movement. Runs entirely on the scratch arenas — the steady state
     /// allocates nothing.
     fn step(&mut self) -> Result<(), RunError> {
-        let (k, round) = (self.world.num_robots(), self.round);
+        let round = self.round;
         // Controllers live in *epoch-local* time: a cast seated by
         // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
         // fresh run. The trace and telemetry keep the absolute clock.
         let local = round - self.epoch_base;
-        // Active = called this round: past its prelude, not done and not
-        // idle. Done and idle robots stay put silently and prelude robots
-        // walk their ports uncalled, but all are *physically* present (they
-        // appear in rosters). The sub-round count does not depend on who is
-        // called.
-        for i in 0..k {
-            let intent = self.scratch.intents[i];
-            let idle = matches!(intent, Intent::Idle(r) if r > local);
-            self.scratch.active[i] = !self.walks(i, local) && intent != Intent::Done && !idle;
+        // Called this round: past its prelude, not done and not idle. Done
+        // and idle robots stay put silently and prelude robots walk their
+        // ports uncalled, but all are *physically* present (they appear in
+        // rosters). The sub-round count does not depend on who is called.
+        // A prelude walker's intent is `Act`, so it moves but is not called.
+        self.scratch.called.clear();
+        self.scratch.movers.clear();
+        for i in 0..self.controllers.len() {
+            let silent = match self.scratch.intents[i] {
+                Intent::Done => true,
+                Intent::Idle(r) => r > local,
+                _ => false,
+            };
+            if silent {
+                continue;
+            }
+            self.scratch.movers.push((i, self.world.robot(i).position));
+            if !self.walks(i, local) {
+                self.scratch.called.push(i);
+            }
         }
         let subrounds = self.subrounds_at(local);
         // Observability: `None` when disabled — every instrumentation site
@@ -843,10 +891,7 @@ impl<M: Clone> Engine<M> {
         // Sub-round communication (walking phases request 1 sub-round, so
         // this stays cheap).
         for sub in 0..subrounds {
-            for i in 0..k {
-                if !s.active[i] {
-                    continue;
-                }
+            for &i in &s.called {
                 let node = world.robot(i).position;
                 let obs = Observation {
                     round: local,
@@ -875,7 +920,7 @@ impl<M: Clone> Engine<M> {
             if let Some(t) = telem.as_mut() {
                 t.counters.subrounds += 1;
                 t.counters.bulletin_writes += held;
-                t.counters.bulletin_reads += s.active.iter().filter(|&&a| a).count() as u64;
+                t.counters.bulletin_reads += s.called.len() as u64;
                 t.counters.bulletin_hwm = t.counters.bulletin_hwm.max(held);
             }
             // Flush after the loop: messages published in sub-round `s`
@@ -890,8 +935,12 @@ impl<M: Clone> Engine<M> {
 
         // Movement: every robot decides on the rosters and bulletins the
         // round started with (a move changes neither), so deciding and
-        // moving robot by robot is simultaneous movement.
-        for i in 0..k {
+        // moving robot by robot is simultaneous movement. A silent robot
+        // stays, which only clears its arrival; every mover's move writes
+        // its own.
+        self.arrivals.fill(None);
+        for m in 0..self.scratch.movers.len() {
+            let (i, from) = self.scratch.movers[m];
             let prelude = if walking {
                 self.preludes[i].port(local)
             } else {
@@ -899,7 +948,6 @@ impl<M: Clone> Engine<M> {
             };
             let choice = match prelude {
                 Some(port) => MoveChoice::Move(port),
-                None if !self.scratch.active[i] => MoveChoice::Stay,
                 None => {
                     let slot = self.world.robot(i);
                     let s = &self.scratch;
@@ -920,7 +968,6 @@ impl<M: Clone> Engine<M> {
                     choice
                 }
             };
-            let from = self.world.robot(i).position;
             self.apply_choice(i, choice, round)?;
             self.reindex(i, from);
         }
@@ -936,8 +983,32 @@ impl<M: Clone> Engine<M> {
             s.bulletins[node].clear();
         }
         self.round += 1;
-        self.log_terminations(round);
+        self.ask(Some(round));
         Ok(())
+    }
+}
+
+/// Whether `intent`, answered earlier, still holds at epoch-local
+/// `round`: `Done` for good, an idle, beacon or solo answer until its
+/// horizon, `Act` never.
+fn holds(intent: Intent, round: u64) -> bool {
+    match intent {
+        Intent::Done => true,
+        Intent::Idle(r) | Intent::Beacon(r) | Intent::Solo(r) => r > round,
+        Intent::Act => false,
+    }
+}
+
+/// Whether a `fresh` answer promises at least what the `held` one did:
+/// `Done` stays `Done`, and any other promise keeps its kind with a
+/// horizon no earlier.
+fn outlasts(fresh: Intent, held: Intent) -> bool {
+    match (held, fresh) {
+        (Intent::Done, Intent::Done) => true,
+        (Intent::Idle(a), Intent::Idle(b))
+        | (Intent::Beacon(a), Intent::Beacon(b))
+        | (Intent::Solo(a), Intent::Solo(b)) => b >= a,
+        _ => false,
     }
 }
 
@@ -1969,11 +2040,10 @@ mod tests {
         );
     }
 
-    /// Counts the [`Controller::intent`] calls of the controller it wraps
-    /// and logs the round of each of its `act` and `decide_move` calls.
+    /// Logs the round of each `act` and `decide_move` call of the
+    /// controller it wraps.
     struct Counted {
         inner: Box<dyn Controller<String>>,
-        asked: Rc<Cell<u64>>,
         called: Rc<RefCell<Vec<u64>>>,
     }
 
@@ -1981,7 +2051,6 @@ mod tests {
         fn new(inner: impl Controller<String> + 'static) -> Self {
             Counted {
                 inner: Box::new(inner),
-                asked: Rc::default(),
                 called: Rc::default(),
             }
         }
@@ -2003,7 +2072,6 @@ mod tests {
             self.inner.decide_move(obs)
         }
         fn intent(&self, round: u64) -> Intent {
-            self.asked.set(self.asked.get() + 1);
             self.inner.intent(round)
         }
         fn prelude(&self) -> Prelude {
@@ -2012,7 +2080,7 @@ mod tests {
     }
 
     #[test]
-    fn each_robot_is_asked_once_per_loop_iteration() {
+    fn a_robot_is_asked_again_only_when_its_answer_no_longer_holds() {
         // An actor walking two ports, a robot walking a five-port prelude,
         // a roamer solo in rounds 3-8 and a sleeper idle until 14: the
         // engine steps rounds 0-2, 5 and 9-11, applies the segments [3, 5)
@@ -2025,37 +2093,75 @@ mod tests {
             script: vec![0, 1],
             step: 0,
         };
-        let cast = [
-            (Flavor::Honest, Counted::new(actor)),
-            (
-                Flavor::Honest,
-                Counted::new(Preluded::new(2, vec![0; 5], 1)),
-            ),
-            (
-                Flavor::WeakByzantine,
-                Counted::new(Roamer::new(3, (3, 9), 11)),
-            ),
-            (Flavor::Honest, Counted::new(Sleeper::new(4, 14, 1))),
-        ];
-        let mut asked = Vec::new();
-        for (node, (flavor, counted)) in cast.into_iter().enumerate() {
-            asked.push(Rc::clone(&counted.asked));
-            e.add_robot(flavor, 2 * node, Box::new(counted));
-        }
+        e.add_robot(Flavor::Honest, 0, Box::new(actor));
+        e.add_robot(Flavor::Honest, 2, Box::new(Preluded::new(2, vec![0; 5], 1)));
+        e.add_robot(
+            Flavor::WeakByzantine,
+            4,
+            Box::new(Roamer::new(3, (3, 9), 11)),
+        );
+        e.add_robot(Flavor::Honest, 6, Box::new(Sleeper::new(4, 14, 1)));
         let out = e.run_epoch(u64::MAX).unwrap();
         assert_eq!(out.metrics.rounds, 15);
         let c = e.telemetry.take().expect("recorder").counters;
         assert_eq!(
-            (c.rounds_stepped, c.rounds_solo, c.rounds_skipped),
-            (8, 5, 2)
+            (
+                c.rounds_stepped,
+                c.rounds_solo,
+                c.rounds_skipped,
+                c.ff_jumps
+            ),
+            (8, 5, 2, 3)
         );
-        // One ask when the epoch starts, then one after each step, segment
-        // and skip: the loop's iterations. The prelude walker is not asked
-        // while the next round is inside its prelude: at the start and
-        // after steps 0-2.
-        let iterations = 1 + c.rounds_stepped + c.ff_jumps;
-        let asked: Vec<u64> = asked.iter().map(|a| a.get()).collect();
-        assert_eq!(asked, [iterations, iterations - 4, iterations, iterations]);
+        // The loop asks when the epoch starts and after each of its 11
+        // steps, segments and skips, but only the robots whose answer no
+        // longer holds. The actor acts, so it is asked every iteration
+        // until it answers `Done` (rounds 0, 1 and 2), which holds for
+        // good. The prelude walker is not asked inside its prelude: it is
+        // asked at round 5, acts, and answers `Done` at round 6. The
+        // roamer is asked while it acts (rounds 0-2 and 9-11), at round 3,
+        // where it answers `Solo(9)`, and not again until that horizon;
+        // at round 12 it answers `Done`. The sleeper answers `Idle(14)` at
+        // the start and is asked again only at round 14, where it is
+        // called, and at round 15, where it answers `Done`.
+        assert_eq!(e.scratch.asked, [3, 2, 8, 3]);
+        assert_eq!(c.intent_asks, 3 + 2 + 8 + 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "but at round 1 answers Act")]
+    fn debug_builds_catch_a_broken_promise() {
+        /// Promises to idle until round 4 at round 0, then acts from round
+        /// 1 on: a promise it breaks.
+        struct Fickle;
+        impl Controller<String> for Fickle {
+            fn id(&self) -> RobotId {
+                RobotId(2)
+            }
+            fn act(&mut self, _obs: &Observation<'_, String>) -> Option<String> {
+                None
+            }
+            fn decide_move(&mut self, _obs: &Observation<'_, String>) -> MoveChoice {
+                MoveChoice::Stay
+            }
+            fn intent(&self, round: u64) -> Intent {
+                if round == 0 {
+                    Intent::Idle(4)
+                } else {
+                    Intent::Act
+                }
+            }
+        }
+        let mut e: Engine<String> = Engine::new(ring(4).unwrap(), EngineConfig::default());
+        let actor = Walker {
+            id: RobotId(1),
+            script: vec![0, 0, 0],
+            step: 0,
+        };
+        e.add_robot(Flavor::Honest, 0, Box::new(actor));
+        e.add_robot(Flavor::WeakByzantine, 2, Box::new(Fickle));
+        let _ = e.run_epoch(u64::MAX);
     }
 
     /// Publishes its round at sub-round 0 of every round it is called in

@@ -37,11 +37,13 @@
 //!
 //! ## Fast-forward: one question per robot
 //!
-//! Rounds that need no stepping are not stepped. The engine asks every
+//! Rounds that need no stepping are not stepped. The engine asks each
 //! robot one question, [`controller::Controller::intent`]: done, idle
 //! (silent) until a round, a beacon (stationary, publishing) until a
 //! round, solo (deciding on its own senses only) until a round, or
-//! acting. The paper's communication-free walks (Theorem 1's
+//! acting. It holds a robot to its answer until the horizon (to `Done`
+//! for good) and asks again only an acting robot or one whose answer has
+//! run out, so a robot waiting out a window is asked once. The paper's communication-free walks (Theorem 1's
 //! `Find-Map`, the gathering walk of Theorems 2, 5 and 7) are data
 //! instead: [`controller::Controller::prelude`] hands the engine the ports
 //! a robot leaves through in its first rounds, and the engine walks them

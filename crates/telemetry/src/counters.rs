@@ -67,6 +67,10 @@ pub struct EngineCounters {
     /// Sub-rounds executed inside stepped rounds, plus the sub-rounds of
     /// every segment round (the segment's sub-round count per round).
     pub subrounds: u64,
+    /// `Controller::intent` calls (see `Intent` in `bd-runtime`): one per
+    /// robot past its prelude whose last answer no longer holds, at the
+    /// epoch's start and after every stepped round, segment and skip.
+    pub intent_asks: u64,
     /// High-water mark of the dirty-node list length at round end (how
     /// much roster work one round queued for the next).
     pub dirty_hwm: u64,
@@ -98,6 +102,7 @@ impl EngineCounters {
             solo_calls: self.solo_calls - mark.solo_calls,
             prelude_walked: self.prelude_walked - mark.prelude_walked,
             subrounds: self.subrounds - mark.subrounds,
+            intent_asks: self.intent_asks - mark.intent_asks,
             dirty_hwm: self.dirty_hwm,
             roster_hwm: self.roster_hwm,
             bulletin_hwm: self.bulletin_hwm,
@@ -122,6 +127,7 @@ impl EngineCounters {
         self.solo_calls += other.solo_calls;
         self.prelude_walked += other.prelude_walked;
         self.subrounds += other.subrounds;
+        self.intent_asks += other.intent_asks;
         self.dirty_hwm = self.dirty_hwm.max(other.dirty_hwm);
         self.roster_hwm = self.roster_hwm.max(other.roster_hwm);
         self.bulletin_hwm = self.bulletin_hwm.max(other.bulletin_hwm);
