@@ -17,7 +17,8 @@
 //! After the static pass, a **dynamic pass** samples event-scheduled
 //! worlds (robot churn, edge failure/heal, adversary switches) on top of
 //! the same case space and checks whole epoch sequences against the
-//! event-aware oracle; `--static-only` / `--dynamic-only` select one pass.
+//! event-aware oracle; `--static-only` / `--dynamic-only` select one pass
+//! (both together exit 2, like an unknown flag).
 //!
 //! Usage:
 //!   cargo run --release -p bd-bench --bin fuzz -- \
@@ -60,6 +61,11 @@ fn main() {
     let overshoot = u64::from(broken);
     let static_pass = !args.iter().any(|a| a == "--dynamic-only");
     let dynamic_pass = !args.iter().any(|a| a == "--static-only");
+    if !static_pass && !dynamic_pass {
+        // Both passes off would check no cell and pass vacuously.
+        eprintln!("fuzz: --static-only and --dynamic-only exclude each other");
+        std::process::exit(2);
+    }
     let trace = trace_out_from_args("fuzz", &args);
 
     println!(

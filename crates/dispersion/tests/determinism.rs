@@ -1,6 +1,6 @@
 //! Determinism and oracle conformance for the arena-backed engine.
 //!
-//! Four properties across a matrix of {algorithm × adversary × graph
+//! Three properties across a matrix of {algorithm × adversary × graph
 //! family}:
 //!
 //! 1. **Determinism** — the same spec run twice produces identical
@@ -16,27 +16,16 @@
 //!    must actually skip rounds (the `rounds_skipped` metric) on every row
 //!    with idle phases — the regression gate for the adversary
 //!    idle-horizon contract.
-//! 4. **Pool equivalence** — a [`BatchPlanner`] batch run on the thread
-//!    pool returns, in `add` order, exactly what each cell returns when
-//!    run alone.
 //!
-//! Engine counters are process-global while switched on, so every test
-//! here serializes on one gate: a report drain then sees only its own
-//! test's engines.
+//! These tests record nothing process-global, so they run in parallel.
+//! Pool equivalence switches engine counters on and drains their reports,
+//! so it lives in `trace_export.rs`, under that file's gate.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
-use bd_dispersion::{BatchPlanner, DispersionError, Session};
+use bd_dispersion::Session;
 use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree};
 use bd_graphs::PortGraph;
-use std::sync::{Arc, Mutex};
-
-/// Serializes the tests of this file (see the module docs).
-static GATE: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Graph families every Table 1 precondition holds on (view-asymmetric;
 /// also used by the cross-crate integration suite).
@@ -99,7 +88,6 @@ fn matrix() -> Vec<(Algorithm, AdversaryKind, bool)> {
 
 #[test]
 fn identical_outcomes_across_reruns() {
-    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -119,7 +107,6 @@ fn identical_outcomes_across_reruns() {
 
 #[test]
 fn rounds_equal_registry_budget() {
-    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -151,7 +138,6 @@ fn assert_oracle_agrees(session: &Session, spec: &ScenarioSpec, label: &str) {
 /// the skipping run must genuinely skip on every row with idle phases.
 #[test]
 fn fast_forward_changes_nothing_but_wall_clock() {
-    let _gate = locked();
     let session = Session::new(erdos_renyi_connected(11, 0.35, 6).unwrap());
     for (algo, kind, must_skip) in matrix() {
         let spec = cell(algo, session.graph(), kind, 3);
@@ -179,7 +165,6 @@ fn fast_forward_changes_nothing_but_wall_clock() {
 /// changes what happens (rather than how fast it happens) fails here.
 #[test]
 fn oracle_reproduces_the_conformance_matrix() {
-    let _gate = locked();
     for (family, graph) in families() {
         let session = Session::new(graph);
         for (algo, kind, _) in matrix() {
@@ -193,75 +178,9 @@ fn oracle_reproduces_the_conformance_matrix() {
 /// oracle's, which steps every round.
 #[test]
 fn fault_free_fast_forward_still_exact() {
-    let _gate = locked();
     let session = Session::new(erdos_renyi_connected(11, 0.35, 6).unwrap());
     for algo in Algorithm::table1() {
         let spec = ScenarioSpec::evaluation(algo, session.graph()).with_seed(9);
         assert_oracle_agrees(&session, &spec, &format!("{algo:?}"));
     }
-}
-
-/// The batch pool changes nothing but wall-clock. A batch over three
-/// graphs and three rows, with more cells than workers and one cell that
-/// cannot plan, returns in `add` order exactly what each cell's own
-/// `Session::run` returns (`Outcome` equality ignores `elapsed_micros`),
-/// the planning error at its index, and one engine report per runnable
-/// cell.
-#[test]
-fn pooled_batch_equals_each_cell_run_alone() {
-    let _gate = locked();
-    let rows = [
-        (Algorithm::GatheredThirdTh4, AdversaryKind::TokenHijacker),
-        (Algorithm::ArbitraryHalfTh2, AdversaryKind::Wanderer),
-        (Algorithm::StrongGatheredTh6, AdversaryKind::StrongSpoofer),
-    ];
-    let mut cells: Vec<(Arc<PortGraph>, ScenarioSpec)> = Vec::new();
-    for (_, graph) in families() {
-        let graph = Arc::new(graph);
-        for (algo, kind) in rows {
-            for seed in 0..2 {
-                cells.push((Arc::clone(&graph), cell(algo, &graph, kind, seed)));
-            }
-        }
-    }
-    let bad_at = 4;
-    let (graph, spec) = cells[0].clone();
-    cells.insert(bad_at, (graph, spec.with_robots(0)));
-
-    let expected: Vec<_> = cells
-        .iter()
-        .map(|(graph, spec)| Session::new(Arc::clone(graph)).run(spec))
-        .collect();
-    let mut planner = BatchPlanner::new();
-    for (graph, spec) in &cells {
-        planner.add(graph, spec.clone());
-    }
-    assert_eq!(planner.num_sessions(), 3);
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert!(
-        cells.len() > workers,
-        "{} cells do not outnumber {workers} workers",
-        cells.len()
-    );
-
-    let _ = bd_telemetry::drain_engine_reports();
-    bd_telemetry::enable_counters(true);
-    let results = planner.run();
-    bd_telemetry::enable_counters(false);
-    let reports = bd_telemetry::drain_engine_reports();
-
-    assert_eq!(results.len(), cells.len());
-    assert!(
-        matches!(results[bad_at], Err(DispersionError::BadScenario(_))),
-        "cell {bad_at}: {:?}",
-        results[bad_at]
-    );
-    for (idx, (got, want)) in results.iter().zip(&expected).enumerate() {
-        assert_eq!(got, want, "cell {idx}: {:?}", cells[idx].1.algo);
-    }
-    assert_eq!(
-        reports.len(),
-        cells.len() - 1,
-        "one engine report per runnable cell"
-    );
 }

@@ -7,12 +7,14 @@
 //! the trajectory contract is.
 //!
 //! Span recording is process-global, so every test here serializes on one
-//! gate and drains the buffer before and after itself.
+//! gate and drains the buffer before and after itself. The pool
+//! equivalence test lives here for the same reason: it drains the
+//! process-global engine reports.
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
-use bd_dispersion::{BatchPlanner, Session};
-use bd_graphs::generators::erdos_renyi_connected;
+use bd_dispersion::{BatchPlanner, DispersionError, Session};
+use bd_graphs::generators::{erdos_renyi_connected, lollipop, random_tree};
 use bd_graphs::PortGraph;
 use bd_telemetry::{spans, SpanEvent};
 use proptest::prelude::*;
@@ -24,6 +26,16 @@ static GATE: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The determinism suite's graph families (every Table 1 precondition
+/// holds on them).
+fn families() -> Vec<(&'static str, PortGraph)> {
+    vec![
+        ("gnp", erdos_renyi_connected(11, 0.35, 6).unwrap()),
+        ("tree", random_tree(10, 4).unwrap()),
+        ("lollipop", lollipop(5, 4).unwrap()),
+    ]
 }
 
 /// The evaluation cell of `algo` on `graph` under `kind` at max tolerance
@@ -219,6 +231,71 @@ fn disabled_recording_emits_no_events() {
     );
     session.run(&spec).unwrap();
     assert!(spans::drain().is_empty(), "disabled run leaked span events");
+}
+
+/// The batch pool changes nothing but wall-clock. A batch over three
+/// graphs and three rows, with more cells than workers and one cell that
+/// cannot plan, returns in `add` order exactly what each cell's own
+/// `Session::run` returns (`Outcome` equality ignores `elapsed_micros`),
+/// the planning error at its index, and one engine report per runnable
+/// cell.
+#[test]
+fn pooled_batch_equals_each_cell_run_alone() {
+    let _gate = locked();
+    let rows = [
+        (Algorithm::GatheredThirdTh4, AdversaryKind::TokenHijacker),
+        (Algorithm::ArbitraryHalfTh2, AdversaryKind::Wanderer),
+        (Algorithm::StrongGatheredTh6, AdversaryKind::StrongSpoofer),
+    ];
+    let mut cells: Vec<(Arc<PortGraph>, ScenarioSpec)> = Vec::new();
+    for (_, graph) in families() {
+        let graph = Arc::new(graph);
+        for (algo, kind) in rows {
+            for seed in 0..2 {
+                cells.push((Arc::clone(&graph), cell(algo, &graph, kind, seed)));
+            }
+        }
+    }
+    let bad_at = 4;
+    let (graph, spec) = cells[0].clone();
+    cells.insert(bad_at, (graph, spec.with_robots(0)));
+
+    let expected: Vec<_> = cells
+        .iter()
+        .map(|(graph, spec)| Session::new(Arc::clone(graph)).run(spec))
+        .collect();
+    let mut planner = BatchPlanner::new();
+    for (graph, spec) in &cells {
+        planner.add(graph, spec.clone());
+    }
+    assert_eq!(planner.num_sessions(), 3);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        cells.len() > workers,
+        "{} cells do not outnumber {workers} workers",
+        cells.len()
+    );
+
+    let _ = bd_telemetry::drain_engine_reports();
+    bd_telemetry::enable_counters(true);
+    let results = planner.run();
+    bd_telemetry::enable_counters(false);
+    let reports = bd_telemetry::drain_engine_reports();
+
+    assert_eq!(results.len(), cells.len());
+    assert!(
+        matches!(results[bad_at], Err(DispersionError::BadScenario(_))),
+        "cell {bad_at}: {:?}",
+        results[bad_at]
+    );
+    for (idx, (got, want)) in results.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "cell {idx}: {:?}", cells[idx].1.algo);
+    }
+    assert_eq!(
+        reports.len(),
+        cells.len() - 1,
+        "one engine report per runnable cell"
+    );
 }
 
 proptest! {

@@ -900,8 +900,11 @@ fn solo_calls_agree_with_the_oracle() {
 /// engine does not call before it wakes; an actor beside a robot that
 /// moves and then idles through stepped rounds, which are its stays and
 /// clear its arrival; an actor beside a beacon, called in every round;
-/// and a solo roamer beside a beacon and a sleeper, where the fast
-/// engine steps every round instead of running segments.
+/// a solo roamer beside a beacon and a sleeper, where the fast
+/// engine steps every round instead of running segments; and a solo
+/// roamer beside a sleeper and an honest robot whose `Idle(1)` promises
+/// nothing from round 1 on, so the segment the others allow cannot
+/// advance and the fast engine steps instead.
 #[test]
 fn idle_robots_and_beacons_agree_with_the_oracle() {
     let beacon = [(0, Intent::Beacon(u64::MAX))];
@@ -943,6 +946,14 @@ fn idle_robots_and_beacons_agree_with_the_oracle() {
             .seat(Flavor::WeakByzantine, 6, |s| Scripted::new(1, &roamer, s))
             .seat(Flavor::WeakByzantine, 2, |s| Scripted::new(2, &beacon, s))
             .seat(Flavor::Honest, 0, |s| Scripted::new(3, &sleeper(14), s))
+    });
+    let stale = [(0, Intent::Idle(1)), (5, Intent::Act), (7, Intent::Done)];
+    let roamer = [(0, Intent::Solo(6)), (6, Intent::Act), (9, Intent::Done)];
+    agree(ring(7).unwrap(), EngineConfig::default(), || {
+        Cast::until(u64::MAX)
+            .seat(Flavor::WeakByzantine, 6, |s| Scripted::new(1, &roamer, s))
+            .seat(Flavor::Honest, 2, |s| Scripted::new(2, &stale, s))
+            .seat(Flavor::Honest, 0, |s| Scripted::new(3, &sleeper(10), s))
     });
 }
 

@@ -366,12 +366,15 @@ impl<'g> SoloWalk<'g> {
 ///   every prelude robot walks alone and each solo robot gets one
 ///   [`Controller::solo`] call per round, so events and errors come out
 ///   exactly as stepping's.
-/// * **Silence.** Every other round is stepped: every robot past its
-///   prelude and not done gets its roster and bulletin unless it is idle,
-///   which is not called at all; the round visits only the robots it
-///   calls and the prelude walkers. The round's sub-round count is still the
-///   most that any robot past its prelude and not done requests, idle or
-///   not, so `subrounds_executed` does not depend on who is called.
+/// * **Silence.** Every other round is stepped, and so is a segment that
+///   cannot advance (an idle horizon at or before the current round
+///   promises nothing). The engine runs a stepped round as a one-round
+///   segment that also calls its actors: every robot past its prelude and
+///   not done gets its roster and bulletin and decides its move unless it
+///   is idle, which is not called at all; prelude robots take their ports
+///   as in a segment. The round's sub-round count is still the most that
+///   any robot past its prelude and not done requests, idle or not, so
+///   `subrounds_executed` does not depend on who is called.
 ///
 /// Declaring a promise while actually wanting to act is a controller bug;
 /// the oracle engine (which steps every round, calls every robot past its

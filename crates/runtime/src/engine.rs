@@ -2,7 +2,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! `Engine::step` executes millions of times per Table 1 cell, so its
+//! A stepped round executes millions of times per Table 1 cell, so its
 //! per-round state lives in engine-owned **scratch arenas** (`Scratch`)
 //! instead of per-round maps:
 //!
@@ -20,25 +20,23 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
-//! Rounds that need no stepping bypass `Engine::step`: the engine keeps
-//! each robot's [`Intent`] in the scratch and, once per loop iteration,
-//! asks again only the robots whose answer no longer holds (an `Act`, a
-//! horizon that has arrived, or a prelude that has just ended; `Done`
-//! holds for good). From the answers it skips or applies stretches in
-//! bulk (`Engine::apply_segment`) as the [`Intent`] contract describes.
-//! A stepped round lists the robots it calls once, those that act or
-//! publish, and visits only them and the prelude walkers: an idle or
-//! done robot is silent, so it gets no observation and only its arrival
-//! is cleared, while a beacon is called like an acting robot and makes
-//! the engine step rather than run a segment beside it. Every move,
-//! stepped or in bulk, goes through one routine, [`SoloWalk::take`]: a
-//! stepped robot's or a lone prelude walker's one move
-//! (`Engine::apply_choice`), a solo robot's rounds inside
-//! [`Controller::solo`], and a cohort's bulk walk. `Engine::land` writes
-//! where each walk ended, and `Engine::reindex` keeps occupancy and the
-//! dirty list current after every stepped move and at every segment's
-//! end, so switching between segments and stepped rounds rebuilds
-//! nothing.
+//! Rounds that need no stepping are not stepped: the engine keeps each
+//! robot's [`Intent`] in the scratch and, once per loop iteration, asks
+//! again only the robots whose answer no longer holds (an `Act`, a horizon
+//! that has arrived, or a prelude that has just ended; `Done` holds for
+//! good). From the answers it skips stretches or runs them in bulk as
+//! segments, as the [`Intent`] contract describes. One routine,
+//! `Engine::run`, runs a stepped round and a segment alike: a stepped
+//! round is a one-round segment that also calls its actors. It lists the
+//! robots that move once; an idle or done robot is silent, so it gets no
+//! observation and only its arrival is cleared, while a beacon is called
+//! like an acting robot and makes the engine step rather than run a
+//! segment beside it. Every move goes through [`SoloWalk::take`]: a
+//! prelude port, a stepped robot's `decide_move`, a solo robot's rounds
+//! inside [`Controller::solo`], and a cohort's bulk walk. `Engine::land`
+//! writes where each walk ended, and `Engine::reindex` brings occupancy
+//! and the dirty list up to date once, at the end of every stepped round
+//! or segment, so switching between the two rebuilds nothing.
 //!
 //! # Dynamic worlds: epochs
 //!
@@ -61,7 +59,6 @@ use crate::trace::{Event, Trace};
 use crate::world::World;
 use bd_graphs::{NodeId, Port, PortGraph};
 use bd_telemetry::EngineTelemetry;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Scratch arenas owned by the engine and reused across rounds. All
@@ -94,12 +91,13 @@ struct Scratch<M> {
     /// not add to.
     #[cfg(test)]
     asked: Vec<u64>,
-    /// The robots a stepped round calls: past their prelude, not done and
-    /// not idle, in index order.
+    /// The robots a stepped round or segment calls, in index order: the
+    /// movers past their prelude, which a stepped round hands rosters and
+    /// bulletins and a segment runs through [`Controller::solo`].
     called: Vec<usize>,
-    /// The robots a segment or a stepped round moves, with the nodes they
-    /// started it on: in a segment the prelude and solo ones, in a stepped
-    /// round the called ones and the prelude walkers, in index order.
+    /// The robots a stepped round or segment moves, with the nodes they
+    /// started it on, in index order: all but the done ones and those idle
+    /// past its first round, so the called ones and the prelude walkers.
     movers: Vec<(usize, NodeId)>,
     /// Whether every honest robot is done, read off `intents`.
     all_done: bool,
@@ -491,52 +489,55 @@ impl<M: Clone> Engine<M> {
             if self.round >= limit {
                 return Err(RunError::RoundLimit { limit });
             }
-            match self.scratch.horizon {
-                Horizon::Step => {}
-                Horizon::Idle(target) => {
-                    // Never jump past a scheduled stop: the world mutates
-                    // there, which idle promises ignore.
-                    let target = target.saturating_add(overshoot).min(stop_at);
-                    if target > self.round + 1 {
-                        if target >= limit {
-                            // No robot acts again before the cap: error now,
-                            // with the clock at the true executed round
-                            // rather than teleported to the cap.
-                            return Err(RunError::RoundLimit { limit });
-                        }
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.counters.ff_jumps += 1;
-                            t.counters.rounds_skipped += target - self.round;
-                        }
-                        self.metrics.rounds_skipped += target - self.round;
-                        // Every robot stays through a skip; a stay clears its arrival.
-                        self.arrivals.fill(None);
-                        self.round = target;
-                        self.ask(Some(target - 1));
-                        continue;
+            if let Horizon::Idle(target) = self.scratch.horizon {
+                // Never jump past a scheduled stop: the world mutates
+                // there, which idle promises ignore.
+                let target = target.saturating_add(overshoot).min(stop_at);
+                if target > self.round + 1 {
+                    if target >= limit {
+                        // No robot acts again before the cap: error now,
+                        // with the clock at the true executed round
+                        // rather than teleported to the cap.
+                        return Err(RunError::RoundLimit { limit });
                     }
-                }
-                // A segment stops where a stepped run could first differ
-                // (see `Intent`); at the cap the loop head then raises
-                // `RoundLimit` exactly as stepping would.
-                Horizon::Segment { idle, busy } => {
-                    let mut end = busy
-                        .min(idle.saturating_add(overshoot))
-                        .min(stop_at)
-                        .min(limit);
                     if let Some(t) = self.telemetry.as_deref_mut() {
-                        if self.round >= t.next_mark {
-                            t.on_round(self.round);
-                        }
-                        end = end.min(t.next_mark);
+                        t.counters.ff_jumps += 1;
+                        t.counters.rounds_skipped += target - self.round;
                     }
-                    if end > self.round {
-                        self.apply_segment(end)?;
-                        continue;
-                    }
+                    self.metrics.rounds_skipped += target - self.round;
+                    // Every robot stays through a skip; a stay clears its arrival.
+                    self.arrivals.fill(None);
+                    self.round = target;
+                    self.ask(Some(target - 1));
+                    continue;
                 }
             }
-            self.step()?;
+            // Close every phase mark reached (an idle skip may pass several).
+            let next_mark = match self.telemetry.as_deref_mut() {
+                Some(t) => {
+                    if self.round >= t.next_mark {
+                        t.on_round(self.round);
+                    }
+                    t.next_mark
+                }
+                None => u64::MAX,
+            };
+            // A segment stops where a stepped run could first differ (see
+            // `Intent`); at the cap the loop head then raises `RoundLimit`
+            // exactly as stepping would. One that cannot advance is stepped.
+            let end = match self.scratch.horizon {
+                Horizon::Segment { idle, busy } => busy
+                    .min(idle.saturating_add(overshoot))
+                    .min(stop_at)
+                    .min(limit)
+                    .min(next_mark),
+                _ => self.round,
+            };
+            if end > self.round {
+                self.run(end, false)?;
+            } else {
+                self.run(self.round + 1, true)?;
+            }
         }
     }
 
@@ -552,9 +553,10 @@ impl<M: Clone> Engine<M> {
     }
 
     /// Move robot `i`, which stood on `from`, to its current node in the
-    /// occupancy index: only those two rosters go stale. A stepped round
-    /// reindexes every robot it moves; a segment, which reads no roster,
-    /// reindexes each robot it moved once, at its end.
+    /// occupancy index: only those two rosters go stale. [`Engine::run`]
+    /// reindexes each robot it moved once, at the end of its stepped round
+    /// or segment: a stepped round's moves read the rosters it started
+    /// with, and a segment reads none.
     fn reindex(&mut self, i: usize, from: NodeId) {
         let to = self.world.robot(i).position;
         if from == to {
@@ -569,15 +571,6 @@ impl<M: Clone> Engine<M> {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.counters.dirty_marks += 2;
         }
-    }
-
-    /// Apply robot `i`'s move of absolute `round`, stepped or in a
-    /// segment: one [`SoloWalk::take`], landed by [`Engine::land_walk`].
-    fn apply_choice(&mut self, i: usize, choice: MoveChoice, round: u64) -> Result<(), RunError> {
-        let from = self.world.robot(i).position;
-        let mut walk = SoloWalk::new(self.world.graph(), from, None);
-        walk.take(choice);
-        self.land_walk(i, from, walk.end(), round)
     }
 
     /// Land robot `i`, which stood on `from`, where its walk from absolute
@@ -618,70 +611,120 @@ impl<M: Clone> Engine<M> {
         Ok(())
     }
 
-    /// Apply the segment `[self.round, end)` in bulk: every robot is done,
-    /// idle, inside its prelude or solo (see [`Horizon::Segment`]). Prelude
-    /// robots take their ports; solo robots run through
-    /// [`Controller::solo`]; done and idle robots stay put uncalled.
-    /// Positions, odometers, arrivals, occupancy, the trace, termination
-    /// records and the run metrics end up exactly as stepping the segment
-    /// would leave them; no roster or bulletin is built.
-    fn apply_segment(&mut self, end: u64) -> Result<(), RunError> {
+    /// Run rounds `[self.round, end)`: one stepped round (`stepped`, and
+    /// `end` the next round) or a segment, in which every robot is done,
+    /// idle, inside its prelude or solo (see [`Horizon::Segment`]). Done
+    /// robots and those idle past the round are silent: they stay put
+    /// uncalled, which only clears their arrival. A stepped round first
+    /// lets the robots it calls communicate ([`Engine::communicate`]).
+    /// Then every other robot moves through one [`SoloWalk`]: by its
+    /// prelude port, by [`Controller::decide_move`] in a stepped round, or
+    /// through [`Controller::solo`] in a segment. A segment builds no
+    /// roster or bulletin, yet positions, odometers, arrivals, occupancy,
+    /// the trace, termination records and the run metrics end up exactly
+    /// as stepping it would leave them.
+    fn run(&mut self, end: u64, stepped: bool) -> Result<(), RunError> {
         let start = self.round;
         let rounds = end - start;
+        // Controllers live in *epoch-local* time: a cast seated by
+        // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
+        // fresh run. The trace and telemetry keep the absolute clock.
         let local = start - self.epoch_base;
-        // The segment ends at the shortest remaining prelude, so the same
+        // A segment ends at the shortest remaining prelude, so the same
         // robots request sub-rounds in every one of its rounds.
         let subrounds = self.subrounds_at(local);
         #[cfg(debug_assertions)]
-        for r in local..local + rounds {
+        for r in local + 1..local + rounds {
             debug_assert_eq!(
                 self.subrounds_at(r),
                 subrounds,
                 "the sub-round count changes inside a segment at round {r}"
             );
         }
-        // The robots that move, prelude and solo ones, with their nodes.
+        // The movers, with the nodes they start on, and the called ones
+        // among them: those past their prelude. A prelude walker's intent
+        // is `Act`, so it moves but is not called.
+        self.scratch.called.clear();
         self.scratch.movers.clear();
-        let (mut walkers, mut solo, mut honest_solo) = (0u64, false, false);
         for i in 0..self.controllers.len() {
-            // A robot that stays keeps no arrival; prelude robots
-            // overwrite theirs every round, and solo robots see the
-            // arrival their last stepped move left.
-            let slot = self.world.robot(i);
-            if self.walks(i, local) {
-                walkers += 1;
-            } else if matches!(self.scratch.intents[i], Intent::Solo(_)) {
-                solo = true;
-                honest_solo |= slot.flavor == Flavor::Honest;
-            } else {
+            let silent = match self.scratch.intents[i] {
+                Intent::Done => true,
+                Intent::Idle(r) => r > local,
+                _ => false,
+            };
+            if silent {
                 self.arrivals[i] = None;
                 continue;
             }
-            self.scratch.movers.push((i, slot.position));
+            self.scratch.movers.push((i, self.world.robot(i).position));
+            if !self.walks(i, local) {
+                self.scratch.called.push(i);
+            }
         }
-        // Without an honest solo robot or a trace to keep in order, the
-        // prelude robots walk as cohorts and each solo robot runs the
-        // whole stretch in one call. Otherwise (and when an honest
-        // robot's port is invalid) the stretch runs round-major, robot
-        // order within a round, so the trace records events and the error
-        // names the robot and round exactly as stepping would.
-        let bulk = !honest_solo && !self.config.record_trace;
+        let mut messages = if stepped {
+            self.communicate(local, subrounds)
+        } else {
+            0
+        };
+        // Without a trace to keep in order or an honest solo robot, a
+        // segment walks its prelude robots as cohorts and runs each solo
+        // robot's whole stretch in one call. Otherwise (and when an honest
+        // robot's port is invalid) it runs round-major, robot order within
+        // a round, so the trace records events and an error names the
+        // robot and round exactly as stepping would.
+        let honest = |i: usize| self.world.robot(i).flavor == Flavor::Honest;
+        let bulk = !stepped
+            && !self.config.record_trace
+            && !self.scratch.called.iter().any(|&i| honest(i));
         let cohorts = bulk
             .then(|| self.walk_cohorts(local as usize, rounds))
             .flatten();
-        let (mut messages, mut calls) = (0u64, 0u64);
         let len = if cohorts.is_some() { rounds } else { 1 };
+        let mut calls = 0;
         for t in (0..rounds).step_by(len as usize) {
             for m in 0..self.scratch.movers.len() {
                 let i = self.scratch.movers[m].0;
-                match self.preludes[i].port(local + t) {
-                    Some(_) if cohorts.is_some() => {}
-                    Some(port) => self.apply_choice(i, MoveChoice::Move(port), start + t)?,
-                    None => {
-                        messages += self.run_solo(i, local + t..local + t + len, subrounds)?;
-                        calls += 1;
-                    }
+                let walks = self.walks(i, local);
+                if walks && cohorts.is_some() {
+                    continue;
                 }
+                let slot = self.world.robot(i);
+                let from = slot.position;
+                let mut walk = SoloWalk::new(self.world.graph(), from, self.arrivals[i]);
+                if walks {
+                    let port = self.preludes[i].port(local + t);
+                    walk.take(MoveChoice::Move(port.expect("a walker has a port")));
+                } else if stepped {
+                    let s = &self.scratch;
+                    let obs = Observation {
+                        round: local,
+                        subround: subrounds.saturating_sub(1),
+                        subrounds,
+                        degree: walk.degree(),
+                        roster: &s.roster[from],
+                        bulletin: &s.bulletins[from],
+                        arrival: None,
+                    };
+                    let choice = self.controllers[i].decide_move(&obs);
+                    if choice == MoveChoice::Stay && self.config.record_trace {
+                        let (round, robot) = (start, slot.id);
+                        self.trace.events.push(Event::Stayed {
+                            round,
+                            robot,
+                            at: from,
+                        });
+                    }
+                    walk.take(choice);
+                } else {
+                    debug_assert!(
+                        len == 1 || !(self.config.record_trace || slot.flavor == Flavor::Honest),
+                        "a traced or honest solo robot runs one round per call"
+                    );
+                    let span = local + t..local + t + len;
+                    messages += self.controllers[i].solo(span, subrounds, &mut walk);
+                    calls += 1;
+                }
+                self.land_walk(i, from, walk.end(), start + t)?;
             }
         }
         for m in 0..self.scratch.movers.len() {
@@ -690,45 +733,113 @@ impl<M: Clone> Engine<M> {
         }
         self.metrics.messages += messages;
         self.metrics.subrounds_executed += rounds * subrounds as u64;
+        let s = &mut self.scratch;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.counters.ff_jumps += 1;
-            if solo {
-                t.counters.rounds_solo += rounds;
-            } else {
-                t.counters.rounds_scripted += rounds;
-            }
-            t.counters.solo_calls += calls;
             t.counters.subrounds += rounds * subrounds as u64;
-            t.counters.prelude_walked += cohorts.unwrap_or(walkers * rounds);
+            if stepped {
+                t.counters.rounds_stepped += 1;
+                t.counters.bulletin_clears += s.touched.len() as u64;
+                t.counters.dirty_hwm = t.counters.dirty_hwm.max(s.dirty_nodes.len() as u64);
+            } else {
+                let walkers = (s.movers.len() - s.called.len()) as u64;
+                t.counters.ff_jumps += 1;
+                if s.called.is_empty() {
+                    t.counters.rounds_scripted += rounds;
+                } else {
+                    t.counters.rounds_solo += rounds;
+                }
+                t.counters.solo_calls += calls;
+                t.counters.prelude_walked += cohorts.unwrap_or(walkers * rounds);
+            }
+        }
+        // Reset the bulletins through the touched list (O(publishing
+        // nodes), not O(n)) so the next round starts clean.
+        for node in s.touched.drain(..) {
+            s.bulletins[node].clear();
         }
         self.round = end;
         self.ask(Some(end - 1));
         Ok(())
     }
 
-    /// Run solo robot `i` through epoch-local `rounds` of a segment in one
-    /// [`Controller::solo`] call and land it where its walk ends (see
-    /// [`Engine::land_walk`]); returns the messages it published. An
-    /// honest or traced robot must be handed one round per call, so that
-    /// an error or a traced move names its round.
-    fn run_solo(
-        &mut self,
-        i: usize,
-        rounds: Range<u64>,
-        subrounds: usize,
-    ) -> Result<u64, RunError> {
-        let round = rounds.start + self.epoch_base;
-        let slot = self.world.robot(i);
-        debug_assert!(
-            rounds.end - rounds.start == 1
-                || !(self.config.record_trace || slot.flavor == Flavor::Honest),
-            "a traced or honest solo robot runs one round per call"
-        );
-        let from = slot.position;
-        let mut walk = SoloWalk::new(self.world.graph(), from, self.arrivals[i]);
-        let messages = self.controllers[i].solo(rounds, subrounds, &mut walk);
-        self.land_walk(i, from, walk.end(), round)?;
-        Ok(messages)
+    /// A stepped round's communication in epoch-local round `local`:
+    /// rebuild the stale rosters, then run `subrounds` sub-rounds in which
+    /// every called robot reads its roster and bulletin and may publish.
+    /// Done, idle and prelude robots are not called, but all are
+    /// *physically* present (they appear in rosters). Returns the messages
+    /// published.
+    fn communicate(&mut self, local: u64, subrounds: usize) -> u64 {
+        let mut telem = self.telemetry.as_deref_mut();
+        let (world, controllers, s) = (&self.world, &mut self.controllers, &mut self.scratch);
+        // Rosters: nodes whose occupancy changed since the last stepped
+        // round are already in the dirty queue; nodes hosting ID-faking
+        // robots re-sort every round because their claimed IDs may have
+        // changed.
+        for f in 0..s.faking.len() {
+            s.mark_dirty(world.robot(s.faking[f]).position);
+        }
+        for &node in &s.dirty_nodes {
+            let r = &mut s.roster[node];
+            r.clear();
+            r.extend(
+                s.at_node[node]
+                    .iter()
+                    .map(|&i| shown_id(world, controllers, i)),
+            );
+            r.sort_unstable();
+            s.dirty[node] = false;
+            if let Some(t) = telem.as_mut() {
+                t.counters.roster_resorts += 1;
+                t.counters.roster_entries += r.len() as u64;
+                t.counters.roster_hwm = t.counters.roster_hwm.max(r.len() as u64);
+            }
+        }
+        s.dirty_nodes.clear();
+
+        // Sub-round communication (walking phases request 1 sub-round, so
+        // this stays cheap).
+        let mut messages = 0;
+        for sub in 0..subrounds {
+            for &i in &s.called {
+                let node = world.robot(i).position;
+                let obs = Observation {
+                    round: local,
+                    subround: sub,
+                    subrounds,
+                    degree: world.graph().degree(node),
+                    roster: &s.roster[node],
+                    bulletin: &s.bulletins[node],
+                    arrival: if sub == 0 { self.arrivals[i] } else { None },
+                };
+                if let Some(body) = controllers[i].act(&obs) {
+                    let sender = shown_id(world, controllers, i);
+                    s.pending.push((
+                        node,
+                        Publication {
+                            sender,
+                            subround: sub,
+                            body,
+                        },
+                    ));
+                }
+            }
+            let held = s.pending.len() as u64;
+            messages += held;
+            if let Some(t) = telem.as_mut() {
+                t.counters.bulletin_writes += held;
+                t.counters.bulletin_reads += s.called.len() as u64;
+                t.counters.bulletin_hwm = t.counters.bulletin_hwm.max(held);
+            }
+            // Flush after the loop: messages published in sub-round `s`
+            // become visible in sub-round `s + 1`, never within `s`.
+            for (node, publication) in s.pending.drain(..) {
+                if s.bulletins[node].is_empty() {
+                    s.touched.push(node);
+                }
+                s.bulletins[node].push(publication);
+            }
+        }
+        messages
     }
 
     /// Walk the segment's prelude robots through epoch-local rounds
@@ -818,173 +929,6 @@ impl<M: Clone> Engine<M> {
                 at: slot.position,
             });
         }
-    }
-
-    /// Execute a single round: sub-round communication, then simultaneous
-    /// movement. Runs entirely on the scratch arenas — the steady state
-    /// allocates nothing.
-    fn step(&mut self) -> Result<(), RunError> {
-        let round = self.round;
-        // Controllers live in *epoch-local* time: a cast seated by
-        // `begin_epoch` at absolute round `r` sees rounds `0, 1, …` like a
-        // fresh run. The trace and telemetry keep the absolute clock.
-        let local = round - self.epoch_base;
-        // Called this round: past its prelude, not done and not idle. Done
-        // and idle robots stay put silently and prelude robots walk their
-        // ports uncalled, but all are *physically* present (they appear in
-        // rosters). The sub-round count does not depend on who is called.
-        // A prelude walker's intent is `Act`, so it moves but is not called.
-        self.scratch.called.clear();
-        self.scratch.movers.clear();
-        for i in 0..self.controllers.len() {
-            let silent = match self.scratch.intents[i] {
-                Intent::Done => true,
-                Intent::Idle(r) => r > local,
-                _ => false,
-            };
-            if silent {
-                continue;
-            }
-            self.scratch.movers.push((i, self.world.robot(i).position));
-            if !self.walks(i, local) {
-                self.scratch.called.push(i);
-            }
-        }
-        let subrounds = self.subrounds_at(local);
-        // Observability: `None` when disabled — every instrumentation site
-        // below is a branch on this `Option` and nothing more. Close any
-        // phase boundary reached (fast-forward jumps close several at once).
-        let mut telem = self.telemetry.as_deref_mut();
-        if let Some(t) = telem.as_mut() {
-            if round >= t.next_mark {
-                t.on_round(round);
-            }
-        }
-        let walking = local < self.longest_prelude;
-        let (world, controllers, s) = (&self.world, &mut self.controllers, &mut self.scratch);
-
-        // Rosters: nodes whose occupancy changed since the last stepped
-        // round are already in the dirty queue; nodes hosting ID-faking
-        // robots re-sort every round because their claimed IDs may have
-        // changed.
-        for f in 0..s.faking.len() {
-            s.mark_dirty(world.robot(s.faking[f]).position);
-        }
-        for &node in &s.dirty_nodes {
-            let r = &mut s.roster[node];
-            r.clear();
-            r.extend(
-                s.at_node[node]
-                    .iter()
-                    .map(|&i| shown_id(world, controllers, i)),
-            );
-            r.sort_unstable();
-            s.dirty[node] = false;
-            if let Some(t) = telem.as_mut() {
-                t.counters.roster_resorts += 1;
-                t.counters.roster_entries += r.len() as u64;
-                t.counters.roster_hwm = t.counters.roster_hwm.max(r.len() as u64);
-            }
-        }
-        s.dirty_nodes.clear();
-
-        // Sub-round communication (walking phases request 1 sub-round, so
-        // this stays cheap).
-        for sub in 0..subrounds {
-            for &i in &s.called {
-                let node = world.robot(i).position;
-                let obs = Observation {
-                    round: local,
-                    subround: sub,
-                    subrounds,
-                    degree: world.graph().degree(node),
-                    roster: &s.roster[node],
-                    bulletin: &s.bulletins[node],
-                    arrival: if sub == 0 { self.arrivals[i] } else { None },
-                };
-                if let Some(body) = controllers[i].act(&obs) {
-                    let sender = shown_id(world, controllers, i);
-                    s.pending.push((
-                        node,
-                        Publication {
-                            sender,
-                            subround: sub,
-                            body,
-                        },
-                    ));
-                }
-            }
-            let held = s.pending.len() as u64;
-            self.metrics.messages += held;
-            self.metrics.subrounds_executed += 1;
-            if let Some(t) = telem.as_mut() {
-                t.counters.subrounds += 1;
-                t.counters.bulletin_writes += held;
-                t.counters.bulletin_reads += s.called.len() as u64;
-                t.counters.bulletin_hwm = t.counters.bulletin_hwm.max(held);
-            }
-            // Flush after the loop: messages published in sub-round `s`
-            // become visible in sub-round `s + 1`, never within `s`.
-            for (node, publication) in s.pending.drain(..) {
-                if s.bulletins[node].is_empty() {
-                    s.touched.push(node);
-                }
-                s.bulletins[node].push(publication);
-            }
-        }
-
-        // Movement: every robot decides on the rosters and bulletins the
-        // round started with (a move changes neither), so deciding and
-        // moving robot by robot is simultaneous movement. A silent robot
-        // stays, which only clears its arrival; every mover's move writes
-        // its own.
-        self.arrivals.fill(None);
-        for m in 0..self.scratch.movers.len() {
-            let (i, from) = self.scratch.movers[m];
-            let prelude = if walking {
-                self.preludes[i].port(local)
-            } else {
-                None
-            };
-            let choice = match prelude {
-                Some(port) => MoveChoice::Move(port),
-                None => {
-                    let slot = self.world.robot(i);
-                    let s = &self.scratch;
-                    let obs = Observation {
-                        round: local,
-                        subround: subrounds.saturating_sub(1),
-                        subrounds,
-                        degree: self.world.graph().degree(slot.position),
-                        roster: &s.roster[slot.position],
-                        bulletin: &s.bulletins[slot.position],
-                        arrival: None,
-                    };
-                    let choice = self.controllers[i].decide_move(&obs);
-                    if choice == MoveChoice::Stay && self.config.record_trace {
-                        let (robot, at) = (slot.id, slot.position);
-                        self.trace.events.push(Event::Stayed { round, robot, at });
-                    }
-                    choice
-                }
-            };
-            self.apply_choice(i, choice, round)?;
-            self.reindex(i, from);
-        }
-        // Reset the bulletins through the touched list (O(publishing
-        // nodes), not O(n)) so the next round starts clean.
-        let s = &mut self.scratch;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.counters.bulletin_clears += s.touched.len() as u64;
-            t.counters.rounds_stepped += 1;
-            t.counters.dirty_hwm = t.counters.dirty_hwm.max(s.dirty_nodes.len() as u64);
-        }
-        for node in s.touched.drain(..) {
-            s.bulletins[node].clear();
-        }
-        self.round += 1;
-        self.ask(Some(round));
-        Ok(())
     }
 }
 

@@ -25,8 +25,8 @@
 //!
 //! ## The hot loop: scratch arenas
 //!
-//! Table 1 rows are Θ(n³)–O(n⁴)-round protocols, so the engine's `step`
-//! is the hot path of every sweep. Its per-round state lives in
+//! Table 1 rows are Θ(n³)–O(n⁴)-round protocols, so the engine's stepped
+//! round is the hot path of every sweep. Its per-round state lives in
 //! engine-owned, reusable **arenas** rather than per-round maps: occupancy
 //! and rosters are flat vectors indexed by the dense [`bd_graphs::NodeId`],
 //! maintained incrementally via a moved-robots dirty list (a round that
@@ -49,12 +49,14 @@
 //! a robot leaves through in its first rounds, and the engine walks them
 //! without calling the robot. From the answers and the preludes the
 //! engine skips all-idle stretches, calls no idle robot in a stepped
-//! round, and applies stretches of idle, walking and solo robots in bulk,
-//! with no roster or bulletin (a solo robot runs its whole stretch in one
-//! [`controller::Controller::solo`] call); trajectories and measured
-//! rounds equal a stepped run's, and the differential suite of the
-//! `bd-oracle` crate checks that against a naive engine that steps every
-//! round. The contract is documented once, on [`controller::Intent`].
+//! round, and applies stretches of idle, walking and solo robots in bulk
+//! as segments, with no roster or bulletin (a solo robot runs its whole
+//! stretch in one [`controller::Controller::solo`] call). One routine runs
+//! both: a stepped round is a one-round segment that also calls the robots
+//! that act. Trajectories and measured rounds equal a stepped run's, and
+//! the differential suite of the `bd-oracle` crate checks that against a
+//! naive engine that steps every round. The contract is documented once,
+//! on [`controller::Intent`].
 //!
 //! ## Instrumentation
 //!
